@@ -37,7 +37,7 @@ def main() -> int:
         summary[kind] = trace
         print(f"{kind:>10}: wrote {path}")
 
-    quarter = args.epochs // 4
+    quarter = max(1, args.epochs // 4)
     print(f"\n{'optimizer':>10} {'ppl@' + str(quarter):>10} {'final ppl':>10} {'final lr':>10}")
     for kind, trace in summary.items():
         print(f"{kind:>10} {trace.ppl_at_epoch(quarter):>10.3f} "

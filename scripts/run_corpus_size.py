@@ -14,23 +14,23 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from mtlab.cli import parse_sizes
 from mtlab.optlab import OptimizerConfig, SurrogateConfig, corpus_size_sweep
 from mtlab.synth import toy_lm_stream
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="500,1000,2000,4000,8000")
+    parser.add_argument("--sizes", type=parse_sizes, default="500,1000,2000,4000,8000")
     parser.add_argument("--budget", type=int, default=8000)
     parser.add_argument("--checkpoint-every", type=int, default=500)
     parser.add_argument("--out-dir", default="runs/corpus-size")
     args = parser.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
 
-    sizes = [int(s) for s in args.sizes.split(",")]
-    full = toy_lm_stream(max(sizes), 32, seed=3)
+    full = toy_lm_stream(max(args.sizes), 32, seed=3)
     val_ids = toy_lm_stream(3000, 32, seed=4)
-    streams = [(str(size), full[:size]) for size in sizes]
+    streams = [(str(size), full[:size]) for size in args.sizes]
     traces = corpus_size_sweep(SurrogateConfig(32, 8, 16), streams, val_ids,
                                OptimizerConfig("sgd_decay"), iteration_budget=args.budget,
                                batch_size=8, seed=5, checkpoint_every=args.checkpoint_every)

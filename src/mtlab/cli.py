@@ -30,7 +30,7 @@ from .optlab import (
     train,
 )
 
-__all__ = ["main", "parse_duration"]
+__all__ = ["main", "parse_duration", "parse_sizes"]
 
 
 def parse_duration(text: str) -> float:
@@ -44,6 +44,14 @@ def parse_duration(text: str) -> float:
     if total == 0.0:
         raise argparse.ArgumentTypeError(f"cannot parse duration {text!r}")
     return total
+
+
+def parse_sizes(text: str) -> list[int]:
+    """Sizes from a comma-separated list such as '100,250,500'."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse size list {text!r}") from None
 
 
 def _read_lines(path: str) -> list[str]:
@@ -109,9 +117,8 @@ def cmd_corpus_split(args) -> int:
 
 def cmd_corpus_subsample(args) -> int:
     loaded = _load_corpus(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
     outputs = []
-    for size, sub in zip(sizes, corpus.subsample(loaded, sizes, args.seed)):
+    for size, sub in zip(args.sizes, corpus.subsample(loaded, args.sizes, args.seed)):
         src_path, tgt_path = _out(args, f"size-{size}.src"), _out(args, f"size-{size}.tgt")
         corpus.write_parallel(sub, src_path, tgt_path)
         outputs += [src_path, tgt_path]
@@ -346,11 +353,10 @@ def _format_duration(seconds: float) -> str:
 
 
 def cmd_optlab_sweep(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    full = synth.toy_lm_stream(max(sizes), args.vocab, seed=args.seed, noise=args.noise)
-    val_ids = synth.toy_lm_stream(max(500, max(sizes) // 5), args.vocab,
+    full = synth.toy_lm_stream(max(args.sizes), args.vocab, seed=args.seed, noise=args.noise)
+    val_ids = synth.toy_lm_stream(max(500, max(args.sizes) // 5), args.vocab,
                                   seed=args.seed + 1, noise=args.noise)
-    streams = [(str(size), full[:size]) for size in sizes]
+    streams = [(str(size), full[:size]) for size in args.sizes]
     traces = corpus_size_sweep(SurrogateConfig(args.vocab, args.embed_dim, args.hidden_dim),
                                streams, val_ids, OptimizerConfig(args.optimizer),
                                iteration_budget=args.budget, batch_size=args.batch_size,
@@ -554,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_corpus_split)
     p = sub.add_parser(parents=[common], name="subsample")
     corpus_inputs(p)
-    p.add_argument("--sizes", required=True, help="comma-separated sizes, e.g. 100,250,500")
+    p.add_argument("--sizes", type=parse_sizes, required=True,
+                   help="comma-separated sizes, e.g. 100,250,500")
     p.set_defaults(func=cmd_corpus_subsample)
 
     # bpe
@@ -654,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     toy_flags(p)
     p.add_argument("--optimizer", choices=["sgd_decay", "adam", "adagrad", "adadelta"],
                    default="sgd_decay")
-    p.add_argument("--sizes", required=True)
+    p.add_argument("--sizes", type=parse_sizes, required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--checkpoint-every", type=int, default=100)
     p.set_defaults(func=cmd_optlab_sweep)

@@ -9,9 +9,9 @@ from .optimizers import (
     accumulate_gradients,
 )
 from .model import SurrogateConfig, SurrogateModel, check_gradients
-from .training import TraceRow, TrainingTrace, TrainingError, epoch_batches, train
+from .training import (TraceRow, TrainingTrace, TrainingError, epoch_batches, train,
+                       corpus_size_sweep)
 from .cluster import ClusterConfig, ClusterError, simulate_cluster, calibrated_cluster_config
-from .sweep import corpus_size_sweep
 
 __all__ = [
     "OptimizerConfig",

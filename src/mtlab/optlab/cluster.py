@@ -13,14 +13,15 @@ initialization the first warmup iterations run on a single trainer.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import SurrogateModel
-from .optimizers import Optimizer, OptimizerConfig, accumulate_gradients
-from .training import DIVERGENCE_PPL, TraceRow, TrainingTrace, epoch_batches
+# not called here; perfbench/spans.py wraps this module's name when tracing
+from .optimizers import OptimizerConfig, accumulate_gradients  # noqa: F401
+from .training import TrainingTrace, _rounds, _train_loop
 
 __all__ = [
     "ClusterConfig",
@@ -50,21 +51,14 @@ class ClusterConfig:
     sync_overhead_per_batch: float = 0.0
     async_comm_time: float = 0.0
     async_warmup_iterations: int = 6000
-    async_master_reserved: bool = True
 
     def __post_init__(self):
         if self.mode not in ("sync", "async"):
             raise ClusterError(f"unknown cluster mode {self.mode!r}")
         if self.worker_count < 1:
             raise ClusterError("worker_count must be at least 1")
-        if self.mode == "async" and self.async_master_reserved and self.worker_count < 2:
+        if self.mode == "async" and self.worker_count < 2:
             raise ClusterError("async mode reserves one worker for the master copy; need K >= 2")
-
-    @property
-    def trainer_count(self) -> int:
-        if self.mode == "async" and self.async_master_reserved:
-            return self.worker_count - 1
-        return self.worker_count
 
 
 def calibrated_cluster_config(
@@ -94,103 +88,65 @@ def simulate_cluster(
     epochs: int,
     batch_size: int = 32,
     seed: int = 0,
-    use_threads: bool = False,
 ) -> TrainingTrace:
     """Run the cluster simulation; returns a trace with staleness stats.
 
-    The batch schedule is the one `train` would consume for the same seed,
-    so synchronous runs with zero overhead reproduce sequential gradient
-    accumulation bit-exactly.  `use_threads` computes synchronous rounds in
-    a thread pool (throughput experiments only; results are identical).
+    Shares its loop and batch schedule with `train` for the same seed, so
+    synchronous runs with zero overhead reproduce sequential gradient
+    accumulation bit-exactly.
     """
-    optimizer = Optimizer(opt_config)
-    trace = TrainingTrace()
-    state = _SimState(model, optimizer, cluster)
-    for epoch in range(1, epochs + 1):
-        batches = epoch_batches(train_ids, batch_size, seed, epoch)
-        if cluster.mode == "sync":
-            state.run_sync_epoch(batches, use_threads)
-        else:
-            state.run_async_epoch(batches)
-        val_ppl = model.perplexity(val_ids)
-        lr = optimizer.end_of_epoch(epoch, val_ppl)
-        trace.rows.append(TraceRow(epoch, state.iterations, state.clock, val_ppl, lr))
-        if val_ppl > DIVERGENCE_PPL:
-            trace.divergent = True
-            break
-    trace.max_staleness = state.max_staleness
+    if cluster.mode == "sync":
+        schedule = _rounds(model, cluster.worker_count, cluster.per_batch_compute_time,
+                           cluster.sync_overhead_per_batch)
+    else:
+        schedule = _AsyncEvents(model, cluster)
+    trace = _train_loop(model, train_ids, val_ids, opt_config, schedule, batch_size, seed,
+                        epochs=epochs)
+    trace.max_staleness = schedule.max_staleness if cluster.mode == "async" else 0
     return trace
 
 
-class _SimState:
-    def __init__(self, model: SurrogateModel, optimizer: Optimizer, cluster: ClusterConfig):
+class _AsyncEvents:
+    """Async schedule: an event heap of pull -> compute -> push cycles.
+
+    A trainer takes its next gradient once its previous push is applied, so
+    the push may land stale.  Each update consumes one batch, so the batch
+    count doubles as the master's version number.
+    """
+
+    def __init__(self, model: SurrogateModel, cluster: ClusterConfig):
         self.model = model
-        self.optimizer = optimizer
         self.cluster = cluster
-        self.clock = 0.0
-        self.iterations = 0   # batches consumed
-        self.version = 0      # master updates applied
         self.max_staleness = 0
 
-    def run_sync_epoch(self, batches: list, use_threads: bool) -> None:
-        k = self.cluster.worker_count
-        compute = lambda batch: self.model.loss_and_grads(batch[0], batch[1])[1]
-        for start in range(0, len(batches), k):
-            round_batches = batches[start : start + k]
-            if use_threads and len(round_batches) > 1:
-                with ThreadPoolExecutor(max_workers=len(round_batches)) as pool:
-                    grads_list = list(pool.map(compute, round_batches))
-            else:
-                grads_list = [compute(b) for b in round_batches]
-            self.optimizer.step(self.model.params, accumulate_gradients(grads_list))
-            self.version += 1
-            self.iterations += len(round_batches)
-            self.clock += (
-                self.cluster.per_batch_compute_time
-                + self.cluster.sync_overhead_per_batch * len(round_batches)
-            )
-
-    def run_async_epoch(self, batches: list) -> None:
+    def __call__(self, batches: list, iterations: int, clock: float):
         cluster = self.cluster
-        trainers = cluster.trainer_count
+        trainers = cluster.worker_count - 1  # one worker holds the master copy
         cycle = cluster.per_batch_compute_time + cluster.async_comm_time
-        cursor = 0
-        seq = 0
+        pending = iter(batches)
         heap: list = []
-        active: set[int] = set()
+        seq = itertools.count()
+        active = 1
 
         def start_cycle(trainer: int, now: float) -> None:
-            nonlocal cursor, seq
-            if cursor >= len(batches):
-                return
-            x, y = batches[cursor]
-            cursor += 1
-            # gradient is taken against the parameters as pulled now; it may
-            # be stale by the time the push lands
-            _, grads = self.model.loss_and_grads(x, y)
-            heapq.heappush(heap, (now + cycle, seq, trainer, grads, self.version))
-            seq += 1
+            batch = next(pending, None)
+            if batch is not None:
+                grads = self.model.loss_and_grads(*batch)[1]
+                heapq.heappush(heap, (now + cycle, next(seq), trainer, grads, iterations))
 
-        def activate_all(now: float) -> None:
-            for trainer in range(trainers):
-                if trainer not in active:
-                    active.add(trainer)
+        def end_warmup(now: float) -> None:  # warmup iterations run on one trainer
+            nonlocal active
+            if active < trainers and iterations >= cluster.async_warmup_iterations:
+                for trainer in range(active, trainers):
                     start_cycle(trainer, now)
+                active = trainers
 
-        if self.iterations < cluster.async_warmup_iterations:
-            active.add(0)
-            start_cycle(0, self.clock)
-        else:
-            activate_all(self.clock)
-
+        start_cycle(0, clock)
+        end_warmup(clock)
         while heap:
-            time, _, trainer, grads, pulled_version = heapq.heappop(heap)
-            staleness = self.version - pulled_version
-            self.max_staleness = max(self.max_staleness, staleness)
-            self.optimizer.step(self.model.params, grads)
-            self.version += 1
-            self.iterations += 1
-            self.clock = time
-            if len(active) < trainers and self.iterations >= cluster.async_warmup_iterations:
-                activate_all(self.clock)
-            start_cycle(trainer, self.clock)
+            time, _, trainer, grads, pulled = heapq.heappop(heap)
+            self.max_staleness = max(self.max_staleness, iterations - pulled)
+            iterations += 1
+            yield grads, iterations, time
+            end_warmup(time)
+            start_cycle(trainer, time)

@@ -139,10 +139,13 @@ def accumulate_gradients(grads_list: list[dict[str, np.ndarray]]) -> dict[str, n
     """Mean of per-batch gradients, summed in list order.
 
     Shared by sequential gradient accumulation and the synchronous cluster
-    simulation so the two produce bit-identical floats.
+    simulation so the two produce bit-identical floats.  A single batch's
+    gradient is returned as is: the mean of one is itself.
     """
     if not grads_list:
         raise ValueError("no gradients to accumulate")
+    if len(grads_list) == 1:
+        return grads_list[0]
     total = {name: g.copy() for name, g in grads_list[0].items()}
     for grads in grads_list[1:]:
         for name in total:

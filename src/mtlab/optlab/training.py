@@ -1,17 +1,24 @@
-"""Single-process training loop with per-epoch validation traces."""
+"""The one training loop behind `train`, `simulate_cluster` and `corpus_size_sweep`.
+
+A schedule turns each epoch's batches into (grads, batches consumed, clock)
+updates; the loop applies them and writes a trace row per epoch, or at
+checkpoints within an iteration budget.
+"""
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..rng import stream
-from .model import SurrogateModel
+from .model import SurrogateConfig, SurrogateModel
 from .optimizers import Optimizer, OptimizerConfig, accumulate_gradients
 
-__all__ = ["TraceRow", "TrainingTrace", "TrainingError", "epoch_batches", "train"]
+__all__ = ["TraceRow", "TrainingTrace", "TrainingError", "epoch_batches", "train",
+           "corpus_size_sweep"]
 
 DIVERGENCE_PPL = 1e6
 
@@ -27,7 +34,6 @@ class TraceRow:
     sim_seconds: float
     val_ppl: float
     lr: float
-    bleu: float | None = None
 
 
 @dataclass
@@ -51,11 +57,10 @@ class TrainingTrace:
     def to_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "iterations", "sim_seconds", "val_ppl", "lr", "bleu"])
+            writer.writerow(["epoch", "iterations", "sim_seconds", "val_ppl", "lr"])
             for row in self.rows:
                 writer.writerow([row.epoch, row.iterations, f"{row.sim_seconds:.6f}",
-                                 repr(row.val_ppl), repr(row.lr),
-                                 "" if row.bleu is None else repr(row.bleu)])
+                                 repr(row.val_ppl), repr(row.lr)])
 
     @classmethod
     def from_csv(cls, path: str) -> "TrainingTrace":
@@ -66,7 +71,6 @@ class TrainingTrace:
                     int(record["epoch"]), int(record["iterations"]),
                     float(record["sim_seconds"]), float(record["val_ppl"]),
                     float(record["lr"]),
-                    float(record["bleu"]) if record["bleu"] else None,
                 ))
         return trace
 
@@ -74,8 +78,8 @@ class TrainingTrace:
 def epoch_batches(ids: np.ndarray, batch_size: int, seed: int, epoch: int) -> list:
     """Shuffled (inputs, targets) bigram batches for one epoch.
 
-    Shared by the sequential trainer and the cluster simulation so both
-    consume the exact same batch sequence for a given (seed, epoch).
+    Every schedule of the training loop consumes this same batch sequence
+    for a given (seed, epoch).
     """
     ids = np.asarray(ids)
     if len(ids) < 2:
@@ -90,6 +94,64 @@ def epoch_batches(ids: np.ndarray, batch_size: int, seed: int, epoch: int) -> li
     return batches
 
 
+def _require_positive(**values) -> None:
+    for name, value in values.items():
+        if value is not None and value < 1:
+            raise TrainingError(f"{name} must be at least 1, got {value}")
+
+
+def _rounds(model: SurrogateModel, width: int, compute: float = 0.0, overhead: float = 0.0):
+    """Schedule of one update per `width` consecutive batches, their mean
+    gradient; the clock advances by `compute + overhead * batches`."""
+    _require_positive(accum_steps=width)
+
+    def schedule(batches: list, iterations: int, clock: float):
+        for start in range(0, len(batches), width):
+            group = batches[start : start + width]
+            grads = accumulate_gradients([model.loss_and_grads(x, y)[1] for x, y in group])
+            iterations += len(group)
+            clock += compute + overhead * len(group)
+            yield grads, iterations, clock
+
+    return schedule
+
+
+def _train_loop(model: SurrogateModel, train_ids: np.ndarray, val_ids: np.ndarray,
+                opt_config: OptimizerConfig, schedule, batch_size: int, seed: int,
+                epochs: int | None = None, budget: int | None = None,
+                checkpoint_every: int | None = None) -> TrainingTrace:
+    """Run `schedule` epoch by epoch with one optimizer.
+
+    Without a `budget`, each epoch ends with a row carrying the end-of-epoch
+    learning rate, and a validation perplexity above 1e6 stops the run
+    flagged divergent.  With one, a row is written every `checkpoint_every`
+    batches and at the budget, which ends the run; completed epochs still
+    apply the end-of-epoch rule.
+    """
+    _require_positive(epochs=epochs, iteration_budget=budget,
+                      checkpoint_every=checkpoint_every, batch_size=batch_size)
+    optimizer = Optimizer(opt_config)
+    trace = TrainingTrace()
+    iterations, clock = 0, 0.0
+    for epoch in itertools.count(1) if budget is not None else range(1, epochs + 1):
+        batches = epoch_batches(train_ids, batch_size, seed, epoch)
+        for grads, iterations, clock in schedule(batches, iterations, clock):
+            optimizer.step(model.params, grads)
+            if budget is not None and (iterations % checkpoint_every == 0 or iterations >= budget):
+                val_ppl = model.perplexity(val_ids)
+                trace.rows.append(TraceRow(epoch, iterations, clock, val_ppl, optimizer.current_lr))
+                if iterations >= budget:
+                    return trace
+        val_ppl = model.perplexity(val_ids)
+        lr = optimizer.end_of_epoch(epoch, val_ppl)
+        if budget is None:
+            trace.rows.append(TraceRow(epoch, iterations, clock, val_ppl, lr))
+            if val_ppl > DIVERGENCE_PPL:
+                trace.divergent = True
+                break
+    return trace
+
+
 def train(
     model: SurrogateModel,
     train_ids: np.ndarray,
@@ -99,33 +161,37 @@ def train(
     batch_size: int = 32,
     seed: int = 0,
     accum_steps: int = 1,
-    seconds_per_batch: float = 0.0,
-    metric: object = None,
 ) -> TrainingTrace:
     """Train to a per-epoch validation trace; deterministic given the seed.
 
     `accum_steps` averages that many consecutive batches into one update
     (the sequential equivalent of synchronous data parallelism).  A
     validation perplexity above 1e6 aborts the run with the trace flagged
-    divergent.
+    divergent.  Shares its loop with `simulate_cluster` and
+    `corpus_size_sweep`.
     """
-    optimizer = Optimizer(opt_config)
-    trace = TrainingTrace()
-    iterations = 0
-    clock = 0.0
-    for epoch in range(1, epochs + 1):
-        batches = epoch_batches(train_ids, batch_size, seed, epoch)
-        for start in range(0, len(batches), accum_steps):
-            group = batches[start : start + accum_steps]
-            grads_list = [model.loss_and_grads(x, y)[1] for x, y in group]
-            optimizer.step(model.params, accumulate_gradients(grads_list))
-            iterations += len(group)
-            clock += seconds_per_batch * len(group)
-        val_ppl = model.perplexity(val_ids)
-        lr = optimizer.end_of_epoch(epoch, val_ppl)
-        score = metric(model) if metric is not None else None
-        trace.rows.append(TraceRow(epoch, iterations, clock, val_ppl, lr, score))
-        if val_ppl > DIVERGENCE_PPL:
-            trace.divergent = True
-            break
-    return trace
+    return _train_loop(model, train_ids, val_ids, opt_config, _rounds(model, accum_steps),
+                       batch_size, seed, epochs=epochs)
+
+
+def corpus_size_sweep(
+    model_config: SurrogateConfig,
+    streams: list[tuple[str, np.ndarray]],
+    val_ids: np.ndarray,
+    opt_config: OptimizerConfig,
+    iteration_budget: int,
+    batch_size: int = 32,
+    seed: int = 0,
+    checkpoint_every: int = 100,
+) -> dict[str, TrainingTrace]:
+    """Train one fresh model per (label, token stream) for a fixed number of
+    batch iterations, recording validation perplexity every
+    `checkpoint_every` iterations so curves are comparable across sizes.
+    Shares its loop with `train` and `simulate_cluster`."""
+    results: dict[str, TrainingTrace] = {}
+    for label, ids in streams:
+        model = SurrogateModel(model_config, seed)
+        results[label] = _train_loop(model, ids, val_ids, opt_config, _rounds(model, 1),
+                                     batch_size, seed, budget=iteration_budget,
+                                     checkpoint_every=checkpoint_every)
+    return results

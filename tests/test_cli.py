@@ -162,7 +162,7 @@ def test_optlab_train_writes_trace(tmp_path):
                 "--epochs", 2, "--tokens", 600, "--vocab", 32,
                 "--embed-dim", 8, "--hidden-dim", 16]) == 0
     lines = (out / "trace-adam.csv").read_text().splitlines()
-    assert lines[0] == "epoch,iterations,sim_seconds,val_ppl,lr,bleu"
+    assert lines[0] == "epoch,iterations,sim_seconds,val_ppl,lr"
     assert len(lines) == 3
 
 
@@ -283,3 +283,28 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["bleu", "corpus", "--unknown-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", 0],
+    ["train", "--batch-size", 0],
+    ["simulate", "--workers", 2, "--cluster-mode", "sync", "--epochs", 0],
+    ["sweep", "--sizes", 500, "--budget", 0],
+    ["sweep", "--sizes", 500, "--budget", 10, "--checkpoint-every", 0],
+])
+def test_optlab_counts_below_one_exit_1(tmp_path, capsys, argv):
+    small = ["--tokens", 600, "--vocab", 32, "--embed-dim", 8, "--hidden-dim", 16]
+    assert run(["--out-dir", tmp_path, "optlab", *argv, *small]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "subsample", "--sizes", "5x"],
+    ["optlab", "sweep", "--sizes", "5x", "--budget", "10"],
+])
+def test_malformed_sizes_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "cannot parse size list '5x'" in capsys.readouterr().err

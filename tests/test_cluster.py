@@ -65,19 +65,6 @@ def test_single_trainer_async_equals_sequential_sgd(data):
     assert trace_a.max_staleness == 0
 
 
-def test_sync_threads_match_single_thread(data):
-    train_ids, val_ids = data
-    results = []
-    for use_threads in (False, True):
-        model = fresh_model()
-        simulate_cluster(model, train_ids, val_ids, OptimizerConfig("sgd_decay"),
-                         ClusterConfig(4, "sync"), epochs=1, batch_size=16, seed=2,
-                         use_threads=use_threads)
-        results.append({k: v.copy() for k, v in model.params.items()})
-    for name in results[0]:
-        assert np.array_equal(results[0][name], results[1][name])
-
-
 def test_simulation_determinism(data):
     train_ids, val_ids = data
     traces = []

@@ -97,7 +97,7 @@ class TestTrain:
         ids = toy_lm_stream(400, 16, seed=8)
         model = SurrogateModel(SurrogateConfig(16, 4, 8), seed=5)
         trace = train(model, ids, ids, OptimizerConfig("sgd_decay"),
-                      epochs=4, batch_size=16, seed=5, seconds_per_batch=0.5)
+                      epochs=4, batch_size=16, seed=5)
         iters = [row.iterations for row in trace.rows]
         clocks = [row.sim_seconds for row in trace.rows]
         assert all(a < b for a, b in zip(iters, iters[1:]))
@@ -114,4 +114,4 @@ def test_trace_csv_round_trip(tmp_path):
     again = TrainingTrace.from_csv(path)
     assert again.rows == trace.rows
     header = path.read_text().splitlines()[0]
-    assert header == "epoch,iterations,sim_seconds,val_ppl,lr,bleu"
+    assert header == "epoch,iterations,sim_seconds,val_ppl,lr"
