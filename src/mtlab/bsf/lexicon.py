@@ -12,6 +12,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
+from ..corpus import read_lines, write_lines
 from .embeddings import Embeddings
 
 __all__ = ["AspectLexicon", "expand_seeds", "match_sentences", "load_terms", "save_terms"]
@@ -80,22 +81,12 @@ def match_sentences(sentences: list[str], lexicon: AspectLexicon) -> list[int]:
 
 def load_terms(path: str) -> list[str]:
     """One term per line; `#` starts a comment."""
-    terms = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            term = line.split("#", 1)[0].strip()
-            if term:
-                terms.append(term)
-    return terms
+    terms = [line.split("#", 1)[0].strip() for line in read_lines(path)]
+    return [term for term in terms if term]
 
 
 def save_terms(terms: list, path: str, header: str = "") -> None:
     """Writes plain terms or (term, similarity) candidate pairs."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for term in terms:
-            if isinstance(term, tuple):
-                fh.write(f"{term[0]}  # cosine {term[1]:.4f}\n")
-            else:
-                fh.write(term + "\n")
+    lines = [f"# {header}"] if header else []
+    lines += [f"{t[0]}  # cosine {t[1]:.4f}" if isinstance(t, tuple) else t for t in terms]
+    write_lines(lines, path)

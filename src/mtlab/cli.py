@@ -54,16 +54,6 @@ def parse_sizes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"cannot parse size list {text!r}") from None
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
-
-
-def _write_lines(lines: list[str], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in lines)
-
-
 def _write_text(text: str, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -71,8 +61,13 @@ def _write_text(text: str, path: str) -> None:
             fh.write("\n")
 
 
+def _corpus_paths(args) -> list[str]:
+    """The corpus files a command reads: --tsv, or --src and --tgt."""
+    return [args.tsv] if args.tsv else [args.src, args.tgt]
+
+
 def _load_corpus(args) -> corpus.ParallelCorpus:
-    if getattr(args, "tsv", None):
+    if args.tsv:
         return corpus.load_tsv(args.tsv)
     return corpus.load_parallel(args.src, args.tgt)
 
@@ -110,8 +105,7 @@ def cmd_corpus_split(args) -> int:
         outputs += [src_path, tgt_path]
     print(f"train {len(result.train)} pairs, validation {len(result.validation)} pairs"
           f" (dropped {loaded.dropped_count})")
-    write_manifest(args.out_dir, "corpus split", vars(args),
-                   [args.src, args.tgt, getattr(args, "tsv", None)], outputs, args.seed)
+    write_manifest(args.out_dir, "corpus split", vars(args), _corpus_paths(args), outputs, args.seed)
     return 0
 
 
@@ -123,8 +117,7 @@ def cmd_corpus_subsample(args) -> int:
         corpus.write_parallel(sub, src_path, tgt_path)
         outputs += [src_path, tgt_path]
         print(f"size {size}: {len(sub)} pairs")
-    write_manifest(args.out_dir, "corpus subsample", vars(args),
-                   [args.src, args.tgt, getattr(args, "tsv", None)], outputs, args.seed)
+    write_manifest(args.out_dir, "corpus subsample", vars(args), _corpus_paths(args), outputs, args.seed)
     return 0
 
 
@@ -148,29 +141,28 @@ def cmd_bpe_train(args) -> int:
             tokenizer.save_model(model, path)
             outputs.append(path)
             print(f"{model.mode}: {model.merge_count} merges, alphabet {len(model.alphabet)}")
-    write_manifest(args.out_dir, "bpe train", vars(args),
-                   [args.src, args.tgt, getattr(args, "tsv", None)], outputs, None)
+    write_manifest(args.out_dir, "bpe train", vars(args), _corpus_paths(args), outputs, None)
     return 0
 
 
 def cmd_bpe_apply(args) -> int:
     model = tokenizer.load_model(args.model)
-    lines = _read_lines(args.input)
+    lines = corpus.read_lines(args.input)
     rendered = [tokenizer.render_tokens(tokenizer.tokenize(model, line), args.marker)
                 for line in lines]
     path = _out(args, args.output)
-    _write_lines(rendered, path)
+    corpus.write_lines(rendered, path)
     print(f"tokenized {len(lines)} sentences -> {path}")
     write_manifest(args.out_dir, "bpe apply", vars(args), [args.model, args.input], [path], None)
     return 0
 
 
 def cmd_bpe_detok(args) -> int:
-    lines = _read_lines(args.input)
+    lines = corpus.read_lines(args.input)
     restored = [tokenizer.detokenize(tokenizer.parse_tokens(line, args.marker))
                 for line in lines]
     path = _out(args, args.output)
-    _write_lines(restored, path)
+    corpus.write_lines(restored, path)
     print(f"detokenized {len(lines)} sentences -> {path}")
     write_manifest(args.out_dir, "bpe detok", vars(args), [args.input], [path], None)
     return 0
@@ -188,14 +180,13 @@ def cmd_ner_scan(args) -> int:
     _write_text(report.to_json(), json_path)
     _write_text(report.to_text(), text_path)
     print(report.to_text())
-    write_manifest(args.out_dir, "ner scan", vars(args),
-                   [args.src, args.tgt, getattr(args, "tsv", None)], [json_path, text_path], None)
+    write_manifest(args.out_dir, "ner scan", vars(args), _corpus_paths(args), [json_path, text_path], None)
     return 0
 
 
 def cmd_ner_mask(args) -> int:
     templates = _templates(args.templates)
-    lines = _read_lines(args.input)
+    lines = corpus.read_lines(args.input)
     masked_lines = []
     maps = []
     for line in lines:
@@ -209,7 +200,7 @@ def cmd_ner_mask(args) -> int:
             ],
         })
     masked_path, map_path = _out(args, "masked.txt"), _out(args, "maps.json")
-    _write_lines(masked_lines, masked_path)
+    corpus.write_lines(masked_lines, masked_path)
     _write_text(json.dumps(maps, ensure_ascii=False, indent=2), map_path)
     total = sum(len(m["entries"]) for m in maps)
     print(f"masked {total} entities in {len(lines)} sentences -> {masked_path}")
@@ -219,7 +210,7 @@ def cmd_ner_mask(args) -> int:
 
 def cmd_ner_unmask(args) -> int:
     templates = _templates(args.templates)
-    lines = _read_lines(args.input)
+    lines = corpus.read_lines(args.input)
     with open(args.map, encoding="utf-8") as fh:
         maps = json.load(fh)
     if len(maps) != len(lines):
@@ -239,15 +230,14 @@ def cmd_ner_unmask(args) -> int:
         pmap = entities.PlaceholderMap(line, tuple(entries), stored["source_language"])
         out_lines.append(entities.unmask(line, pmap, locale))
     path = _out(args, args.output)
-    _write_lines(out_lines, path)
+    corpus.write_lines(out_lines, path)
     print(f"unmasked {len(lines)} sentences -> {path}")
     write_manifest(args.out_dir, "ner unmask", vars(args), [args.input, args.map], [path], None)
     return 0
 
 
 def cmd_ner_validate(args) -> int:
-    rows = [line.split("\t") for line in _read_lines(args.pairs)]
-    pairs = [(r[0], r[1]) for r in rows]
+    pairs = corpus.read_pairs(args.pairs)
     result = entities.validate_entity_translation(
         pairs, _templates(args.templates_src), _templates(args.templates_tgt),
         rel_tolerance=args.tolerance)
@@ -265,7 +255,8 @@ def cmd_ner_validate(args) -> int:
 
 def cmd_bleu_corpus(args) -> int:
     config = bleu_mod.ScoringConfig(case_sensitive=not args.lowercase)
-    report = bleu_mod.corpus_bleu(_read_lines(args.candidates), _read_lines(args.references), config)
+    report = bleu_mod.corpus_bleu(corpus.read_lines(args.candidates),
+                                  corpus.read_lines(args.references), config)
     path = _out(args, "bleu.json")
     _write_text(report.to_json(), path)
     print(f"BLEU = {report.score:.2f} (BP {report.brevity_penalty:.3f}, "
@@ -387,7 +378,7 @@ def cmd_optlab_gradcheck(args) -> int:
 
 
 def cmd_bsf_embed(args) -> int:
-    sentences = [line.split() for line in _read_lines(args.input)]
+    sentences = [line.split() for line in corpus.read_lines(args.input)]
     emb = bsf.train_embeddings(sentences, dim=args.dim, window=args.window,
                                negatives=args.negatives, epochs=args.epochs, seed=args.seed)
     path = _out(args, args.output)
@@ -411,23 +402,17 @@ def cmd_bsf_expand(args) -> int:
 def cmd_bsf_match(args) -> int:
     lexicon = bsf.AspectLexicon(args.aspect, args.language,
                                 approved_terms=bsf.load_terms(args.terms))
-    sentences = _read_lines(args.input)
+    sentences = corpus.read_lines(args.input)
     matched = bsf.match_sentences(sentences, lexicon)
     path = _out(args, "matched-ids.txt")
-    _write_lines([str(i) for i in matched], path)
+    corpus.write_lines([str(i) for i in matched], path)
     print(f"matched {len(matched)} of {len(sentences)} sentences")
     write_manifest(args.out_dir, "bsf match", vars(args), [args.input, args.terms], [path], None)
     return 0
 
 
 def _read_labeled(path: str) -> list[tuple[str, str]]:
-    rows = []
-    for i, line in enumerate(_read_lines(path), start=1):
-        if "\t" not in line:
-            raise bsf.ClassifierError(f"{path}: line {i}: expected 'label<TAB>text'")
-        label, text = line.split("\t", 1)
-        rows.append((text, label))
-    return rows
+    return [(text, label) for label, text in corpus.read_pairs(path)]
 
 
 def cmd_bsf_train(args) -> int:
@@ -453,8 +438,7 @@ def cmd_bsf_eval(args) -> int:
 
 
 def cmd_bsf_report(args) -> int:
-    rows = [line.split("\t") for line in _read_lines(args.pairs)]
-    pairs = [(r[0], r[1]) for r in rows]
+    pairs = corpus.read_pairs(args.pairs)
     lex_src = bsf.AspectLexicon(args.aspect, args.lang_src,
                                 approved_terms=bsf.load_terms(args.terms_src))
     lex_tgt = bsf.AspectLexicon(args.aspect, args.lang_tgt,
@@ -492,7 +476,7 @@ def cmd_eval_summarize(args) -> int:
     lines = ["system,adequacy,fluency,n"]
     for name, s in summary.systems.items():
         lines.append(f"{name},{s.mean_adequacy:.4f},{s.mean_fluency:.4f},{s.n}")
-    _write_lines(lines, csv_path)
+    corpus.write_lines(lines, csv_path)
     for name, s in summary.systems.items():
         kappa = "n/a" if s.kappa_adequacy is None else f"{s.kappa_adequacy:.3f}"
         print(f"{name}: adequacy {s.mean_adequacy:.3f}, fluency {s.mean_fluency:.3f}, "
@@ -513,7 +497,7 @@ def cmd_eval_correlate(args) -> int:
         if name in bleu_by_system:
             table.append(f"{name},{bleu_by_system[name]},{s.mean_adequacy:.4f},{s.mean_fluency:.4f}")
     table_path = _out(args, "bleu-vs-human.csv")
-    _write_lines(table, table_path)
+    corpus.write_lines(table, table_path)
     outputs.append(table_path)
     for metric in ("adequacy", "fluency"):
         human = {name: getattr(s, f"mean_{metric}") for name, s in summary.systems.items()}
@@ -550,6 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--src", help="source-side text file")
         p.add_argument("--tgt", help="target-side text file")
         p.add_argument("--tsv", help="two-column TSV corpus (alternative to --src/--tgt)")
+        p.set_defaults(_corpus_parser=p)  # main checks the combination
 
     # corpus
     group = top.add_parser("corpus", help="load/split/subsample parallel corpora")
@@ -745,6 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    given = tuple(bool(getattr(args, flag, None)) for flag in ("tsv", "src", "tgt"))
+    if hasattr(args, "_corpus_parser") and given not in ((True, False, False), (False, True, True)):
+        args._corpus_parser.error("give --tsv, or both --src and --tgt")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

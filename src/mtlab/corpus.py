@@ -1,5 +1,9 @@
 """Parallel-corpus loading, validation, splitting and subsampling.
 
+`read_lines`, `read_pairs` and `write_lines` are the one reader and writer
+of line-oriented text files: UTF-8, LF or CRLF line ends, and errors that
+name the file and the line.
+
 A corpus is an ordered list of aligned sentence pairs.  Freshly loaded
 corpora carry ids 0..n-1; derived corpora (splits, subsamples) keep the
 ids of their parent so that disjointness and nesting can be checked by id.
@@ -17,6 +21,9 @@ __all__ = [
     "CorpusError",
     "AlignmentError",
     "CorpusSizeError",
+    "read_lines",
+    "read_pairs",
+    "write_lines",
     "load_parallel",
     "load_tsv",
     "write_parallel",
@@ -81,7 +88,8 @@ class CorpusSplit:
     seed: int
 
 
-def _read_lines(path: str) -> list[str]:
+def read_lines(path: str) -> list[str]:
+    """Lines of a UTF-8 text file; CorpusError names the line of a bad byte."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -94,6 +102,23 @@ def _read_lines(path: str) -> list[str]:
     if text.endswith("\n"):
         text = text[:-1]
     return text.split("\n") if text else []
+
+
+def read_pairs(path: str) -> list[tuple[str, str]]:
+    """(left, right) fields of a TSV file with exactly one tab per line."""
+    pairs = []
+    for i, line in enumerate(read_lines(path), start=1):
+        left, tab, right = line.partition("\t")
+        if not tab or "\t" in right:
+            raise CorpusError(f"{path}: line {i} must contain exactly one tab")
+        pairs.append((left, right))
+    return pairs
+
+
+def write_lines(lines: list[str], path: str) -> None:
+    """Each line followed by LF, UTF-8 encoded."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _build(rows: list[tuple[str, str]], source_lang: str, target_lang: str) -> ParallelCorpus:
@@ -115,8 +140,8 @@ def load_parallel(
     Pairs with either side blank are dropped; the count is recorded on the
     corpus.  Raises AlignmentError when the line counts differ.
     """
-    src_lines = _read_lines(source_path)
-    tgt_lines = _read_lines(target_path)
+    src_lines = read_lines(source_path)
+    tgt_lines = read_lines(target_path)
     if len(src_lines) != len(tgt_lines):
         raise AlignmentError(
             f"line count mismatch: {source_path} has {len(src_lines)}, "
@@ -127,21 +152,13 @@ def load_parallel(
 
 def load_tsv(path: str, source_lang: str = "src", target_lang: str = "tgt") -> ParallelCorpus:
     """Load a two-column TSV corpus (exactly one tab per line)."""
-    rows = []
-    for i, line in enumerate(_read_lines(path), start=1):
-        if line.count("\t") != 1:
-            raise CorpusError(f"{path}: line {i} must contain exactly one tab")
-        src, tgt = line.split("\t")
-        rows.append((src, tgt))
-    return _build(rows, source_lang, target_lang)
+    return _build(read_pairs(path), source_lang, target_lang)
 
 
 def write_parallel(corpus: ParallelCorpus, source_path: str, target_path: str) -> None:
     """Inverse of load_parallel for corpora without dropped lines."""
-    with open(source_path, "w", encoding="utf-8", newline="\n") as fs:
-        fs.writelines(p.source + "\n" for p in corpus.pairs)
-    with open(target_path, "w", encoding="utf-8", newline="\n") as ft:
-        ft.writelines(p.target + "\n" for p in corpus.pairs)
+    write_lines(corpus.sources(), source_path)
+    write_lines(corpus.targets(), target_path)
 
 
 def split(corpus: ParallelCorpus, validation_size: int, seed: int) -> CorpusSplit:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
-from .corpus import ParallelCorpus
+from .corpus import ParallelCorpus, read_lines, write_lines
 from .tokenizer import PLACEHOLDER_RE, format_placeholder
 
 __all__ = [
@@ -251,22 +251,18 @@ def starter_templates(language: str) -> list[EntityTemplate]:
 def load_templates(path: str) -> list[EntityTemplate]:
     """One record per line: type <tab> lang <tab> pattern; '#' comments."""
     templates = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise TemplateError(f"{path}: line {i}: expected 3 tab-separated fields")
-            templates.append(EntityTemplate(parts[0], parts[1], parts[2]))
+    for i, line in enumerate(read_lines(path), start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise TemplateError(f"{path}: line {i}: expected 3 tab-separated fields")
+        templates.append(EntityTemplate(parts[0], parts[1], parts[2]))
     return templates
 
 
 def save_templates(templates: list[EntityTemplate], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t in templates:
-            fh.write(f"{t.entity_type}\t{t.language}\t{t.pattern}\n")
+    write_lines([f"{t.entity_type}\t{t.language}\t{t.pattern}" for t in templates], path)
 
 
 # ---------------------------------------------------------------------------

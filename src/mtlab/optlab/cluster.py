@@ -69,6 +69,8 @@ def calibrated_cluster_config(
     warmup_iterations: int = 0,
 ) -> ClusterConfig:
     """Timing parameters calibrated so one worker takes `single_epoch_seconds`."""
+    if iterations_per_epoch < 1:
+        raise ClusterError("iterations_per_epoch must be at least 1")
     return ClusterConfig(
         worker_count=worker_count,
         mode=mode,

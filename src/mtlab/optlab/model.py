@@ -104,8 +104,10 @@ def check_gradients(
     Coordinates are sampled uniformly over all parameter blocks; the
     `floor` keeps pure round-off noise on near-zero coordinates from
     registering (a planted wrong gradient still shows up as ~1.0).
-    Returns 0.0 on an empty sample set.
+    Returns 0.0 on an empty sample set; raises ValueError on an empty batch.
     """
+    if len(targets) == 0:
+        raise ValueError("gradient check needs a non-empty batch")
     _, grads = model.loss_and_grads(inputs, targets)
     names = sorted(model.params)
     sizes = [model.params[n].size for n in names]

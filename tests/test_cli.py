@@ -291,6 +291,9 @@ def test_usage_error_exits_2():
     ["simulate", "--workers", 2, "--cluster-mode", "sync", "--epochs", 0],
     ["sweep", "--sizes", 500, "--budget", 0],
     ["sweep", "--sizes", 500, "--budget", 10, "--checkpoint-every", 0],
+    ["gradcheck", "--batch-size", 0],
+    ["simulate", "--workers", 2, "--cluster-mode", "sync", "--calibrate-single", "6h",
+     "--iterations-per-epoch", 0],
 ])
 def test_optlab_counts_below_one_exit_1(tmp_path, capsys, argv):
     small = ["--tokens", 600, "--vocab", 32, "--embed-dim", 8, "--hidden-dim", 16]
@@ -308,3 +311,80 @@ def test_malformed_sizes_is_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "cannot parse size list '5x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["corpus", "split", "--validation-size", 2],
+    ["corpus", "subsample", "--sizes", 5],
+    ["bpe", "train", "--merges", 5],
+    ["ner", "scan"],
+])
+@pytest.mark.parametrize("inputs", [
+    [],
+    ["--src", "c.src"],
+    ["--tsv", "c.tsv", "--src", "c.src", "--tgt", "c.tgt"],
+])
+def test_corpus_inputs_are_tsv_or_src_and_tgt(capsys, command, inputs):
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in command + inputs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("error: give --tsv, or both --src and --tgt")
+    assert "Traceback" not in err
+
+
+FAULTY = "<faulty file>"
+
+
+@pytest.mark.parametrize("argv, content, line", [
+    (["ner", "validate", "--pairs", FAULTY], b"5 km away\t5 km entfernt\nno tab\n", 2),
+    (["ner", "validate", "--pairs", FAULTY], b"5 km away\t5 km entfernt\textra\n", 1),
+    (["bsf", "report", "--pairs", FAULTY, "--terms-src", FAULTY, "--terms-tgt", FAULTY,
+      "--clf-src", FAULTY, "--clf-tgt", FAULTY], b"Free parking.\tGratis parken.\nno tab\n", 2),
+    (["bsf", "train", "--labeled", FAULTY], b"free\tFree parking.\nno tab\n", 2),
+    (["bpe", "detok", "--input", FAULTY], b"fine\n\xff broken\n", 2),
+    (["bleu", "corpus", "--candidates", FAULTY, "--references", FAULTY], b"fine\n\xff broken\n", 2),
+], ids=["validate-no-tab", "validate-three-columns", "report-no-tab", "train-no-tab",
+        "detok-utf8", "bleu-utf8"])
+def test_file_faults_exit_1_naming_the_line(tmp_path, capsys, argv, content, line):
+    path = tmp_path / "faulty.txt"
+    path.write_bytes(content)
+    code = run(["--out-dir", tmp_path / "out", *[path if a == FAULTY else a for a in argv]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and f"line {line}" in err
+
+
+def _save_three_ways(directory, name, lines):
+    """The same lines saved with LF, with CRLF, and with LF but no final newline."""
+    body = "\n".join(lines).encode("utf-8")
+    paths = {}
+    for variant, data in (("lf", body + b"\n"), ("crlf", body.replace(b"\n", b"\r\n") + b"\r\n"),
+                          ("no-final-newline", body)):
+        paths[variant] = directory / f"{name}.{variant}"
+        paths[variant].write_bytes(data)
+    return paths
+
+
+def test_line_ends_give_identical_outputs(tmp_path, corpus_files):
+    src, tgt = corpus_files
+    model = tmp_path / "bpe" / "bpe.model"
+    assert run(["--out-dir", model.parent, "bpe", "train", "--src", src, "--tgt", tgt,
+                "--merges", 40]) == 0
+    sentences = entity_sentences(12, seed=3)
+    texts = _save_three_ways(tmp_path, "sents", sentences)
+    refs = _save_three_ways(tmp_path, "refs", [s.rsplit(" ", 1)[0] for s in sentences])
+    labeled = _save_three_ways(tmp_path, "labeled", [
+        f"{label}\t{text}" for text, label in parking_sentences("en", 60, seed=8)])
+    outputs = {}
+    for variant in texts:
+        out = tmp_path / variant
+        for argv in (["bpe", "apply", "--model", model, "--input", texts[variant]],
+                     ["ner", "mask", "--input", texts[variant]],
+                     ["bleu", "corpus", "--candidates", texts[variant], "--references", refs[variant]],
+                     ["bsf", "train", "--labeled", labeled[variant], "--bits", 12, "--epochs", 2]):
+            assert run(["--out-dir", out, *argv]) == 0
+        outputs[variant] = {name: (out / name).read_bytes() for name in (
+            "tokenized.txt", "masked.txt", "maps.json", "bleu.json", "classifier.txt")}
+    assert outputs["crlf"] == outputs["lf"]
+    assert outputs["no-final-newline"] == outputs["lf"]

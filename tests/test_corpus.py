@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mtlab.corpus import (
@@ -6,6 +8,7 @@ from mtlab.corpus import (
     CorpusSizeError,
     load_parallel,
     load_tsv,
+    read_pairs,
     split,
     subsample,
     write_parallel,
@@ -77,6 +80,18 @@ def test_load_tsv_rejects_extra_tabs(tmp_path):
     write(tmp_path / "c.tsv", ["one\teins\textra"])
     with pytest.raises(CorpusError, match="line 1"):
         load_tsv(tmp_path / "c.tsv")
+
+
+def test_read_pairs_error_names_path_and_line(tmp_path):
+    path = tmp_path / "p.tsv"
+    write(path, ["one\teins", "no tab"])
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: line 2")):
+        read_pairs(path)
+
+
+def test_read_pairs_empty_file(tmp_path):
+    (tmp_path / "e.tsv").write_bytes(b"")
+    assert read_pairs(tmp_path / "e.tsv") == []
 
 
 def test_same_language_codes_rejected():
