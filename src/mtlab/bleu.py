@@ -14,30 +14,29 @@ from dataclasses import dataclass, field
 __all__ = ["ScoringConfig", "BleuReport", "BleuError", "corpus_bleu", "sentence_bleu"]
 
 
+MAX_N = 4
+
+
 class BleuError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class ScoringConfig:
-    max_n: int = 4
     smoothing: str = "none"          # "none" | "add_one"  (sentence-level only)
     case_sensitive: bool = True
-    tokenizer: object = None         # callable text -> list[str]; None = whitespace split
 
     def split(self, text: str) -> list[str]:
         if not self.case_sensitive:
             text = text.lower()
-        if self.tokenizer is not None:
-            return list(self.tokenizer(text))
         return text.split()
 
     def describe(self) -> dict:
         return {
-            "max_n": self.max_n,
+            "max_n": MAX_N,
             "smoothing": self.smoothing,
             "case_sensitive": self.case_sensitive,
-            "tokenization": "whitespace" if self.tokenizer is None else "custom",
+            "tokenization": "whitespace",
         }
 
 
@@ -70,7 +69,7 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
 def _score(matches: list[int], totals: list[int], cand_len: int, ref_len: int,
            config: ScoringConfig) -> BleuReport:
     precisions = []
-    for n in range(config.max_n):
+    for n in range(MAX_N):
         m, t = matches[n], totals[n]
         if m == 0 and config.smoothing == "add_one":
             precisions.append(1.0 / (t + 1))
@@ -85,7 +84,7 @@ def _score(matches: list[int], totals: list[int], cand_len: int, ref_len: int,
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        log_mean = sum(math.log(p) for p in precisions) / config.max_n
+        log_mean = sum(math.log(p) for p in precisions) / MAX_N
         score = bp * math.exp(log_mean) * 100.0
     return BleuReport(score, bp, tuple(precisions), cand_len, ref_len, config)
 
@@ -99,15 +98,15 @@ def corpus_bleu(candidates: list[str], references: list[str],
         )
     if not candidates:
         raise BleuError("cannot score an empty corpus")
-    matches = [0] * config.max_n
-    totals = [0] * config.max_n
+    matches = [0] * MAX_N
+    totals = [0] * MAX_N
     cand_len = ref_len = 0
     for cand, ref in zip(candidates, references):
         cand_toks = config.split(cand)
         ref_toks = config.split(ref)
         cand_len += len(cand_toks)
         ref_len += len(ref_toks)
-        for n in range(1, config.max_n + 1):
+        for n in range(1, MAX_N + 1):
             cand_counts = _ngrams(cand_toks, n)
             ref_counts = _ngrams(ref_toks, n)
             totals[n - 1] += sum(cand_counts.values())

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..corpus import read_lines
 from ..rng import stream
+from .embeddings import _parse_values
 from .lexicon import _tokens
 
 __all__ = [
@@ -86,9 +88,6 @@ class HashedLinearClassifier:
 
     def predict(self, text: str) -> str:
         return self.labels[int(np.argmax(self.scores(text)))]
-
-    def predict_many(self, texts: list[str]) -> list[str]:
-        return [self.predict(t) for t in texts]
 
 
 def train_classifier(
@@ -207,21 +206,27 @@ def save_classifier(clf: HashedLinearClassifier, path: str) -> None:
 
 
 def load_classifier(path: str) -> HashedLinearClassifier:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if not header or header[0] != _CLF_HEADER:
-            raise ClassifierError(f"{path}: not a {_CLF_HEADER} file")
-        bits, n_labels, use_bigrams = int(header[1]), int(header[2]), bool(int(header[3]))
-        labels = tuple(fh.readline().rstrip("\n").split("\t"))
-        if len(labels) != n_labels:
-            raise ClassifierError(f"{path}: label count mismatch")
-        bias_line = fh.readline().split()
-        bias = np.array([float(x) for x in bias_line[1:]])
-        weights = np.zeros((n_labels, 1 << bits))
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            weights[:, int(parts[0])] = [float(x) for x in parts[1:]]
-    spec = ClassifierSpec(bits=bits, use_bigrams=use_bigrams)
+    lines = read_lines(path)
+    if len(lines) < 3 or lines[0].split()[:1] != [_CLF_HEADER]:
+        raise ClassifierError(f"{path}: not a {_CLF_HEADER} file")
+    try:
+        bits, n_labels, use_bigrams = (int(x) for x in lines[0].split()[1:])
+        size = 1 << bits
+    except ValueError:
+        raise ClassifierError(
+            f"{path}: line 1: expected '{_CLF_HEADER} <bits> <labels> <bigrams>'") from None
+    labels = tuple(lines[1].split("\t"))
+    if len(labels) != n_labels:
+        raise ClassifierError(f"{path}: line 2: expected {n_labels} labels, got {len(labels)}")
+    bias = np.array(_parse_values(path, 3, lines[2].split()[1:], n_labels, ClassifierError))
+    weights = np.zeros((n_labels, size))
+    for lineno, line in enumerate(lines[3:], start=4):
+        parts = line.split()
+        if not parts:
+            continue
+        if not parts[0].isdecimal() or int(parts[0]) >= size:
+            raise ClassifierError(f"{path}: line {lineno}: slot {parts[0]!r} not in [0, 2**{bits})")
+        weights[:, int(parts[0])] = _parse_values(path, lineno, parts[1:], n_labels,
+                                                  ClassifierError)
+    spec = ClassifierSpec(bits=bits, use_bigrams=bool(use_bigrams))
     return HashedLinearClassifier(labels, bits, weights, bias, spec)

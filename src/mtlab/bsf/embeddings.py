@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..corpus import read_lines
 from ..rng import stream
 
 __all__ = [
@@ -24,6 +25,10 @@ __all__ = [
 ]
 
 LOW_DATA_TOKENS = 1000
+INITIAL_LR = 0.025
+# Far above the classic web-scale value: desk corpora have tiny
+# vocabularies where every word counts as frequent.
+SUBSAMPLE_THRESHOLD = 1e-2
 
 
 class EmbeddingError(ValueError):
@@ -65,16 +70,11 @@ def train_embeddings(
     negatives: int = 5,
     epochs: int = 3,
     seed: int = 0,
-    initial_lr: float = 0.025,
-    min_count: int = 1,
-    subsample_threshold: float = 1e-2,
 ) -> Embeddings:
     """Train skip-gram vectors with negative sampling on tokenized sentences.
 
     Multi-word phrases must be pre-joined into single tokens (for example
-    with underscores) before training.  The subsampling threshold defaults
-    far above the classic web-scale value because desk corpora have tiny
-    vocabularies where every word counts as frequent.
+    with underscores) before training.  Every word gets a vector.
     """
     if dim < 1 or window < 1 or epochs < 1:
         raise EmbeddingError("dim, window and epochs must all be positive")
@@ -87,7 +87,7 @@ def train_embeddings(
             f"embedding corpus has only {total_tokens} tokens; vectors will be noisy",
             UserWarning,
         )
-    vocab = sorted(w for w, c in counts.items() if c >= min_count)
+    vocab = sorted(counts)
     index = {w: i for i, w in enumerate(vocab)}
     v = len(vocab)
 
@@ -102,18 +102,18 @@ def train_embeddings(
     noise_cdf = np.cumsum(noise)
 
     # subsampling keep-probability for frequent words
-    keep = np.minimum(1.0, np.sqrt(subsample_threshold / (freq / total_tokens))
-                      + subsample_threshold / (freq / total_tokens))
+    keep = np.minimum(1.0, np.sqrt(SUBSAMPLE_THRESHOLD / (freq / total_tokens))
+                      + SUBSAMPLE_THRESHOLD / (freq / total_tokens))
 
     total_centers = max(1, total_tokens * epochs)
     processed = 0
     for epoch in range(epochs):
         for sent in sentences:
-            ids = [index[t] for t in sent if t in index]
+            ids = [index[t] for t in sent]
             kept = [i for i in ids if rng.random() < keep[i]]
             for pos, center in enumerate(kept):
                 processed += 1
-                lr = max(initial_lr * (1.0 - processed / total_centers), initial_lr * 1e-4)
+                lr = max(INITIAL_LR * (1.0 - processed / total_centers), INITIAL_LR * 1e-4)
                 span = 1 + int(rng.integers(window))
                 lo = max(0, pos - span)
                 hi = min(len(kept), pos + span + 1)
@@ -143,25 +143,31 @@ def save_embeddings(emb: Embeddings, path: str) -> None:
             fh.write(word + " " + " ".join(repr(float(x)) for x in vec) + "\n")
 
 
+def _parse_values(path: str, lineno: int, items: list[str], count: int, error: type) -> list[float]:
+    """`count` floats from one line of a model file; `error` names the line."""
+    if len(items) != count:
+        raise error(f"{path}: line {lineno}: expected {count} values, got {len(items)}")
+    try:
+        return [float(x) for x in items]
+    except ValueError as exc:
+        raise error(f"{path}: line {lineno}: {exc}") from None
+
+
 def load_embeddings(path: str) -> Embeddings:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise EmbeddingError(f"{path}: header must be 'count dim'")
-        count, dim = int(header[0]), int(header[1])
-        vectors: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise EmbeddingError(
-                    f"{path}: line {lineno}: expected {dim} values, got {len(parts) - 1}"
-                )
-            word = parts[0]
-            if word in vectors:
-                warnings.warn(f"{path}: duplicate word {word!r}, last occurrence wins", UserWarning)
-            vectors[word] = np.array([float(x) for x in parts[1:]])
+    lines = read_lines(path)
+    try:
+        count, dim = (int(x) for x in lines[0].split())
+    except (IndexError, ValueError):
+        raise EmbeddingError(f"{path}: line 1: header must be 'count dim'") from None
+    vectors: dict[str, np.ndarray] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        word, *items = line.split(" ")
+        values = np.array(_parse_values(path, lineno, items, dim, EmbeddingError))
+        if word in vectors:
+            warnings.warn(f"{path}: duplicate word {word!r}, last occurrence wins", UserWarning)
+        vectors[word] = values
     if len(vectors) != count:
         warnings.warn(
             f"{path}: header claims {count} words, found {len(vectors)}", UserWarning

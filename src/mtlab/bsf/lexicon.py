@@ -28,12 +28,7 @@ def _tokens(text: str) -> list[str]:
 class AspectLexicon:
     aspect: str
     language: str
-    seed_terms: list[str] = field(default_factory=list)
-    candidate_terms: list[tuple[str, float]] = field(default_factory=list)
     approved_terms: list[str] = field(default_factory=list)
-
-    def matching_terms(self) -> list[str]:
-        return self.approved_terms or self.seed_terms
 
 
 def expand_seeds(
@@ -65,7 +60,7 @@ def match_sentences(sentences: list[str], lexicon: AspectLexicon) -> list[int]:
     Matching is case-insensitive on whole tokens; multi-word terms must
     appear as contiguous token sequences.
     """
-    terms = [_tokens(term) for term in lexicon.matching_terms() if term.strip()]
+    terms = [_tokens(term) for term in lexicon.approved_terms if term.strip()]
     if not terms:
         raise ValueError(f"lexicon {lexicon.aspect}/{lexicon.language} has no usable terms")
     matched = []

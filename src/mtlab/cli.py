@@ -26,6 +26,7 @@ from .optlab import (
     calibrated_cluster_config,
     check_gradients,
     corpus_size_sweep,
+    optimizers,
     simulate_cluster,
     train,
 )
@@ -52,13 +53,6 @@ def parse_sizes(text: str) -> list[int]:
         return [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse size list {text!r}") from None
-
-
-def _write_text(text: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
 
 
 def _corpus_paths(args) -> list[str]:
@@ -177,8 +171,8 @@ def cmd_ner_scan(args) -> int:
     report = entities.scan_mismatches(loaded, _templates(args.templates_src),
                                       _templates(args.templates_tgt))
     json_path, text_path = _out(args, "mismatches.json"), _out(args, "mismatches.txt")
-    _write_text(report.to_json(), json_path)
-    _write_text(report.to_text(), text_path)
+    corpus.write_lines([report.to_json()], json_path)
+    corpus.write_lines([report.to_text()], text_path)
     print(report.to_text())
     write_manifest(args.out_dir, "ner scan", vars(args), _corpus_paths(args), [json_path, text_path], None)
     return 0
@@ -201,7 +195,7 @@ def cmd_ner_mask(args) -> int:
         })
     masked_path, map_path = _out(args, "masked.txt"), _out(args, "maps.json")
     corpus.write_lines(masked_lines, masked_path)
-    _write_text(json.dumps(maps, ensure_ascii=False, indent=2), map_path)
+    corpus.write_lines([json.dumps(maps, ensure_ascii=False, indent=2)], map_path)
     total = sum(len(m["entries"]) for m in maps)
     print(f"masked {total} entities in {len(lines)} sentences -> {masked_path}")
     write_manifest(args.out_dir, "ner mask", vars(args), [args.input], [masked_path, map_path], None)
@@ -243,7 +237,7 @@ def cmd_ner_validate(args) -> int:
         rel_tolerance=args.tolerance)
     payload = {"scores": list(result.scores), "accuracy": result.accuracy}
     path = _out(args, "entity-validation.json")
-    _write_text(json.dumps(payload), path)
+    corpus.write_lines([json.dumps(payload)], path)
     print(f"entity accuracy: {result.accuracy:.3f} over {len(pairs)} pairs")
     write_manifest(args.out_dir, "ner validate", vars(args), [args.pairs], [path], None)
     return 0
@@ -258,7 +252,7 @@ def cmd_bleu_corpus(args) -> int:
     report = bleu_mod.corpus_bleu(corpus.read_lines(args.candidates),
                                   corpus.read_lines(args.references), config)
     path = _out(args, "bleu.json")
-    _write_text(report.to_json(), path)
+    corpus.write_lines([report.to_json()], path)
     print(f"BLEU = {report.score:.2f} (BP {report.brevity_penalty:.3f}, "
           + "/".join(f"{p:.3f}" for p in report.precisions) + ")")
     write_manifest(args.out_dir, "bleu corpus", vars(args),
@@ -331,7 +325,7 @@ def cmd_optlab_simulate(args) -> int:
         "max_staleness": trace.max_staleness,
     }
     json_path = _out(args, f"sim-{args.cluster_mode}-{args.workers}.json")
-    _write_text(json.dumps(payload), json_path)
+    corpus.write_lines([json.dumps(payload)], json_path)
     print(f"{args.cluster_mode} x{args.workers}: epoch {_format_duration(epoch_seconds)}, "
           f"final ppl {trace.final_ppl():.3f}, max staleness {trace.max_staleness}")
     write_manifest(args.out_dir, "optlab simulate", vars(args), [], [path, json_path], args.seed)
@@ -363,6 +357,8 @@ def cmd_optlab_sweep(args) -> int:
 
 
 def cmd_optlab_gradcheck(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     ids = synth.toy_lm_stream(args.batch_size * 4 + 1, args.vocab, seed=args.seed)
     model = SurrogateModel(SurrogateConfig(args.vocab, args.embed_dim, args.hidden_dim),
                            seed=args.seed)
@@ -430,8 +426,8 @@ def cmd_bsf_eval(args) -> int:
     clf = bsf.load_classifier(args.model)
     metrics = bsf.evaluate_classifier(clf, _read_labeled(args.labeled))
     json_path = _out(args, "bsf-eval.json")
-    _write_text(json.dumps({"per_label": metrics.per_label, "accuracy": metrics.accuracy,
-                            "macro_f1": metrics.macro_f1, "n": metrics.n}), json_path)
+    corpus.write_lines([json.dumps({"per_label": metrics.per_label, "accuracy": metrics.accuracy,
+                                    "macro_f1": metrics.macro_f1, "n": metrics.n})], json_path)
     print(metrics.to_text())
     write_manifest(args.out_dir, "bsf eval", vars(args), [args.model, args.labeled], [json_path], None)
     return 0
@@ -447,8 +443,8 @@ def cmd_bsf_report(args) -> int:
                                        bsf.load_classifier(args.clf_src),
                                        bsf.load_classifier(args.clf_tgt))
     json_path, text_path = _out(args, "bsf-report.json"), _out(args, "bsf-report.txt")
-    _write_text(report.to_json(), json_path)
-    _write_text(report.to_text(), text_path)
+    corpus.write_lines([report.to_json()], json_path)
+    corpus.write_lines([report.to_text()], text_path)
     print(report.to_text())
     write_manifest(args.out_dir, "bsf report", vars(args),
                    [args.pairs, args.terms_src, args.terms_tgt, args.clf_src, args.clf_tgt],
@@ -471,7 +467,7 @@ def cmd_eval_summarize(args) -> int:
     records = humaneval.ingest_scores(args.scores, (args.score_min, args.score_max))
     summary = humaneval.summarize(records, (args.score_min, args.score_max))
     json_path = _out(args, "summary.json")
-    _write_text(summary.to_json(), json_path)
+    corpus.write_lines([summary.to_json()], json_path)
     csv_path = _out(args, "summary.csv")
     lines = ["system,adequacy,fluency,n"]
     for name, s in summary.systems.items():
@@ -503,7 +499,7 @@ def cmd_eval_correlate(args) -> int:
         human = {name: getattr(s, f"mean_{metric}") for name, s in summary.systems.items()}
         report = humaneval.correlate(bleu_by_system, human)
         path = _out(args, f"correlation-{metric}.json")
-        _write_text(report.to_json(), path)
+        corpus.write_lines([report.to_json()], path)
         outputs.append(path)
         print(f"{metric}: pearson {report.pearson_r:.3f}, spearman {report.spearman_rho:.3f}, "
               f"BLEU best={report.bleu_argmax}, human best={report.human_argmax}"
@@ -625,14 +621,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(parents=[common], name="train")
     toy_flags(p)
-    p.add_argument("--optimizer", choices=["sgd_decay", "adam", "adagrad", "adadelta"],
-                   default="sgd_decay")
+    p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--epochs", type=int, default=20)
     p.set_defaults(func=cmd_optlab_train)
     p = sub.add_parser(parents=[common], name="simulate")
     toy_flags(p)
-    p.add_argument("--optimizer", choices=["sgd_decay", "adam", "adagrad", "adadelta"],
-                   default="sgd_decay")
+    p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--workers", type=int, required=True)
     p.add_argument("--cluster-mode", choices=["sync", "async"], required=True)
     p.add_argument("--warmup-iters", type=int, default=6000)
@@ -644,8 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optlab_simulate)
     p = sub.add_parser(parents=[common], name="sweep")
     toy_flags(p)
-    p.add_argument("--optimizer", choices=["sgd_decay", "adam", "adagrad", "adadelta"],
-                   default="sgd_decay")
+    p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--sizes", type=parse_sizes, required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--checkpoint-every", type=int, default=100)

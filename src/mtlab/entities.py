@@ -46,6 +46,7 @@ __all__ = [
 KM_PER_MILE = Decimal("1.609344")
 
 TYPE_CODES = {"distance": "DIST", "duration": "DUR", "time": "TIME", "date": "DATE"}
+MAX_SAMPLE_IDS = 50   # mismatched pair ids kept per entity type in a scan report
 
 
 class EntityError(ValueError):
@@ -113,7 +114,6 @@ class EntityTemplate:
     entity_type: str
     language: str
     pattern: str
-    parser: object = None  # callable(str) -> value; default chosen by (type, language)
     regex: re.Pattern = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -123,11 +123,11 @@ class EntityTemplate:
             raise TemplateError(
                 f"template {self.entity_type}/{self.language}: bad pattern {self.pattern!r}: {exc}"
             ) from None
-        if self.parser is None:
-            self.parser = _default_parser(self.entity_type, self.language)
 
     def parse(self, text: str):
-        return self.parser(text)
+        """The normalized value; unknown types normalize to their surface form."""
+        parser = _PARSERS.get(self.entity_type)
+        return text if parser is None else parser(text, self.language)
 
 
 _EN_MONTHS = {m.lower(): i + 1 for i, m in enumerate(
@@ -204,17 +204,12 @@ def _parse_date(text: str, language: str) -> DateValue:
     raise EntityError(f"unparseable date {text!r}")
 
 
-def _default_parser(entity_type: str, language: str):
-    table = {
-        "distance": _parse_distance,
-        "duration": _parse_duration,
-        "time": _parse_time,
-        "date": _parse_date,
-    }
-    fn = table.get(entity_type)
-    if fn is None:
-        return lambda text: text  # unknown types normalize to their surface form
-    return lambda text: fn(text, language)
+_PARSERS = {
+    "distance": _parse_distance,
+    "duration": _parse_duration,
+    "time": _parse_time,
+    "date": _parse_date,
+}
 
 
 _EN_MONTH_ALT = "|".join(m.capitalize() for m in _EN_MONTHS)
@@ -458,11 +453,26 @@ class MismatchReport:
         return "\n".join(lines)
 
 
+def _pair_values(src_matches: list[EntityMatch], tgt_matches: list[EntityMatch],
+                 rel_tol: float) -> tuple[list[EntityMatch], list[EntityMatch]]:
+    """Greedy value pairing: each source match, in order, takes the first
+    remaining target match with a comparable value.  Returns the unpaired
+    source matches and the unpaired target matches."""
+    remaining = list(tgt_matches)
+    unpaired_src = []
+    for sm in src_matches:
+        hit = next((tm for tm in remaining if _values_comparable(sm.value, tm.value, rel_tol)), None)
+        if hit is None:
+            unpaired_src.append(sm)
+        else:
+            remaining.remove(hit)
+    return unpaired_src, remaining
+
+
 def scan_mismatches(
     corpus: ParallelCorpus,
     templates_src: list[EntityTemplate],
     templates_tgt: list[EntityTemplate],
-    max_samples: int = 50,
 ) -> MismatchReport:
     """Count pairs whose per-type entity counts differ between the sides.
 
@@ -490,20 +500,12 @@ def scan_mismatches(
             if len(src_here) == len(tgt_here):
                 continue
             mismatch_counts[etype] += 1
-            if len(sample_ids[etype]) < max_samples:
+            if len(sample_ids[etype]) < MAX_SAMPLE_IDS:
                 sample_ids[etype].append(pair.id)
-            remaining = list(tgt_here)
-            for sm in src_here:
-                hit = next((tm for tm in remaining
-                            if _values_comparable(sm.value, tm.value, 1e-9)), None)
-                if hit is not None:
-                    remaining.remove(hit)
-                else:
-                    unmatched[src_lang][sm.text] += 1
-                    total += 1
-            for tm in remaining:
-                unmatched[tgt_lang][tm.text] += 1
-                total += 1
+            unpaired_src, unpaired_tgt = _pair_values(src_here, tgt_here, 1e-9)
+            unmatched[src_lang].update(m.text for m in unpaired_src)
+            unmatched[tgt_lang].update(m.text for m in unpaired_tgt)
+            total += len(unpaired_src) + len(unpaired_tgt)
     return MismatchReport(mismatch_counts, sample_ids,
                           {k: dict(v) for k, v in unmatched.items()}, total, len(corpus))
 
@@ -530,16 +532,8 @@ def validate_entity_translation(
         src_matches = find_entities(source, templates_src)
         if not src_matches:
             raise EntityError(f"pair {i}: source contains no audited entity")
-        tgt_matches = find_entities(output, templates_tgt)
-        remaining = list(tgt_matches)
-        ok = True
-        for sm in src_matches:
-            hit = next((tm for tm in remaining
-                        if _values_comparable(sm.value, tm.value, rel_tolerance)), None)
-            if hit is None:
-                ok = False
-                break
-            remaining.remove(hit)
-        scores.append(1 if ok and not remaining else 0)
+        unpaired_src, unpaired_tgt = _pair_values(
+            src_matches, find_entities(output, templates_tgt), rel_tolerance)
+        scores.append(0 if unpaired_src or unpaired_tgt else 1)
     accuracy = sum(scores) / len(scores) if scores else 0.0
     return EntityValidation(tuple(scores), accuracy)

@@ -16,6 +16,9 @@ from ..rng import stream
 
 __all__ = ["SurrogateConfig", "SurrogateModel", "check_gradients"]
 
+PERPLEXITY_CHUNK = 8192   # tokens scored per forward pass; bounds the logits' memory
+GRADCHECK_FLOOR = 1e-4
+
 
 @dataclass(frozen=True)
 class SurrogateConfig:
@@ -75,15 +78,15 @@ class SurrogateModel:
         }
         return loss, grads
 
-    def perplexity(self, ids: np.ndarray, chunk: int = 8192) -> float:
+    def perplexity(self, ids: np.ndarray) -> float:
         """exp(mean NLL) of a token stream under the bigram model."""
         ids = np.asarray(ids)
         if len(ids) < 2:
             raise ValueError("need at least two tokens to evaluate perplexity")
         total, count = 0.0, 0
-        for start in range(0, len(ids) - 1, chunk):
-            inputs = ids[start : start + chunk]
-            targets = ids[start + 1 : start + chunk + 1]
+        for start in range(0, len(ids) - 1, PERPLEXITY_CHUNK):
+            inputs = ids[start : start + PERPLEXITY_CHUNK]
+            targets = ids[start + 1 : start + PERPLEXITY_CHUNK + 1]
             inputs = inputs[: len(targets)]
             total += self.loss(inputs, targets) * len(targets)
             count += len(targets)
@@ -97,12 +100,11 @@ def check_gradients(
     n_samples: int = 200,
     step: float = 1e-5,
     seed: int = 0,
-    floor: float = 1e-4,
 ) -> float:
     """Worst relative error of analytic vs central-difference gradients.
 
     Coordinates are sampled uniformly over all parameter blocks; the
-    `floor` keeps pure round-off noise on near-zero coordinates from
+    GRADCHECK_FLOOR keeps pure round-off noise on near-zero coordinates from
     registering (a planted wrong gradient still shows up as ~1.0).
     Returns 0.0 on an empty sample set; raises ValueError on an empty batch.
     """
@@ -132,6 +134,6 @@ def check_gradients(
         param[index] = original
         fd = (plus - minus) / (2.0 * step)
         analytic = grads[name][index]
-        err = abs(analytic - fd) / max(abs(fd), floor)
+        err = abs(analytic - fd) / max(abs(fd), GRADCHECK_FLOOR)
         worst = max(worst, err)
     return worst

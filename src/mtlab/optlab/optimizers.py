@@ -8,7 +8,7 @@ boundary.  Adaptive-rule constants follow the usual published defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,15 @@ __all__ = [
 KINDS = ("sgd_decay", "adam", "adagrad", "adadelta")
 DEFAULT_LR = {"sgd_decay": 1.0, "adam": 0.0002, "adagrad": 0.1, "adadelta": 1.0}
 
+DECAY_FACTOR = 0.7
+START_DECAY_EPOCH = 9     # decay fires after every epoch beyond this
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+ADAGRAD_EPS = 1e-10
+ADADELTA_RHO = 0.9
+ADADELTA_EPS = 1e-6
+
 
 class DimensionError(ValueError):
     pass
@@ -38,14 +47,6 @@ class NumericError(ValueError):
 class OptimizerConfig:
     kind: str = "sgd_decay"
     initial_lr: float | None = None     # None resolves to the per-kind default
-    decay_factor: float = 0.7
-    start_decay_epoch: int = 9          # decay fires after every epoch beyond this
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    adagrad_eps: float = 1e-10
-    adadelta_rho: float = 0.9
-    adadelta_eps: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -54,8 +55,6 @@ class OptimizerConfig:
             object.__setattr__(self, "initial_lr", DEFAULT_LR[self.kind])
         if self.initial_lr < 0:
             raise ValueError("learning rate must be non-negative")
-        if not 0 < self.decay_factor < 1:
-            raise ValueError("decay factor must lie in (0, 1)")
 
     @property
     def lr(self) -> float:
@@ -89,48 +88,47 @@ class Optimizer:
             if not np.all(np.isfinite(grad)):
                 raise NumericError(f"non-finite gradient in parameter block {name!r}")
         self.step_count += 1
-        cfg = self.config
-        if cfg.kind == "sgd_decay":
+        kind = self.config.kind
+        if kind == "sgd_decay":
             for name, param in params.items():
                 param -= self.current_lr * grads[name]
-        elif cfg.kind == "adam":
+        elif kind == "adam":
             t = self.step_count
-            bias1 = 1.0 - cfg.adam_beta1 ** t
-            bias2 = 1.0 - cfg.adam_beta2 ** t
+            bias1 = 1.0 - ADAM_BETA1 ** t
+            bias2 = 1.0 - ADAM_BETA2 ** t
             for name, param in params.items():
                 slot = self._slot(name, param, "m", "v")
                 g = grads[name]
-                slot["m"] *= cfg.adam_beta1
-                slot["m"] += (1.0 - cfg.adam_beta1) * g
-                slot["v"] *= cfg.adam_beta2
-                slot["v"] += (1.0 - cfg.adam_beta2) * g * g
+                slot["m"] *= ADAM_BETA1
+                slot["m"] += (1.0 - ADAM_BETA1) * g
+                slot["v"] *= ADAM_BETA2
+                slot["v"] += (1.0 - ADAM_BETA2) * g * g
                 m_hat = slot["m"] / bias1
                 v_hat = slot["v"] / bias2
-                param -= self.current_lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        elif cfg.kind == "adagrad":
+                param -= self.current_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        elif kind == "adagrad":
             for name, param in params.items():
                 slot = self._slot(name, param, "g2")
                 g = grads[name]
                 slot["g2"] += g * g
-                param -= self.current_lr * g / np.sqrt(slot["g2"] + cfg.adagrad_eps)
-        elif cfg.kind == "adadelta":
-            rho, eps = cfg.adadelta_rho, cfg.adadelta_eps
+                param -= self.current_lr * g / np.sqrt(slot["g2"] + ADAGRAD_EPS)
+        elif kind == "adadelta":
             for name, param in params.items():
                 slot = self._slot(name, param, "eg2", "ed2")
                 g = grads[name]
-                slot["eg2"] *= rho
-                slot["eg2"] += (1.0 - rho) * g * g
-                delta = -np.sqrt(slot["ed2"] + eps) / np.sqrt(slot["eg2"] + eps) * g
-                slot["ed2"] *= rho
-                slot["ed2"] += (1.0 - rho) * delta * delta
+                slot["eg2"] *= ADADELTA_RHO
+                slot["eg2"] += (1.0 - ADADELTA_RHO) * g * g
+                delta = -np.sqrt(slot["ed2"] + ADADELTA_EPS) / np.sqrt(slot["eg2"] + ADADELTA_EPS) * g
+                slot["ed2"] *= ADADELTA_RHO
+                slot["ed2"] += (1.0 - ADADELTA_RHO) * delta * delta
                 param += self.current_lr * delta
 
     def end_of_epoch(self, epoch: int, val_ppl: float) -> float:
         """Epoch-boundary hook; only sgd_decay changes its rate (at most once)."""
         if self.config.kind == "sgd_decay":
             no_improvement = self.previous_ppl is not None and val_ppl >= self.previous_ppl
-            if no_improvement or epoch > self.config.start_decay_epoch:
-                self.current_lr *= self.config.decay_factor
+            if no_improvement or epoch > START_DECAY_EPOCH:
+                self.current_lr *= DECAY_FACTOR
         self.previous_ppl = val_ppl
         return self.current_lr
 

@@ -51,9 +51,6 @@ class TrainingTrace:
                 return row.val_ppl
         raise KeyError(f"no trace row for epoch {epoch}")
 
-    def lrs(self) -> list[float]:
-        return [row.lr for row in self.rows]
-
     def to_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

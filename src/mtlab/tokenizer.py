@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from .corpus import ParallelCorpus
+from .corpus import ParallelCorpus, read_lines
 
 __all__ = [
     "CASE_C",
@@ -457,22 +457,27 @@ def save_model(model: BpeModel, path: str) -> None:
 
 
 def load_model(path: str) -> BpeModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_lines(path)
     if not lines or not lines[0].startswith(_MODEL_HEADER + " "):
         raise TokenizerError(f"{path}: not a {_MODEL_HEADER} model file")
-    _, mode, count_text = lines[0].split(" ")
-    count = int(count_text)
+    try:
+        _, mode, count_text = lines[0].split(" ")
+        count = int(count_text)
+    except ValueError:
+        raise TokenizerError(f"{path}: line 1: expected '{_MODEL_HEADER} <mode> <count>'") from None
     merges = []
     alphabet: set[str] = set()
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         if line.startswith("#alphabet"):
             for item in line.split(" ")[1:]:
                 alphabet.add(_unescape(item, DEFAULT_MARKER))
             continue
-        left, right = line.split(" ")
+        try:
+            left, right = line.split(" ")
+        except ValueError:
+            raise TokenizerError(f"{path}: line {lineno}: expected two symbols, got {line!r}") from None
         merges.append((left, right))
     if len(merges) != count:
         raise TokenizerError(f"{path}: header claims {count} merges, found {len(merges)}")

@@ -292,6 +292,7 @@ def test_usage_error_exits_2():
     ["sweep", "--sizes", 500, "--budget", 0],
     ["sweep", "--sizes", 500, "--budget", 10, "--checkpoint-every", 0],
     ["gradcheck", "--batch-size", 0],
+    ["gradcheck", "--samples", 0],
     ["simulate", "--workers", 2, "--cluster-mode", "sync", "--calibrate-single", "6h",
      "--iterations-per-epoch", 0],
 ])
@@ -344,8 +345,22 @@ FAULTY = "<faulty file>"
     (["bsf", "train", "--labeled", FAULTY], b"free\tFree parking.\nno tab\n", 2),
     (["bpe", "detok", "--input", FAULTY], b"fine\n\xff broken\n", 2),
     (["bleu", "corpus", "--candidates", FAULTY, "--references", FAULTY], b"fine\n\xff broken\n", 2),
+    (["bpe", "apply", "--model", FAULTY, "--input", FAULTY], b"bpe-v1 joint 2\na b\nbad\n", 3),
+    (["bpe", "apply", "--model", FAULTY, "--input", FAULTY], b"bpe-v1 joint x\na b\n", 1),
+    (["bsf", "eval", "--model", FAULTY, "--labeled", FAULTY],
+     b"bsfclf-v1 4 2 1\na\tb\nbias 0.0 0.0\n99 1 2\n", 4),
+    (["bsf", "eval", "--model", FAULTY, "--labeled", FAULTY],
+     b"bsfclf-v1 4 2 1\na\tb\nbias 0.0 0.0\n3 1\n", 4),
+    (["bsf", "eval", "--model", FAULTY, "--labeled", FAULTY],
+     b"bsfclf-v1 x 2 1\na\tb\nbias 0.0 0.0\n", 1),
+    (["bsf", "expand", "--vectors", FAULTY, "--seeds", "a"], b"1 2\na 0.5 x\n", 2),
+    (["bsf", "expand", "--vectors", FAULTY, "--seeds", "a"], b"1 x\na 0.5 0.25\n", 1),
+    (["bsf", "expand", "--vectors", FAULTY, "--seeds", "a"], b"1 2\n\xff 0.5 0.25\n", 2),
+    (["bpe", "apply", "--model", FAULTY, "--input", FAULTY], b"bpe-v1 joint 1\na \xffb\n", 2),
 ], ids=["validate-no-tab", "validate-three-columns", "report-no-tab", "train-no-tab",
-        "detok-utf8", "bleu-utf8"])
+        "detok-utf8", "bleu-utf8", "bpe-model-merge", "bpe-model-header",
+        "classifier-slot-out-of-range", "classifier-value-count", "classifier-header",
+        "vectors-non-float", "vectors-header", "vectors-utf8", "bpe-model-utf8"])
 def test_file_faults_exit_1_naming_the_line(tmp_path, capsys, argv, content, line):
     path = tmp_path / "faulty.txt"
     path.write_bytes(content)

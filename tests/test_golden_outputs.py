@@ -1,0 +1,141 @@
+"""Golden outputs for BLEU, entity scanning and validation, skip-gram
+embeddings and the surrogate model's perplexity and gradient check.
+
+Each value is pinned from seeded `synth.py` inputs, so turning a setting
+into a constant or merging two code paths cannot change what the toolkit
+computes.  Strings compare exactly, floats at a relative tolerance of
+1e-9.  Regenerate only from a commit whose outputs are known good:
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+import json
+import math
+import os
+
+import pytest
+
+from mtlab import entities
+from mtlab.bleu import ScoringConfig, corpus_bleu
+from mtlab.bsf import train_embeddings
+from mtlab.optlab import SurrogateConfig, SurrogateModel, check_gradients
+from mtlab.synth import embedding_corpus, toy_lm_stream, toy_parallel_corpus
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_outputs.json")
+REL_TOL = 1e-9
+EN = entities.starter_templates("en")
+DE = entities.starter_templates("de")
+
+
+def _bleu(case_sensitive):
+    refs = [pair.source for pair in toy_parallel_corpus(60, seed=2)]
+    cands = []
+    for i, ref in enumerate(refs):
+        words = ref.split()
+        if i % 3 == 0:
+            words = [w.upper() if j % 2 else w for j, w in enumerate(words)]
+        if i % 4 == 0:
+            words = words[: len(words) // 2 + 1]
+        cands.append(" ".join(words))
+    return corpus_bleu(cands, refs, ScoringConfig(case_sensitive=case_sensitive)).to_json()
+
+
+def _scan():
+    # German templates without durations: every pair with a duration is a
+    # mismatch, far more than the 50 sample ids the report keeps
+    gappy = [t for t in DE if t.entity_type != "duration"]
+    return entities.scan_mismatches(toy_parallel_corpus(400, seed=5), EN, gappy).to_json()
+
+
+def _validation_scores():
+    pairs = []
+    for pair in toy_parallel_corpus(120, seed=6):
+        if not entities.find_entities(pair.source, EN):
+            continue
+        output = pair.target
+        if pair.id % 3 == 0:
+            output = output.replace("1", "7", 1)
+        elif pair.id % 5 == 0:
+            output = output + " 3 km"
+        pairs.append((pair.source, output))
+    return list(entities.validate_entity_translation(pairs, EN, DE).scores)
+
+
+def _embedding_vectors():
+    emb = train_embeddings(embedding_corpus(seed=1), dim=8, window=2, epochs=2, seed=4)
+    return {word: [float(x) for x in emb[word]] for word in emb.words()}
+
+
+def _perplexity():
+    ids = toy_lm_stream(20000, 40, seed=6)
+    assert len(ids) > 2 * 8192
+    return SurrogateModel(SurrogateConfig(40, 6, 10), seed=1).perplexity(ids)
+
+
+def _gradient_error():
+    ids = toy_lm_stream(65, 40, seed=7)
+    model = SurrogateModel(SurrogateConfig(40, 6, 10), seed=3)
+    return check_gradients(model, ids[:64], ids[1:65], n_samples=300, seed=5)
+
+
+OUTPUTS = {
+    "bleu.cased": lambda: _bleu(True),
+    "bleu.lowercased": lambda: _bleu(False),
+    "entities.scan": _scan,
+    "entities.validation_scores": _validation_scores,
+    "embeddings.vectors": _embedding_vectors,
+    "optlab.perplexity": _perplexity,
+    "optlab.gradient_error": _gradient_error,
+}
+
+
+def _close(a, b):
+    return math.isclose(a, b, rel_tol=REL_TOL)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_golden_covers_every_output(golden):
+    assert sorted(golden) == sorted(OUTPUTS)
+
+
+def test_sample_cap_is_exercised(golden):
+    report = json.loads(golden["entities.scan"])
+    assert report["mismatch_counts"]["duration"] > 50
+    assert len(report["sample_ids"]["duration"]) == 50
+
+
+def test_validation_scores_are_mixed(golden):
+    assert set(golden["entities.validation_scores"]) == {0, 1}
+
+
+@pytest.mark.parametrize("name", ["bleu.cased", "bleu.lowercased", "entities.scan",
+                                  "entities.validation_scores"])
+def test_exact_output_matches_golden(golden, name):
+    assert OUTPUTS[name]() == golden[name]
+
+
+@pytest.mark.parametrize("name", ["optlab.perplexity", "optlab.gradient_error"])
+def test_float_matches_golden(golden, name):
+    got = OUTPUTS[name]()
+    assert _close(got, golden[name]), (got, golden[name])
+
+
+def test_embedding_vectors_match_golden(golden):
+    got, want = _embedding_vectors(), golden["embeddings.vectors"]
+    assert list(got) == list(want)
+    for word in want:
+        assert all(map(_close, got[word], want[word])), word
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump({name: fn() for name, fn in sorted(OUTPUTS.items())}, fh, indent=1,
+                  ensure_ascii=False)
+        fh.write("\n")
+    print(f"wrote {GOLDEN_PATH}")
