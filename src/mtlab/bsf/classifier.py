@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import read_lines
+from ..corpus import read_lines, write_lines
 from ..rng import stream
 from .embeddings import _parse_values
 from .lexicon import _tokens
@@ -31,6 +31,7 @@ __all__ = [
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+MAX_BITS = 24   # 2**24 float64 weights per label: 128 MiB
 
 
 class ClassifierError(ValueError):
@@ -96,6 +97,8 @@ def train_classifier(
     seed: int = 0,
 ) -> HashedLinearClassifier:
     """Softmax SGD over hashed n-gram counts; deterministic per seed."""
+    if not 1 <= spec.bits <= MAX_BITS:
+        raise ClassifierError(f"bits must be in 1..{MAX_BITS}, got {spec.bits}")
     labels = tuple(sorted({label for _, label in labeled}))
     if len(labels) < 2:
         raise ClassifierError(f"need at least 2 distinct labels, got {labels}")
@@ -195,14 +198,12 @@ _CLF_HEADER = "bsfclf-v1"
 
 def save_classifier(clf: HashedLinearClassifier, path: str) -> None:
     """Auditability-first text dump: labels, bias, then nonzero weight columns."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{_CLF_HEADER} {clf.bits} {len(clf.labels)} "
-                 f"{int(clf.spec.use_bigrams)}\n")
-        fh.write("\t".join(clf.labels) + "\n")
-        fh.write("bias " + " ".join(repr(float(x)) for x in clf.bias) + "\n")
-        nonzero = np.nonzero(np.any(clf.weights != 0.0, axis=0))[0]
-        for slot in nonzero:
-            fh.write(f"{slot} " + " ".join(repr(float(x)) for x in clf.weights[:, slot]) + "\n")
+    nonzero = np.nonzero(np.any(clf.weights != 0.0, axis=0))[0]
+    write_lines([f"{_CLF_HEADER} {clf.bits} {len(clf.labels)} {int(clf.spec.use_bigrams)}",
+                 "\t".join(clf.labels),
+                 "bias " + " ".join(repr(float(x)) for x in clf.bias),
+                 *(f"{slot} " + " ".join(repr(float(x)) for x in clf.weights[:, slot])
+                   for slot in nonzero)], path)
 
 
 def load_classifier(path: str) -> HashedLinearClassifier:
@@ -211,10 +212,12 @@ def load_classifier(path: str) -> HashedLinearClassifier:
         raise ClassifierError(f"{path}: not a {_CLF_HEADER} file")
     try:
         bits, n_labels, use_bigrams = (int(x) for x in lines[0].split()[1:])
-        size = 1 << bits
     except ValueError:
         raise ClassifierError(
             f"{path}: line 1: expected '{_CLF_HEADER} <bits> <labels> <bigrams>'") from None
+    if not 1 <= bits <= MAX_BITS:
+        raise ClassifierError(f"{path}: line 1: bits must be in 1..{MAX_BITS}, got {bits}")
+    size = 1 << bits
     labels = tuple(lines[1].split("\t"))
     if len(labels) != n_labels:
         raise ClassifierError(f"{path}: line 2: expected {n_labels} labels, got {len(labels)}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import read_lines
+from ..corpus import read_lines, write_lines
 from ..rng import stream
 
 __all__ = [
@@ -137,10 +137,9 @@ def train_embeddings(
 
 def save_embeddings(emb: Embeddings, path: str) -> None:
     """Standard text vector format: `count dim` header, then one word per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(emb.vectors)} {emb.dim}\n")
-        for word, vec in emb.vectors.items():
-            fh.write(word + " " + " ".join(repr(float(x)) for x in vec) + "\n")
+    write_lines([f"{len(emb.vectors)} {emb.dim}",
+                 *(word + " " + " ".join(repr(float(x)) for x in vec)
+                   for word, vec in emb.vectors.items())], path)
 
 
 def _parse_values(path: str, lineno: int, items: list[str], count: int, error: type) -> list[float]:

@@ -1,8 +1,9 @@
 """Command-line entry point wiring the toolkit's workflows together.
 
-Every subcommand writes its outputs plus a manifest.json into --out-dir
-(default: $MTLAB_OUT or the current directory).  Reports are emitted both
-as JSON and as aligned text; trace CSVs are plot-ready.
+Every subcommand writes its outputs into --out-dir (default: $MTLAB_OUT or
+the current directory) and returns their paths; when it succeeds, `main`
+adds a manifest.json that digests every file it read.  Reports are
+emitted both as JSON and as aligned text; trace CSVs are plot-ready.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -10,6 +11,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -55,9 +57,13 @@ def parse_sizes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"cannot parse size list {text!r}") from None
 
 
-def _corpus_paths(args) -> list[str]:
-    """The corpus files a command reads: --tsv, or --src and --tgt."""
-    return [args.tsv] if args.tsv else [args.src, args.tgt]
+class InputFile(str):
+    """A flag value naming a file the command reads; `main` digests it into the manifest."""
+
+
+def template_source(text: str) -> str:
+    """A starter language code as is; anything else names a template file."""
+    return text if text in ("en", "de") else InputFile(text)
 
 
 def _load_corpus(args) -> corpus.ParallelCorpus:
@@ -66,18 +72,19 @@ def _load_corpus(args) -> corpus.ParallelCorpus:
     return corpus.load_parallel(args.src, args.tgt)
 
 
-def _templates(path_or_starter: str) -> list[entities.EntityTemplate]:
-    if path_or_starter in ("en", "de"):
-        return entities.starter_templates(path_or_starter)
-    return entities.load_templates(path_or_starter)
+def _templates(source: str) -> list[entities.EntityTemplate]:
+    if isinstance(source, InputFile):
+        return entities.load_templates(source)
+    return entities.starter_templates(source)
 
 
-def _locale(args) -> entities.LocaleFormat:
-    base = entities.DE_LOCALE if args.locale == "de" else entities.EN_LOCALE
-    if getattr(args, "unit_policy", None):
-        base = entities.LocaleFormat(base.language, base.decimal_separator,
-                                     base.time_style, base.date_pattern, args.unit_policy)
-    return base
+def _read_json(path: str, error: type):
+    """A JSON file; a syntax or encoding fault raises `error` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def _out(args, name: str) -> str:
@@ -89,7 +96,7 @@ def _out(args, name: str) -> str:
 # corpus
 
 
-def cmd_corpus_split(args) -> int:
+def cmd_corpus_split(args) -> list[str]:
     loaded = _load_corpus(args)
     result = corpus.split(loaded, args.validation_size, args.seed)
     outputs = []
@@ -99,11 +106,10 @@ def cmd_corpus_split(args) -> int:
         outputs += [src_path, tgt_path]
     print(f"train {len(result.train)} pairs, validation {len(result.validation)} pairs"
           f" (dropped {loaded.dropped_count})")
-    write_manifest(args.out_dir, "corpus split", vars(args), _corpus_paths(args), outputs, args.seed)
-    return 0
+    return outputs
 
 
-def cmd_corpus_subsample(args) -> int:
+def cmd_corpus_subsample(args) -> list[str]:
     loaded = _load_corpus(args)
     outputs = []
     for size, sub in zip(args.sizes, corpus.subsample(loaded, args.sizes, args.seed)):
@@ -111,35 +117,30 @@ def cmd_corpus_subsample(args) -> int:
         corpus.write_parallel(sub, src_path, tgt_path)
         outputs += [src_path, tgt_path]
         print(f"size {size}: {len(sub)} pairs")
-    write_manifest(args.out_dir, "corpus subsample", vars(args), _corpus_paths(args), outputs, args.seed)
-    return 0
+    return outputs
 
 
 # ---------------------------------------------------------------------------
 # bpe
 
 
-def cmd_bpe_train(args) -> int:
-    loaded = _load_corpus(args)
-    outputs = []
+def cmd_bpe_train(args) -> list[str]:
+    trained = tokenizer.train_bpe(_load_corpus(args), args.merges, args.mode)
     if args.mode == "joint":
-        model = tokenizer.train_bpe(loaded, args.merges, "joint")
-        path = _out(args, "bpe.model")
+        named = [(trained, "bpe.model", "joint model")]
+    else:
+        named = [(model, f"bpe.{side}.model", model.mode)
+                 for model, side in zip(trained, ("src", "tgt"))]
+    outputs = []
+    for model, name, label in named:
+        path = _out(args, name)
         tokenizer.save_model(model, path)
         outputs.append(path)
-        print(f"joint model: {model.merge_count} merges, alphabet {len(model.alphabet)}")
-    else:
-        src_model, tgt_model = tokenizer.train_bpe(loaded, args.merges, "separate")
-        for model, name in ((src_model, "bpe.src.model"), (tgt_model, "bpe.tgt.model")):
-            path = _out(args, name)
-            tokenizer.save_model(model, path)
-            outputs.append(path)
-            print(f"{model.mode}: {model.merge_count} merges, alphabet {len(model.alphabet)}")
-    write_manifest(args.out_dir, "bpe train", vars(args), _corpus_paths(args), outputs, None)
-    return 0
+        print(f"{label}: {model.merge_count} merges, alphabet {len(model.alphabet)}")
+    return outputs
 
 
-def cmd_bpe_apply(args) -> int:
+def cmd_bpe_apply(args) -> list[str]:
     model = tokenizer.load_model(args.model)
     lines = corpus.read_lines(args.input)
     rendered = [tokenizer.render_tokens(tokenizer.tokenize(model, line), args.marker)
@@ -147,26 +148,24 @@ def cmd_bpe_apply(args) -> int:
     path = _out(args, args.output)
     corpus.write_lines(rendered, path)
     print(f"tokenized {len(lines)} sentences -> {path}")
-    write_manifest(args.out_dir, "bpe apply", vars(args), [args.model, args.input], [path], None)
-    return 0
+    return [path]
 
 
-def cmd_bpe_detok(args) -> int:
+def cmd_bpe_detok(args) -> list[str]:
     lines = corpus.read_lines(args.input)
     restored = [tokenizer.detokenize(tokenizer.parse_tokens(line, args.marker))
                 for line in lines]
     path = _out(args, args.output)
     corpus.write_lines(restored, path)
     print(f"detokenized {len(lines)} sentences -> {path}")
-    write_manifest(args.out_dir, "bpe detok", vars(args), [args.input], [path], None)
-    return 0
+    return [path]
 
 
 # ---------------------------------------------------------------------------
 # ner
 
 
-def cmd_ner_scan(args) -> int:
+def cmd_ner_scan(args) -> list[str]:
     loaded = _load_corpus(args)
     report = entities.scan_mismatches(loaded, _templates(args.templates_src),
                                       _templates(args.templates_tgt))
@@ -174,11 +173,10 @@ def cmd_ner_scan(args) -> int:
     corpus.write_lines([report.to_json()], json_path)
     corpus.write_lines([report.to_text()], text_path)
     print(report.to_text())
-    write_manifest(args.out_dir, "ner scan", vars(args), _corpus_paths(args), [json_path, text_path], None)
-    return 0
+    return [json_path, text_path]
 
 
-def cmd_ner_mask(args) -> int:
+def cmd_ner_mask(args) -> list[str]:
     templates = _templates(args.templates)
     lines = corpus.read_lines(args.input)
     masked_lines = []
@@ -198,21 +196,36 @@ def cmd_ner_mask(args) -> int:
     corpus.write_lines([json.dumps(maps, ensure_ascii=False, indent=2)], map_path)
     total = sum(len(m["entries"]) for m in maps)
     print(f"masked {total} entities in {len(lines)} sentences -> {masked_path}")
-    write_manifest(args.out_dir, "ner mask", vars(args), [args.input], [masked_path, map_path], None)
-    return 0
+    return [masked_path, map_path]
 
 
-def cmd_ner_unmask(args) -> int:
+def _is_map(stored) -> bool:
+    """The shape `ner mask` writes: source_language plus entries of {index, type, text}."""
+    return (isinstance(stored, dict) and isinstance(stored.get("source_language"), str)
+            and isinstance(stored.get("entries"), list)
+            and all(isinstance(e, dict) and type(e.get("index")) is int
+                    and isinstance(e.get("type"), str) and isinstance(e.get("text"), str)
+                    for e in stored["entries"]))
+
+
+def cmd_ner_unmask(args) -> list[str]:
     templates = _templates(args.templates)
     lines = corpus.read_lines(args.input)
-    with open(args.map, encoding="utf-8") as fh:
-        maps = json.load(fh)
+    maps = _read_json(args.map, entities.EntityError)
+    if not isinstance(maps, list):
+        raise entities.EntityError(f"{args.map}: expected a JSON list of placeholder maps")
     if len(maps) != len(lines):
         raise entities.EntityError(f"{len(lines)} sentences but {len(maps)} placeholder maps")
-    locale = _locale(args)
+    locale = entities.DE_LOCALE if args.locale == "de" else entities.EN_LOCALE
+    if args.unit_policy:
+        locale = dataclasses.replace(locale, unit_policy=args.unit_policy)
     by_type = {t.entity_type: t for t in templates}
     out_lines = []
-    for line, stored in zip(lines, maps):
+    for n, (line, stored) in enumerate(zip(lines, maps), start=1):
+        if not _is_map(stored):
+            raise entities.EntityError(
+                f"{args.map}: map {n}: expected source_language and entries of "
+                "{index, type, text}")
         entries = []
         for e in stored["entries"]:
             template = by_type.get(e["type"])
@@ -226,11 +239,10 @@ def cmd_ner_unmask(args) -> int:
     path = _out(args, args.output)
     corpus.write_lines(out_lines, path)
     print(f"unmasked {len(lines)} sentences -> {path}")
-    write_manifest(args.out_dir, "ner unmask", vars(args), [args.input, args.map], [path], None)
-    return 0
+    return [path]
 
 
-def cmd_ner_validate(args) -> int:
+def cmd_ner_validate(args) -> list[str]:
     pairs = corpus.read_pairs(args.pairs)
     result = entities.validate_entity_translation(
         pairs, _templates(args.templates_src), _templates(args.templates_tgt),
@@ -239,15 +251,14 @@ def cmd_ner_validate(args) -> int:
     path = _out(args, "entity-validation.json")
     corpus.write_lines([json.dumps(payload)], path)
     print(f"entity accuracy: {result.accuracy:.3f} over {len(pairs)} pairs")
-    write_manifest(args.out_dir, "ner validate", vars(args), [args.pairs], [path], None)
-    return 0
+    return [path]
 
 
 # ---------------------------------------------------------------------------
 # bleu
 
 
-def cmd_bleu_corpus(args) -> int:
+def cmd_bleu_corpus(args) -> list[str]:
     config = bleu_mod.ScoringConfig(case_sensitive=not args.lowercase)
     report = bleu_mod.corpus_bleu(corpus.read_lines(args.candidates),
                                   corpus.read_lines(args.references), config)
@@ -255,47 +266,46 @@ def cmd_bleu_corpus(args) -> int:
     corpus.write_lines([report.to_json()], path)
     print(f"BLEU = {report.score:.2f} (BP {report.brevity_penalty:.3f}, "
           + "/".join(f"{p:.3f}" for p in report.precisions) + ")")
-    write_manifest(args.out_dir, "bleu corpus", vars(args),
-                   [args.candidates, args.references], [path], None)
-    return 0
+    return [path]
 
 
-def cmd_bleu_sentence(args) -> int:
+def cmd_bleu_sentence(args) -> list[str]:
     config = bleu_mod.ScoringConfig(smoothing=args.smoothing, case_sensitive=not args.lowercase)
     report = bleu_mod.sentence_bleu(args.candidate, args.reference, config)
     print(report.to_json())
-    write_manifest(args.out_dir, "bleu sentence", vars(args), [], [], None)
-    return 0
+    return []
 
 
 # ---------------------------------------------------------------------------
 # optlab
 
 
-def _toy_data(args):
-    train_ids = synth.toy_lm_stream(args.tokens, args.vocab, seed=args.seed, noise=args.noise)
-    val_ids = synth.toy_lm_stream(max(500, args.tokens // 5), args.vocab,
+def _toy_data(args, tokens: int):
+    train_ids = synth.toy_lm_stream(tokens, args.vocab, seed=args.seed, noise=args.noise)
+    val_ids = synth.toy_lm_stream(max(500, tokens // 5), args.vocab,
                                   seed=args.seed + 1, noise=args.noise)
     return train_ids, val_ids
 
 
-def cmd_optlab_train(args) -> int:
-    train_ids, val_ids = _toy_data(args)
-    model = SurrogateModel(SurrogateConfig(args.vocab, args.embed_dim, args.hidden_dim),
-                           seed=args.seed)
-    trace = train(model, train_ids, val_ids, OptimizerConfig(args.optimizer),
+def _toy_model(args) -> SurrogateModel:
+    return SurrogateModel(SurrogateConfig(args.vocab, args.embed_dim, args.hidden_dim),
+                          seed=args.seed)
+
+
+def cmd_optlab_train(args) -> list[str]:
+    train_ids, val_ids = _toy_data(args, args.tokens)
+    trace = train(_toy_model(args), train_ids, val_ids, OptimizerConfig(args.optimizer),
                   epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     path = _out(args, f"trace-{args.optimizer}.csv")
     trace.to_csv(path)
     last = trace.rows[-1]
     print(f"{args.optimizer}: epoch {last.epoch} val_ppl {last.val_ppl:.3f} lr {last.lr:.5f}"
           + (" [divergent]" if trace.divergent else ""))
-    write_manifest(args.out_dir, "optlab train", vars(args), [], [path], args.seed)
-    return 0
+    return [path]
 
 
-def cmd_optlab_simulate(args) -> int:
-    train_ids, val_ids = _toy_data(args)
+def cmd_optlab_simulate(args) -> list[str]:
+    train_ids, val_ids = _toy_data(args, args.tokens)
     if args.calibrate_single is not None:
         cluster = calibrated_cluster_config(
             args.cluster_mode, args.workers, args.calibrate_single,
@@ -308,9 +318,7 @@ def cmd_optlab_simulate(args) -> int:
         cluster = ClusterConfig(args.workers, args.cluster_mode,
                                 per_batch_compute_time=args.batch_seconds,
                                 async_warmup_iterations=args.warmup_iters)
-    model = SurrogateModel(SurrogateConfig(args.vocab, args.embed_dim, args.hidden_dim),
-                           seed=args.seed)
-    trace = simulate_cluster(model, train_ids, val_ids, OptimizerConfig(args.optimizer),
+    trace = simulate_cluster(_toy_model(args), train_ids, val_ids, OptimizerConfig(args.optimizer),
                              cluster, epochs=args.epochs, batch_size=args.batch_size,
                              seed=args.seed)
     path = _out(args, f"sim-{args.cluster_mode}-{args.workers}.csv")
@@ -328,8 +336,7 @@ def cmd_optlab_simulate(args) -> int:
     corpus.write_lines([json.dumps(payload)], json_path)
     print(f"{args.cluster_mode} x{args.workers}: epoch {_format_duration(epoch_seconds)}, "
           f"final ppl {trace.final_ppl():.3f}, max staleness {trace.max_staleness}")
-    write_manifest(args.out_dir, "optlab simulate", vars(args), [], [path, json_path], args.seed)
-    return 0
+    return [path, json_path]
 
 
 def _format_duration(seconds: float) -> str:
@@ -337,10 +344,8 @@ def _format_duration(seconds: float) -> str:
     return f"{minutes // 60}h{minutes % 60:02d}m"
 
 
-def cmd_optlab_sweep(args) -> int:
-    full = synth.toy_lm_stream(max(args.sizes), args.vocab, seed=args.seed, noise=args.noise)
-    val_ids = synth.toy_lm_stream(max(500, max(args.sizes) // 5), args.vocab,
-                                  seed=args.seed + 1, noise=args.noise)
+def cmd_optlab_sweep(args) -> list[str]:
+    full, val_ids = _toy_data(args, max(args.sizes))
     streams = [(str(size), full[:size]) for size in args.sizes]
     traces = corpus_size_sweep(SurrogateConfig(args.vocab, args.embed_dim, args.hidden_dim),
                                streams, val_ids, OptimizerConfig(args.optimizer),
@@ -352,50 +357,47 @@ def cmd_optlab_sweep(args) -> int:
         trace.to_csv(path)
         outputs.append(path)
         print(f"size {label}: final ppl {trace.final_ppl():.3f} at {trace.rows[-1].iterations} iterations")
-    write_manifest(args.out_dir, "optlab sweep", vars(args), [], outputs, args.seed)
-    return 0
+    return outputs
 
 
-def cmd_optlab_gradcheck(args) -> int:
+def cmd_optlab_gradcheck(args) -> list[str]:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     ids = synth.toy_lm_stream(args.batch_size * 4 + 1, args.vocab, seed=args.seed)
-    model = SurrogateModel(SurrogateConfig(args.vocab, args.embed_dim, args.hidden_dim),
-                           seed=args.seed)
-    error = check_gradients(model, ids[: args.batch_size], ids[1 : args.batch_size + 1],
+    error = check_gradients(_toy_model(args), ids[: args.batch_size], ids[1 : args.batch_size + 1],
                             n_samples=args.samples, step=args.step, seed=args.seed)
     print(f"max relative gradient error: {error:.3e} over {args.samples} coordinates")
-    write_manifest(args.out_dir, "optlab gradcheck", vars(args), [], [], args.seed)
-    return 0 if error < args.tolerance else 1
+    if not error < args.tolerance:
+        raise ValueError(f"max relative gradient error {error:.3e} is not below "
+                         f"--tolerance {args.tolerance:g}")
+    return []
 
 
 # ---------------------------------------------------------------------------
 # bsf
 
 
-def cmd_bsf_embed(args) -> int:
+def cmd_bsf_embed(args) -> list[str]:
     sentences = [line.split() for line in corpus.read_lines(args.input)]
     emb = bsf.train_embeddings(sentences, dim=args.dim, window=args.window,
                                negatives=args.negatives, epochs=args.epochs, seed=args.seed)
     path = _out(args, args.output)
     bsf.save_embeddings(emb, path)
     print(f"trained {len(emb.vectors)} vectors (dim {emb.dim}) -> {path}")
-    write_manifest(args.out_dir, "bsf embed", vars(args), [args.input], [path], args.seed)
-    return 0
+    return [path]
 
 
-def cmd_bsf_expand(args) -> int:
+def cmd_bsf_expand(args) -> list[str]:
     emb = bsf.load_embeddings(args.vectors)
     candidates = bsf.expand_seeds(emb, args.seeds.split(","), args.k, args.min_sim)
     path = _out(args, args.output)
     bsf.save_terms(candidates, path, header="candidates for proofreading")
     for term, sim in candidates:
         print(f"{sim:.4f}  {term}")
-    write_manifest(args.out_dir, "bsf expand", vars(args), [args.vectors], [path], None)
-    return 0
+    return [path]
 
 
-def cmd_bsf_match(args) -> int:
+def cmd_bsf_match(args) -> list[str]:
     lexicon = bsf.AspectLexicon(args.aspect, args.language,
                                 approved_terms=bsf.load_terms(args.terms))
     sentences = corpus.read_lines(args.input)
@@ -403,37 +405,34 @@ def cmd_bsf_match(args) -> int:
     path = _out(args, "matched-ids.txt")
     corpus.write_lines([str(i) for i in matched], path)
     print(f"matched {len(matched)} of {len(sentences)} sentences")
-    write_manifest(args.out_dir, "bsf match", vars(args), [args.input, args.terms], [path], None)
-    return 0
+    return [path]
 
 
 def _read_labeled(path: str) -> list[tuple[str, str]]:
     return [(text, label) for label, text in corpus.read_pairs(path)]
 
 
-def cmd_bsf_train(args) -> int:
+def cmd_bsf_train(args) -> list[str]:
     labeled = _read_labeled(args.labeled)
     spec = bsf.ClassifierSpec(bits=args.bits, lr=args.lr, epochs=args.epochs, l2=args.l2)
     clf = bsf.train_classifier(labeled, spec, seed=args.seed)
     path = _out(args, args.output)
     bsf.save_classifier(clf, path)
     print(f"trained on {len(labeled)} examples, labels {clf.labels} -> {path}")
-    write_manifest(args.out_dir, "bsf train", vars(args), [args.labeled], [path], args.seed)
-    return 0
+    return [path]
 
 
-def cmd_bsf_eval(args) -> int:
+def cmd_bsf_eval(args) -> list[str]:
     clf = bsf.load_classifier(args.model)
     metrics = bsf.evaluate_classifier(clf, _read_labeled(args.labeled))
     json_path = _out(args, "bsf-eval.json")
     corpus.write_lines([json.dumps({"per_label": metrics.per_label, "accuracy": metrics.accuracy,
                                     "macro_f1": metrics.macro_f1, "n": metrics.n})], json_path)
     print(metrics.to_text())
-    write_manifest(args.out_dir, "bsf eval", vars(args), [args.model, args.labeled], [json_path], None)
-    return 0
+    return [json_path]
 
 
-def cmd_bsf_report(args) -> int:
+def cmd_bsf_report(args) -> list[str]:
     pairs = corpus.read_pairs(args.pairs)
     lex_src = bsf.AspectLexicon(args.aspect, args.lang_src,
                                 approved_terms=bsf.load_terms(args.terms_src))
@@ -446,24 +445,20 @@ def cmd_bsf_report(args) -> int:
     corpus.write_lines([report.to_json()], json_path)
     corpus.write_lines([report.to_text()], text_path)
     print(report.to_text())
-    write_manifest(args.out_dir, "bsf report", vars(args),
-                   [args.pairs, args.terms_src, args.terms_tgt, args.clf_src, args.clf_tgt],
-                   [json_path, text_path], None)
-    return 0
+    return [json_path, text_path]
 
 
 # ---------------------------------------------------------------------------
 # eval (human scores)
 
 
-def cmd_eval_ingest(args) -> int:
+def cmd_eval_ingest(args) -> list[str]:
     records = humaneval.ingest_scores(args.scores, (args.score_min, args.score_max))
     print(f"{len(records)} valid records from {args.scores}")
-    write_manifest(args.out_dir, "eval ingest", vars(args), [args.scores], [], None)
-    return 0
+    return []
 
 
-def cmd_eval_summarize(args) -> int:
+def cmd_eval_summarize(args) -> list[str]:
     records = humaneval.ingest_scores(args.scores, (args.score_min, args.score_max))
     summary = humaneval.summarize(records, (args.score_min, args.score_max))
     json_path = _out(args, "summary.json")
@@ -477,24 +472,24 @@ def cmd_eval_summarize(args) -> int:
         kappa = "n/a" if s.kappa_adequacy is None else f"{s.kappa_adequacy:.3f}"
         print(f"{name}: adequacy {s.mean_adequacy:.3f}, fluency {s.mean_fluency:.3f}, "
               f"kappa(adequacy) {kappa}, n={s.n}")
-    write_manifest(args.out_dir, "eval summarize", vars(args), [args.scores],
-                   [json_path, csv_path], None)
-    return 0
+    return [json_path, csv_path]
 
 
-def cmd_eval_correlate(args) -> int:
+def cmd_eval_correlate(args) -> list[str]:
     records = humaneval.ingest_scores(args.scores, (args.score_min, args.score_max))
     summary = humaneval.summarize(records, (args.score_min, args.score_max))
-    with open(args.bleu, encoding="utf-8") as fh:
-        bleu_by_system = json.load(fh)
-    outputs = []
+    bleu_by_system = _read_json(args.bleu, humaneval.ScoreError)
+    if not isinstance(bleu_by_system, dict) or not all(
+            type(score) in (int, float) for score in bleu_by_system.values()):
+        raise humaneval.ScoreError(f"{args.bleu}: expected a JSON object mapping each system "
+                                   "to a number")
     table = ["system,bleu,adequacy,fluency"]
     for name, s in summary.systems.items():
         if name in bleu_by_system:
             table.append(f"{name},{bleu_by_system[name]},{s.mean_adequacy:.4f},{s.mean_fluency:.4f}")
     table_path = _out(args, "bleu-vs-human.csv")
     corpus.write_lines(table, table_path)
-    outputs.append(table_path)
+    outputs = [table_path]
     for metric in ("adequacy", "fluency"):
         human = {name: getattr(s, f"mean_{metric}") for name, s in summary.systems.items()}
         report = humaneval.correlate(bleu_by_system, human)
@@ -504,9 +499,7 @@ def cmd_eval_correlate(args) -> int:
         print(f"{metric}: pearson {report.pearson_r:.3f}, spearman {report.spearman_rho:.3f}, "
               f"BLEU best={report.bleu_argmax}, human best={report.human_argmax}"
               + (" [argmax disagreement]" if report.argmax_disagreement else ""))
-    write_manifest(args.out_dir, "eval correlate", vars(args), [args.scores, args.bleu],
-                   outputs, None)
-    return 0
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="group", required=True)
 
     def corpus_inputs(p):
-        p.add_argument("--src", help="source-side text file")
-        p.add_argument("--tgt", help="target-side text file")
-        p.add_argument("--tsv", help="two-column TSV corpus (alternative to --src/--tgt)")
+        p.add_argument("--src", type=InputFile, help="source-side text file")
+        p.add_argument("--tgt", type=InputFile, help="target-side text file")
+        p.add_argument("--tsv", type=InputFile,
+                       help="two-column TSV corpus (alternative to --src/--tgt)")
         p.set_defaults(_corpus_parser=p)  # main checks the combination
 
     # corpus
@@ -538,12 +532,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(parents=[common], name="split")
     corpus_inputs(p)
     p.add_argument("--validation-size", type=int, required=True)
-    p.set_defaults(func=cmd_corpus_split)
+    p.set_defaults(func=cmd_corpus_split, _seeded=True)
     p = sub.add_parser(parents=[common], name="subsample")
     corpus_inputs(p)
     p.add_argument("--sizes", type=parse_sizes, required=True,
                    help="comma-separated sizes, e.g. 100,250,500")
-    p.set_defaults(func=cmd_corpus_subsample)
+    p.set_defaults(func=cmd_corpus_subsample, _seeded=True)
 
     # bpe
     group = top.add_parser("bpe", help="subword model training and application")
@@ -554,13 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["joint", "separate"], default="joint")
     p.set_defaults(func=cmd_bpe_train)
     p = sub.add_parser(parents=[common], name="apply")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
+    p.add_argument("--model", type=InputFile, required=True)
+    p.add_argument("--input", type=InputFile, required=True)
     p.add_argument("--output", default="tokenized.txt")
     p.add_argument("--marker", default=tokenizer.DEFAULT_MARKER)
     p.set_defaults(func=cmd_bpe_apply)
     p = sub.add_parser(parents=[common], name="detok")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", type=InputFile, required=True)
     p.add_argument("--output", default="detokenized.txt")
     p.add_argument("--marker", default=tokenizer.DEFAULT_MARKER)
     p.set_defaults(func=cmd_bpe_detok)
@@ -570,25 +564,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = group.add_subparsers(dest="command", required=True)
     p = sub.add_parser(parents=[common], name="scan")
     corpus_inputs(p)
-    p.add_argument("--templates-src", default="en", help="template file or starter language code")
-    p.add_argument("--templates-tgt", default="de")
+    p.add_argument("--templates-src", type=template_source, default="en",
+                   help="template file or starter language code")
+    p.add_argument("--templates-tgt", type=template_source, default="de")
     p.set_defaults(func=cmd_ner_scan)
     p = sub.add_parser(parents=[common], name="mask")
-    p.add_argument("--input", required=True)
-    p.add_argument("--templates", default="en")
+    p.add_argument("--input", type=InputFile, required=True)
+    p.add_argument("--templates", type=template_source, default="en")
     p.set_defaults(func=cmd_ner_mask)
     p = sub.add_parser(parents=[common], name="unmask")
-    p.add_argument("--input", required=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--templates", default="en", help="templates used at mask time")
+    p.add_argument("--input", type=InputFile, required=True)
+    p.add_argument("--map", type=InputFile, required=True)
+    p.add_argument("--templates", type=template_source, default="en",
+                   help="templates used at mask time")
     p.add_argument("--locale", choices=["en", "de"], required=True)
     p.add_argument("--unit-policy", choices=["keep", "to_km", "to_mi"])
     p.add_argument("--output", default="unmasked.txt")
     p.set_defaults(func=cmd_ner_unmask)
     p = sub.add_parser(parents=[common], name="validate")
-    p.add_argument("--pairs", required=True, help="TSV of source<TAB>output")
-    p.add_argument("--templates-src", default="en")
-    p.add_argument("--templates-tgt", default="de")
+    p.add_argument("--pairs", type=InputFile, required=True, help="TSV of source<TAB>output")
+    p.add_argument("--templates-src", type=template_source, default="en")
+    p.add_argument("--templates-tgt", type=template_source, default="de")
     p.add_argument("--tolerance", type=float, default=0.005)
     p.set_defaults(func=cmd_ner_validate)
 
@@ -596,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = top.add_parser("bleu", help="BLEU scoring")
     sub = group.add_subparsers(dest="command", required=True)
     p = sub.add_parser(parents=[common], name="corpus")
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--references", required=True)
+    p.add_argument("--candidates", type=InputFile, required=True)
+    p.add_argument("--references", type=InputFile, required=True)
     p.add_argument("--lowercase", action="store_true")
     p.set_defaults(func=cmd_bleu_corpus)
     p = sub.add_parser(parents=[common], name="sentence")
@@ -623,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     toy_flags(p)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--epochs", type=int, default=20)
-    p.set_defaults(func=cmd_optlab_train)
+    p.set_defaults(func=cmd_optlab_train, _seeded=True)
     p = sub.add_parser(parents=[common], name="simulate")
     toy_flags(p)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
@@ -635,63 +631,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations-per-epoch", type=int, default=840)
     p.add_argument("--batch-seconds", type=float, default=1.0)
     p.add_argument("--epochs", type=int, default=1)
-    p.set_defaults(func=cmd_optlab_simulate)
+    p.set_defaults(func=cmd_optlab_simulate, _seeded=True)
     p = sub.add_parser(parents=[common], name="sweep")
     toy_flags(p)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--sizes", type=parse_sizes, required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--checkpoint-every", type=int, default=100)
-    p.set_defaults(func=cmd_optlab_sweep)
+    p.set_defaults(func=cmd_optlab_sweep, _seeded=True)
     p = sub.add_parser(parents=[common], name="gradcheck")
     toy_flags(p)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.set_defaults(func=cmd_optlab_gradcheck)
+    p.set_defaults(func=cmd_optlab_gradcheck, _seeded=True)
 
     # bsf
     group = top.add_parser("bsf", help="business sensitivity framework")
     sub = group.add_subparsers(dest="command", required=True)
     p = sub.add_parser(parents=[common], name="embed")
-    p.add_argument("--input", required=True, help="pre-tokenized text, one sentence per line")
+    p.add_argument("--input", type=InputFile, required=True,
+                   help="pre-tokenized text, one sentence per line")
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--window", type=int, default=4)
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--output", default="vectors.txt")
-    p.set_defaults(func=cmd_bsf_embed)
+    p.set_defaults(func=cmd_bsf_embed, _seeded=True)
     p = sub.add_parser(parents=[common], name="expand")
-    p.add_argument("--vectors", required=True)
+    p.add_argument("--vectors", type=InputFile, required=True)
     p.add_argument("--seeds", required=True, help="comma-separated seed terms")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--min-sim", type=float, default=0.0)
     p.add_argument("--output", default="candidates.txt")
     p.set_defaults(func=cmd_bsf_expand)
     p = sub.add_parser(parents=[common], name="match")
-    p.add_argument("--input", required=True)
-    p.add_argument("--terms", required=True)
+    p.add_argument("--input", type=InputFile, required=True)
+    p.add_argument("--terms", type=InputFile, required=True)
     p.add_argument("--aspect", default="aspect")
     p.add_argument("--language", default="en")
     p.set_defaults(func=cmd_bsf_match)
     p = sub.add_parser(parents=[common], name="train")
-    p.add_argument("--labeled", required=True, help="TSV of label<TAB>text")
+    p.add_argument("--labeled", type=InputFile, required=True, help="TSV of label<TAB>text")
     p.add_argument("--bits", type=int, default=18)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=12)
     p.add_argument("--l2", type=float, default=1e-6)
     p.add_argument("--output", default="classifier.txt")
-    p.set_defaults(func=cmd_bsf_train)
+    p.set_defaults(func=cmd_bsf_train, _seeded=True)
     p = sub.add_parser(parents=[common], name="eval")
-    p.add_argument("--model", required=True)
-    p.add_argument("--labeled", required=True)
+    p.add_argument("--model", type=InputFile, required=True)
+    p.add_argument("--labeled", type=InputFile, required=True)
     p.set_defaults(func=cmd_bsf_eval)
     p = sub.add_parser(parents=[common], name="report")
-    p.add_argument("--pairs", required=True, help="TSV of source<TAB>translation")
-    p.add_argument("--terms-src", required=True)
-    p.add_argument("--terms-tgt", required=True)
-    p.add_argument("--clf-src", required=True)
-    p.add_argument("--clf-tgt", required=True)
+    p.add_argument("--pairs", type=InputFile, required=True, help="TSV of source<TAB>translation")
+    p.add_argument("--terms-src", type=InputFile, required=True)
+    p.add_argument("--terms-tgt", type=InputFile, required=True)
+    p.add_argument("--clf-src", type=InputFile, required=True)
+    p.add_argument("--clf-tgt", type=InputFile, required=True)
     p.add_argument("--aspect", default="aspect")
     p.add_argument("--lang-src", default="en")
     p.add_argument("--lang-tgt", default="de")
@@ -702,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = group.add_subparsers(dest="command", required=True)
 
     def score_flags(p):
-        p.add_argument("--scores", required=True, help="CSV score sheet")
+        p.add_argument("--scores", type=InputFile, required=True, help="CSV score sheet")
         p.add_argument("--score-min", type=int, default=1)
         p.add_argument("--score-max", type=int, default=4)
 
@@ -714,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_summarize)
     p = sub.add_parser(parents=[common], name="correlate")
     score_flags(p)
-    p.add_argument("--bleu", required=True, help="JSON mapping system -> BLEU score")
+    p.add_argument("--bleu", type=InputFile, required=True, help="JSON mapping system -> BLEU score")
     p.set_defaults(func=cmd_eval_correlate)
 
     return parser
@@ -727,10 +724,14 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(args, "_corpus_parser") and given not in ((True, False, False), (False, True, True)):
         args._corpus_parser.error("give --tsv, or both --src and --tgt")
     try:
-        return args.func(args)
+        outputs = args.func(args)
+        inputs = [value for value in vars(args).values() if isinstance(value, InputFile)]
+        write_manifest(args.out_dir, f"{args.group} {args.command}", vars(args), inputs, outputs,
+                       args.seed if getattr(args, "_seeded", False) else None)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

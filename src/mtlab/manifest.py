@@ -8,6 +8,7 @@ import os
 from datetime import datetime, timezone
 
 from . import __version__
+from .corpus import write_lines
 
 __all__ = ["file_digest", "write_manifest"]
 
@@ -25,8 +26,6 @@ def _plain(value):
         return value
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
     return str(value)
 
 
@@ -51,7 +50,5 @@ def write_manifest(
     }
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    write_lines([json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)], path)
     return path

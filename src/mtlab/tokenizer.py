@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from .corpus import ParallelCorpus, read_lines
+from .corpus import ParallelCorpus, read_lines, write_lines
 
 __all__ = [
     "CASE_C",
@@ -446,14 +446,11 @@ _MODEL_HEADER = "bpe-v1"
 
 def save_model(model: BpeModel, path: str) -> None:
     """Versioned header, one merge per line; alphabet appended for losslessness."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{_MODEL_HEADER} {model.mode} {model.merge_count}\n")
-        for left, right in model.merges:
-            fh.write(f"{left} {right}\n")
-        chars = sorted(model.alphabet)
-        for i in range(0, len(chars), 64):
-            block = " ".join(_escape(c, DEFAULT_MARKER) for c in chars[i : i + 64])
-            fh.write(f"#alphabet {block}\n")
+    chars = [_escape(c, DEFAULT_MARKER) for c in sorted(model.alphabet)]
+    write_lines([f"{_MODEL_HEADER} {model.mode} {model.merge_count}",
+                 *(f"{left} {right}" for left, right in model.merges),
+                 *("#alphabet " + " ".join(chars[i : i + 64]) for i in range(0, len(chars), 64))],
+                path)
 
 
 def load_model(path: str) -> BpeModel:

@@ -4,6 +4,8 @@ import os
 import pytest
 
 from mtlab.cli import main, parse_duration
+from mtlab.entities import save_templates, starter_templates
+from mtlab.manifest import file_digest
 from mtlab.synth import entity_sentences, parking_sentences, toy_parallel_corpus
 from mtlab.corpus import write_parallel
 
@@ -357,10 +359,13 @@ FAULTY = "<faulty file>"
     (["bsf", "expand", "--vectors", FAULTY, "--seeds", "a"], b"1 x\na 0.5 0.25\n", 1),
     (["bsf", "expand", "--vectors", FAULTY, "--seeds", "a"], b"1 2\n\xff 0.5 0.25\n", 2),
     (["bpe", "apply", "--model", FAULTY, "--input", FAULTY], b"bpe-v1 joint 1\na \xffb\n", 2),
+    (["bsf", "eval", "--model", FAULTY, "--labeled", FAULTY],
+     b"bsfclf-v1 40 2 1\na\tb\nbias 0.0 0.0\n", 1),
 ], ids=["validate-no-tab", "validate-three-columns", "report-no-tab", "train-no-tab",
         "detok-utf8", "bleu-utf8", "bpe-model-merge", "bpe-model-header",
         "classifier-slot-out-of-range", "classifier-value-count", "classifier-header",
-        "vectors-non-float", "vectors-header", "vectors-utf8", "bpe-model-utf8"])
+        "vectors-non-float", "vectors-header", "vectors-utf8", "bpe-model-utf8",
+        "classifier-bits-too-large"])
 def test_file_faults_exit_1_naming_the_line(tmp_path, capsys, argv, content, line):
     path = tmp_path / "faulty.txt"
     path.write_bytes(content)
@@ -403,3 +408,80 @@ def test_line_ends_give_identical_outputs(tmp_path, corpus_files):
             "tokenized.txt", "masked.txt", "maps.json", "bleu.json", "classifier.txt")}
     assert outputs["crlf"] == outputs["lf"]
     assert outputs["no-final-newline"] == outputs["lf"]
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("maps, message", [
+    (b"[{}]", "map 1"),
+    (b'[{"source_language": "en", "entries": [{"index": 0, "text": "5 km"}]}]', "map 1"),
+    (b'[{"source_language": "en", "entries": [{"index": "0", "type": "distance", '
+     b'"text": "5 km"}]}]', "map 1"),
+    (b'{"entries": []}', "list of placeholder maps"),
+    (b"[{", "maps.json"),
+], ids=["no-entries", "entry-without-type", "string-index", "not-a-list", "not-json"])
+def test_malformed_placeholder_map_exits_1(tmp_path, capsys, maps, message):
+    (tmp_path / "masked.txt").write_text("ab ⟦DIST_0⟧ cd\n", encoding="utf-8")
+    (tmp_path / "maps.json").write_bytes(maps)
+    assert run(["--out-dir", tmp_path / "out", "ner", "unmask", "--input", tmp_path / "masked.txt",
+                "--map", tmp_path / "maps.json", "--locale", "de"]) == 1
+    err = _one_error_line(capsys)
+    assert "maps.json" in err and message in err
+
+
+@pytest.mark.parametrize("bleu", [b'["a", "b"]', b'{"1M": "46.5"}', b'{"1M": true}', b"{"],
+                         ids=["list", "string-score", "bool-score", "not-json"])
+def test_malformed_bleu_scores_exit_1_naming_the_file(tmp_path, capsys, bleu):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("sentence_id,rater_id,system,adequacy,fluency\n1,r1,1M,2,2\n"
+                      "1,r1,10M,3,3\n", encoding="utf-8")
+    (tmp_path / "bleu.json").write_bytes(bleu)
+    assert run(["--out-dir", tmp_path / "out", "eval", "correlate", "--scores", scores,
+                "--bleu", tmp_path / "bleu.json"]) == 1
+    assert "bleu.json" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("bits", [0, -1, 40])
+def test_bsf_train_bits_out_of_range_exits_1(tmp_path, capsys, bits):
+    labeled = tmp_path / "labeled.tsv"
+    labeled.write_text("free\tFree parking.\npaid\tPaid parking.\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "bsf", "train", "--labeled", labeled,
+                "--bits", bits]) == 1
+    assert "bits must be in 1..24" in _one_error_line(capsys)
+
+
+def test_failing_gradcheck_exits_1_without_manifest(tmp_path, capsys):
+    assert run(["--out-dir", tmp_path, "optlab", "gradcheck", "--vocab", 24, "--embed-dim", 6,
+                "--hidden-dim", 10, "--samples", 20, "--tolerance", 0]) == 1
+    assert "--tolerance" in _one_error_line(capsys)
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "mask", "unmask", "validate"])
+def test_template_files_are_manifest_inputs(tmp_path, command):
+    for lang in ("en", "de"):
+        save_templates(starter_templates(lang), tmp_path / f"tpl.{lang}")
+    (tmp_path / "c.tsv").write_text("A 5 km walk.\tEin Weg von 5 km.\n", encoding="utf-8")
+    (tmp_path / "sents.txt").write_text("A 5 km walk.\n", encoding="utf-8")
+    both = ["--templates-src", tmp_path / "tpl.en", "--templates-tgt", tmp_path / "tpl.de"]
+    masked = tmp_path / "masked"
+    assert run(["--out-dir", masked, "ner", "mask", "--input", tmp_path / "sents.txt",
+                "--templates", tmp_path / "tpl.en"]) == 0
+    argv = {
+        "scan": ["--tsv", tmp_path / "c.tsv", *both],
+        "mask": ["--input", tmp_path / "sents.txt", "--templates", tmp_path / "tpl.en"],
+        "unmask": ["--input", masked / "masked.txt", "--map", masked / "maps.json",
+                   "--templates", tmp_path / "tpl.en", "--locale", "de"],
+        "validate": ["--pairs", tmp_path / "c.tsv", *both],
+    }[command]
+    out = tmp_path / "out"
+    assert run(["--out-dir", out, "ner", command, *argv]) == 0
+    inputs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["inputs"]
+    expected = {"tpl.en"} if command in ("mask", "unmask") else {"tpl.en", "tpl.de"}
+    assert expected <= set(inputs)
+    for name in expected:
+        assert inputs[name] == file_digest(tmp_path / name)

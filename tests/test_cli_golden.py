@@ -1,0 +1,179 @@
+"""Golden runs of every CLI subcommand.
+
+Runs all 24 subcommands (27 invocations) on small seeded inputs in a
+scratch directory, with relative paths so the recorded config is stable,
+and pins each run's exit code, stdout, the SHA-256 of every file it
+writes and its manifest.json minus `written_at`.  Templates are given as
+starter codes.  Regenerate only from a commit whose outputs are known
+good:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+from mtlab.cli import build_parser, main
+from mtlab.corpus import write_lines, write_parallel
+from mtlab.entities import find_entities, starter_templates
+from mtlab.synth import (
+    embedding_corpus,
+    entity_sentences,
+    parking_parallel,
+    toy_parallel_corpus,
+)
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "cli_manifests.json")
+TINY_LM = ["--vocab", "24", "--embed-dim", "6", "--hidden-dim", "10", "--tokens", "600",
+           "--batch-size", "8"]
+
+# (run name, argv); each run writes into the out-dir named after it, and
+# later runs read earlier runs' outputs
+RUNS = [
+    ("corpus-split", ["--seed", "3", "corpus", "split", "--src", "c.src", "--tgt", "c.tgt",
+                      "--validation-size", "5"]),
+    ("corpus-subsample", ["corpus", "subsample", "--tsv", "c.tsv", "--sizes", "5,10",
+                          "--seed", "4"]),
+    ("bpe-train", ["bpe", "train", "--src", "c.src", "--tgt", "c.tgt", "--merges", "40"]),
+    ("bpe-train-separate", ["bpe", "train", "--tsv", "c.tsv", "--merges", "20",
+                            "--mode", "separate"]),
+    ("bpe-apply", ["bpe", "apply", "--model", "out/bpe-train/bpe.model", "--input", "c.src"]),
+    ("bpe-detok", ["bpe", "detok", "--input", "out/bpe-apply/tokenized.txt",
+                   "--output", "restored.txt"]),
+    ("ner-scan", ["ner", "scan", "--src", "c.src", "--tgt", "c.tgt", "--templates-tgt", "de"]),
+    ("ner-mask", ["ner", "mask", "--input", "sents.txt", "--templates", "en"]),
+    ("ner-unmask", ["ner", "unmask", "--input", "out/ner-mask/masked.txt",
+                    "--map", "out/ner-mask/maps.json", "--locale", "de",
+                    "--unit-policy", "to_km"]),
+    ("ner-validate", ["ner", "validate", "--pairs", "pairs.tsv", "--tolerance", "0.01"]),
+    ("bleu-corpus", ["bleu", "corpus", "--candidates", "cand.txt", "--references", "ref.txt",
+                     "--lowercase"]),
+    ("bleu-sentence", ["bleu", "sentence", "--candidate", "the hotel has a pool",
+                       "--reference", "the hotel has a garden"]),
+    ("optlab-train", ["optlab", "train", "--optimizer", "adam", "--epochs", "2", *TINY_LM]),
+    ("optlab-simulate", ["optlab", "simulate", "--workers", "3", "--cluster-mode", "async",
+                         "--warmup-iters", "5", "--batch-seconds", "2", "--seed", "5",
+                         *TINY_LM]),
+    ("optlab-simulate-calibrated", ["optlab", "simulate", "--workers", "2",
+                                    "--cluster-mode", "sync", "--calibrate-single", "6h11m",
+                                    "--iterations-per-epoch", "30", *TINY_LM]),
+    ("optlab-sweep", ["optlab", "sweep", "--sizes", "300,600", "--budget", "40",
+                      "--checkpoint-every", "15", *TINY_LM]),
+    ("optlab-gradcheck", ["optlab", "gradcheck", "--samples", "20", *TINY_LM]),
+    ("bsf-embed", ["bsf", "embed", "--input", "tokens.txt", "--dim", "8", "--epochs", "1",
+                   "--seed", "2"]),
+    ("bsf-expand", ["bsf", "expand", "--vectors", "out/bsf-embed/vectors.txt",
+                    "--seeds", "dog,car", "--k", "4"]),
+    ("bsf-match", ["bsf", "match", "--input", "sentences.en.txt", "--terms", "terms.en.txt"]),
+    ("bsf-train-en", ["bsf", "train", "--labeled", "labeled.en.tsv", "--bits", "10",
+                      "--epochs", "3", "--output", "clf.en.txt"]),
+    ("bsf-train-de", ["bsf", "train", "--labeled", "labeled.de.tsv", "--bits", "10",
+                      "--epochs", "3", "--output", "clf.de.txt", "--seed", "1"]),
+    ("bsf-eval", ["bsf", "eval", "--model", "out/bsf-train-en/clf.en.txt",
+                  "--labeled", "labeled.en.tsv"]),
+    ("bsf-report", ["bsf", "report", "--pairs", "bsf-pairs.tsv",
+                    "--terms-src", "terms.en.txt", "--terms-tgt", "terms.de.txt",
+                    "--clf-src", "out/bsf-train-en/clf.en.txt",
+                    "--clf-tgt", "out/bsf-train-de/clf.de.txt"]),
+    ("eval-ingest", ["eval", "ingest", "--scores", "scores.csv"]),
+    ("eval-summarize", ["eval", "summarize", "--scores", "scores.csv"]),
+    ("eval-correlate", ["eval", "correlate", "--scores", "scores.csv", "--bleu", "bleu.json"]),
+]
+
+
+def write_inputs() -> None:
+    """The seeded input files, written into the current directory."""
+    corpus = toy_parallel_corpus(30, seed=2)
+    write_parallel(corpus, "c.src", "c.tgt")
+    write_lines([f"{p.source}\t{p.target}" for p in corpus], "c.tsv")
+    write_lines(entity_sentences(8, seed=3), "sents.txt")
+    en = starter_templates("en")
+    pairs = [p for p in toy_parallel_corpus(30, seed=6) if find_entities(p.source, en)]
+    write_lines([f"{p.source}\t{p.target.replace('1', '7', p.id % 2)}" for p in pairs],
+                "pairs.tsv")
+    refs = [p.source for p in pairs]
+    write_lines(refs, "ref.txt")
+    write_lines([r.upper() if i % 3 else " ".join(r.split()[:-1]) for i, r in enumerate(refs)],
+                "cand.txt")
+    write_lines([" ".join(s) for s in embedding_corpus(seed=2, n_sentences=250)], "tokens.txt")
+    en_data, de_data, _ = parking_parallel(60, seed=4, flip_fraction=0.1)
+    write_lines([text for text, _ in en_data], "sentences.en.txt")
+    write_lines([f"{e[0]}\t{d[0]}" for e, d in zip(en_data, de_data)], "bsf-pairs.tsv")
+    for lang, rows in (("en", en_data), ("de", de_data)):
+        write_lines([f"{label}\t{text}" for text, label in rows], f"labeled.{lang}.tsv")
+    write_lines(["parking", "park"], "terms.en.txt")
+    write_lines(["parkplätze", "parken", "garage"], "terms.de.txt")
+    rows = ["sentence_id,rater_id,system,adequacy,fluency"]
+    for system, (adequacy, fluency) in {"1M": (2, 3), "7.5M": (3, 3), "10M": (4, 2)}.items():
+        for sid in range(1, 4):
+            for rater in ("r1", "r2"):
+                rows.append(f"{sid},{rater},{system},{adequacy},{fluency}")
+    write_lines(rows, "scores.csv")
+    write_lines([json.dumps({"1M": 46.5, "7.5M": 47.95, "10M": 47.41})], "bleu.json")
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def run_all() -> dict:
+    """Every run in RUNS from the current directory: what it printed and wrote."""
+    write_inputs()
+    record = {}
+    for name, argv in RUNS:
+        out_dir = os.path.join("out", name)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["--out-dir", out_dir, *argv])
+        files = {f: _sha256(os.path.join(out_dir, f))
+                 for f in sorted(os.listdir(out_dir)) if f != "manifest.json"}
+        with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        del manifest["written_at"]
+        record[name] = {"exit": code, "stdout": stdout.getvalue(), "files": files,
+                        "manifest": manifest}
+    return record
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_runs_cover_every_subcommand(golden):
+    groups = build_parser()._subparsers._group_actions[0].choices
+    every = {f"{group} {command}" for group, parser in groups.items()
+             for command in parser._subparsers._group_actions[0].choices}
+    assert len(every) == 24
+    assert {run["manifest"]["subcommand"] for run in golden.values()} == every
+
+
+def test_every_run_matches_golden(tmp_path, monkeypatch, golden):
+    monkeypatch.chdir(tmp_path)
+    got = run_all()
+    assert sorted(got) == sorted(golden)
+    for name, want in golden.items():
+        assert got[name] == want, name
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        here = os.getcwd()
+        os.chdir(scratch)
+        try:
+            record = run_all()
+        finally:
+            os.chdir(here)
+    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
+    print(f"wrote {GOLDEN_PATH}")
