@@ -13,43 +13,19 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from mtlab.optlab import (
-    OptimizerConfig,
-    SurrogateConfig,
-    SurrogateModel,
-    calibrated_cluster_config,
-    simulate_cluster,
-)
-from mtlab.presets import TIMING
-from mtlab.synth import toy_lm_stream
-
-
-def hm(seconds: float) -> str:
-    minutes = round(seconds / 60)
-    return f"{minutes // 60}h{minutes % 60:02d}m"
+from mtlab.cli import format_duration
+from mtlab.presets import TIMING, timing_table
 
 
 def main() -> int:
-    iterations = TIMING["iterations_per_epoch"]
-    train_ids = toy_lm_stream(iterations * 4 + 1, 24, seed=3)
-    val_ids = toy_lm_stream(120, 24, seed=4)
-
-    print(f"single worker (calibration): {hm(TIMING['single_epoch_seconds'])}")
+    print(f"single worker (calibration): {format_duration(TIMING['single_epoch_seconds'])}")
     print(f"{'workers':>8} {'mode':>6} {'simulated':>10} {'reported':>9} {'error':>7}")
     worst = 0.0
-    for workers in (2, 4, 6, 8):
-        for mode in ("sync", "async"):
-            cluster = calibrated_cluster_config(mode, workers,
-                                                TIMING["single_epoch_seconds"], iterations)
-            model = SurrogateModel(SurrogateConfig(24, 4, 8), seed=9)
-            trace = simulate_cluster(model, train_ids, val_ids,
-                                     OptimizerConfig("sgd_decay"), cluster,
-                                     epochs=1, batch_size=4, seed=2)
-            simulated = trace.rows[0].sim_seconds
-            reported = TIMING["reported_seconds"][(mode, workers)]
-            err = (simulated - reported) / reported
-            worst = max(worst, abs(err))
-            print(f"{workers:>8} {mode:>6} {hm(simulated):>10} {hm(reported):>9} {err:>+7.1%}")
+    for mode, workers, simulated, reported in timing_table():
+        err = (simulated - reported) / reported
+        worst = max(worst, abs(err))
+        print(f"{workers:>8} {mode:>6} {format_duration(simulated):>10} "
+              f"{format_duration(reported):>9} {err:>+7.1%}")
     print(f"\nworst absolute error: {worst:.1%}")
     return 0
 

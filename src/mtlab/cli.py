@@ -33,7 +33,7 @@ from .optlab import (
     train,
 )
 
-__all__ = ["main", "parse_duration", "parse_sizes"]
+__all__ = ["main", "parse_duration", "format_duration", "parse_sizes"]
 
 
 def parse_duration(text: str) -> float:
@@ -47,6 +47,12 @@ def parse_duration(text: str) -> float:
     if total == 0.0:
         raise argparse.ArgumentTypeError(f"cannot parse duration {text!r}")
     return total
+
+
+def format_duration(seconds: float) -> str:
+    """'6h11m' style: seconds rounded to whole minutes."""
+    minutes = round(seconds / 60.0)
+    return f"{minutes // 60}h{minutes % 60:02d}m"
 
 
 def parse_sizes(text: str) -> list[int]:
@@ -312,8 +318,7 @@ def cmd_optlab_simulate(args) -> list[str]:
             iterations_per_epoch=args.iterations_per_epoch,
             warmup_iterations=args.warmup_iters)
         # the calibration fixes the batch count per epoch; size the stream to it
-        train_ids = synth.toy_lm_stream(args.iterations_per_epoch * args.batch_size + 1,
-                                        args.vocab, seed=args.seed, noise=args.noise)
+        train_ids = _toy_data(args, args.iterations_per_epoch * args.batch_size + 1)[0]
     else:
         cluster = ClusterConfig(args.workers, args.cluster_mode,
                                 per_batch_compute_time=args.batch_seconds,
@@ -328,20 +333,15 @@ def cmd_optlab_simulate(args) -> list[str]:
         "mode": args.cluster_mode,
         "workers": args.workers,
         "epoch_seconds": epoch_seconds,
-        "epoch_time": _format_duration(epoch_seconds),
+        "epoch_time": format_duration(epoch_seconds),
         "final_ppl": trace.final_ppl(),
         "max_staleness": trace.max_staleness,
     }
     json_path = _out(args, f"sim-{args.cluster_mode}-{args.workers}.json")
     corpus.write_lines([json.dumps(payload)], json_path)
-    print(f"{args.cluster_mode} x{args.workers}: epoch {_format_duration(epoch_seconds)}, "
+    print(f"{args.cluster_mode} x{args.workers}: epoch {format_duration(epoch_seconds)}, "
           f"final ppl {trace.final_ppl():.3f}, max staleness {trace.max_staleness}")
     return [path, json_path]
-
-
-def _format_duration(seconds: float) -> str:
-    minutes = round(seconds / 60.0)
-    return f"{minutes // 60}h{minutes % 60:02d}m"
 
 
 def cmd_optlab_sweep(args) -> list[str]:
@@ -607,11 +607,12 @@ def build_parser() -> argparse.ArgumentParser:
     group = top.add_parser("optlab", help="optimizer laboratory and cluster simulation")
     sub = group.add_subparsers(dest="command", required=True)
 
-    def toy_flags(p):
+    def toy_flags(p, tokens=True):
         p.add_argument("--vocab", type=int, default=128)
         p.add_argument("--embed-dim", type=int, default=48)
         p.add_argument("--hidden-dim", type=int, default=96)
-        p.add_argument("--tokens", type=int, default=12000)
+        if tokens:  # the sweep sizes its streams from --sizes
+            p.add_argument("--tokens", type=int, default=12000)
         p.add_argument("--noise", type=float, default=0.15)
         p.add_argument("--batch-size", type=int, default=8)
 
@@ -633,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=1)
     p.set_defaults(func=cmd_optlab_simulate, _seeded=True)
     p = sub.add_parser(parents=[common], name="sweep")
-    toy_flags(p)
+    toy_flags(p, tokens=False)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--sizes", type=parse_sizes, required=True)
     p.add_argument("--budget", type=int, required=True)

@@ -13,6 +13,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
+from .corpus import read_lines
+
 __all__ = [
     "AdequacyFluencyRecord",
     "SystemSummary",
@@ -53,29 +55,33 @@ def ingest_scores(path: str, score_range: tuple[int, int] = DEFAULT_RANGE) -> li
     low, high = score_range
     records = []
     seen = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"sentence_id", "rater_id", "system", "adequacy", "fluency"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ScoreError(f"{path}: header must contain {sorted(required)}")
-        for row_number, row in enumerate(reader, start=2):
-            try:
-                record = AdequacyFluencyRecord(
-                    int(row["sentence_id"]), row["rater_id"], row["system"],
-                    int(row["adequacy"]), int(row["fluency"]),
+    # quoted fields may span lines, so the reader gets each line's newline back
+    reader = csv.DictReader(line + "\n" for line in read_lines(path))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ScoreError(f"{path}: line {reader.reader.line_num}: {exc}") from None
+    required = {"sentence_id", "rater_id", "system", "adequacy", "fluency"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise ScoreError(f"{path}: header must contain {sorted(required)}")
+    for row_number, row in enumerate(rows, start=2):
+        try:
+            record = AdequacyFluencyRecord(
+                int(row["sentence_id"]), row["rater_id"], row["system"],
+                int(row["adequacy"]), int(row["fluency"]),
+            )
+        except (TypeError, ValueError):
+            raise ScoreError(f"{path}: row {row_number}: malformed record {row}") from None
+        for name, score in (("adequacy", record.adequacy), ("fluency", record.fluency)):
+            if not low <= score <= high:
+                raise ScoreError(
+                    f"{path}: row {row_number}: {name}={score} outside range {low}-{high}"
                 )
-            except (TypeError, ValueError):
-                raise ScoreError(f"{path}: row {row_number}: malformed record {row}") from None
-            for name, score in (("adequacy", record.adequacy), ("fluency", record.fluency)):
-                if not low <= score <= high:
-                    raise ScoreError(
-                        f"{path}: row {row_number}: {name}={score} outside range {low}-{high}"
-                    )
-            key = (record.sentence_id, record.rater_id, record.system)
-            if key in seen:
-                raise ScoreError(f"{path}: row {row_number}: duplicate key {key}")
-            seen.add(key)
-            records.append(record)
+        key = (record.sentence_id, record.rater_id, record.system)
+        if key in seen:
+            raise ScoreError(f"{path}: row {row_number}: duplicate key {key}")
+        seen.add(key)
+        records.append(record)
     return records
 
 

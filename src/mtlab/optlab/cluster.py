@@ -133,8 +133,8 @@ class _AsyncEvents:
         def start_cycle(trainer: int, now: float) -> None:
             batch = next(pending, None)
             if batch is not None:
-                grads = self.model.loss_and_grads(*batch)[1]
-                heapq.heappush(heap, (now + cycle, next(seq), trainer, grads, iterations))
+                grad = self.model.loss_and_grads(*batch)[1]
+                heapq.heappush(heap, (now + cycle, next(seq), trainer, grad, iterations))
 
         def end_warmup(now: float) -> None:  # warmup iterations run on one trainer
             nonlocal active
@@ -146,9 +146,9 @@ class _AsyncEvents:
         start_cycle(0, clock)
         end_warmup(clock)
         while heap:
-            time, _, trainer, grads, pulled = heapq.heappop(heap)
+            time, _, trainer, grad, pulled = heapq.heappop(heap)
             self.max_staleness = max(self.max_staleness, iterations - pulled)
             iterations += 1
-            yield grads, iterations, time
+            yield grad, iterations, time
             end_warmup(time)
             start_cycle(trainer, time)

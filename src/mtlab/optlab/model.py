@@ -32,13 +32,23 @@ class SurrogateModel:
         self.config = config
         rng = stream(seed, "init")
         v, d, h = config.vocab_size, config.embed_dim, config.hidden_dim
-        self.params: dict[str, np.ndarray] = {
+        init = {
             "emb": rng.normal(0.0, 0.1, (v, d)),
             "w1": rng.normal(0.0, 1.0 / np.sqrt(d), (d, h)),
             "b1": np.zeros(h),
             "w2": rng.normal(0.0, 1.0 / np.sqrt(h), (h, v)),
             "b2": np.zeros(v),
         }
+        # one float64 vector `theta`, blocks in sorted name order; `params` holds their views
+        self._layout = [(name, init[name].shape) for name in sorted(init)]
+        self._splits = np.cumsum([init[name].size for name, _ in self._layout])[:-1]
+        self.theta = np.concatenate([init[name].ravel() for name, _ in self._layout])
+        self.params: dict[str, np.ndarray] = self.views(self.theta)
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter block's view into a vector laid out like `theta`."""
+        return {name: block.reshape(shape)
+                for (name, shape), block in zip(self._layout, np.split(vector, self._splits))}
 
     def _forward(self, inputs: np.ndarray):
         p = self.params
@@ -56,6 +66,7 @@ class SurrogateModel:
         return float(-logp[np.arange(len(targets)), targets].mean())
 
     def loss_and_grads(self, inputs: np.ndarray, targets: np.ndarray):
+        """Mean NLL and a fresh gradient vector laid out like `theta`."""
         p = self.params
         batch = len(targets)
         e, z, logp = self._forward(inputs)
@@ -67,16 +78,14 @@ class SurrogateModel:
         dz = dlogits @ p["w2"].T
         da = (1.0 - z * z) * dz
         de = da @ p["w1"].T
-        demb = np.zeros_like(p["emb"])
-        np.add.at(demb, inputs, de)
-        grads = {
-            "emb": demb,
-            "w1": e.T @ da,
-            "b1": da.sum(axis=0),
-            "w2": z.T @ dlogits,
-            "b2": dlogits.sum(axis=0),
-        }
-        return loss, grads
+        grad = np.zeros_like(self.theta)
+        g = self.views(grad)
+        np.add.at(g["emb"], inputs, de)
+        np.matmul(e.T, da, out=g["w1"])
+        da.sum(axis=0, out=g["b1"])
+        np.matmul(z.T, dlogits, out=g["w2"])
+        dlogits.sum(axis=0, out=g["b2"])
+        return loss, grad
 
     def perplexity(self, ids: np.ndarray) -> float:
         """exp(mean NLL) of a token stream under the bigram model."""
@@ -103,37 +112,27 @@ def check_gradients(
 ) -> float:
     """Worst relative error of analytic vs central-difference gradients.
 
-    Coordinates are sampled uniformly over all parameter blocks; the
-    GRADCHECK_FLOOR keeps pure round-off noise on near-zero coordinates from
-    registering (a planted wrong gradient still shows up as ~1.0).
+    Coordinates are drawn uniformly over `theta`; the GRADCHECK_FLOOR keeps
+    pure round-off noise on near-zero coordinates from registering (a
+    planted wrong gradient still shows up as ~1.0).
     Returns 0.0 on an empty sample set; raises ValueError on an empty batch.
     """
     if len(targets) == 0:
         raise ValueError("gradient check needs a non-empty batch")
-    _, grads = model.loss_and_grads(inputs, targets)
-    names = sorted(model.params)
-    sizes = [model.params[n].size for n in names]
-    total = sum(sizes)
-    if total == 0 or n_samples <= 0:
+    _, grad = model.loss_and_grads(inputs, targets)
+    theta = model.theta
+    if n_samples <= 0:
         return 0.0
     rng = stream(seed, "gradcheck")
-    flat_choices = rng.integers(0, total, size=n_samples)
     worst = 0.0
-    for flat in flat_choices:
-        for name, size in zip(names, sizes):
-            if flat < size:
-                break
-            flat -= size
-        param = model.params[name]
-        index = np.unravel_index(flat, param.shape)
-        original = param[index]
-        param[index] = original + step
+    for index in rng.integers(0, theta.size, size=n_samples):
+        original = theta[index]
+        theta[index] = original + step
         plus = model.loss(inputs, targets)
-        param[index] = original - step
+        theta[index] = original - step
         minus = model.loss(inputs, targets)
-        param[index] = original
+        theta[index] = original
         fd = (plus - minus) / (2.0 * step)
-        analytic = grads[name][index]
-        err = abs(analytic - fd) / max(abs(fd), GRADCHECK_FLOOR)
+        err = abs(grad[index] - fd) / max(abs(fd), GRADCHECK_FLOOR)
         worst = max(worst, err)
     return worst

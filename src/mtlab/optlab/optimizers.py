@@ -24,6 +24,7 @@ __all__ = [
 
 KINDS = ("sgd_decay", "adam", "adagrad", "adadelta")
 DEFAULT_LR = {"sgd_decay": 1.0, "adam": 0.0002, "adagrad": 0.1, "adadelta": 1.0}
+SLOT_COUNT = {"sgd_decay": 0, "adam": 2, "adagrad": 1, "adadelta": 2}  # state vectors per rule
 
 DECAY_FACTOR = 0.7
 START_DECAY_EPOCH = 9     # decay fires after every epoch beyond this
@@ -62,66 +63,50 @@ class OptimizerConfig:
 
 
 class Optimizer:
-    """Stateful per-parameter update engine for one training run."""
+    """Stateful update engine over one flat parameter vector for one training run."""
 
     def __init__(self, config: OptimizerConfig):
         self.config = config
         self.current_lr = config.lr
         self.step_count = 0
         self.previous_ppl: float | None = None
-        self._slots: dict[str, dict[str, np.ndarray]] = {}
+        self._slots: list[np.ndarray] = []
 
-    def _slot(self, name: str, like: np.ndarray, *keys: str) -> dict:
-        slot = self._slots.setdefault(name, {})
-        for key in keys:
-            if key not in slot:
-                slot[key] = np.zeros_like(like)
-        return slot
-
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Apply one in-place update; raises on bad shapes or non-finite input."""
-        for name, param in params.items():
-            grad = grads.get(name)
-            if grad is None or grad.shape != param.shape:
-                got = None if grad is None else grad.shape
-                raise DimensionError(f"gradient for {name!r}: expected {param.shape}, got {got}")
-            if not np.all(np.isfinite(grad)):
-                raise NumericError(f"non-finite gradient in parameter block {name!r}")
+        if grad.shape != theta.shape:
+            raise DimensionError(f"gradient shape {grad.shape} does not match {theta.shape}")
+        if not np.isfinite(grad).all():
+            raise NumericError(f"non-finite gradient at flat index {np.argmin(np.isfinite(grad))}")
         self.step_count += 1
         kind = self.config.kind
+        if self.step_count == 1:
+            self._slots = [np.zeros_like(theta) for _ in range(SLOT_COUNT[kind])]
         if kind == "sgd_decay":
-            for name, param in params.items():
-                param -= self.current_lr * grads[name]
+            theta -= self.current_lr * grad
         elif kind == "adam":
-            t = self.step_count
-            bias1 = 1.0 - ADAM_BETA1 ** t
-            bias2 = 1.0 - ADAM_BETA2 ** t
-            for name, param in params.items():
-                slot = self._slot(name, param, "m", "v")
-                g = grads[name]
-                slot["m"] *= ADAM_BETA1
-                slot["m"] += (1.0 - ADAM_BETA1) * g
-                slot["v"] *= ADAM_BETA2
-                slot["v"] += (1.0 - ADAM_BETA2) * g * g
-                m_hat = slot["m"] / bias1
-                v_hat = slot["v"] / bias2
-                param -= self.current_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            bias1 = 1.0 - ADAM_BETA1 ** self.step_count
+            bias2 = 1.0 - ADAM_BETA2 ** self.step_count
+            m, v = self._slots
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m / bias1
+            v_hat = v / bias2
+            theta -= self.current_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         elif kind == "adagrad":
-            for name, param in params.items():
-                slot = self._slot(name, param, "g2")
-                g = grads[name]
-                slot["g2"] += g * g
-                param -= self.current_lr * g / np.sqrt(slot["g2"] + ADAGRAD_EPS)
+            (g2,) = self._slots
+            g2 += grad * grad
+            theta -= self.current_lr * grad / np.sqrt(g2 + ADAGRAD_EPS)
         elif kind == "adadelta":
-            for name, param in params.items():
-                slot = self._slot(name, param, "eg2", "ed2")
-                g = grads[name]
-                slot["eg2"] *= ADADELTA_RHO
-                slot["eg2"] += (1.0 - ADADELTA_RHO) * g * g
-                delta = -np.sqrt(slot["ed2"] + ADADELTA_EPS) / np.sqrt(slot["eg2"] + ADADELTA_EPS) * g
-                slot["ed2"] *= ADADELTA_RHO
-                slot["ed2"] += (1.0 - ADADELTA_RHO) * delta * delta
-                param += self.current_lr * delta
+            eg2, ed2 = self._slots
+            eg2 *= ADADELTA_RHO
+            eg2 += (1.0 - ADADELTA_RHO) * grad * grad
+            delta = -np.sqrt(ed2 + ADADELTA_EPS) / np.sqrt(eg2 + ADADELTA_EPS) * grad
+            ed2 *= ADADELTA_RHO
+            ed2 += (1.0 - ADADELTA_RHO) * delta * delta
+            theta += self.current_lr * delta
 
     def end_of_epoch(self, epoch: int, val_ppl: float) -> float:
         """Epoch-boundary hook; only sgd_decay changes its rate (at most once)."""
@@ -133,8 +118,8 @@ class Optimizer:
         return self.current_lr
 
 
-def accumulate_gradients(grads_list: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Mean of per-batch gradients, summed in list order.
+def accumulate_gradients(grads_list: list[np.ndarray]) -> np.ndarray:
+    """Mean of per-batch gradient vectors, summed in list order.
 
     Shared by sequential gradient accumulation and the synchronous cluster
     simulation so the two produce bit-identical floats.  A single batch's
@@ -144,11 +129,4 @@ def accumulate_gradients(grads_list: list[dict[str, np.ndarray]]) -> dict[str, n
         raise ValueError("no gradients to accumulate")
     if len(grads_list) == 1:
         return grads_list[0]
-    total = {name: g.copy() for name, g in grads_list[0].items()}
-    for grads in grads_list[1:]:
-        for name in total:
-            total[name] += grads[name]
-    scale = 1.0 / len(grads_list)
-    for name in total:
-        total[name] *= scale
-    return total
+    return sum(grads_list[1:], grads_list[0]) * (1.0 / len(grads_list))

@@ -1,6 +1,6 @@
 """The one training loop behind `train`, `simulate_cluster` and `corpus_size_sweep`.
 
-A schedule turns each epoch's batches into (grads, batches consumed, clock)
+A schedule turns each epoch's batches into (grad, batches consumed, clock)
 updates; the loop applies them and writes a trace row per epoch, or at
 checkpoints within an iteration budget.
 """
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..corpus import read_lines, write_lines
 from ..rng import stream
 from .model import SurrogateConfig, SurrogateModel
 from .optimizers import Optimizer, OptimizerConfig, accumulate_gradients
@@ -52,23 +53,20 @@ class TrainingTrace:
         raise KeyError(f"no trace row for epoch {epoch}")
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "iterations", "sim_seconds", "val_ppl", "lr"])
-            for row in self.rows:
-                writer.writerow([row.epoch, row.iterations, f"{row.sim_seconds:.6f}",
-                                 repr(row.val_ppl), repr(row.lr)])
+        lines = ["epoch,iterations,sim_seconds,val_ppl,lr"]
+        lines += [f"{row.epoch},{row.iterations},{row.sim_seconds:.6f},{row.val_ppl!r},{row.lr!r}"
+                  for row in self.rows]
+        write_lines(lines, path)
 
     @classmethod
     def from_csv(cls, path: str) -> "TrainingTrace":
         trace = cls()
-        with open(path, encoding="utf-8", newline="") as fh:
-            for record in csv.DictReader(fh):
-                trace.rows.append(TraceRow(
-                    int(record["epoch"]), int(record["iterations"]),
-                    float(record["sim_seconds"]), float(record["val_ppl"]),
-                    float(record["lr"]),
-                ))
+        for record in csv.DictReader(read_lines(path)):
+            trace.rows.append(TraceRow(
+                int(record["epoch"]), int(record["iterations"]),
+                float(record["sim_seconds"]), float(record["val_ppl"]),
+                float(record["lr"]),
+            ))
         return trace
 
 
@@ -105,10 +103,10 @@ def _rounds(model: SurrogateModel, width: int, compute: float = 0.0, overhead: f
     def schedule(batches: list, iterations: int, clock: float):
         for start in range(0, len(batches), width):
             group = batches[start : start + width]
-            grads = accumulate_gradients([model.loss_and_grads(x, y)[1] for x, y in group])
+            grad = accumulate_gradients([model.loss_and_grads(x, y)[1] for x, y in group])
             iterations += len(group)
             clock += compute + overhead * len(group)
-            yield grads, iterations, clock
+            yield grad, iterations, clock
 
     return schedule
 
@@ -132,8 +130,8 @@ def _train_loop(model: SurrogateModel, train_ids: np.ndarray, val_ids: np.ndarra
     iterations, clock = 0, 0.0
     for epoch in itertools.count(1) if budget is not None else range(1, epochs + 1):
         batches = epoch_batches(train_ids, batch_size, seed, epoch)
-        for grads, iterations, clock in schedule(batches, iterations, clock):
-            optimizer.step(model.params, grads)
+        for grad, iterations, clock in schedule(batches, iterations, clock):
+            optimizer.step(model.theta, grad)
             if budget is not None and (iterations % checkpoint_every == 0 or iterations >= budget):
                 val_ppl = model.perplexity(val_ids)
                 trace.rows.append(TraceRow(epoch, iterations, clock, val_ppl, optimizer.current_lr))

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optlab import SurrogateConfig, SurrogateModel
+from .optlab import (OptimizerConfig, SurrogateConfig, SurrogateModel,
+                     calibrated_cluster_config, simulate_cluster)
 from .synth import toy_lm_stream
 
-__all__ = ["CONVERGENCE", "convergence_data", "convergence_model", "TIMING"]
+__all__ = ["CONVERGENCE", "convergence_data", "convergence_model", "TIMING", "timing_table"]
 
 CONVERGENCE = {
     "vocab_size": 128,
@@ -55,3 +56,19 @@ def convergence_model() -> SurrogateModel:
         SurrogateConfig(cfg["vocab_size"], cfg["embed_dim"], cfg["hidden_dim"]),
         seed=cfg["seed"],
     )
+
+
+def timing_table() -> list[tuple[str, int, float, float]]:
+    """(mode, workers, simulated, reported) epoch seconds per reported entry."""
+    iterations = TIMING["iterations_per_epoch"]
+    train_ids = toy_lm_stream(iterations * 4 + 1, 24, seed=3)
+    val_ids = toy_lm_stream(120, 24, seed=4)
+    rows = []
+    for (mode, workers), reported in TIMING["reported_seconds"].items():
+        cluster = calibrated_cluster_config(mode, workers,
+                                            TIMING["single_epoch_seconds"], iterations)
+        model = SurrogateModel(SurrogateConfig(24, 4, 8), seed=9)
+        trace = simulate_cluster(model, train_ids, val_ids, OptimizerConfig("sgd_decay"),
+                                 cluster, epochs=1, batch_size=4, seed=2)
+        rows.append((mode, workers, trace.rows[0].sim_seconds, reported))
+    return rows

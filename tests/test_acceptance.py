@@ -29,12 +29,11 @@ from mtlab.optlab import (
     OptimizerConfig,
     SurrogateConfig,
     SurrogateModel,
-    calibrated_cluster_config,
     check_gradients,
     simulate_cluster,
     train,
 )
-from mtlab.presets import CONVERGENCE, TIMING, convergence_data, convergence_model
+from mtlab.presets import CONVERGENCE, convergence_data, convergence_model, timing_table
 from mtlab.synth import entity_sentences, parking_parallel, parking_sentences, toy_lm_stream
 
 from test_bleu import oracle_bleu
@@ -50,18 +49,8 @@ def report(number: int, description: str, passed: bool, detail: str = ""):
 
 def test_criterion_01_timing_reproduction():
     started = time.monotonic()
-    iterations = TIMING["iterations_per_epoch"]
-    train_ids = toy_lm_stream(iterations * 4 + 1, 24, seed=3)
-    val_ids = toy_lm_stream(120, 24, seed=4)
-    worst = 0.0
-    for (mode, workers), expected in TIMING["reported_seconds"].items():
-        cluster = calibrated_cluster_config(mode, workers,
-                                            TIMING["single_epoch_seconds"], iterations)
-        model = SurrogateModel(SurrogateConfig(24, 4, 8), seed=9)
-        trace = simulate_cluster(model, train_ids, val_ids, OptimizerConfig("sgd_decay"),
-                                 cluster, epochs=1, batch_size=4, seed=2)
-        err = abs(trace.rows[0].sim_seconds - expected) / expected
-        worst = max(worst, err)
+    worst = max(abs(simulated - reported) / reported
+                for _, _, simulated, reported in timing_table())
     elapsed = time.monotonic() - started
     report(1, "calibrated sync/async epoch times match the reported table within 15%",
            worst < 0.15 and elapsed < 10.0,

@@ -299,7 +299,9 @@ def test_usage_error_exits_2():
      "--iterations-per-epoch", 0],
 ])
 def test_optlab_counts_below_one_exit_1(tmp_path, capsys, argv):
-    small = ["--tokens", 600, "--vocab", 32, "--embed-dim", 8, "--hidden-dim", 16]
+    small = ["--vocab", 32, "--embed-dim", 8, "--hidden-dim", 16]
+    if argv[0] != "sweep":  # the sweep sizes its streams from --sizes
+        small += ["--tokens", 600]
     assert run(["--out-dir", tmp_path, "optlab", *argv, *small]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
@@ -314,6 +316,14 @@ def test_malformed_sizes_is_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "cannot parse size list '5x'" in capsys.readouterr().err
+
+
+def test_sweep_rejects_tokens(capsys):
+    # the sweep sizes its streams from --sizes, so --tokens would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["optlab", "sweep", "--sizes", "300", "--budget", "10", "--tokens", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tokens 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [
@@ -361,11 +371,15 @@ FAULTY = "<faulty file>"
     (["bpe", "apply", "--model", FAULTY, "--input", FAULTY], b"bpe-v1 joint 1\na \xffb\n", 2),
     (["bsf", "eval", "--model", FAULTY, "--labeled", FAULTY],
      b"bsfclf-v1 40 2 1\na\tb\nbias 0.0 0.0\n", 1),
+    (["eval", "ingest", "--scores", FAULTY],
+     b"sentence_id,rater_id,system,adequacy,fluency\n1,a,x,3,4\n2,a,\xff,3,4\n", 3),
+    (["eval", "ingest", "--scores", FAULTY],
+     b"sentence_id,rater_id,system,adequacy,fluency\n1,a,x,3,4\r2,a,x,3,4\n", 2),
 ], ids=["validate-no-tab", "validate-three-columns", "report-no-tab", "train-no-tab",
         "detok-utf8", "bleu-utf8", "bpe-model-merge", "bpe-model-header",
         "classifier-slot-out-of-range", "classifier-value-count", "classifier-header",
         "vectors-non-float", "vectors-header", "vectors-utf8", "bpe-model-utf8",
-        "classifier-bits-too-large"])
+        "classifier-bits-too-large", "scores-utf8", "scores-lone-cr"])
 def test_file_faults_exit_1_naming_the_line(tmp_path, capsys, argv, content, line):
     path = tmp_path / "faulty.txt"
     path.write_bytes(content)

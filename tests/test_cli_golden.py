@@ -30,8 +30,8 @@ from mtlab.synth import (
 )
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "cli_manifests.json")
-TINY_LM = ["--vocab", "24", "--embed-dim", "6", "--hidden-dim", "10", "--tokens", "600",
-           "--batch-size", "8"]
+TINY_MODEL = ["--vocab", "24", "--embed-dim", "6", "--hidden-dim", "10", "--batch-size", "8"]
+TINY_LM = [*TINY_MODEL, "--tokens", "600"]
 
 # (run name, argv); each run writes into the out-dir named after it, and
 # later runs read earlier runs' outputs
@@ -64,7 +64,7 @@ RUNS = [
                                     "--cluster-mode", "sync", "--calibrate-single", "6h11m",
                                     "--iterations-per-epoch", "30", *TINY_LM]),
     ("optlab-sweep", ["optlab", "sweep", "--sizes", "300,600", "--budget", "40",
-                      "--checkpoint-every", "15", *TINY_LM]),
+                      "--checkpoint-every", "15", *TINY_MODEL]),
     ("optlab-gradcheck", ["optlab", "gradcheck", "--samples", "20", *TINY_LM]),
     ("bsf-embed", ["bsf", "embed", "--input", "tokens.txt", "--dim", "8", "--epochs", "1",
                    "--seed", "2"]),

@@ -13,7 +13,7 @@ from mtlab.optlab import (
 
 
 def scalar_params(value=1.0):
-    return {"w": np.array([value])}
+    return np.array([value])
 
 
 def test_default_learning_rates():
@@ -31,8 +31,8 @@ def test_unknown_kind_rejected():
 def test_sgd_scalar_step():
     params = scalar_params(1.0)
     opt = Optimizer(OptimizerConfig("sgd_decay"))
-    opt.step(params, {"w": np.array([0.5])})
-    assert params["w"][0] == pytest.approx(0.5)
+    opt.step(params, np.array([0.5]))
+    assert params[0] == pytest.approx(0.5)
 
 
 def test_adam_first_step_moves_by_lr():
@@ -40,24 +40,24 @@ def test_adam_first_step_moves_by_lr():
     for g in (1.0, 100.0):
         params = scalar_params(1.0)
         opt = Optimizer(OptimizerConfig("adam"))
-        opt.step(params, {"w": np.array([g])})
-        assert params["w"][0] == pytest.approx(1.0 - 0.0002, abs=1e-9)
+        opt.step(params, np.array([g]))
+        assert params[0] == pytest.approx(1.0 - 0.0002, abs=1e-9)
     # for tiny gradients epsilon shaves the step by ~lr*eps/|g|
     params = scalar_params(1.0)
     opt = Optimizer(OptimizerConfig("adam"))
-    opt.step(params, {"w": np.array([1e-4])})
-    assert params["w"][0] == pytest.approx(1.0 - 0.0002, abs=1e-7)
+    opt.step(params, np.array([1e-4]))
+    assert params[0] == pytest.approx(1.0 - 0.0002, abs=1e-7)
 
 
 def test_adagrad_accumulates_squared_gradients():
     params = scalar_params(0.0)
     opt = Optimizer(OptimizerConfig("adagrad"))
-    opt.step(params, {"w": np.array([3.0])})
+    opt.step(params, np.array([3.0]))
     first = -0.1 * 3.0 / math.sqrt(9.0 + 1e-10)
-    assert params["w"][0] == pytest.approx(first, rel=1e-12)
-    opt.step(params, {"w": np.array([3.0])})
+    assert params[0] == pytest.approx(first, rel=1e-12)
+    opt.step(params, np.array([3.0]))
     second = first - 0.1 * 3.0 / math.sqrt(18.0 + 1e-10)
-    assert params["w"][0] == pytest.approx(second, rel=1e-12)
+    assert params[0] == pytest.approx(second, rel=1e-12)
 
 
 def test_zero_gradient_fixes_parameters():
@@ -65,20 +65,20 @@ def test_zero_gradient_fixes_parameters():
         params = scalar_params(2.5)
         opt = Optimizer(OptimizerConfig(kind))
         for _ in range(3):
-            opt.step(params, {"w": np.array([0.0])})
-        assert params["w"][0] == 2.5
+            opt.step(params, np.array([0.0]))
+        assert params[0] == 2.5
 
 
 def test_shape_mismatch_raises():
     opt = Optimizer(OptimizerConfig("sgd_decay"))
-    with pytest.raises(DimensionError, match="w"):
-        opt.step({"w": np.zeros(3)}, {"w": np.zeros(4)})
+    with pytest.raises(DimensionError, match=r"\(4,\) does not match \(3,\)"):
+        opt.step(np.zeros(3), np.zeros(4))
 
 
-def test_non_finite_gradient_names_block():
+def test_non_finite_gradient_names_flat_index():
     opt = Optimizer(OptimizerConfig("adam"))
-    with pytest.raises(NumericError, match="emb"):
-        opt.step({"emb": np.zeros(2)}, {"emb": np.array([1.0, np.nan])})
+    with pytest.raises(NumericError, match="flat index 1$"):
+        opt.step(np.zeros(3), np.array([1.0, np.nan, np.inf]))
 
 
 class TestDecaySchedule:
@@ -124,12 +124,12 @@ class TestDecaySchedule:
 
 
 def test_accumulate_gradients_means_in_order():
-    a = {"w": np.array([1.0])}
-    b = {"w": np.array([2.0])}
-    c = {"w": np.array([6.0])}
+    a = np.array([1.0])
+    b = np.array([2.0])
+    c = np.array([6.0])
     out = accumulate_gradients([a, b, c])
-    assert out["w"][0] == pytest.approx(3.0)
-    assert a["w"][0] == 1.0  # inputs untouched
+    assert out[0] == pytest.approx(3.0)
+    assert a[0] == 1.0  # inputs untouched
 
 
 def test_accumulate_empty_rejected():

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts on tiny settings."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,3 +29,26 @@ def test_run_corpus_size_short(tmp_path):
     for size in (500, 1000):
         lines = (tmp_path / f"sweep-{size}.csv").read_text().splitlines()
         assert lines[0] == TRACE_HEADER and len(lines) == 3
+
+
+def test_run_cluster_timing():
+    result = run_script("run_cluster_timing.py")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "single worker (calibration): 6h11m"
+    rows = [line.split() for line in lines[2:10]]
+    assert [(int(r[0]), r[1]) for r in rows] == [(w, m) for w in (2, 4, 6, 8)
+                                                 for m in ("sync", "async")]
+    assert all(abs(float(r[4].rstrip("%"))) < 15.0 for r in rows)
+    assert lines[-1].startswith("worst absolute error: ")
+
+
+def test_run_bsf_demo():
+    result = run_script("run_bsf_demo.py")
+    assert result.returncode == 0, result.stderr
+    out = result.stdout
+    assert "== lexicon expansion ==" in out and "[de] macro-F1" in out
+    flagged = out.split("flagged: ")[1].splitlines()[0]
+    planted = out.split("planted flips: ")[1].splitlines()[0]
+    flagged_ids = set(json.loads(flagged[flagged.index("["):]))
+    assert flagged_ids and flagged_ids <= set(json.loads(planted))

@@ -41,13 +41,24 @@ def test_gradcheck_detects_planted_bug(batch):
     original = model.loss_and_grads
 
     def corrupted(inputs, targets):
-        loss, grads = original(inputs, targets)
-        grads["w2"] = grads["w2"] * 2.0
-        return loss, grads
+        loss, grad = original(inputs, targets)
+        model.views(grad)["w2"] *= 2.0
+        return loss, grad
 
     model.loss_and_grads = corrupted
     error = check_gradients(model, *batch, n_samples=400, seed=4)
     assert error > 0.3
+
+
+def test_params_are_views_into_theta(batch):
+    model = SurrogateModel(SurrogateConfig(30, 6, 10), seed=3)
+    assert sorted(model.params) == list(model.params) == ["b1", "b2", "emb", "w1", "w2"]
+    assert sum(p.size for p in model.params.values()) == model.theta.size
+    for param in model.params.values():
+        assert np.shares_memory(param, model.theta)
+    _, grad = model.loss_and_grads(*batch)
+    assert grad.shape == model.theta.shape
+    assert not np.shares_memory(grad, model.loss_and_grads(*batch)[1])
 
 
 def test_perplexity_at_least_one():
