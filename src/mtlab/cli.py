@@ -607,13 +607,14 @@ def build_parser() -> argparse.ArgumentParser:
     group = top.add_parser("optlab", help="optimizer laboratory and cluster simulation")
     sub = group.add_subparsers(dest="command", required=True)
 
-    def toy_flags(p, tokens=True):
+    def toy_flags(p, tokens=True, noise=True):
         p.add_argument("--vocab", type=int, default=128)
         p.add_argument("--embed-dim", type=int, default=48)
         p.add_argument("--hidden-dim", type=int, default=96)
         if tokens:  # the sweep sizes its streams from --sizes
             p.add_argument("--tokens", type=int, default=12000)
-        p.add_argument("--noise", type=float, default=0.15)
+        if noise:  # gradcheck draws a fixed noiseless batch
+            p.add_argument("--noise", type=float, default=0.15)
         p.add_argument("--batch-size", type=int, default=8)
 
     p = sub.add_parser(parents=[common], name="train")
@@ -641,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=100)
     p.set_defaults(func=cmd_optlab_sweep, _seeded=True)
     p = sub.add_parser(parents=[common], name="gradcheck")
-    toy_flags(p)
+    toy_flags(p, tokens=False, noise=False)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-6)

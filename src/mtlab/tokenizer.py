@@ -6,10 +6,16 @@ case feature; mixed-case words are split at case boundaries first.  BPE
 merges are learned over the unit frequency dictionary and never cross unit
 boundaries.  Joiner flags record which adjacent pieces had no space between
 them, so detokenization is byte-exact for every input sentence.
+
+Training follows the subword-nmt recipe (Sennrich, Haddow and Birch 2016):
+the unit frequency dictionary comes from pre-splitting each distinct
+whitespace chunk once, and each merge takes the most frequent pair from a
+lazily invalidated max-heap over incrementally maintained pair counts.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -200,11 +206,17 @@ def _presplit(sentence: str) -> list[_Unit]:
 
 
 def _unit_frequencies(texts) -> Counter:
+    """Frequency of every non-atomic unit, pre-splitting each distinct chunk once.
+
+    Exact: `str.split()` breaks on the same characters as `str.isspace`, a
+    unit never spans whitespace, and whitespace units are atomic.
+    """
+    chunks = Counter(chunk for text in texts for chunk in text.split())
     counts: Counter = Counter()
-    for text in texts:
-        for unit in _presplit(text):
+    for chunk, n in chunks.items():
+        for unit in _chunk_units(chunk):
             if not unit.atomic:
-                counts[unit.text] += 1
+                counts[unit.text] += n
     return counts
 
 
@@ -214,6 +226,12 @@ def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str
     Pair counts are word-frequency weighted; ties break to the
     lexicographically smallest (left, right) pair.  Training stops early
     once no pair occurs at least twice.
+
+    The best pair comes from a lazily invalidated heap keyed (-count, pair).
+    Every pair that occurs at least twice has an entry whose count is at
+    least the current one: a popped entry whose count is stale is pushed
+    back with the current count, and after each merge the pairs that touch
+    the new symbol (the only ones whose count can grow) are pushed again.
     """
     words = [tuple(w) for w in unit_freqs]
     freqs = [unit_freqs[w] for w in unit_freqs]
@@ -225,20 +243,21 @@ def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str
         for pair in zip(word, word[1:]):
             pair_counts[pair] += freqs[wi]
             pair_where[pair].add(wi)
+    heap = [(-count, pair) for pair, count in pair_counts.items() if count >= 2]
+    heapq.heapify(heap)
 
     merges: list[tuple[str, str]] = []
-    for _ in range(merge_count):
-        best, best_count = None, 0
-        for pair, count in pair_counts.items():
-            if count < 2:
-                continue
-            if count > best_count or (count == best_count and pair < best):
-                best, best_count = pair, count
-        if best is None:
-            break
+    while heap and len(merges) < merge_count:
+        neg_count, best = heapq.heappop(heap)
+        count = pair_counts.get(best, 0)
+        if count != -neg_count:
+            if count >= 2:
+                heapq.heappush(heap, (-count, best))
+            continue
         merges.append(best)
         left, right = best
         merged = left + right
+        grown = set()
         for wi in list(pair_where[best]):
             old = words[wi]
             new_word = _merge_word(old, left, right, merged)
@@ -256,6 +275,11 @@ def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str
                 pair_where[pair].discard(wi)
             for pair in new_set:
                 pair_where[pair].add(wi)
+                if merged in pair:
+                    grown.add(pair)
+        for pair in grown:
+            if pair_counts[pair] >= 2:
+                heapq.heappush(heap, (-pair_counts[pair], pair))
     return merges, alphabet
 
 
@@ -375,6 +399,17 @@ def detokenize(ts: TokenizedSentence) -> str:
 
 _ESCAPES = [("\\", "\\\\"), (" ", "\\s"), ("\t", "\\t"), ("\n", "\\n"),
             ("\r", "\\r"), ("|", "\\p")]
+# a backslash and the escape letters; `e` is safe because render_tokens adds
+# `\e` only after the marker is escaped
+_MARKER_CLASHES = "\\stnrpm"
+
+
+def _check_marker(marker: str) -> None:
+    """Reject a marker that would split an item (whitespace) or clash with
+    the escapes inside a piece."""
+    if not marker or any(c.isspace() or c in _MARKER_CLASHES for c in marker):
+        raise TokenizerError(f"marker {marker!r} must be non-empty and hold no whitespace, "
+                             f"no backslash and none of the escape letters s t n r p m")
 
 
 def _escape(piece: str, marker: str) -> str:
@@ -386,7 +421,8 @@ def _escape(piece: str, marker: str) -> str:
 def _unescape(piece: str, marker: str) -> str:
     out = []
     i = 0
-    back = {"\\": "\\", "s": " ", "t": "\t", "n": "\n", "r": "\r", "p": "|", "m": marker}
+    back = {"\\": "\\", "s": " ", "t": "\t", "n": "\n", "r": "\r", "p": "|", "m": marker,
+            "e": ""}
     while i < len(piece):
         if piece[i] == "\\" and i + 1 < len(piece) and piece[i + 1] in back:
             out.append(back[piece[i + 1]])
@@ -402,19 +438,30 @@ def render_tokens(ts: TokenizedSentence, marker: str = DEFAULT_MARKER) -> str:
 
     A spaceless gap puts the marker on the left piece's right edge, except
     that a gap before a non-alphabetic token marks that token's left edge
-    instead (matching the conventional look: `wi■ fi ■,`).
+    instead (matching the conventional look: `wi■ fi ■,`).  A marker that
+    overlaps itself (`@@`) can make a body followed by the marker start with
+    the marker too (`@` + `@@`); such a body is led by the empty escape `\\e`
+    so the item cannot read as a left mark.
     """
+    overlaps = False  # the default marker is one character
+    if marker != DEFAULT_MARKER:
+        _check_marker(marker)
+        overlaps = any(marker.startswith(marker[k:]) for k in range(1, len(marker)))
     items = []
     for i, token in enumerate(ts.tokens):
         lead = i > 0 and ts.tokens[i - 1].joined_right and token.case == CASE_N
         trail = token.joined_right and i + 1 < len(ts.tokens) and ts.tokens[i + 1].case != CASE_N
         body = _escape(token.piece, marker)
+        if overlaps and trail and not lead and (body + marker).startswith(marker):
+            body = "\\e" + body
         items.append((marker if lead else "") + body + (marker if trail else "") + "|" + token.case)
     return " ".join(items)
 
 
 def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
     """Inverse of render_tokens."""
+    if marker != DEFAULT_MARKER:
+        _check_marker(marker)
     if not text:
         return TokenizedSentence()
     raw_items = text.split(" ")

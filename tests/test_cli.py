@@ -300,7 +300,7 @@ def test_usage_error_exits_2():
 ])
 def test_optlab_counts_below_one_exit_1(tmp_path, capsys, argv):
     small = ["--vocab", 32, "--embed-dim", 8, "--hidden-dim", 16]
-    if argv[0] != "sweep":  # the sweep sizes its streams from --sizes
+    if argv[0] in ("train", "simulate"):  # only these read a --tokens stream
         small += ["--tokens", 600]
     assert run(["--out-dir", tmp_path, "optlab", *argv, *small]) == 1
     err = capsys.readouterr().err
@@ -324,6 +324,15 @@ def test_sweep_rejects_tokens(capsys):
         main(["optlab", "sweep", "--sizes", "300", "--budget", "10", "--tokens", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tokens 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--tokens", "5"], ["--noise", "0.5"]], ids=["tokens", "noise"])
+def test_gradcheck_rejects_stream_flags(capsys, flag):
+    # gradcheck draws a fixed noiseless batch, so these flags would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["optlab", "gradcheck", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [
@@ -428,6 +437,22 @@ def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize("marker", ["", "s", "\\", "a b"],
+                         ids=["empty", "escape-letter", "backslash", "space"])
+def test_bpe_marker_clashing_with_escapes_exits_1(tmp_path, capsys, marker):
+    text = tmp_path / "in.txt"
+    text.write_text("hello world, WiFi here\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--out-dir", out, "bpe", "train", "--src", text, "--tgt", text,
+                "--merges", 5]) == 0
+    capsys.readouterr()
+    assert run(["--out-dir", out, "bpe", "apply", "--model", out / "bpe.model", "--input", text,
+                "--marker", marker]) == 1
+    assert "marker" in _one_error_line(capsys)
+    assert run(["--out-dir", out, "bpe", "detok", "--input", text, "--marker", marker]) == 1
+    assert "marker" in _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("maps, message", [

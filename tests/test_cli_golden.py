@@ -65,7 +65,7 @@ RUNS = [
                                     "--iterations-per-epoch", "30", *TINY_LM]),
     ("optlab-sweep", ["optlab", "sweep", "--sizes", "300,600", "--budget", "40",
                       "--checkpoint-every", "15", *TINY_MODEL]),
-    ("optlab-gradcheck", ["optlab", "gradcheck", "--samples", "20", *TINY_LM]),
+    ("optlab-gradcheck", ["optlab", "gradcheck", "--samples", "20", *TINY_MODEL]),
     ("bsf-embed", ["bsf", "embed", "--input", "tokens.txt", "--dim", "8", "--epochs", "1",
                    "--seed", "2"]),
     ("bsf-expand", ["bsf", "expand", "--vectors", "out/bsf-embed/vectors.txt",

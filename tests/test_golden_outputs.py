@@ -1,5 +1,6 @@
 """Golden outputs for BLEU, entity scanning and validation, skip-gram
-embeddings and the surrogate model's perplexity and gradient check.
+embeddings, the surrogate model's perplexity and gradient check, and BPE
+merge lists.
 
 Each value is pinned from seeded `synth.py` inputs, so turning a setting
 into a constant or merging two code paths cannot change what the toolkit
@@ -9,9 +10,11 @@ computes.  Strings compare exactly, floats at a relative tolerance of
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
 
+import hashlib
 import json
 import math
 import os
+import random
 
 import pytest
 
@@ -20,6 +23,7 @@ from mtlab.bleu import ScoringConfig, corpus_bleu
 from mtlab.bsf import train_embeddings
 from mtlab.optlab import SurrogateConfig, SurrogateModel, check_gradients
 from mtlab.synth import embedding_corpus, toy_lm_stream, toy_parallel_corpus
+from mtlab.tokenizer import train_bpe_texts
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_outputs.json")
 REL_TOL = 1e-9
@@ -78,6 +82,27 @@ def _gradient_error():
     return check_gradients(model, ids[:64], ids[1:65], n_samples=300, seed=5)
 
 
+def _merges(texts, merge_count):
+    merges = train_bpe_texts(texts, merge_count).merges
+    text = "\n".join(f"{left} {right}" for left, right in merges)
+    return {"merges": len(merges), "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def _toy_merges():
+    corpus = toy_parallel_corpus(1500, seed=0)
+    return _merges(corpus.sources() + corpus.targets(), 600)
+
+
+def _random_word_merges():
+    # thousands of distinct words over a small alphabet: the merge loop,
+    # not pre-splitting, does the work, and it runs all 1500 merges
+    rng = random.Random(5)
+    texts = [" ".join("".join(rng.choice("abcdefghijkl") for _ in range(rng.randint(3, 9)))
+                      for _ in range(12))
+             for _ in range(400)]
+    return _merges(texts, 1500)
+
+
 OUTPUTS = {
     "bleu.cased": lambda: _bleu(True),
     "bleu.lowercased": lambda: _bleu(False),
@@ -86,6 +111,8 @@ OUTPUTS = {
     "embeddings.vectors": _embedding_vectors,
     "optlab.perplexity": _perplexity,
     "optlab.gradient_error": _gradient_error,
+    "tokenizer.merges.toy_parallel": _toy_merges,
+    "tokenizer.merges.random_words": _random_word_merges,
 }
 
 
@@ -114,7 +141,8 @@ def test_validation_scores_are_mixed(golden):
 
 
 @pytest.mark.parametrize("name", ["bleu.cased", "bleu.lowercased", "entities.scan",
-                                  "entities.validation_scores"])
+                                  "entities.validation_scores", "tokenizer.merges.toy_parallel",
+                                  "tokenizer.merges.random_words"])
 def test_exact_output_matches_golden(golden, name):
     assert OUTPUTS[name]() == golden[name]
 

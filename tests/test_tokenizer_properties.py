@@ -1,11 +1,15 @@
-"""Hypothesis property tests for the tokenizer round-trip guarantees."""
+"""Hypothesis property tests for the tokenizer: round trips, markers and BPE training."""
 
+import random
 import string
+from collections import Counter
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mtlab import tokenizer as tk
+from test_tokenizer import oracle_bpe
 
 MODEL = tk.train_bpe_texts(
     ["the winter hotel offers a restaurant with wifi and garden views",
@@ -23,6 +27,20 @@ chunk = st.one_of(words, numbers, placeholders,
                   st.tuples(words, punctuation).map("".join),
                   st.tuples(numbers, punctuation, words).map("".join))
 sentences = st.lists(chunk, min_size=0, max_size=12).map(" ".join)
+
+# a three-letter alphabet in mixed case makes pair-count ties common; the
+# separators cover every whitespace run _presplit treats specially
+tie_chunk = st.one_of(st.text(alphabet="abcAB", min_size=1, max_size=6), placeholders,
+                      st.tuples(st.text(alphabet="abc", min_size=1, max_size=4),
+                                st.sampled_from([",", "-", "7"])).map("".join))
+separator = st.sampled_from([" ", " ", " ", "  ", "\t", "\u3000", "\x1c"])
+tie_text = st.lists(st.tuples(separator, tie_chunk), max_size=8).map(
+    lambda parts: "".join(sep + chunk for sep, chunk in parts)[1:])
+tie_texts = st.lists(tie_text, min_size=1, max_size=8)
+
+
+def _has_units(texts):
+    return any(not unit.atomic for text in texts for unit in tk._presplit(text))
 
 
 @given(sentences)
@@ -44,9 +62,59 @@ def test_rendered_form_parses_back(sentence):
     assert tk.parse_tokens(tk.render_tokens(ts)) == ts
 
 
+# markers like `@@` and `aba` overlap themselves, so a piece such as `@`
+# or `ab` followed by the marker also starts with it; the other characters
+# clash with the item separator or with the escapes
+markers = st.one_of(
+    st.sampled_from(["@@", "aba", "■■", "@|@", "e", "", " ", "a b", "s", "ps", "\\"]),
+    st.text(alphabet="@a|■eLstnrpm\\ \t\u3000", max_size=4),
+    st.text(max_size=3),
+)
+marker_chunk = st.one_of(chunk, st.sampled_from(["@", "a", "ab", "|", "\\"]))
+marker_sentences = st.lists(st.tuples(st.sampled_from(["", " ", "  ", "\t"]), marker_chunk),
+                            max_size=12).map(lambda parts: "".join(sep + c for sep, c in parts))
+
+
+@given(st.one_of(sentences, marker_sentences), markers)
+@settings(max_examples=500, deadline=None)
+def test_every_accepted_marker_round_trips(sentence, marker):
+    ts = tk.tokenize(MODEL, sentence)
+    try:
+        rendered = tk.render_tokens(ts, marker)
+    except tk.TokenizerError:
+        with pytest.raises(tk.TokenizerError):
+            tk.parse_tokens("a|L", marker)
+        return
+    assert tk.parse_tokens(rendered, marker) == ts
+
+
 @given(st.text(alphabet=string.ascii_letters, min_size=1, max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_piece_sequences_case_invariant(word):
     lower = tk.tokenize(MODEL, word.lower()).pieces()
     upper = tk.tokenize(MODEL, word.upper()).pieces()
     assert lower == upper
+
+
+@given(tie_texts, st.integers(min_value=0, max_value=40))
+@settings(max_examples=300, deadline=None)
+def test_merge_list_matches_oracle_on_tie_heavy_texts(texts, merge_count):
+    assume(_has_units(texts))
+    assert list(tk.train_bpe_texts(texts, merge_count).merges) == oracle_bpe(texts, merge_count)
+
+
+@given(tie_texts, st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_merges_ignore_line_order(texts, seed):
+    assume(_has_units(texts))
+    shuffled = list(texts)
+    random.Random(seed).shuffle(shuffled)
+    assert tk.train_bpe_texts(shuffled, 40).merges == tk.train_bpe_texts(texts, 40).merges
+
+
+@given(st.one_of(tie_texts, st.lists(st.text(max_size=40), max_size=6)))
+@settings(max_examples=300, deadline=None)
+def test_unit_frequencies_match_per_sentence_presplit(texts):
+    expected = Counter(unit.text for text in texts for unit in tk._presplit(text)
+                       if not unit.atomic)
+    assert tk._unit_frequencies(texts) == expected
