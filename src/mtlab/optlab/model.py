@@ -16,7 +16,7 @@ from ..rng import stream
 
 __all__ = ["SurrogateConfig", "SurrogateModel", "check_gradients"]
 
-PERPLEXITY_CHUNK = 8192   # tokens scored per forward pass; bounds the logits' memory
+PERPLEXITY_CHUNK = 8192   # tokens per partial mean; fixes the order perplexity sums in
 GRADCHECK_FLOOR = 1e-4
 
 
@@ -25,6 +25,11 @@ class SurrogateConfig:
     vocab_size: int = 200
     embed_dim: int = 16
     hidden_dim: int = 32
+
+    def __post_init__(self):
+        for name in ("vocab_size", "embed_dim", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class SurrogateModel:
@@ -40,15 +45,17 @@ class SurrogateModel:
             "b2": np.zeros(v),
         }
         # one float64 vector `theta`, blocks in sorted name order; `params` holds their views
-        self._layout = [(name, init[name].shape) for name in sorted(init)]
-        self._splits = np.cumsum([init[name].size for name, _ in self._layout])[:-1]
-        self.theta = np.concatenate([init[name].ravel() for name, _ in self._layout])
+        names = sorted(init)
+        stops = np.cumsum([init[name].size for name in names]).tolist()
+        self._layout = [(name, stop - init[name].size, stop, init[name].shape)
+                        for name, stop in zip(names, stops)]
+        self.theta = np.concatenate([init[name].ravel() for name in names])
         self.params: dict[str, np.ndarray] = self.views(self.theta)
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter block's view into a vector laid out like `theta`."""
-        return {name: block.reshape(shape)
-                for (name, shape), block in zip(self._layout, np.split(vector, self._splits))}
+        return {name: vector[start:stop].reshape(shape)
+                for name, start, stop, shape in self._layout}
 
     def _forward(self, inputs: np.ndarray):
         p = self.params
@@ -56,8 +63,8 @@ class SurrogateModel:
         a = e @ p["w1"] + p["b1"]
         z = np.tanh(a)
         logits = z @ p["w2"] + p["b2"]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + logits.max(axis=1, keepdims=True)
+        peak = logits.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)) + peak
         logp = logits - log_z
         return e, z, logp
 
@@ -78,8 +85,10 @@ class SurrogateModel:
         dz = dlogits @ p["w2"].T
         da = (1.0 - z * z) * dz
         de = da @ p["w1"].T
-        grad = np.zeros_like(self.theta)
+        # fresh per call (callers hold several at once); every block but emb is overwritten
+        grad = np.empty_like(self.theta)
         g = self.views(grad)
+        g["emb"].fill(0.0)
         np.add.at(g["emb"], inputs, de)
         np.matmul(e.T, da, out=g["w1"])
         da.sum(axis=0, out=g["b1"])
@@ -88,18 +97,23 @@ class SurrogateModel:
         return loss, grad
 
     def perplexity(self, ids: np.ndarray) -> float:
-        """exp(mean NLL) of a token stream under the bigram model."""
+        """exp(mean NLL) of a token stream under the bigram model.
+
+        A bigram's log-probabilities depend only on its input token, so the
+        forward pass runs once per distinct input and each position gathers
+        its row.
+        """
         ids = np.asarray(ids)
         if len(ids) < 2:
             raise ValueError("need at least two tokens to evaluate perplexity")
-        total, count = 0.0, 0
-        for start in range(0, len(ids) - 1, PERPLEXITY_CHUNK):
-            inputs = ids[start : start + PERPLEXITY_CHUNK]
-            targets = ids[start + 1 : start + PERPLEXITY_CHUNK + 1]
-            inputs = inputs[: len(targets)]
-            total += self.loss(inputs, targets) * len(targets)
-            count += len(targets)
-        return float(np.exp(total / count))
+        distinct, rows = np.unique(ids[:-1], return_inverse=True)
+        _, _, logp = self._forward(distinct)
+        target_logp = logp[rows, ids[1:]]
+        total = 0.0
+        for start in range(0, len(target_logp), PERPLEXITY_CHUNK):
+            chunk = target_logp[start : start + PERPLEXITY_CHUNK]
+            total += float(-chunk.mean()) * len(chunk)
+        return float(np.exp(total / len(target_logp)))
 
 
 def check_gradients(

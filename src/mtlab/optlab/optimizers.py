@@ -63,7 +63,11 @@ class OptimizerConfig:
 
 
 class Optimizer:
-    """Stateful update engine over one flat parameter vector for one training run."""
+    """Stateful update engine over one flat parameter vector for one training run.
+
+    Each rule runs in place over its slots and two scratch vectors, in the
+    rounding order of its textbook form (noted per line).
+    """
 
     def __init__(self, config: OptimizerConfig):
         self.config = config
@@ -71,6 +75,7 @@ class Optimizer:
         self.step_count = 0
         self.previous_ppl: float | None = None
         self._slots: list[np.ndarray] = []
+        self._scratch: list[np.ndarray] = []
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Apply one in-place update; raises on bad shapes or non-finite input."""
@@ -82,31 +87,49 @@ class Optimizer:
         kind = self.config.kind
         if self.step_count == 1:
             self._slots = [np.zeros_like(theta) for _ in range(SLOT_COUNT[kind])]
+            self._scratch = [np.empty_like(theta) for _ in range(2)]
+        lr = self.current_lr
+        s, t = self._scratch
         if kind == "sgd_decay":
-            theta -= self.current_lr * grad
+            # theta -= lr * g
+            theta -= np.multiply(lr, grad, out=s)
         elif kind == "adam":
             bias1 = 1.0 - ADAM_BETA1 ** self.step_count
             bias2 = 1.0 - ADAM_BETA2 ** self.step_count
             m, v = self._slots
+            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * grad
+            m += np.multiply(1.0 - ADAM_BETA1, grad, out=s)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            theta -= self.current_lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            np.multiply(1.0 - ADAM_BETA2, grad, out=s)
+            v += np.multiply(s, grad, out=s)
+            # theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.sqrt(np.divide(v, bias2, out=t), out=t)
+            t += ADAM_EPS
+            np.multiply(lr, np.divide(m, bias1, out=s), out=s)
+            theta -= np.divide(s, t, out=s)
         elif kind == "adagrad":
             (g2,) = self._slots
-            g2 += grad * grad
-            theta -= self.current_lr * grad / np.sqrt(g2 + ADAGRAD_EPS)
+            # g2 += g * g;  theta -= lr * g / sqrt(g2 + eps)
+            g2 += np.multiply(grad, grad, out=s)
+            np.sqrt(np.add(g2, ADAGRAD_EPS, out=t), out=t)
+            np.multiply(lr, grad, out=s)
+            theta -= np.divide(s, t, out=s)
         elif kind == "adadelta":
             eg2, ed2 = self._slots
+            # eg2 = rho * eg2 + (1 - rho) * g * g
             eg2 *= ADADELTA_RHO
-            eg2 += (1.0 - ADADELTA_RHO) * grad * grad
-            delta = -np.sqrt(ed2 + ADADELTA_EPS) / np.sqrt(eg2 + ADADELTA_EPS) * grad
+            np.multiply(1.0 - ADADELTA_RHO, grad, out=s)
+            eg2 += np.multiply(s, grad, out=s)
+            # delta = -sqrt(ed2 + eps) / sqrt(eg2 + eps) * g, left in s
+            np.negative(np.sqrt(np.add(ed2, ADADELTA_EPS, out=s), out=s), out=s)
+            np.sqrt(np.add(eg2, ADADELTA_EPS, out=t), out=t)
+            np.multiply(np.divide(s, t, out=s), grad, out=s)
+            # ed2 = rho * ed2 + (1 - rho) * delta * delta;  theta += lr * delta
             ed2 *= ADADELTA_RHO
-            ed2 += (1.0 - ADADELTA_RHO) * delta * delta
-            theta += self.current_lr * delta
+            np.multiply(1.0 - ADADELTA_RHO, s, out=t)
+            ed2 += np.multiply(t, s, out=t)
+            theta += np.multiply(lr, s, out=s)
 
     def end_of_epoch(self, epoch: int, val_ppl: float) -> float:
         """Epoch-boundary hook; only sgd_decay changes its rate (at most once)."""
@@ -129,4 +152,9 @@ def accumulate_gradients(grads_list: list[np.ndarray]) -> np.ndarray:
         raise ValueError("no gradients to accumulate")
     if len(grads_list) == 1:
         return grads_list[0]
-    return sum(grads_list[1:], grads_list[0]) * (1.0 / len(grads_list))
+    # one fresh buffer: the inputs may still be held elsewhere (the async heap)
+    total = grads_list[0] + grads_list[1]
+    for grad in grads_list[2:]:
+        total += grad
+    total *= 1.0 / len(grads_list)
+    return total

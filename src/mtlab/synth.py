@@ -28,6 +28,8 @@ def toy_lm_stream(
     """Noisy-cycle Markov chain: structured enough that perplexity has room
     to fall, noisy enough (`noise` = uniform-jump probability) that it
     cannot reach 1."""
+    if vocab_size < 1:
+        raise ValueError(f"vocab_size must be at least 1, got {vocab_size}")
     rng = stream(seed, "toy-lm")
     ids = np.empty(n_tokens, dtype=np.int64)
     state = 0

@@ -307,6 +307,17 @@ def test_optlab_counts_below_one_exit_1(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, field", [("--embed-dim", "embed_dim"), ("--vocab", "vocab_size"),
+                                         ("--hidden-dim", "hidden_dim")])
+@pytest.mark.parametrize("value", [0, -1])
+def test_optlab_model_sizes_below_one_exit_1(tmp_path, capsys, recwarn, flag, field, value):
+    argv = ["--out-dir", tmp_path, "optlab", "train", "--epochs", 1, "--tokens", 200, flag, value]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {field} must be at least 1, got {value}\n"
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize("argv", [
     ["corpus", "subsample", "--sizes", "5x"],
     ["optlab", "sweep", "--sizes", "5x", "--budget", "10"],

@@ -1,6 +1,7 @@
 """Golden outputs for BLEU, entity scanning and validation, skip-gram
-embeddings, the surrogate model's perplexity and gradient check, and BPE
-merge lists.
+embeddings, the surrogate model's perplexity and gradient check, BPE
+merge lists, and digests of the parameters that two epochs of each
+optimizer and cluster schedule leave on the convergence preset.
 
 Each value is pinned from seeded `synth.py` inputs, so turning a setting
 into a constant or merging two code paths cannot change what the toolkit
@@ -18,10 +19,11 @@ import random
 
 import pytest
 
-from mtlab import entities
+from mtlab import entities, presets
 from mtlab.bleu import ScoringConfig, corpus_bleu
 from mtlab.bsf import train_embeddings
-from mtlab.optlab import SurrogateConfig, SurrogateModel, check_gradients
+from mtlab.optlab import (OptimizerConfig, SurrogateConfig, SurrogateModel,
+                          calibrated_cluster_config, check_gradients, simulate_cluster, train)
 from mtlab.synth import embedding_corpus, toy_lm_stream, toy_parallel_corpus
 from mtlab.tokenizer import train_bpe_texts
 
@@ -103,6 +105,33 @@ def _random_word_merges():
     return _merges(texts, 1500)
 
 
+THETA_EPOCHS = 2
+THETA_WORKERS = 4
+THETA_JOBS = ("train.sgd_decay", "train.adam", "train.adagrad", "train.adadelta",
+              "train.sgd_decay_accum4", "simulate.sync", "simulate.async")
+
+
+def _theta_digest(job):
+    """SHA-256 of the parameters two epochs of `job` leave on the convergence preset."""
+    cfg = presets.CONVERGENCE
+    train_ids, val_ids = presets.convergence_data()
+    model = presets.convergence_model()
+    common = dict(epochs=THETA_EPOCHS, batch_size=cfg["batch_size"], seed=cfg["seed"])
+    if job.startswith("train."):
+        kind, _, accum = job[len("train."):].partition("_accum")
+        train(model, train_ids, val_ids, OptimizerConfig(kind), accum_steps=int(accum or 1),
+              **common)
+    else:
+        iterations = -(-(len(train_ids) - 1) // cfg["batch_size"])
+        cluster = calibrated_cluster_config(job[len("simulate."):], THETA_WORKERS,
+                                            iterations_per_epoch=iterations)
+        simulate_cluster(model, train_ids, val_ids, OptimizerConfig("sgd_decay"), cluster,
+                         **common)
+    return hashlib.sha256(model.theta.tobytes()).hexdigest()
+
+
+THETA_OUTPUTS = {f"optlab.theta.{job}": (lambda job=job: _theta_digest(job)) for job in THETA_JOBS}
+
 OUTPUTS = {
     "bleu.cased": lambda: _bleu(True),
     "bleu.lowercased": lambda: _bleu(False),
@@ -113,6 +142,7 @@ OUTPUTS = {
     "optlab.gradient_error": _gradient_error,
     "tokenizer.merges.toy_parallel": _toy_merges,
     "tokenizer.merges.random_words": _random_word_merges,
+    **THETA_OUTPUTS,
 }
 
 
@@ -140,9 +170,13 @@ def test_validation_scores_are_mixed(golden):
     assert set(golden["entities.validation_scores"]) == {0, 1}
 
 
+def test_sync_theta_equals_accumulated_theta(golden):
+    assert golden["optlab.theta.simulate.sync"] == golden["optlab.theta.train.sgd_decay_accum4"]
+
+
 @pytest.mark.parametrize("name", ["bleu.cased", "bleu.lowercased", "entities.scan",
                                   "entities.validation_scores", "tokenizer.merges.toy_parallel",
-                                  "tokenizer.merges.random_words"])
+                                  "tokenizer.merges.random_words", *THETA_OUTPUTS])
 def test_exact_output_matches_golden(golden, name):
     assert OUTPUTS[name]() == golden[name]
 

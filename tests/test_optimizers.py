@@ -123,6 +123,41 @@ class TestDecaySchedule:
         assert opt.end_of_epoch(13, 9.0) == 0.0002
 
 
+def _textbook_steps(kind, theta, grads):
+    """Each rule written as its formula, one temporary per operation."""
+    lr = OptimizerConfig(kind).lr
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    for t, g in enumerate(grads, start=1):
+        if kind == "sgd_decay":
+            theta -= lr * g
+        elif kind == "adam":
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            theta -= lr * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+        elif kind == "adagrad":
+            m = m + g * g
+            theta -= lr * g / np.sqrt(m + 1e-10)
+        else:
+            m = 0.9 * m + (1.0 - 0.9) * g * g
+            delta = -np.sqrt(v + 1e-6) / np.sqrt(m + 1e-6) * g
+            v = 0.9 * v + (1.0 - 0.9) * delta * delta
+            theta += lr * delta
+    return theta
+
+
+@pytest.mark.parametrize("kind", ["sgd_decay", "adam", "adagrad", "adadelta"])
+def test_in_place_step_is_bit_equal_to_formula(kind):
+    # theta starts at zero so an update's last bit is not absorbed by theta's own
+    rng = np.random.default_rng(3)
+    theta = np.zeros(257)
+    grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=257) for _ in range(6)]
+    opt = Optimizer(OptimizerConfig(kind))
+    got = theta.copy()
+    for g in grads:
+        opt.step(got, g)
+    assert np.array_equal(got, _textbook_steps(kind, theta.copy(), grads))
+
+
 def test_accumulate_gradients_means_in_order():
     a = np.array([1.0])
     b = np.array([2.0])
@@ -130,6 +165,16 @@ def test_accumulate_gradients_means_in_order():
     out = accumulate_gradients([a, b, c])
     assert out[0] == pytest.approx(3.0)
     assert a[0] == 1.0  # inputs untouched
+
+
+def test_accumulate_gradients_bit_equal_to_ordered_sum():
+    rng = np.random.default_rng(4)
+    grads = [rng.normal(size=101) for _ in range(5)]
+    copies = [g.copy() for g in grads]
+    out = accumulate_gradients(grads)
+    assert np.array_equal(out, (((grads[0] + grads[1]) + grads[2]) + grads[3] + grads[4]) * 0.2)
+    assert all(np.array_equal(g, c) for g, c in zip(grads, copies))
+    assert not any(np.shares_memory(out, g) for g in grads)
 
 
 def test_accumulate_empty_rejected():

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mtlab import presets
 from mtlab.optlab import (
     OptimizerConfig,
     SurrogateConfig,
@@ -8,6 +13,7 @@ from mtlab.optlab import (
     check_gradients,
     train,
 )
+from mtlab.optlab.model import PERPLEXITY_CHUNK
 from mtlab.synth import toy_lm_stream, two_symbol_stream
 
 
@@ -58,7 +64,79 @@ def test_params_are_views_into_theta(batch):
         assert np.shares_memory(param, model.theta)
     _, grad = model.loss_and_grads(*batch)
     assert grad.shape == model.theta.shape
-    assert not np.shares_memory(grad, model.loss_and_grads(*batch)[1])
+
+
+def test_gradients_are_fresh_and_zero_off_batch(batch):
+    model = SurrogateModel(SurrogateConfig(30, 6, 10), seed=3)
+    _, first = model.loss_and_grads(*batch)
+    kept = first.copy()
+    _, second = model.loss_and_grads(batch[0][::-1], batch[1][::-1])
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    unseen = np.setdiff1d(np.arange(30), batch[0])
+    assert len(unseen) > 0
+    assert not model.views(first)["emb"][unseen].any()
+
+
+@pytest.mark.parametrize("dims, field", [((0, 4, 4), "vocab_size"), ((30, 0, 10), "embed_dim"),
+                                         ((30, 6, -1), "hidden_dim")])
+def test_config_rejects_non_positive_sizes(dims, field):
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        SurrogateConfig(*dims)
+
+
+def test_toy_stream_rejects_empty_vocabulary():
+    with pytest.raises(ValueError, match="vocab_size must be at least 1"):
+        toy_lm_stream(10, 0)
+
+
+def _per_position_perplexity(model, ids):
+    """Perplexity as one forward pass per position, summed per chunk."""
+    total, count = 0.0, 0
+    for start in range(0, len(ids) - 1, PERPLEXITY_CHUNK):
+        targets = ids[start + 1 : start + PERPLEXITY_CHUNK + 1]
+        inputs = ids[start : start + len(targets)]
+        total += model.loss(inputs, targets) * len(targets)
+        count += len(targets)
+    return float(np.exp(total / count))
+
+
+@st.composite
+def _scored_streams(draw):
+    v = draw(st.integers(1, 40))
+    model = SurrogateModel(SurrogateConfig(v, draw(st.integers(1, 12)), draw(st.integers(1, 24))),
+                           seed=draw(st.integers(0, 1000)))
+    ids = draw(st.one_of(
+        st.lists(st.integers(0, v - 1), min_size=2, max_size=300),
+        st.lists(st.integers(0, v - 1), min_size=2, max_size=2),
+        st.builds(lambda t, n: [t] * n, st.integers(0, v - 1), st.integers(2, 100)),
+        # a stream over part of the vocabulary only
+        st.integers(1, v).flatmap(
+            lambda k: st.lists(st.integers(0, k - 1), min_size=2, max_size=300)),
+    ))
+    return model, np.array(ids, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scored_streams())
+def test_perplexity_matches_per_position_scoring(case):
+    # BLAS picks its kernel by matrix shape (a single row goes to gemv), so
+    # scoring fewer rows can move a logit by an ulp on small models; the
+    # preset streams below are pinned bit for bit
+    model, ids = case
+    assert math.isclose(model.perplexity(ids), _per_position_perplexity(model, ids),
+                        rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("stream", ["training", "validation", "long"])
+def test_perplexity_bit_equal_to_per_position_scoring(stream):
+    if stream == "long":  # three chunks, the last one token long
+        model = SurrogateModel(SurrogateConfig(40, 6, 10), seed=1)
+        ids = toy_lm_stream(2 * PERPLEXITY_CHUNK + 2, 40, seed=6)
+    else:
+        model = presets.convergence_model()
+        ids = presets.convergence_data()[stream == "validation"]
+    assert model.perplexity(ids) == _per_position_perplexity(model, ids)
 
 
 def test_perplexity_at_least_one():
