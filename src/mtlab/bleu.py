@@ -63,7 +63,17 @@ class BleuReport:
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
+
+
+def _clipped_matches(cand_counts: Counter, ref_counts: Counter) -> int:
+    """Sum of candidate n-gram counts, each clipped to its reference count."""
+    matches = 0
+    for gram, count in cand_counts.items():
+        ref = ref_counts.get(gram)
+        if ref:
+            matches += count if count < ref else ref
+    return matches
 
 
 def _score(matches: list[int], totals: list[int], cand_len: int, ref_len: int,
@@ -109,10 +119,8 @@ def corpus_bleu(candidates: list[str], references: list[str],
         for n in range(1, MAX_N + 1):
             cand_counts = _ngrams(cand_toks, n)
             ref_counts = _ngrams(ref_toks, n)
-            totals[n - 1] += sum(cand_counts.values())
-            matches[n - 1] += sum(
-                min(count, ref_counts[gram]) for gram, count in cand_counts.items()
-            )
+            totals[n - 1] += max(len(cand_toks) - n + 1, 0)
+            matches[n - 1] += _clipped_matches(cand_counts, ref_counts)
     return _score(matches, totals, cand_len, ref_len, config)
 
 

@@ -8,6 +8,7 @@ perplexity is exp(loss).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,12 @@ def check_gradients(
     Coordinates are drawn uniformly over `theta`; the GRADCHECK_FLOOR keeps
     pure round-off noise on near-zero coordinates from registering (a
     planted wrong gradient still shows up as ~1.0).
-    Returns 0.0 on an empty sample set; raises ValueError on an empty batch.
+    A NaN error is returned as soon as it occurs, so it fails any tolerance.
+    Returns 0.0 on an empty sample set; raises ValueError on an empty batch
+    or a `step` that is not finite and positive.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
     if len(targets) == 0:
         raise ValueError("gradient check needs a non-empty batch")
     _, grad = model.loss_and_grads(inputs, targets)
@@ -148,5 +153,7 @@ def check_gradients(
         theta[index] = original
         fd = (plus - minus) / (2.0 * step)
         err = abs(grad[index] - fd) / max(abs(fd), GRADCHECK_FLOOR)
+        if math.isnan(err):
+            return err
         worst = max(worst, err)
     return worst

@@ -30,6 +30,8 @@ def toy_lm_stream(
     cannot reach 1."""
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be at least 1, got {vocab_size}")
+    if not 0 <= noise <= 1:
+        raise ValueError(f"noise must be in [0, 1], got {noise}")
     rng = stream(seed, "toy-lm")
     ids = np.empty(n_tokens, dtype=np.int64)
     state = 0

@@ -11,6 +11,11 @@ Training follows the subword-nmt recipe (Sennrich, Haddow and Birch 2016):
 the unit frequency dictionary comes from pre-splitting each distinct
 whitespace chunk once, and each merge takes the most frequent pair from a
 lazily invalidated max-heap over incrementally maintained pair counts.
+
+Application caches per word, as subword-nmt does: each `BpeModel` keeps
+two bounded memos, unit -> pieces and chunk -> tokens, so a chunk seen
+before is neither pre-split nor merged again.  The memos live and die with
+the model.
 """
 
 from __future__ import annotations
@@ -56,6 +61,12 @@ DEFAULT_MARKER = "■"
 # placeholder tokens pass through pre-splitting whole and are never merged
 PLACEHOLDER_RE = re.compile(r"⟦[A-Z][A-Z0-9]*_\d+⟧")
 
+# `\s` on a str pattern matches exactly the characters `str.isspace` accepts
+_SPACE_RUN_RE = re.compile(r"(\s+)")
+
+# entries each per-model memo (unit -> pieces, chunk -> tokens) may hold
+MEMO_LIMIT = 1_000_000
+
 
 def format_placeholder(code: str, index: int) -> str:
     return f"⟦{code}_{index}⟧"
@@ -85,17 +96,25 @@ class TokenizedSentence:
 
 @dataclass
 class BpeModel:
-    """Ordered merge list plus the base alphabet; immutable after training."""
+    """Ordered merge list plus the base alphabet; immutable after training.
+
+    Applying the model fills two memos, each bounded by MEMO_LIMIT entries:
+    `_cache` maps a unit's text to its pieces, and `_chunks` maps a chunk
+    (a whitespace-free run, or one whitespace run) to its tokens, all
+    joined right.
+    """
 
     merges: tuple[tuple[str, str], ...]
     alphabet: frozenset[str]
     mode: str = "joint"
     _ranks: dict = field(init=False, repr=False, compare=False)
     _cache: dict = field(init=False, repr=False, compare=False)
+    _chunks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._ranks = {pair: i for i, pair in enumerate(self.merges)}
         self._cache = {}
+        self._chunks = {}
 
     @property
     def merge_count(self) -> int:
@@ -157,7 +176,13 @@ def _case_fragments(run: str) -> list[str]:
 
 
 def _chunk_units(chunk: str) -> list[_Unit]:
-    """Split one whitespace-free chunk into units (all joined internally)."""
+    """Split one chunk into units, all joined right.
+
+    A whitespace run is one atomic unit; a whitespace-free chunk splits into
+    placeholders, letter runs (at case boundaries), digit runs and other runs.
+    """
+    if chunk[0].isspace():
+        return [_Unit(chunk, CASE_N, True, True)]
     units: list[_Unit] = []
 
     def emit_plain(text: str) -> None:
@@ -182,22 +207,36 @@ def _chunk_units(chunk: str) -> list[_Unit]:
     return units
 
 
+def _split_chunks(sentence: str) -> list[tuple[str, bool]]:
+    """Split a sentence into (chunk, joined_right) pairs.
+
+    A chunk is a whitespace-free run or a whitespace run.  A single space
+    between two whitespace-free runs is the default separator: it is not a
+    chunk, and the chunk before it is not joined right.  Every other
+    whitespace run (leading, trailing, longer, or of other whitespace
+    characters) is a chunk of its own.  The last chunk is not joined right.
+    """
+    # runs alternate text, whitespace, text, ...; only the first and last text can be empty
+    runs = _SPACE_RUN_RE.split(sentence)
+    chunks: list[tuple[str, bool]] = []
+    for i, run in enumerate(runs):
+        if not run:
+            continue
+        if run == " " and runs[i - 1] and runs[i + 1]:
+            chunks[-1] = (chunks[-1][0], False)
+        else:
+            chunks.append((run, True))
+    if chunks:
+        chunks[-1] = (chunks[-1][0], False)
+    return chunks
+
+
 def _presplit(sentence: str) -> list[_Unit]:
     units: list[_Unit] = []
-    runs = ["".join(grp) for _, grp in groupby(sentence, key=str.isspace)]
-    for i, run in enumerate(runs):
-        if run[0].isspace():
-            interior = 0 < i < len(runs) - 1
-            if interior and run == " ":
-                # a single space between chunks is the default separator
-                if units:
-                    units[-1] = _Unit(units[-1].text, units[-1].case, units[-1].atomic, False)
-                continue
-            units.append(_Unit(run, CASE_N, True, True))
-        else:
-            units.extend(_chunk_units(run))
-    if units:
-        units[-1] = _Unit(units[-1].text, units[-1].case, units[-1].atomic, False)
+    for chunk, joined in _split_chunks(sentence):
+        units.extend(_chunk_units(chunk))
+        if not joined:
+            units[-1] = _Unit(units[-1].text, units[-1].case, units[-1].atomic, False)
     return units
 
 
@@ -347,8 +386,27 @@ def _encode_unit(model: BpeModel, text: str) -> tuple[str, ...]:
         symbols = list(_merge_word(tuple(symbols), best_pair[0], best_pair[1],
                                    best_pair[0] + best_pair[1]))
     result = tuple(symbols)
-    if len(model._cache) < 1_000_000:
+    if len(model._cache) < MEMO_LIMIT:
         model._cache[text] = result
+    return result
+
+
+def _encode_chunk(model: BpeModel, chunk: str) -> tuple[AnnotatedToken, ...]:
+    """A chunk's annotated pieces, all joined right (cached)."""
+    cached = model._chunks.get(chunk)
+    if cached is not None:
+        return cached
+    tokens: list[AnnotatedToken] = []
+    for unit in _chunk_units(chunk):
+        if unit.atomic:
+            tokens.append(AnnotatedToken(unit.text, unit.case, True))
+            continue
+        for j, piece in enumerate(_encode_unit(model, unit.text)):
+            case = CASE_L if j and unit.case == CASE_C else unit.case
+            tokens.append(AnnotatedToken(piece, case, True))
+    result = tuple(tokens)
+    if len(model._chunks) < MEMO_LIMIT:
+        model._chunks[chunk] = result
     return result
 
 
@@ -359,19 +417,11 @@ def tokenize(model: BpeModel, sentence: str) -> TokenizedSentence:
     single-character pieces.
     """
     tokens: list[AnnotatedToken] = []
-    for unit in _presplit(sentence):
-        if unit.atomic:
-            tokens.append(AnnotatedToken(unit.text, unit.case, unit.joined_right))
-            continue
-        pieces = _encode_unit(model, unit.text)
-        last = len(pieces) - 1
-        for j, piece in enumerate(pieces):
-            if unit.case == CASE_C:
-                case = CASE_C if j == 0 else CASE_L
-            else:
-                case = unit.case
-            joined = True if j < last else unit.joined_right
-            tokens.append(AnnotatedToken(piece, case, joined))
+    for chunk, joined in _split_chunks(sentence):
+        tokens.extend(_encode_chunk(model, chunk))
+        if not joined:
+            last = tokens[-1]
+            tokens[-1] = AnnotatedToken(last.piece, last.case, False)
     return TokenizedSentence(tuple(tokens))
 
 
@@ -397,8 +447,9 @@ def detokenize(ts: TokenizedSentence) -> str:
 # ---------------------------------------------------------------------------
 # text renderings
 
-_ESCAPES = [("\\", "\\\\"), (" ", "\\s"), ("\t", "\\t"), ("\n", "\\n"),
-            ("\r", "\\r"), ("|", "\\p")]
+# one pass does every escape, so no escape's output is escaped again
+_ESCAPES = str.maketrans({"\\": "\\\\", " ": "\\s", "\t": "\\t", "\n": "\\n",
+                          "\r": "\\r", "|": "\\p"})
 # a backslash and the escape letters; `e` is safe because render_tokens adds
 # `\e` only after the marker is escaped
 _MARKER_CLASHES = "\\stnrpm"
@@ -413,12 +464,12 @@ def _check_marker(marker: str) -> None:
 
 
 def _escape(piece: str, marker: str) -> str:
-    for raw, esc in _ESCAPES:
-        piece = piece.replace(raw, esc)
-    return piece.replace(marker, "\\m")
+    return piece.translate(_ESCAPES).replace(marker, "\\m")
 
 
 def _unescape(piece: str, marker: str) -> str:
+    if "\\" not in piece:
+        return piece
     out = []
     i = 0
     back = {"\\": "\\", "s": " ", "t": "\t", "n": "\n", "r": "\r", "p": "|", "m": marker,

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlab.bleu import BleuError, ScoringConfig, corpus_bleu, sentence_bleu
 
@@ -66,6 +68,47 @@ def test_matches_oracle_on_random_pairs():
         ours = corpus_bleu(cands, refs).score
         theirs = oracle_bleu(cands, refs)
         assert ours == pytest.approx(theirs, abs=1e-9)
+
+
+def _brute_force_counts(candidates, references):
+    """Clipped matches and totals per order, by counting each n-gram in lists."""
+    matches, totals = [0] * 4, [0] * 4
+    for c, r in zip(candidates, references):
+        for n in range(1, 5):
+            cand_grams = [tuple(c[i : i + n]) for i in range(len(c) - n + 1)]
+            ref_grams = [tuple(r[i : i + n]) for i in range(len(r) - n + 1)]
+            totals[n - 1] += len(cand_grams)
+            matches[n - 1] += sum(min(cand_grams.count(g), ref_grams.count(g))
+                                  for g in set(cand_grams))
+    return matches, totals
+
+
+# a four-word vocabulary repeats n-grams often; lists run from empty to
+# longer than the highest order
+token_lists = st.lists(st.sampled_from(["a", "b", "c", "A"]), max_size=9)
+
+
+@given(st.lists(st.tuples(token_lists, token_lists), min_size=1, max_size=4),
+       st.sampled_from(["none", "add_one"]), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_corpus_bleu_matches_brute_force_counts(pairs, smoothing, case_sensitive):
+    config = ScoringConfig(smoothing=smoothing, case_sensitive=case_sensitive)
+    report = corpus_bleu([" ".join(c) for c, _ in pairs], [" ".join(r) for _, r in pairs], config)
+    fold = (lambda toks: toks) if case_sensitive else (lambda toks: [t.lower() for t in toks])
+    matches, totals = _brute_force_counts([fold(c) for c, _ in pairs],
+                                          [fold(r) for _, r in pairs])
+    precisions = tuple(1.0 / (t + 1) if m == 0 and smoothing == "add_one"
+                       else (m / t if t else 0.0) for m, t in zip(matches, totals))
+    cand_len, ref_len = sum(len(c) for c, _ in pairs), sum(len(r) for _, r in pairs)
+    assert report.precisions == precisions
+    assert (report.candidate_length, report.reference_length) == (cand_len, ref_len)
+    bp = min(1.0, math.exp(1 - ref_len / cand_len)) if cand_len else 0.0
+    assert report.brevity_penalty == bp
+    if 0.0 in precisions:
+        assert report.score == 0.0
+    else:
+        assert report.score == pytest.approx(
+            bp * math.exp(sum(math.log(p) for p in precisions) / 4) * 100.0, abs=1e-9)
 
 
 def test_permutation_invariance():

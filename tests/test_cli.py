@@ -307,6 +307,27 @@ def test_optlab_counts_below_one_exit_1(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gradcheck", "--step", 0], "step must be finite and positive"),
+    (["gradcheck", "--step", "nan"], "step must be finite and positive"),
+    (["train", "--noise", "nan"], "noise must be in [0, 1]"),
+    (["train", "--noise", 2], "noise must be in [0, 1]"),
+    (["train", "--noise", -0.5], "noise must be in [0, 1]"),
+    (["simulate", "--workers", 2, "--cluster-mode", "sync", "--noise", "nan"],
+     "noise must be in [0, 1]"),
+    (["sweep", "--sizes", 500, "--budget", 10, "--noise", 2], "noise must be in [0, 1]"),
+])
+def test_optlab_bad_step_or_noise_exits_1(tmp_path, capsys, argv, message):
+    small = ["--vocab", 32, "--embed-dim", 8, "--hidden-dim", 16]
+    if argv[0] in ("train", "simulate"):
+        small += ["--tokens", 600, "--epochs", 1]
+    assert run(["--out-dir", tmp_path, "optlab", *argv, *small]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert message in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("flag, field", [("--embed-dim", "embed_dim"), ("--vocab", "vocab_size"),
                                          ("--hidden-dim", "hidden_dim")])
 @pytest.mark.parametrize("value", [0, -1])

@@ -1,6 +1,6 @@
 """Golden outputs for BLEU, entity scanning and validation, skip-gram
 embeddings, the surrogate model's perplexity and gradient check, BPE
-merge lists, and digests of the parameters that two epochs of each
+merge lists, rendered tokenizations, and digests of the parameters that two epochs of each
 optimizer and cluster schedule leave on the convergence preset.
 
 Each value is pinned from seeded `synth.py` inputs, so turning a setting
@@ -20,12 +20,12 @@ import random
 import pytest
 
 from mtlab import entities, presets
-from mtlab.bleu import ScoringConfig, corpus_bleu
+from mtlab.bleu import ScoringConfig, corpus_bleu, sentence_bleu
 from mtlab.bsf import train_embeddings
 from mtlab.optlab import (OptimizerConfig, SurrogateConfig, SurrogateModel,
                           calibrated_cluster_config, check_gradients, simulate_cluster, train)
-from mtlab.synth import embedding_corpus, toy_lm_stream, toy_parallel_corpus
-from mtlab.tokenizer import train_bpe_texts
+from mtlab.synth import embedding_corpus, entity_sentences, toy_lm_stream, toy_parallel_corpus
+from mtlab.tokenizer import format_placeholder, render_tokens, tokenize, train_bpe_texts
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_outputs.json")
 REL_TOL = 1e-9
@@ -44,6 +44,56 @@ def _bleu(case_sensitive):
             words = words[: len(words) // 2 + 1]
         cands.append(" ".join(words))
     return corpus_bleu(cands, refs, ScoringConfig(case_sensitive=case_sensitive)).to_json()
+
+
+def _sentence_bleu_add_one():
+    # mismatched pairs: dropped, repeated, swapped and foreign words, and
+    # candidates shorter than 4 tokens, so every n-gram order clips or misses
+    refs = toy_parallel_corpus(60, seed=10).sources()
+    rng = random.Random(11)
+    config = ScoringConfig(smoothing="add_one")
+    reports = []
+    for i, ref in enumerate(refs):
+        words = ref.split()
+        if i % 5 == 0:
+            words = words[: rng.randint(1, 3)]
+        elif i % 5 == 1:
+            words = [w for w in words if rng.random() < 0.7] or words[:1]
+        elif i % 5 == 2:
+            words = words + words[-2:] * 2
+        elif i % 5 == 3:
+            j = rng.randrange(len(words) - 1)
+            words[j], words[j + 1] = words[j + 1], words[j]
+        else:
+            words = refs[(i + 7) % len(refs)].split()
+        reports.append(sentence_bleu(" ".join(words), ref, config).to_json())
+    return reports
+
+
+def _tokenize_texts():
+    """Seeded sentences plus lines with odd whitespace, case and placeholders."""
+    corpus = toy_parallel_corpus(200, seed=8)
+    rng = random.Random(9)
+    words = [w for s in corpus.sources() for w in s.split()] + ["WiFi", "HTTPServer", "Straße"]
+    cases = [str, str.lower, str.upper, str.title,
+             lambda w: "".join(c.upper() if k % 2 else c.lower() for k, c in enumerate(w))]
+    seps = [" ", " ", " ", "  ", "\t", "\u3000", "\x85", "\x1c", "\n", " \t "]
+    odd = []
+    for _ in range(200):
+        parts = [rng.choice(cases)(rng.choice(words)) if rng.random() < 0.85
+                 else format_placeholder(rng.choice(["DIST", "TIME"]), rng.randint(0, 3))
+                 for _ in range(rng.randint(1, 10))]
+        line = "".join(rng.choice(seps) + part for part in parts)
+        odd.append(line if rng.random() < 0.4 else line[1:] + rng.choice(["", "", " ", "\t"]))
+    return corpus.sources() + entity_sentences(100, seed=3) + odd
+
+
+def _tokenize_digest():
+    corpus = toy_parallel_corpus(300, seed=7)
+    model = train_bpe_texts(corpus.sources() + corpus.targets(), 300)
+    texts = _tokenize_texts()
+    rendered = "\n".join(render_tokens(tokenize(model, text)) for text in texts)
+    return {"sentences": len(texts), "sha256": hashlib.sha256(rendered.encode("utf-8")).hexdigest()}
 
 
 def _scan():
@@ -135,6 +185,7 @@ THETA_OUTPUTS = {f"optlab.theta.{job}": (lambda job=job: _theta_digest(job)) for
 OUTPUTS = {
     "bleu.cased": lambda: _bleu(True),
     "bleu.lowercased": lambda: _bleu(False),
+    "bleu.sentence_add_one": _sentence_bleu_add_one,
     "entities.scan": _scan,
     "entities.validation_scores": _validation_scores,
     "embeddings.vectors": _embedding_vectors,
@@ -142,6 +193,7 @@ OUTPUTS = {
     "optlab.gradient_error": _gradient_error,
     "tokenizer.merges.toy_parallel": _toy_merges,
     "tokenizer.merges.random_words": _random_word_merges,
+    "tokenizer.tokenize": _tokenize_digest,
     **THETA_OUTPUTS,
 }
 
@@ -174,9 +226,10 @@ def test_sync_theta_equals_accumulated_theta(golden):
     assert golden["optlab.theta.simulate.sync"] == golden["optlab.theta.train.sgd_decay_accum4"]
 
 
-@pytest.mark.parametrize("name", ["bleu.cased", "bleu.lowercased", "entities.scan",
-                                  "entities.validation_scores", "tokenizer.merges.toy_parallel",
-                                  "tokenizer.merges.random_words", *THETA_OUTPUTS])
+@pytest.mark.parametrize("name", ["bleu.cased", "bleu.lowercased", "bleu.sentence_add_one",
+                                  "entities.scan", "entities.validation_scores",
+                                  "tokenizer.merges.toy_parallel", "tokenizer.merges.random_words",
+                                  "tokenizer.tokenize", *THETA_OUTPUTS])
 def test_exact_output_matches_golden(golden, name):
     assert OUTPUTS[name]() == golden[name]
 

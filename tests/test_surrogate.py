@@ -41,6 +41,20 @@ def test_gradcheck_empty_sample_set(batch):
     assert check_gradients(model, *batch, n_samples=0) == 0.0
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
+def test_gradcheck_rejects_step_that_is_not_finite_and_positive(batch, step):
+    model = SurrogateModel(SurrogateConfig(30, 6, 10), seed=3)
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        check_gradients(model, *batch, step=step)
+
+
+def test_gradcheck_nan_error_fails(batch):
+    # max() keeps a finite running worst over a NaN, which would read as a pass
+    model = SurrogateModel(SurrogateConfig(30, 6, 10), seed=3)
+    model.loss = lambda inputs, targets: math.nan
+    assert math.isnan(check_gradients(model, *batch, n_samples=20, seed=1))
+
+
 def test_gradcheck_detects_planted_bug(batch):
     model = SurrogateModel(SurrogateConfig(30, 6, 10), seed=3)
 
@@ -88,6 +102,17 @@ def test_config_rejects_non_positive_sizes(dims, field):
 def test_toy_stream_rejects_empty_vocabulary():
     with pytest.raises(ValueError, match="vocab_size must be at least 1"):
         toy_lm_stream(10, 0)
+
+
+@pytest.mark.parametrize("noise", [math.nan, 2.0, -0.5, 1.0 + 1e-9])
+def test_toy_stream_rejects_noise_outside_unit_interval(noise):
+    with pytest.raises(ValueError, match="noise must be in"):
+        toy_lm_stream(10, 8, noise=noise)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1.0])
+def test_toy_stream_accepts_noise_at_the_bounds(noise):
+    assert len(toy_lm_stream(10, 8, noise=noise)) == 10
 
 
 def _per_position_perplexity(model, ids):

@@ -1,8 +1,12 @@
 """Hypothesis property tests for the tokenizer: round trips, markers and BPE training."""
 
 import random
+import re
 import string
+import sys
 from collections import Counter
+from itertools import groupby
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -118,3 +122,67 @@ def test_unit_frequencies_match_per_sentence_presplit(texts):
     expected = Counter(unit.text for text in texts for unit in tk._presplit(text)
                        if not unit.atomic)
     assert tk._unit_frequencies(texts) == expected
+
+
+def _reference_presplit(sentence):
+    """Pre-splitting as runs of `str.isspace`: a single interior space is the
+    separator, any other whitespace run is an atomic unit."""
+    units = []
+    runs = ["".join(grp) for _, grp in groupby(sentence, key=str.isspace)]
+    for i, run in enumerate(runs):
+        if run[0].isspace():
+            if 0 < i < len(runs) - 1 and run == " ":
+                units[-1] = tk._Unit(units[-1].text, units[-1].case, units[-1].atomic, False)
+                continue
+            units.append(tk._Unit(run, tk.CASE_N, True, True))
+        else:
+            units.extend(tk._chunk_units(run))
+    if units:
+        units[-1] = tk._Unit(units[-1].text, units[-1].case, units[-1].atomic, False)
+    return units
+
+
+def _reference_tokenize(model, sentence):
+    """Tokenization unit by unit: pre-split, then encode each unit."""
+    tokens = []
+    for unit in _reference_presplit(sentence):
+        if unit.atomic:
+            tokens.append(tk.AnnotatedToken(unit.text, unit.case, unit.joined_right))
+            continue
+        pieces = tk._encode_unit(model, unit.text)
+        for j, piece in enumerate(pieces):
+            case = tk.CASE_L if unit.case == tk.CASE_C and j > 0 else unit.case
+            joined = j < len(pieces) - 1 or unit.joined_right
+            tokens.append(tk.AnnotatedToken(piece, case, joined))
+    return tk.TokenizedSentence(tuple(tokens))
+
+
+# whitespace that is not a plain space: U+0085 and U+001C are `str.isspace`
+# but not split on by every tokenizer; U+3000 is the ideographic space
+odd_space = st.sampled_from([" ", " ", " ", "  ", "\t", " \t", "\n", "\u3000", "\x85", "\x1c"])
+odd_chunk = st.one_of(chunk, placeholders, st.sampled_from(["WiFi", "HTTPServer", "iPhone", "ß"]),
+                      st.text(alphabet="aAbB7.,⟦⟧_İ", min_size=1, max_size=6))
+odd_texts = st.tuples(st.lists(st.tuples(odd_space, odd_chunk), max_size=10),
+                      st.booleans(), st.sampled_from(["", "", " ", "\t", "\x85"])).map(
+    lambda t: "".join(sep + c for sep, c in t[0])[0 if t[1] else 1:] + t[2])
+
+
+@pytest.mark.parametrize("limit", [tk.MEMO_LIMIT, 1])
+@given(st.one_of(odd_texts, st.text(alphabet="aAb ⟦⟧D_0\t\u3000\x85\x1c.", max_size=30),
+                 st.text(max_size=30)))
+@settings(max_examples=300, deadline=None)
+def test_tokenize_matches_unit_by_unit_reference(limit, text):
+    reference = _reference_tokenize(tk.BpeModel(MODEL.merges, MODEL.alphabet), text)
+    model = tk.BpeModel(MODEL.merges, MODEL.alphabet)
+    with mock.patch.object(tk, "MEMO_LIMIT", limit):
+        first = tk.tokenize(model, text)
+        second = tk.tokenize(model, text)  # every chunk is memoized now, unless bounded out
+    assert first == second == reference
+    assert tk._presplit(text) == _reference_presplit(text)
+    assert len(model._chunks) <= limit and len(model._cache) <= limit
+
+
+def test_space_class_is_str_isspace():
+    # pre-splitting finds whitespace runs with `\s`; it must match `str.isspace` exactly
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", everything) == [c for c in everything if c.isspace()]
