@@ -62,18 +62,11 @@ class BleuReport:
         )
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
-
-
-def _clipped_matches(cand_counts: Counter, ref_counts: Counter) -> int:
-    """Sum of candidate n-gram counts, each clipped to its reference count."""
-    matches = 0
-    for gram, count in cand_counts.items():
-        ref = ref_counts.get(gram)
-        if ref:
-            matches += count if count < ref else ref
-    return matches
+def _ngrams(tokens: list[str]) -> Counter:
+    """Counts of every n-gram of orders 1..MAX_N; grams of different orders
+    never collide, because their lengths differ."""
+    return Counter(gram for n in range(1, MAX_N + 1)
+                   for gram in zip(*[tokens[i:] for i in range(n)]))
 
 
 def _score(matches: list[int], totals: list[int], cand_len: int, ref_len: int,
@@ -116,11 +109,13 @@ def corpus_bleu(candidates: list[str], references: list[str],
         ref_toks = config.split(ref)
         cand_len += len(cand_toks)
         ref_len += len(ref_toks)
-        for n in range(1, MAX_N + 1):
-            cand_counts = _ngrams(cand_toks, n)
-            ref_counts = _ngrams(ref_toks, n)
-            totals[n - 1] += max(len(cand_toks) - n + 1, 0)
-            matches[n - 1] += _clipped_matches(cand_counts, ref_counts)
+        ref_counts = _ngrams(ref_toks)
+        for gram, count in _ngrams(cand_toks).items():
+            ref = ref_counts.get(gram)
+            if ref:
+                matches[len(gram) - 1] += count if count < ref else ref
+        for n in range(MAX_N):
+            totals[n] += max(len(cand_toks) - n, 0)
     return _score(matches, totals, cand_len, ref_len, config)
 
 

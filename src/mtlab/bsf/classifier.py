@@ -71,6 +71,14 @@ def hashed_features(text: str, bits: int, use_bigrams: bool = True) -> dict[int,
     return counts
 
 
+def _feature_arrays(text: str, bits: int, use_bigrams: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(slots, counts) of `hashed_features`; scores are `weights[:, slots] @ counts + bias`,
+    which is `bias` for a text without features."""
+    feats = hashed_features(text, bits, use_bigrams)
+    return (np.fromiter(feats.keys(), dtype=np.int64, count=len(feats)),
+            np.fromiter(feats.values(), dtype=np.float64, count=len(feats)))
+
+
 @dataclass
 class HashedLinearClassifier:
     labels: tuple[str, ...]
@@ -80,11 +88,7 @@ class HashedLinearClassifier:
     spec: ClassifierSpec
 
     def scores(self, text: str) -> np.ndarray:
-        feats = hashed_features(text, self.bits, self.spec.use_bigrams)
-        if not feats:
-            return self.bias.copy()
-        idx = np.fromiter(feats.keys(), dtype=np.int64)
-        cnt = np.fromiter(feats.values(), dtype=np.float64)
+        idx, cnt = _feature_arrays(text, self.bits, self.spec.use_bigrams)
         return self.weights[:, idx] @ cnt + self.bias
 
     def predict(self, text: str) -> str:
@@ -106,26 +110,19 @@ def train_classifier(
     size = 1 << spec.bits
     weights = np.zeros((len(labels), size))
     bias = np.zeros(len(labels))
-    features = [hashed_features(text, spec.bits, spec.use_bigrams) for text, _ in labeled]
+    features = [_feature_arrays(text, spec.bits, spec.use_bigrams) for text, _ in labeled]
     targets = [label_index[label] for _, label in labeled]
 
     for epoch in range(spec.epochs):
         order = stream(seed, f"clf-epoch-{epoch}").permutation(len(labeled))
         for i in order:
-            feats = features[i]
-            if feats:
-                idx = np.fromiter(feats.keys(), dtype=np.int64)
-                cnt = np.fromiter(feats.values(), dtype=np.float64)
-                scores = weights[:, idx] @ cnt + bias
-            else:
-                idx = cnt = None
-                scores = bias.copy()
+            idx, cnt = features[i]
+            scores = weights[:, idx] @ cnt + bias
             scores -= scores.max()
             prob = np.exp(scores)
             prob /= prob.sum()
             prob[targets[i]] -= 1.0
-            if idx is not None:
-                weights[:, idx] -= spec.lr * (np.outer(prob, cnt) + spec.l2 * weights[:, idx])
+            weights[:, idx] -= spec.lr * (np.outer(prob, cnt) + spec.l2 * weights[:, idx])
             bias -= spec.lr * prob
     return HashedLinearClassifier(labels, spec.bits, weights, bias, spec)
 

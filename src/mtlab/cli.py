@@ -313,15 +313,16 @@ def cmd_optlab_train(args) -> list[str]:
 def cmd_optlab_simulate(args) -> list[str]:
     train_ids, val_ids = _toy_data(args, args.tokens)
     if args.calibrate_single is not None:
+        iterations = 840 if args.iterations_per_epoch is None else args.iterations_per_epoch
         cluster = calibrated_cluster_config(
             args.cluster_mode, args.workers, args.calibrate_single,
-            iterations_per_epoch=args.iterations_per_epoch,
-            warmup_iterations=args.warmup_iters)
+            iterations_per_epoch=iterations, warmup_iterations=args.warmup_iters)
         # the calibration fixes the batch count per epoch; size the stream to it
-        train_ids = _toy_data(args, args.iterations_per_epoch * args.batch_size + 1)[0]
+        train_ids = _toy_data(args, iterations * args.batch_size + 1)[0]
     else:
         cluster = ClusterConfig(args.workers, args.cluster_mode,
-                                per_batch_compute_time=args.batch_seconds,
+                                per_batch_compute_time=(1.0 if args.batch_seconds is None
+                                                        else args.batch_seconds),
                                 async_warmup_iterations=args.warmup_iters)
     trace = simulate_cluster(_toy_model(args), train_ids, val_ids, OptimizerConfig(args.optimizer),
                              cluster, epochs=args.epochs, batch_size=args.batch_size,
@@ -628,12 +629,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, required=True)
     p.add_argument("--cluster-mode", choices=["sync", "async"], required=True)
     p.add_argument("--warmup-iters", type=int, default=6000)
-    p.add_argument("--calibrate-single", type=parse_duration, default=None,
-                   help="single-worker epoch duration, e.g. 22260s or 6h11m")
-    p.add_argument("--iterations-per-epoch", type=int, default=840)
-    p.add_argument("--batch-seconds", type=float, default=1.0)
+    timing = p.add_mutually_exclusive_group()  # main also ties the epoch length to calibration
+    timing.add_argument("--calibrate-single", type=parse_duration, default=None,
+                        help="single-worker epoch duration, e.g. 22260s or 6h11m")
+    p.add_argument("--iterations-per-epoch", type=int, default=None,
+                   help="with --calibrate-single only (default 840)")
+    timing.add_argument("--batch-seconds", type=float, default=None, help="default 1.0")
     p.add_argument("--epochs", type=int, default=1)
-    p.set_defaults(func=cmd_optlab_simulate, _seeded=True)
+    p.set_defaults(func=cmd_optlab_simulate, _seeded=True, _simulate_parser=p)
     p = sub.add_parser(parents=[common], name="sweep")
     toy_flags(p, tokens=False)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
@@ -725,6 +728,9 @@ def main(argv: list[str] | None = None) -> int:
     given = tuple(bool(getattr(args, flag, None)) for flag in ("tsv", "src", "tgt"))
     if hasattr(args, "_corpus_parser") and given not in ((True, False, False), (False, True, True)):
         args._corpus_parser.error("give --tsv, or both --src and --tgt")
+    if hasattr(args, "_simulate_parser") and args.calibrate_single is None \
+            and args.iterations_per_epoch is not None:
+        args._simulate_parser.error("--iterations-per-epoch needs --calibrate-single")
     try:
         outputs = args.func(args)
         inputs = [value for value in vars(args).values() if isinstance(value, InputFile)]

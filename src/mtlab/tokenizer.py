@@ -64,8 +64,9 @@ PLACEHOLDER_RE = re.compile(r"⟦[A-Z][A-Z0-9]*_\d+⟧")
 # `\s` on a str pattern matches exactly the characters `str.isspace` accepts
 _SPACE_RUN_RE = re.compile(r"(\s+)")
 
-# entries each per-model memo (unit -> pieces, chunk -> tokens) may hold
-MEMO_LIMIT = 1_000_000
+# entries each per-model memo (unit -> pieces, chunk -> tokens) holds before it
+# is cleared; near the limit, on Zipf text, the two take about 45 MB
+MEMO_LIMIT = 1 << 16
 
 
 def format_placeholder(code: str, index: int) -> str:
@@ -271,6 +272,9 @@ def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str
     least the current one: a popped entry whose count is stale is pushed
     back with the current count, and after each merge the pairs that touch
     the new symbol (the only ones whose count can grow) are pushed again.
+    The pair -> words index only grows (bar the merged pair's entry): a
+    listed word that a merge leaves as long as it was has lost the pair and
+    is skipped, and a merge indexes only the pairs holding the new symbol.
     """
     words = [tuple(w) for w in unit_freqs]
     freqs = [unit_freqs[w] for w in unit_freqs]
@@ -297,24 +301,19 @@ def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str
         left, right = best
         merged = left + right
         grown = set()
-        for wi in list(pair_where[best]):
+        for wi in pair_where.pop(best):
             old = words[wi]
-            new_word = _merge_word(old, left, right, merged)
-            words[wi] = new_word
-            old_pairs = list(zip(old, old[1:]))
-            new_pairs = list(zip(new_word, new_word[1:]))
-            for pair in old_pairs:
-                pair_counts[pair] -= freqs[wi]
-                if pair_counts[pair] <= 0:
-                    del pair_counts[pair]
-            for pair in new_pairs:
-                pair_counts[pair] += freqs[wi]
-            new_set = set(new_pairs)
-            for pair in set(old_pairs) - new_set:
-                pair_where[pair].discard(wi)
-            for pair in new_set:
-                pair_where[pair].add(wi)
+            new = _merge_word(old, left, right, merged)
+            if len(new) == len(old):  # an earlier merge took the pair
+                continue
+            words[wi] = new
+            freq = freqs[wi]
+            for pair in zip(old, old[1:]):
+                pair_counts[pair] -= freq
+            for pair in zip(new, new[1:]):
+                pair_counts[pair] += freq
                 if merged in pair:
+                    pair_where[pair].add(wi)
                     grown.add(pair)
         for pair in grown:
             if pair_counts[pair] >= 2:
@@ -373,7 +372,7 @@ def _encode_unit(model: BpeModel, text: str) -> tuple[str, ...]:
     cached = model._cache.get(text)
     if cached is not None:
         return cached
-    symbols = list(text)
+    symbols = tuple(text)
     ranks = model._ranks
     while len(symbols) > 1:
         best_rank, best_pair = None, None
@@ -383,12 +382,11 @@ def _encode_unit(model: BpeModel, text: str) -> tuple[str, ...]:
                 best_rank, best_pair = rank, pair
         if best_pair is None:
             break
-        symbols = list(_merge_word(tuple(symbols), best_pair[0], best_pair[1],
-                                   best_pair[0] + best_pair[1]))
-    result = tuple(symbols)
-    if len(model._cache) < MEMO_LIMIT:
-        model._cache[text] = result
-    return result
+        symbols = _merge_word(symbols, *best_pair, "".join(best_pair))
+    if len(model._cache) >= MEMO_LIMIT:
+        model._cache.clear()
+    model._cache[text] = symbols
+    return symbols
 
 
 def _encode_chunk(model: BpeModel, chunk: str) -> tuple[AnnotatedToken, ...]:
@@ -405,8 +403,9 @@ def _encode_chunk(model: BpeModel, chunk: str) -> tuple[AnnotatedToken, ...]:
             case = CASE_L if j and unit.case == CASE_C else unit.case
             tokens.append(AnnotatedToken(piece, case, True))
     result = tuple(tokens)
-    if len(model._chunks) < MEMO_LIMIT:
-        model._chunks[chunk] = result
+    if len(model._chunks) >= MEMO_LIMIT:
+        model._chunks.clear()
+    model._chunks[chunk] = result
     return result
 
 

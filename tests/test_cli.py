@@ -179,6 +179,21 @@ def test_optlab_simulate_calibrated_async8(tmp_path):
     assert abs(payload["epoch_seconds"] - 3360.0) / 3360.0 < 0.15
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--calibrate-single", "6h", "--batch-seconds", 99],
+     "argument --batch-seconds: not allowed with argument --calibrate-single"),
+    (["--iterations-per-epoch", 20], "--iterations-per-epoch needs --calibrate-single"),
+])
+def test_optlab_simulate_other_mode_flag_is_usage_error(tmp_path, capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in ["--out-dir", tmp_path, "optlab", "simulate", "--workers", 2,
+                               "--cluster-mode", "sync", *flags]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("error: " + message)
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_optlab_gradcheck_exit_status(tmp_path):
     assert run(["--out-dir", tmp_path, "optlab", "gradcheck", "--vocab", 24,
                 "--embed-dim", 6, "--hidden-dim", 10, "--samples", 80]) == 0

@@ -1,7 +1,8 @@
 """Golden outputs for BLEU, entity scanning and validation, skip-gram
 embeddings, the surrogate model's perplexity and gradient check, BPE
-merge lists, rendered tokenizations, and digests of the parameters that two epochs of each
-optimizer and cluster schedule leave on the convergence preset.
+merge lists, rendered tokenizations, the BSF classifier's trained weights, and
+digests of the parameters that two epochs of each optimizer and cluster schedule
+leave on the convergence preset.
 
 Each value is pinned from seeded `synth.py` inputs, so turning a setting
 into a constant or merging two code paths cannot change what the toolkit
@@ -21,10 +22,11 @@ import pytest
 
 from mtlab import entities, presets
 from mtlab.bleu import ScoringConfig, corpus_bleu, sentence_bleu
-from mtlab.bsf import train_embeddings
+from mtlab.bsf import train_classifier, train_embeddings
 from mtlab.optlab import (OptimizerConfig, SurrogateConfig, SurrogateModel,
                           calibrated_cluster_config, check_gradients, simulate_cluster, train)
-from mtlab.synth import embedding_corpus, entity_sentences, toy_lm_stream, toy_parallel_corpus
+from mtlab.synth import (embedding_corpus, entity_sentences, parking_sentences, toy_lm_stream,
+                         toy_parallel_corpus)
 from mtlab.tokenizer import format_placeholder, render_tokens, tokenize, train_bpe_texts
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_outputs.json")
@@ -122,6 +124,12 @@ def _embedding_vectors():
     return {word: [float(x) for x in emb[word]] for word in emb.words()}
 
 
+def _classifier_digest():
+    clf = train_classifier(parking_sentences("en", 240, seed=3))
+    digest = hashlib.sha256(clf.weights.tobytes() + clf.bias.tobytes()).hexdigest()
+    return {"labels": list(clf.labels), "sha256": digest}
+
+
 def _perplexity():
     ids = toy_lm_stream(20000, 40, seed=6)
     assert len(ids) > 2 * 8192
@@ -186,6 +194,7 @@ OUTPUTS = {
     "bleu.cased": lambda: _bleu(True),
     "bleu.lowercased": lambda: _bleu(False),
     "bleu.sentence_add_one": _sentence_bleu_add_one,
+    "bsf.classifier": _classifier_digest,
     "entities.scan": _scan,
     "entities.validation_scores": _validation_scores,
     "embeddings.vectors": _embedding_vectors,
@@ -227,7 +236,7 @@ def test_sync_theta_equals_accumulated_theta(golden):
 
 
 @pytest.mark.parametrize("name", ["bleu.cased", "bleu.lowercased", "bleu.sentence_add_one",
-                                  "entities.scan", "entities.validation_scores",
+                                  "bsf.classifier", "entities.scan", "entities.validation_scores",
                                   "tokenizer.merges.toy_parallel", "tokenizer.merges.random_words",
                                   "tokenizer.tokenize", *THETA_OUTPUTS])
 def test_exact_output_matches_golden(golden, name):

@@ -49,6 +49,11 @@ FIXTURE_CORPORA = [
     ["aaa aaa aaab bbba bbb", "abab abab baba"],  # tie-heavy
     ["ein haus am see", "das haus ist neu", "am see ist es schoen"],
     ["xy xy yx yx xx yy", "xyx yxy xyy yxx"],  # symmetric ties
+    # runs of one letter and of alternating letters: merge sites overlap, and
+    # a merge takes a pair from a word still listed under it ((a, a) takes
+    # (a, b) from aab)
+    ["a aa aaa aaaa aaaaa aaaaaaa aaaaaaaaaaa", "ab abab ababab abababab aba baba bab",
+     "aab aab abb abb aaab abbb aabb abab", "aaaaaaaa bbbbbb abababab aabbaabb"],
 ]
 
 

@@ -182,6 +182,15 @@ def test_tokenize_matches_unit_by_unit_reference(limit, text):
     assert len(model._chunks) <= limit and len(model._cache) <= limit
 
 
+def test_full_memo_starts_over():
+    model = tk.BpeModel(MODEL.merges, MODEL.alphabet)
+    with mock.patch.object(tk, "MEMO_LIMIT", 2):
+        for chunk in ("hotel", "garden", "views", "station"):
+            tk.tokenize(model, chunk)
+    assert "station" in model._chunks and "station" in model._cache
+    assert len(model._chunks) <= 2 and len(model._cache) <= 2
+
+
 def test_space_class_is_str_isspace():
     # pre-splitting finds whitespace runs with `\s`; it must match `str.isspace` exactly
     everything = "".join(map(chr, range(sys.maxunicode + 1)))
