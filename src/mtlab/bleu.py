@@ -2,6 +2,12 @@
 
 Scores are on the 0-100 scale.  Corpus scoring pools clipped counts over
 all pairs before taking ratios; it is not an average of sentence scores.
+
+Per pair and order, the candidate's n-grams are first collected as a set.
+When no candidate n-gram repeats, every clipped count is 1 if the reference
+holds the n-gram and 0 if not, so the order's matches are the size of the
+set's intersection with the reference n-grams.  An order whose candidate
+repeats an n-gram falls back to clipping one Counter per side.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ __all__ = ["ScoringConfig", "BleuReport", "BleuError", "corpus_bleu", "sentence_
 
 
 MAX_N = 4
+SMOOTHINGS = ("none", "add_one")
 
 
 class BleuError(ValueError):
@@ -23,8 +30,13 @@ class BleuError(ValueError):
 
 @dataclass(frozen=True)
 class ScoringConfig:
-    smoothing: str = "none"          # "none" | "add_one"  (sentence-level only)
+    smoothing: str = "none"          # one of SMOOTHINGS; applies to corpus and sentence BLEU
     case_sensitive: bool = True
+
+    def __post_init__(self):
+        if self.smoothing not in SMOOTHINGS:
+            raise BleuError(
+                f"smoothing must be one of {', '.join(SMOOTHINGS)}, got {self.smoothing!r}")
 
     def split(self, text: str) -> list[str]:
         if not self.case_sensitive:
@@ -60,13 +72,6 @@ class BleuReport:
                 "config": self.config.describe(),
             }
         )
-
-
-def _ngrams(tokens: list[str]) -> Counter:
-    """Counts of every n-gram of orders 1..MAX_N; grams of different orders
-    never collide, because their lengths differ."""
-    return Counter(gram for n in range(1, MAX_N + 1)
-                   for gram in zip(*[tokens[i:] for i in range(n)]))
 
 
 def _score(matches: list[int], totals: list[int], cand_len: int, ref_len: int,
@@ -109,13 +114,23 @@ def corpus_bleu(candidates: list[str], references: list[str],
         ref_toks = config.split(ref)
         cand_len += len(cand_toks)
         ref_len += len(ref_toks)
-        ref_counts = _ngrams(ref_toks)
-        for gram, count in _ngrams(cand_toks).items():
-            ref = ref_counts.get(gram)
-            if ref:
-                matches[len(gram) - 1] += count if count < ref else ref
+        # one shifted copy per order; zipping the first n + 1 yields the n + 1-grams
+        c_shifts = (cand_toks, cand_toks[1:], cand_toks[2:], cand_toks[3:])
+        r_shifts = (ref_toks, ref_toks[1:], ref_toks[2:], ref_toks[3:])
         for n in range(MAX_N):
-            totals[n] += max(len(cand_toks) - n, 0)
+            total = len(cand_toks) - n
+            if total <= 0:
+                break
+            totals[n] += total
+            grams = set(zip(*c_shifts[:n + 1]))
+            if len(grams) == total:
+                matches[n] += len(grams.intersection(zip(*r_shifts[:n + 1])))
+                continue
+            ref_counts = Counter(zip(*r_shifts[:n + 1]))
+            for gram, count in Counter(zip(*c_shifts[:n + 1])).items():
+                in_ref = ref_counts.get(gram)
+                if in_ref:
+                    matches[n] += count if count < in_ref else in_ref
     return _score(matches, totals, cand_len, ref_len, config)
 
 

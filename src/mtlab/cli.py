@@ -600,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(parents=[common], name="sentence")
     p.add_argument("--candidate", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--smoothing", choices=["none", "add_one"], default="add_one")
+    p.add_argument("--smoothing", choices=bleu_mod.SMOOTHINGS, default="add_one")
     p.add_argument("--lowercase", action="store_true")
     p.set_defaults(func=cmd_bleu_sentence)
 

@@ -115,8 +115,16 @@ class EntityTemplate:
     language: str
     pattern: str
     regex: re.Pattern = field(init=False, repr=False)
+    code: str = field(init=False, repr=False)   # the TYPE part of `⟦TYPE_i⟧`
 
     def __post_init__(self):
+        self.code = TYPE_CODES.get(self.entity_type, self.entity_type.upper())
+        # unmask finds placeholders by PLACEHOLDER_RE, so a code it cannot match would be lost
+        if not PLACEHOLDER_RE.fullmatch(format_placeholder(self.code, 0)):
+            raise TemplateError(
+                f"template {self.entity_type}/{self.language}: placeholder code {self.code!r} "
+                f"is not a capital A-Z followed by capitals A-Z or digits"
+            )
         try:
             self.regex = re.compile(self.pattern, re.IGNORECASE)
         except re.error as exc:
@@ -138,6 +146,12 @@ _DE_MONTHS = {m.lower(): i + 1 for i, m in enumerate(
      "August", "September", "Oktober", "November", "Dezember"])}
 
 _NUM_RE = re.compile(r"\d+(?:[.,]\d+)?")
+_CLOCK_RE = re.compile(r"(\d{1,2})(?::(\d{2}))?")
+_PM_RE = re.compile(r"\dp|p\.?\s?m\.?")
+_AM_RE = re.compile(r"\da|a\.?\s?m\.?")
+_ISO_DATE_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
+_DIGITS_RE = re.compile(r"\d+")
+_NUMERIC_DATE_RE = re.compile(r"(\d{1,2})[./](\d{1,2})[./](\d{4})")
 
 
 def _parse_number(text: str, language: str) -> Decimal:
@@ -172,13 +186,13 @@ def _parse_duration(text: str, language: str) -> Duration:
 
 def _parse_time(text: str, language: str) -> TimeOfDay:
     low = text.lower().strip()
-    m = re.search(r"(\d{1,2})(?::(\d{2}))?", low)
+    m = _CLOCK_RE.search(low)
     if not m:
         raise EntityError(f"unparseable time {text!r}")
     hour, minute = int(m.group(1)), int(m.group(2) or 0)
-    if re.search(r"\dp|p\.?\s?m\.?", low) and hour != 12:
+    if _PM_RE.search(low) and hour != 12:
         hour += 12
-    elif re.search(r"\da|a\.?\s?m\.?", low) and hour == 12:
+    elif _AM_RE.search(low) and hour == 12:
         hour = 0
     return TimeOfDay((hour % 24) * 60 + minute)
 
@@ -186,16 +200,16 @@ def _parse_time(text: str, language: str) -> TimeOfDay:
 def _parse_date(text: str, language: str) -> DateValue:
     months = _DE_MONTHS if language == "de" else _EN_MONTHS
     low = text.lower().strip()
-    iso = re.fullmatch(r"(\d{4})-(\d{2})-(\d{2})", low)
+    iso = _ISO_DATE_RE.fullmatch(low)
     if iso:
         return DateValue(int(iso.group(1)), int(iso.group(2)), int(iso.group(3)))
     for name, number in months.items():
         if name in low:
-            nums = re.findall(r"\d+", low)
+            nums = _DIGITS_RE.findall(low)
             if len(nums) >= 2:
                 day, year = int(nums[0]), int(nums[-1])
                 return DateValue(year, number, day)
-    numeric = re.fullmatch(r"(\d{1,2})[./](\d{1,2})[./](\d{4})", low)
+    numeric = _NUMERIC_DATE_RE.fullmatch(low)
     if numeric:
         a, b, year = int(numeric.group(1)), int(numeric.group(2)), int(numeric.group(3))
         if language == "de":
@@ -270,6 +284,7 @@ class EntityMatch:
     end: int
     text: str
     entity_type: str
+    code: str
     value: object
 
 
@@ -279,7 +294,8 @@ def find_entities(sentence: str, templates: list[EntityTemplate]) -> list[Entity
     Spans inside existing placeholders are never matched, which makes
     masking idempotent.
     """
-    forbidden = [(m.start(), m.end()) for m in PLACEHOLDER_RE.finditer(sentence)]
+    forbidden = ([(m.start(), m.end()) for m in PLACEHOLDER_RE.finditer(sentence)]
+                 if "⟦" in sentence else [])
     candidates = []
     for t_index, template in enumerate(templates):
         for m in template.regex.finditer(sentence):
@@ -293,7 +309,8 @@ def find_entities(sentence: str, templates: list[EntityTemplate]) -> list[Entity
         if start < cursor:
             continue
         text = sentence[start:end]
-        picked.append(EntityMatch(start, end, text, template.entity_type, template.parse(text)))
+        picked.append(EntityMatch(start, end, text, template.entity_type, template.code,
+                                  template.parse(text)))
         cursor = end
     return picked
 
@@ -341,9 +358,8 @@ def mask(sentence: str, templates: list[EntityTemplate]) -> PlaceholderMap:
     entries = []
     cursor = 0
     for i, m in enumerate(matches):
-        code = TYPE_CODES.get(m.entity_type, m.entity_type.upper())
         out.append(sentence[cursor : m.start])
-        out.append(format_placeholder(code, i))
+        out.append(format_placeholder(m.code, i))
         entries.append(PlaceholderEntry(i, m.entity_type, m.text, m.value))
         cursor = m.end
     out.append(sentence[cursor:])
@@ -391,6 +407,8 @@ def unmask(translated: str, pmap: PlaceholderMap, locale: LocaleFormat) -> str:
     With the source locale the original surface forms are restored
     verbatim, making mask -> unmask a byte-exact round trip.
     """
+    if not pmap.entries and "⟦" not in translated:
+        return translated
     by_index = {e.index: e for e in pmap.entries}
     seen: Counter = Counter()
 

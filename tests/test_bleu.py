@@ -1,11 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtlab.bleu import BleuError, ScoringConfig, corpus_bleu, sentence_bleu
+from mtlab.bleu import BleuError, ScoringConfig, _score, corpus_bleu, sentence_bleu
 
 
 def oracle_bleu(candidates, references, max_n=4):
@@ -109,6 +110,45 @@ def test_corpus_bleu_matches_brute_force_counts(pairs, smoothing, case_sensitive
     else:
         assert report.score == pytest.approx(
             bp * math.exp(sum(math.log(p) for p in precisions) / 4) * 100.0, abs=1e-9)
+
+
+def counter_corpus_bleu(candidates, references, config):
+    """Reference: clip one Counter of all orders' n-grams per side, for every pair."""
+    def ngrams(tokens):
+        return Counter(gram for n in range(1, 5) for gram in zip(*[tokens[i:] for i in range(n)]))
+
+    matches, totals = [0] * 4, [0] * 4
+    cand_len = ref_len = 0
+    for cand, ref in zip(candidates, references):
+        cand_toks, ref_toks = config.split(cand), config.split(ref)
+        cand_len += len(cand_toks)
+        ref_len += len(ref_toks)
+        ref_counts = ngrams(ref_toks)
+        for gram, count in ngrams(cand_toks).items():
+            matches[len(gram) - 1] += min(count, ref_counts.get(gram, 0))
+        for n in range(4):
+            totals[n] += max(len(cand_toks) - n, 0)
+    return _score(matches, totals, cand_len, ref_len, config)
+
+
+# no token repeats, so no n-gram repeats unless lowercasing merges "a" and "A"
+distinct_token_lists = st.lists(st.sampled_from(["a", "b", "c", "A", "d", "e", "f", "g", "h"]),
+                                unique=True, max_size=9)
+either_token_list = st.one_of(token_lists, distinct_token_lists)
+
+
+@given(st.lists(st.tuples(either_token_list, either_token_list), min_size=1, max_size=4),
+       st.sampled_from(["none", "add_one"]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_corpus_bleu_equals_counter_reference(pairs, smoothing, case_sensitive):
+    config = ScoringConfig(smoothing=smoothing, case_sensitive=case_sensitive)
+    cands, refs = [" ".join(c) for c, _ in pairs], [" ".join(r) for _, r in pairs]
+    assert corpus_bleu(cands, refs, config) == counter_corpus_bleu(cands, refs, config)
+
+
+def test_unknown_smoothing_rejected():
+    with pytest.raises(BleuError, match="add-one"):
+        ScoringConfig(smoothing="add-one")
 
 
 def test_permutation_invariance():

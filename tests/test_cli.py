@@ -547,6 +547,15 @@ def test_failing_gradcheck_exits_1_without_manifest(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_template_type_without_a_placeholder_code_exits_1(tmp_path, capsys):
+    (tmp_path / "tpl.tsv").write_text("hotel_name\ten\tGrand Hotel\n", encoding="utf-8")
+    (tmp_path / "sents.txt").write_text("At the Grand Hotel.\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "ner", "mask", "--input", tmp_path / "sents.txt",
+                "--templates", tmp_path / "tpl.tsv"]) == 1
+    assert "HOTEL_NAME" in _one_error_line(capsys)
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("command", ["scan", "mask", "unmask", "validate"])
 def test_template_files_are_manifest_inputs(tmp_path, command):
     for lang in ("en", "de"):

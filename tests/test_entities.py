@@ -2,6 +2,8 @@ import warnings
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlab import entities as en
 from mtlab.corpus import ParallelCorpus, SentencePair
@@ -160,6 +162,25 @@ class TestTemplates:
     def test_bad_pattern_names_template(self):
         with pytest.raises(en.TemplateError, match="distance/en"):
             en.EntityTemplate("distance", "en", r"([unclosed")
+
+    @pytest.mark.parametrize("entity_type", ["hotel_name", "hotel-name", "2nd", "hôtel", ""])
+    def test_type_without_a_placeholder_code_rejected(self, entity_type):
+        with pytest.raises(en.TemplateError, match="placeholder code"):
+            en.EntityTemplate(entity_type, "en", r"Grand Hotel")
+
+    @given(st.text(alphabet="az09_-ıßé", max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_type_round_trips(self, entity_type):
+        try:
+            template = en.EntityTemplate(entity_type, "en", r"Grand Hotel")
+        except en.TemplateError:
+            return
+        s = "Grand Hotel, then Grand Hotel again."
+        pmap = en.mask(s, [template])
+        assert len(pmap.entries) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", en.EntityWarning)
+            assert en.unmask(pmap.masked_sentence, pmap, en.EN_LOCALE) == s
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "templates.tsv"
