@@ -5,6 +5,14 @@ per-language regex templates, replaced by indexed placeholders before
 translation, and substituted back afterwards with the value rendered in
 the target locale.  A corpus scan reports source/target count mismatches
 to drive the template refinement loop.
+
+The per-match records, `EntityMatch` and `PlaceholderEntry`, are
+NamedTuples; the one-per-sentence records are frozen dataclasses.  Each
+`EntityTemplate` keeps a scan memo, sentence -> spans of its non-empty
+matches, of at most SCAN_MEMO_LIMIT (4096) sentences and cleared when
+full, so a sentence scanned again (validation rescans the source that
+mask scanned; templated text repeats) runs no regex.  The memo lives and
+dies with the template object.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from typing import NamedTuple
 
 from .corpus import ParallelCorpus, read_lines, write_lines
 from .tokenizer import PLACEHOLDER_RE, format_placeholder
@@ -47,6 +56,7 @@ KM_PER_MILE = Decimal("1.609344")
 
 TYPE_CODES = {"distance": "DIST", "duration": "DUR", "time": "TIME", "date": "DATE"}
 MAX_SAMPLE_IDS = 50   # mismatched pair ids kept per entity type in a scan report
+SCAN_MEMO_LIMIT = 1 << 12   # sentences each template's scan memo holds before it is cleared
 
 
 class EntityError(ValueError):
@@ -116,8 +126,10 @@ class EntityTemplate:
     pattern: str
     regex: re.Pattern = field(init=False, repr=False)
     code: str = field(init=False, repr=False)   # the TYPE part of `⟦TYPE_i⟧`
+    _spans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._spans = {}
         self.code = TYPE_CODES.get(self.entity_type, self.entity_type.upper())
         # unmask finds placeholders by PLACEHOLDER_RE, so a code it cannot match would be lost
         if not PLACEHOLDER_RE.fullmatch(format_placeholder(self.code, 0)):
@@ -131,6 +143,16 @@ class EntityTemplate:
             raise TemplateError(
                 f"template {self.entity_type}/{self.language}: bad pattern {self.pattern!r}: {exc}"
             ) from None
+
+    def spans(self, sentence: str) -> tuple[tuple[int, int], ...]:
+        """(start, end) of each non-empty match in the sentence (memoized)."""
+        spans = self._spans.get(sentence)
+        if spans is None:
+            if len(self._spans) >= SCAN_MEMO_LIMIT:
+                self._spans.clear()
+            spans = self._spans[sentence] = tuple(
+                m.span() for m in self.regex.finditer(sentence) if m.end() > m.start())
+        return spans
 
     def parse(self, text: str):
         """The normalized value; unknown types normalize to their surface form."""
@@ -278,8 +300,7 @@ def save_templates(templates: list[EntityTemplate], path: str) -> None:
 # matching
 
 
-@dataclass(frozen=True)
-class EntityMatch:
+class EntityMatch(NamedTuple):
     start: int
     end: int
     text: str
@@ -298,10 +319,10 @@ def find_entities(sentence: str, templates: list[EntityTemplate]) -> list[Entity
                  if "⟦" in sentence else [])
     candidates = []
     for t_index, template in enumerate(templates):
-        for m in template.regex.finditer(sentence):
-            if any(m.start() < fe and fs < m.end() for fs, fe in forbidden):
+        for start, end in template.spans(sentence):
+            if any(start < fe and fs < end for fs, fe in forbidden):
                 continue
-            candidates.append((m.start(), -(m.end() - m.start()), t_index, m.end(), template))
+            candidates.append((start, start - end, t_index, end, template))
     candidates.sort(key=lambda c: c[:3])
     picked: list[EntityMatch] = []
     cursor = 0
@@ -319,8 +340,7 @@ def find_entities(sentence: str, templates: list[EntityTemplate]) -> list[Entity
 # masking / unmasking
 
 
-@dataclass(frozen=True)
-class PlaceholderEntry:
+class PlaceholderEntry(NamedTuple):
     index: int
     entity_type: str
     original_text: str
@@ -543,8 +563,13 @@ def validate_entity_translation(
     """Binary per-sentence scores: 1 iff the normalized entity values agree.
 
     Distances compare in meters (so unit conversions count as correct
-    within the relative tolerance); other types compare exactly.
+    within the relative tolerance, which must lie in [0, 1)); other types
+    compare exactly.
     """
+    if not pairs:
+        raise EntityError("no pairs to validate")
+    if not 0 <= rel_tolerance < 1:
+        raise EntityError(f"relative tolerance must be in [0, 1), got {rel_tolerance}")
     scores = []
     for i, (source, output) in enumerate(pairs):
         src_matches = find_entities(source, templates_src)
@@ -553,5 +578,4 @@ def validate_entity_translation(
         unpaired_src, unpaired_tgt = _pair_values(
             src_matches, find_entities(output, templates_tgt), rel_tolerance)
         scores.append(0 if unpaired_src or unpaired_tgt else 1)
-    accuracy = sum(scores) / len(scores) if scores else 0.0
-    return EntityValidation(tuple(scores), accuracy)
+    return EntityValidation(tuple(scores), sum(scores) / len(scores))

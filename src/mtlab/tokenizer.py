@@ -16,6 +16,10 @@ Application caches per word, as subword-nmt does: each `BpeModel` keeps
 two bounded memos, unit -> pieces and chunk -> tokens, so a chunk seen
 before is neither pre-split nor merged again.  The memos live and die with
 the model.
+
+The per-item records, `_Unit` (a pre-split unit) and `AnnotatedToken`, are
+NamedTuples, cheap to build and compare; `TokenizedSentence` and
+`BpeModel` stay dataclasses.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import groupby
+from typing import NamedTuple
 
 from .corpus import ParallelCorpus, read_lines, write_lines
 
@@ -55,6 +60,7 @@ CASE_C = "C"  # true case: initial capital, rest lower
 CASE_L = "L"  # all lower
 CASE_U = "U"  # all capitals
 CASE_N = "N"  # non-alphabetic (piece kept verbatim)
+_CASES = frozenset((CASE_C, CASE_L, CASE_U, CASE_N))
 
 DEFAULT_MARKER = "■"
 
@@ -77,8 +83,7 @@ class TokenizerError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AnnotatedToken:
+class AnnotatedToken(NamedTuple):
     piece: str
     case: str
     joined_right: bool = False  # no space between this piece and the next
@@ -131,8 +136,7 @@ class BpeModel:
 # pre-splitting
 
 
-@dataclass(frozen=True)
-class _Unit:
+class _Unit(NamedTuple):
     text: str          # lowercased for cased words, verbatim otherwise
     case: str
     atomic: bool       # placeholders / whitespace: never BPE-split
@@ -514,25 +518,21 @@ def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
         _check_marker(marker)
     if not text:
         return TokenizedSentence()
-    raw_items = text.split(" ")
-    parsed = []
-    for item in raw_items:
+    parsed = []   # [piece, case, joined_right]
+    for item in text.split(" "):
         body, sep, case = item.rpartition("|")
-        if not sep or case not in (CASE_C, CASE_L, CASE_U, CASE_N):
+        if not sep or case not in _CASES:
             raise TokenizerError(f"malformed token item {item!r}")
         # escaping guarantees the raw marker never appears inside a body
-        lead = body.startswith(marker)
-        if lead:
+        if body.startswith(marker):   # a left mark joins the previous token
             body = body[len(marker):]
+            if parsed:
+                parsed[-1][2] = True
         trail = body.endswith(marker)
         if trail:
             body = body[: -len(marker)]
-        parsed.append((_unescape(body, marker), case, lead, trail))
-    tokens = []
-    for i, (piece, case, lead, trail) in enumerate(parsed):
-        joined = trail or (i + 1 < len(parsed) and parsed[i + 1][2])
-        tokens.append(AnnotatedToken(piece, case, joined))
-    return TokenizedSentence(tuple(tokens))
+        parsed.append([_unescape(body, marker), case, trail])
+    return TokenizedSentence(tuple([AnnotatedToken(*p) for p in parsed]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -76,7 +77,7 @@ def test_bpe_train_apply_detok_round_trip(tmp_path, corpus_files):
                 "--input", src, "--output", "tok.txt"]) == 0
     assert run(["--out-dir", out, "bpe", "detok", "--input", out / "tok.txt",
                 "--output", "detok.txt"]) == 0
-    assert (out / "detok.txt").read_bytes() == open(src, "rb").read()
+    assert (out / "detok.txt").read_bytes() == Path(src).read_bytes()
 
 
 def test_bpe_zero_merges_gives_character_output(tmp_path, corpus_files):
@@ -545,6 +546,40 @@ def test_failing_gradcheck_exits_1_without_manifest(tmp_path, capsys):
                 "--hidden-dim", 10, "--samples", 20, "--tolerance", 0]) == 1
     assert "--tolerance" in _one_error_line(capsys)
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_ner_validate_tolerance_outside_unit_interval_exits_1(tmp_path, capsys, tolerance):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("5 km away\t5 km entfernt\n10 miles off\t16,1 km entfernt\n",
+                     encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "ner", "validate", "--pairs", pairs,
+                "--tolerance", tolerance]) == 1
+    assert f"tolerance must be in [0, 1), got {float(tolerance)}" in _one_error_line(capsys)
+    assert not (tmp_path / "out" / "entity-validation.json").exists()
+
+
+def test_ner_validate_empty_pairs_exits_1(tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "ner", "validate", "--pairs", pairs]) == 1
+    assert "no pairs" in _one_error_line(capsys)
+    assert not (tmp_path / "out" / "entity-validation.json").exists()
+
+
+@pytest.mark.parametrize("template, masked, texts", [
+    ("foo\ten\tx*", "ab 5 km", []),
+    ("distance\ten\t\\d*", "ab ⟦DIST_0⟧ km", ["5"]),
+], ids=["only-empty-matches", "empty-and-digit-matches"])
+def test_ner_mask_ignores_zero_length_matches(tmp_path, template, masked, texts):
+    (tmp_path / "tpl.tsv").write_text(template + "\n", encoding="utf-8")
+    (tmp_path / "sents.txt").write_text("ab 5 km\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--out-dir", out, "ner", "mask", "--input", tmp_path / "sents.txt",
+                "--templates", tmp_path / "tpl.tsv"]) == 0
+    assert (out / "masked.txt").read_text(encoding="utf-8").splitlines() == [masked]
+    entries = json.loads((out / "maps.json").read_text(encoding="utf-8"))[0]["entries"]
+    assert [e["text"] for e in entries] == texts
 
 
 def test_template_type_without_a_placeholder_code_exits_1(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import warnings
 from decimal import Decimal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtlab import entities as en
+from mtlab import tokenizer as tk
 from mtlab.corpus import ParallelCorpus, SentencePair
 from mtlab.synth import entity_sentences
 
@@ -157,6 +159,19 @@ class TestValidate:
         with pytest.raises(en.EntityError):
             en.validate_entity_translation([("nothing here", "nichts")], EN_TPL, DE_TPL)
 
+    def test_no_pairs_rejected(self):
+        with pytest.raises(en.EntityError, match="no pairs"):
+            en.validate_entity_translation([], EN_TPL, DE_TPL)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1.0, -1e-9, 1.0, float("inf")])
+    def test_tolerance_outside_unit_interval_rejected(self, tolerance):
+        with pytest.raises(en.EntityError, match="tolerance"):
+            en.validate_entity_translation([("5 km", "5 km")], EN_TPL, DE_TPL, tolerance)
+
+    def test_zero_tolerance_accepted(self):
+        result = en.validate_entity_translation([("5 km", "5 km")], EN_TPL, DE_TPL, 0.0)
+        assert result.scores == (1,)
+
 
 class TestTemplates:
     def test_bad_pattern_names_template(self):
@@ -202,6 +217,89 @@ class TestTemplates:
             for s in entity_sentences(200, seed=11, language=language):
                 for m in en.find_entities(s, templates):
                     assert m.value is not None
+
+
+def reference_find_entities(sentence, templates):
+    """find_entities without the scan memo: every call runs every regex."""
+    forbidden = ([(m.start(), m.end()) for m in tk.PLACEHOLDER_RE.finditer(sentence)]
+                 if "⟦" in sentence else [])
+    candidates = []
+    for t_index, template in enumerate(templates):
+        for m in template.regex.finditer(sentence):
+            if m.end() == m.start():
+                continue
+            if any(m.start() < fe and fs < m.end() for fs, fe in forbidden):
+                continue
+            candidates.append((m.start(), -(m.end() - m.start()), t_index, m.end(), template))
+    candidates.sort(key=lambda c: c[:3])
+    picked = []
+    cursor = 0
+    for start, neg_len, t_index, end, template in candidates:
+        if start < cursor:
+            continue
+        text = sentence[start:end]
+        picked.append(en.EntityMatch(start, end, text, template.entity_type, template.code,
+                                     template.parse(text)))
+        cursor = end
+    return picked
+
+
+_FRAGMENTS = ["5", "12", "3.5", "1,5", "2024", "10:30", "7", "-", " ", " ", ".", ",", "/",
+              ":", "km", "m", "mi", "miles", "Kilometer", "Meilen", "min", "minute", "Minuten",
+              "hours", "Stunden", "Uhr", "pm", "a.m.", "March", "März", "Mai", "December",
+              "ride", "⟦DIST_0⟧", "⟦DIST_0", "⟧"]
+_SENTENCES = st.lists(st.sampled_from(_FRAGMENTS), max_size=14).map("".join)
+
+
+@given(_SENTENCES)
+@settings(max_examples=300, deadline=None)
+def test_find_entities_matches_reference(sentence):
+    for templates in (EN_TPL, DE_TPL):
+        expected = reference_find_entities(sentence, templates)
+        assert en.find_entities(sentence, templates) == expected
+        assert en.find_entities(sentence, templates) == expected   # from the memo
+        with mock.patch.object(en, "SCAN_MEMO_LIMIT", 2):
+            for other in (sentence + " 5 km", sentence, "4 pm " + sentence, sentence):
+                assert en.find_entities(other, templates) == reference_find_entities(other, templates)
+                assert all(len(t._spans) <= 2 for t in templates)
+
+
+def test_fresh_templates_start_with_empty_memos():
+    en.find_entities("5 km at 10:30", en.starter_templates("en"))
+    assert all(t._spans == {} for t in en.starter_templates("en") + en.starter_templates("de"))
+
+
+def test_zero_length_matches_are_dropped():
+    empty_only = [en.EntityTemplate("foo", "en", r"x*")]
+    assert en.find_entities("ab 5 km", empty_only) == []
+    assert en.mask("ab 5 km", empty_only).masked_sentence == "ab 5 km"
+    digits = [en.EntityTemplate("distance", "en", r"\d*")]
+    pmap = en.mask("ab 5 km", digits)
+    assert pmap.masked_sentence == "ab ⟦DIST_0⟧ km"
+    assert pmap.entries == (en.PlaceholderEntry(0, "distance", "5", en.Distance(Decimal(5), "m")),)
+
+
+@pytest.mark.parametrize("record, fields, defaults", [
+    (tk._Unit, ("text", "case", "atomic", "joined_right"), {}),
+    (tk.AnnotatedToken, ("piece", "case", "joined_right"), {"joined_right": False}),
+    (en.EntityMatch, ("start", "end", "text", "entity_type", "code", "value"), {}),
+    (en.PlaceholderEntry, ("index", "entity_type", "original_text", "value"), {}),
+], ids=["unit", "token", "match", "entry"])
+def test_per_item_records_keep_their_contract(record, fields, defaults):
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    item = record(*[f"v{i}" for i in range(len(fields))])
+    assert getattr(item, fields[-1]) == f"v{len(fields) - 1}"
+    with pytest.raises(AttributeError):
+        setattr(item, fields[0], "changed")
+    assert hash(item) == hash(record(*item))
+    assert len({item, record(*item)}) == 1
+
+
+def test_unit_atomic_still_reads():
+    units = tk._presplit("at ⟦DIST_0⟧  now")
+    assert [(u.text, u.atomic) for u in units] == [
+        ("at", False), ("⟦DIST_0⟧", True), ("  ", True), ("now", False)]
 
 
 def test_german_locale_round_trip_on_generated():
