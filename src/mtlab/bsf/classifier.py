@@ -3,10 +3,17 @@
 Features are hashed with FNV-1a 64 (fixed and platform independent)
 truncated to `bits` bits; collisions are tolerated.  Training is plain
 softmax SGD with a small L2 term applied to the touched columns.
+
+The trained weights are pinned to the bit, so each step fixes its float
+order: it gathers the touched columns once as `w`, scores `w @ cnt + bias`
+(one BLAS gemv), normalizes with `scores.max()`, `np.exp` and `prob.sum()`,
+and updates `w -= lr * (prob[:, None] * cnt + l2 * w)` before writing `w`
+back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +110,12 @@ def train_classifier(
     """Softmax SGD over hashed n-gram counts; deterministic per seed."""
     if not 1 <= spec.bits <= MAX_BITS:
         raise ClassifierError(f"bits must be in 1..{MAX_BITS}, got {spec.bits}")
+    if spec.epochs < 1:
+        raise ClassifierError(f"epochs must be at least 1, got {spec.epochs}")
+    if not (math.isfinite(spec.lr) and spec.lr > 0):
+        raise ClassifierError(f"lr must be finite and positive, got {spec.lr}")
+    if not (math.isfinite(spec.l2) and spec.l2 >= 0):
+        raise ClassifierError(f"l2 must be finite and non-negative, got {spec.l2}")
     labels = tuple(sorted({label for _, label in labeled}))
     if len(labels) < 2:
         raise ClassifierError(f"need at least 2 distinct labels, got {labels}")
@@ -113,17 +126,20 @@ def train_classifier(
     features = [_feature_arrays(text, spec.bits, spec.use_bigrams) for text, _ in labeled]
     targets = [label_index[label] for _, label in labeled]
 
+    lr, l2 = spec.lr, spec.l2
     for epoch in range(spec.epochs):
         order = stream(seed, f"clf-epoch-{epoch}").permutation(len(labeled))
-        for i in order:
+        for i in order.tolist():
             idx, cnt = features[i]
-            scores = weights[:, idx] @ cnt + bias
+            w = weights[:, idx]
+            scores = w @ cnt + bias
             scores -= scores.max()
             prob = np.exp(scores)
             prob /= prob.sum()
             prob[targets[i]] -= 1.0
-            weights[:, idx] -= spec.lr * (np.outer(prob, cnt) + spec.l2 * weights[:, idx])
-            bias -= spec.lr * prob
+            w -= lr * (prob[:, None] * cnt + l2 * w)
+            weights[:, idx] = w
+            bias -= lr * prob
     return HashedLinearClassifier(labels, spec.bits, weights, bias, spec)
 
 

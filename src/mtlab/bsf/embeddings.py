@@ -3,6 +3,15 @@
 Plain numpy implementation of the classic recipe: frequent-word
 subsampling, unigram^0.75 negative table, linearly decaying learning
 rate.  Deterministic for a given seed.
+
+The vectors are pinned to the bit, so the loop fixes its float order and
+its draws from the one seeded stream: per sentence one keep draw per word,
+per center one window draw and then `negatives` draws for each context in
+order.  Each context gathers its output rows once, scores them with
+`1.0 / (1.0 + np.exp(-vouts @ vin))`, updates the input row in place first
+(`vin -= grad @ vouts`), then the gathered rows with the updated row
+(`vouts -= grad[:, None] * vin`), and scatters them back, so a repeated
+negative keeps its last row.
 """
 
 from __future__ import annotations
@@ -76,8 +85,8 @@ def train_embeddings(
     Multi-word phrases must be pre-joined into single tokens (for example
     with underscores) before training.  Every word gets a vector.
     """
-    if dim < 1 or window < 1 or epochs < 1:
-        raise EmbeddingError("dim, window and epochs must all be positive")
+    if dim < 1 or window < 1 or negatives < 1 or epochs < 1:
+        raise EmbeddingError("dim, window, negatives and epochs must all be positive")
     counts = Counter(tok for sent in sentences for tok in sent)
     total_tokens = sum(counts.values())
     if total_tokens == 0:
@@ -103,35 +112,33 @@ def train_embeddings(
 
     # subsampling keep-probability for frequent words
     keep = np.minimum(1.0, np.sqrt(SUBSAMPLE_THRESHOLD / (freq / total_tokens))
-                      + SUBSAMPLE_THRESHOLD / (freq / total_tokens))
+                      + SUBSAMPLE_THRESHOLD / (freq / total_tokens)).tolist()
 
     total_centers = max(1, total_tokens * epochs)
     processed = 0
     for epoch in range(epochs):
         for sent in sentences:
             ids = [index[t] for t in sent]
-            kept = [i for i in ids if rng.random() < keep[i]]
+            kept = [i for i, draw in zip(ids, rng.random(len(ids)).tolist()) if draw < keep[i]]
             for pos, center in enumerate(kept):
                 processed += 1
                 lr = max(INITIAL_LR * (1.0 - processed / total_centers), INITIAL_LR * 1e-4)
                 span = 1 + int(rng.integers(window))
                 lo = max(0, pos - span)
                 hi = min(len(kept), pos + span + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    context = kept[ctx_pos]
-                    negs = np.searchsorted(noise_cdf, rng.random(negatives))
-                    negs = negs[negs != center]
-                    targets = np.concatenate(([center], negs))
-                    labels = np.zeros(len(targets))
-                    labels[0] = 1.0
+                contexts = kept[lo:pos] + kept[pos + 1:hi]
+                # one row of negatives per context, drawn in the per-context order
+                draws = np.searchsorted(noise_cdf, rng.random(negatives * len(contexts)))
+                for context, negs in zip(contexts, draws.reshape(-1, negatives).tolist()):
+                    targets = np.array([center] + [n for n in negs if n != center])
                     vin = vec_in[context]
                     vouts = vec_out[targets]
-                    scores = 1.0 / (1.0 + np.exp(-vouts @ vin))
-                    gradient = (scores - labels) * lr
-                    vec_in[context] -= gradient @ vouts
-                    vec_out[targets] -= np.outer(gradient, vin)
+                    grad = 1.0 / (1.0 + np.exp(-vouts @ vin))
+                    grad[0] -= 1.0  # label 1 for the center, 0 for each negative
+                    grad *= lr
+                    vin -= grad @ vouts
+                    vouts -= grad[:, None] * vin
+                    vec_out[targets] = vouts
     return Embeddings({w: vec_in[index[w]].copy() for w in vocab}, dim)
 
 

@@ -8,6 +8,7 @@ approved file is re-imported with `load_terms`.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -36,6 +37,10 @@ def expand_seeds(
 ) -> list[tuple[str, float]]:
     """Union of the top-k cosine neighbors of each seed, deduplicated by
     best similarity, seeds themselves excluded, sorted best-first."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if math.isnan(min_sim):
+        raise ValueError("min_sim must be a number, got nan")
     present = [s for s in seeds if s in emb]
     missing = [s for s in seeds if s not in emb]
     if missing:

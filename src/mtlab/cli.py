@@ -507,44 +507,29 @@ def cmd_eval_correlate(args) -> list[str]:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mtlab", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out-dir", default=os.environ.get("MTLAB_OUT", "."),
-                        help="output directory (default: $MTLAB_OUT or .)")
-    parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # leaf parser from clobbering a value parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    top = parser.add_subparsers(dest="group", required=True)
+def _corpus_inputs(p):
+    p.add_argument("--src", type=InputFile, help="source-side text file")
+    p.add_argument("--tgt", type=InputFile, help="target-side text file")
+    p.add_argument("--tsv", type=InputFile,
+                   help="two-column TSV corpus (alternative to --src/--tgt)")
+    p.set_defaults(_corpus_parser=p)  # main checks the combination
 
-    def corpus_inputs(p):
-        p.add_argument("--src", type=InputFile, help="source-side text file")
-        p.add_argument("--tgt", type=InputFile, help="target-side text file")
-        p.add_argument("--tsv", type=InputFile,
-                       help="two-column TSV corpus (alternative to --src/--tgt)")
-        p.set_defaults(_corpus_parser=p)  # main checks the combination
 
-    # corpus
-    group = top.add_parser("corpus", help="load/split/subsample parallel corpora")
-    sub = group.add_subparsers(dest="command", required=True)
+def _corpus_parsers(sub, common):
     p = sub.add_parser(parents=[common], name="split")
-    corpus_inputs(p)
+    _corpus_inputs(p)
     p.add_argument("--validation-size", type=int, required=True)
     p.set_defaults(func=cmd_corpus_split, _seeded=True)
     p = sub.add_parser(parents=[common], name="subsample")
-    corpus_inputs(p)
+    _corpus_inputs(p)
     p.add_argument("--sizes", type=parse_sizes, required=True,
                    help="comma-separated sizes, e.g. 100,250,500")
     p.set_defaults(func=cmd_corpus_subsample, _seeded=True)
 
-    # bpe
-    group = top.add_parser("bpe", help="subword model training and application")
-    sub = group.add_subparsers(dest="command", required=True)
+
+def _bpe_parsers(sub, common):
     p = sub.add_parser(parents=[common], name="train")
-    corpus_inputs(p)
+    _corpus_inputs(p)
     p.add_argument("--merges", type=int, required=True)
     p.add_argument("--mode", choices=["joint", "separate"], default="joint")
     p.set_defaults(func=cmd_bpe_train)
@@ -560,11 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marker", default=tokenizer.DEFAULT_MARKER)
     p.set_defaults(func=cmd_bpe_detok)
 
-    # ner
-    group = top.add_parser("ner", help="entity templates: scan/mask/unmask/validate")
-    sub = group.add_subparsers(dest="command", required=True)
+
+def _ner_parsers(sub, common):
     p = sub.add_parser(parents=[common], name="scan")
-    corpus_inputs(p)
+    _corpus_inputs(p)
     p.add_argument("--templates-src", type=template_source, default="en",
                    help="template file or starter language code")
     p.add_argument("--templates-tgt", type=template_source, default="de")
@@ -589,9 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.005)
     p.set_defaults(func=cmd_ner_validate)
 
-    # bleu
-    group = top.add_parser("bleu", help="BLEU scoring")
-    sub = group.add_subparsers(dest="command", required=True)
+
+def _bleu_parsers(sub, common):
     p = sub.add_parser(parents=[common], name="corpus")
     p.add_argument("--candidates", type=InputFile, required=True)
     p.add_argument("--references", type=InputFile, required=True)
@@ -604,27 +587,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lowercase", action="store_true")
     p.set_defaults(func=cmd_bleu_sentence)
 
-    # optlab
-    group = top.add_parser("optlab", help="optimizer laboratory and cluster simulation")
-    sub = group.add_subparsers(dest="command", required=True)
 
-    def toy_flags(p, tokens=True, noise=True):
-        p.add_argument("--vocab", type=int, default=128)
-        p.add_argument("--embed-dim", type=int, default=48)
-        p.add_argument("--hidden-dim", type=int, default=96)
-        if tokens:  # the sweep sizes its streams from --sizes
-            p.add_argument("--tokens", type=int, default=12000)
-        if noise:  # gradcheck draws a fixed noiseless batch
-            p.add_argument("--noise", type=float, default=0.15)
-        p.add_argument("--batch-size", type=int, default=8)
+def _toy_flags(p, tokens=True, noise=True):
+    p.add_argument("--vocab", type=int, default=128)
+    p.add_argument("--embed-dim", type=int, default=48)
+    p.add_argument("--hidden-dim", type=int, default=96)
+    if tokens:  # the sweep sizes its streams from --sizes
+        p.add_argument("--tokens", type=int, default=12000)
+    if noise:  # gradcheck draws a fixed noiseless batch
+        p.add_argument("--noise", type=float, default=0.15)
+    p.add_argument("--batch-size", type=int, default=8)
 
+
+def _optlab_parsers(sub, common):
     p = sub.add_parser(parents=[common], name="train")
-    toy_flags(p)
+    _toy_flags(p)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--epochs", type=int, default=20)
     p.set_defaults(func=cmd_optlab_train, _seeded=True)
     p = sub.add_parser(parents=[common], name="simulate")
-    toy_flags(p)
+    _toy_flags(p)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--workers", type=int, required=True)
     p.add_argument("--cluster-mode", choices=["sync", "async"], required=True)
@@ -638,22 +620,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=1)
     p.set_defaults(func=cmd_optlab_simulate, _seeded=True, _simulate_parser=p)
     p = sub.add_parser(parents=[common], name="sweep")
-    toy_flags(p, tokens=False)
+    _toy_flags(p, tokens=False)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--sizes", type=parse_sizes, required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--checkpoint-every", type=int, default=100)
     p.set_defaults(func=cmd_optlab_sweep, _seeded=True)
     p = sub.add_parser(parents=[common], name="gradcheck")
-    toy_flags(p, tokens=False, noise=False)
+    _toy_flags(p, tokens=False, noise=False)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.set_defaults(func=cmd_optlab_gradcheck, _seeded=True)
 
-    # bsf
-    group = top.add_parser("bsf", help="business sensitivity framework")
-    sub = group.add_subparsers(dest="command", required=True)
+
+def _bsf_parsers(sub, common):
     p = sub.add_parser(parents=[common], name="embed")
     p.add_argument("--input", type=InputFile, required=True,
                    help="pre-tokenized text, one sentence per line")
@@ -699,32 +680,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang-tgt", default="de")
     p.set_defaults(func=cmd_bsf_report)
 
-    # eval
-    group = top.add_parser("eval", help="human evaluation analytics")
-    sub = group.add_subparsers(dest="command", required=True)
 
-    def score_flags(p):
-        p.add_argument("--scores", type=InputFile, required=True, help="CSV score sheet")
-        p.add_argument("--score-min", type=int, default=1)
-        p.add_argument("--score-max", type=int, default=4)
+def _score_flags(p):
+    p.add_argument("--scores", type=InputFile, required=True, help="CSV score sheet")
+    p.add_argument("--score-min", type=int, default=1)
+    p.add_argument("--score-max", type=int, default=4)
 
+
+def _eval_parsers(sub, common):
     p = sub.add_parser(parents=[common], name="ingest")
-    score_flags(p)
+    _score_flags(p)
     p.set_defaults(func=cmd_eval_ingest)
     p = sub.add_parser(parents=[common], name="summarize")
-    score_flags(p)
+    _score_flags(p)
     p.set_defaults(func=cmd_eval_summarize)
     p = sub.add_parser(parents=[common], name="correlate")
-    score_flags(p)
+    _score_flags(p)
     p.add_argument("--bleu", type=InputFile, required=True, help="JSON mapping system -> BLEU score")
     p.set_defaults(func=cmd_eval_correlate)
 
+
+# group name -> (help, builder of its subcommand parsers)
+_GROUPS = {
+    "corpus": ("load/split/subsample parallel corpora", _corpus_parsers),
+    "bpe": ("subword model training and application", _bpe_parsers),
+    "ner": ("entity templates: scan/mask/unmask/validate", _ner_parsers),
+    "bleu": ("BLEU scoring", _bleu_parsers),
+    "optlab": ("optimizer laboratory and cluster simulation", _optlab_parsers),
+    "bsf": ("business sensitivity framework", _bsf_parsers),
+    "eval": ("human evaluation analytics", _eval_parsers),
+}
+
+
+def build_parser(groups: set[str] | None = None) -> argparse.ArgumentParser:
+    """The `mtlab` parser.  Only the groups named in `groups` (all when None)
+    get their subcommands; the rest keep just their name and help."""
+    parser = argparse.ArgumentParser(prog="mtlab", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out-dir", default=os.environ.get("MTLAB_OUT", "."),
+                        help="output directory (default: $MTLAB_OUT or .)")
+    parser.add_argument("--seed", type=int, default=0, help="global random seed")
+    # the same flags are accepted after the subcommand; SUPPRESS keeps the
+    # leaf parser from clobbering a value parsed at the top level
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out-dir", default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    top = parser.add_subparsers(dest="group", required=True)
+    for name, (help_text, subcommands) in _GROUPS.items():
+        group = top.add_parser(name, help=help_text)
+        if groups is None or name in groups:
+            subcommands(group.add_subparsers(dest="command", required=True), common)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse picks a group only by its exact name, so a group whose name is
+    # no token of argv cannot run and keeps its stub
+    args = build_parser(set(argv)).parse_args(argv)
     given = tuple(bool(getattr(args, flag, None)) for flag in ("tsv", "src", "tgt"))
     if hasattr(args, "_corpus_parser") and given not in ((True, False, False), (False, True, True)):
         args._corpus_parser.error("give --tsv, or both --src and --tgt")

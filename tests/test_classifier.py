@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from mtlab.bsf import (
     save_classifier,
     train_classifier,
 )
-from mtlab.bsf.classifier import fnv1a64, hashed_features
+from mtlab.bsf.classifier import _feature_arrays, fnv1a64, hashed_features
+from mtlab.rng import stream
 from mtlab.synth import parking_parallel, parking_sentences
 
 
@@ -67,6 +70,55 @@ class TestTraining:
         clf.weights *= 3.5
         clf.bias *= 3.5
         assert [clf.predict(t) for t in texts] == before
+
+
+def reference_train(labeled, spec, seed):
+    """The per-step loop `train_classifier` replaced: three gathers of the
+    touched columns and an `np.outer` update per example."""
+    labels = tuple(sorted({label for _, label in labeled}))
+    label_index = {label: i for i, label in enumerate(labels)}
+    weights = np.zeros((len(labels), 1 << spec.bits))
+    bias = np.zeros(len(labels))
+    features = [_feature_arrays(text, spec.bits, spec.use_bigrams) for text, _ in labeled]
+    targets = [label_index[label] for _, label in labeled]
+    for epoch in range(spec.epochs):
+        order = stream(seed, f"clf-epoch-{epoch}").permutation(len(labeled))
+        for i in order:
+            idx, cnt = features[i]
+            scores = weights[:, idx] @ cnt + bias
+            scores -= scores.max()
+            prob = np.exp(scores)
+            prob /= prob.sum()
+            prob[targets[i]] -= 1.0
+            weights[:, idx] -= spec.lr * (np.outer(prob, cnt) + spec.l2 * weights[:, idx])
+            bias -= spec.lr * prob
+    return weights, bias
+
+
+@pytest.mark.parametrize("labeled, spec", [
+    (parking_sentences("en", 240, seed=3), ClassifierSpec()),
+    (parking_sentences("de", 120, seed=4), ClassifierSpec(use_bigrams=False, epochs=3)),
+    # 8 slots: unigrams and bigrams collide within one example and across labels
+    (parking_sentences("en", 80, seed=5), ClassifierSpec(bits=3, epochs=4, lr=0.2, l2=0.01)),
+    # featureless texts score as the bias alone and still move it
+    ([("", "a"), ("!!", "b"), ("alpha beta", "a"), ("...", "c"), ("beta gamma", "b")] * 3,
+     ClassifierSpec(bits=6, epochs=5)),
+])
+def test_training_is_bit_identical_to_the_reference_loop(labeled, spec):
+    clf = train_classifier(labeled, spec, seed=7)
+    weights, bias = reference_train(labeled, spec, seed=7)
+    assert clf.weights.tobytes() == weights.tobytes()
+    assert clf.bias.tobytes() == bias.tobytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("epochs", -2), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
+    ("lr", float("inf")), ("l2", -1e-6), ("l2", float("nan")), ("l2", float("inf")),
+])
+def test_bad_training_settings_rejected(field, value):
+    spec = dataclasses.replace(ClassifierSpec(), **{field: value})
+    with pytest.raises(ClassifierError, match=field):
+        train_classifier([("a b", "x"), ("c d", "y")], spec)
 
 
 class TestEvaluation:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mtlab.cli import main, parse_duration
+from mtlab.cli import build_parser, main, parse_duration
 from mtlab.entities import save_templates, starter_templates
 from mtlab.manifest import file_digest
 from mtlab.synth import entity_sentences, parking_sentences, toy_parallel_corpus
@@ -539,6 +539,71 @@ def test_bsf_train_bits_out_of_range_exits_1(tmp_path, capsys, bits):
     assert run(["--out-dir", tmp_path / "out", "bsf", "train", "--labeled", labeled,
                 "--bits", bits]) == 1
     assert "bits must be in 1..24" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epochs", 0, "epochs must be at least 1"),
+    ("--epochs", -2, "epochs must be at least 1"),
+    ("--lr", "nan", "lr must be finite and positive"),
+    ("--lr", -1, "lr must be finite and positive"),
+    ("--l2", "inf", "l2 must be finite and non-negative"),
+])
+def test_bsf_train_bad_settings_exit_1(tmp_path, capsys, flag, value, message):
+    labeled = tmp_path / "labeled.tsv"
+    labeled.write_text("free\tFree parking.\npaid\tPaid parking.\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "bsf", "train", "--labeled", labeled,
+                flag, value]) == 1
+    assert message in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("negatives", [0, -1])
+def test_bsf_embed_negatives_below_one_exit_1(tmp_path, capsys, negatives):
+    text = tmp_path / "tokens.txt"
+    text.write_text("the dog and the cat\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "bsf", "embed", "--input", text,
+                "--negatives", negatives]) == 1
+    assert "must all be positive" in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k", -3, "k must be at least 1, got -3"),
+    ("--k", 0, "k must be at least 1, got 0"),
+    ("--min-sim", "nan", "min_sim must be a number"),
+])
+def test_bsf_expand_bad_k_or_min_sim_exits_1(tmp_path, capsys, flag, value, message):
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text("3 2\npet 1.0 0.0\ndog 0.9 0.44\ncar 0.1 0.99\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "bsf", "expand", "--vectors", vectors,
+                "--seeds", "pet", flag, value]) == 1
+    assert message in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def _subparsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("group", sorted(_subparsers(build_parser())))
+def test_one_group_build_gives_the_full_help(group):
+    full, one = build_parser(), build_parser({group})
+    assert [name for name, parser in _subparsers(one).items()
+            if parser._subparsers is not None] == [group]
+    assert one.format_help() == full.format_help()
+    assert _subparsers(one)[group].format_help() == _subparsers(full)[group].format_help()
+    for command, parser in _subparsers(_subparsers(full)[group]).items():
+        assert _subparsers(_subparsers(one)[group])[command].format_help() == parser.format_help()
+
+
+def test_flag_value_naming_a_group_runs_the_command(tmp_path, monkeypatch, corpus_files):
+    monkeypatch.chdir(tmp_path)
+    src, tgt = corpus_files
+    assert run(["--out-dir", "bpe", "corpus", "split", "--src", src, "--tgt", tgt,
+                "--validation-size", 5]) == 0
+    manifest = json.loads((tmp_path / "bpe" / "manifest.json").read_text())
+    assert manifest["subcommand"] == "corpus split"
+    assert (tmp_path / "bpe" / "validation.src").exists()
 
 
 def test_failing_gradcheck_exits_1_without_manifest(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,8 @@ from mtlab.bsf import (
     save_embeddings,
     train_embeddings,
 )
-from mtlab.bsf.embeddings import Embeddings
+from mtlab.bsf.embeddings import INITIAL_LR, SUBSAMPLE_THRESHOLD, Embeddings
+from mtlab.rng import stream
 from mtlab.synth import embedding_corpus
 
 
@@ -34,6 +38,82 @@ def test_one_sentence_corpus_warns_but_runs():
     with pytest.warns(UserWarning, match="tokens"):
         emb = train_embeddings([["tiny", "corpus", "here"]], dim=4, epochs=1, seed=0)
     assert len(emb.vectors) == 3
+
+
+def reference_train(sentences, dim, window, negatives, epochs, seed):
+    """The per-context loop `train_embeddings` replaced: one draw per keep
+    test and per context, a `labels` array, and a gather and a scatter of the
+    output rows through `-=`."""
+    counts = Counter(tok for sent in sentences for tok in sent)
+    total_tokens = sum(counts.values())
+    vocab = sorted(counts)
+    index = {w: i for i, w in enumerate(vocab)}
+    rng = stream(seed, "word2vec")
+    vec_in = (rng.random((len(vocab), dim)) - 0.5) / dim
+    vec_out = np.zeros((len(vocab), dim))
+    freq = np.array([counts[w] for w in vocab], dtype=np.float64)
+    noise = freq ** 0.75
+    noise /= noise.sum()
+    noise_cdf = np.cumsum(noise)
+    keep = np.minimum(1.0, np.sqrt(SUBSAMPLE_THRESHOLD / (freq / total_tokens))
+                      + SUBSAMPLE_THRESHOLD / (freq / total_tokens))
+    total_centers = max(1, total_tokens * epochs)
+    processed = 0
+    for epoch in range(epochs):
+        for sent in sentences:
+            ids = [index[t] for t in sent]
+            kept = [i for i in ids if rng.random() < keep[i]]
+            for pos, center in enumerate(kept):
+                processed += 1
+                lr = max(INITIAL_LR * (1.0 - processed / total_centers), INITIAL_LR * 1e-4)
+                span = 1 + int(rng.integers(window))
+                lo = max(0, pos - span)
+                hi = min(len(kept), pos + span + 1)
+                for ctx_pos in range(lo, hi):
+                    if ctx_pos == pos:
+                        continue
+                    context = kept[ctx_pos]
+                    negs = np.searchsorted(noise_cdf, rng.random(negatives))
+                    negs = negs[negs != center]
+                    targets = np.concatenate(([center], negs))
+                    labels = np.zeros(len(targets))
+                    labels[0] = 1.0
+                    vin = vec_in[context]
+                    vouts = vec_out[targets]
+                    scores = 1.0 / (1.0 + np.exp(-vouts @ vin))
+                    gradient = (scores - labels) * lr
+                    vec_in[context] -= gradient @ vouts
+                    vec_out[targets] -= np.outer(gradient, vin)
+    return {w: vec_in[index[w]] for w in vocab}
+
+
+@pytest.mark.parametrize("sentences, dim, window, negatives, epochs", [
+    (embedding_corpus(seed=1, n_sentences=80), 8, 2, 5, 2),
+    # 2-3 word vocabularies: negatives repeat within a row and hit the center
+    ([["a", "b", "a", "b", "b"], ["b", "a"]] * 40, 4, 2, 6, 2),
+    ([["x", "y", "z", "x"], ["z", "z", "y"]] * 30, 3, 3, 8, 2),
+    # a window wider than every sentence
+    (embedding_corpus(seed=2, n_sentences=40), 6, 40, 3, 1),
+    # one-word sentences have no context and draw no negatives
+    ([["solo"], ["pair", "words"], ["solo"], ["three", "word", "line"]] * 20, 5, 2, 4, 3),
+])
+def test_training_is_bit_identical_to_the_reference_loop(sentences, dim, window, negatives,
+                                                         epochs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the low-data warning
+        emb = train_embeddings(sentences, dim=dim, window=window, negatives=negatives,
+                               epochs=epochs, seed=11)
+    want = reference_train(sentences, dim, window, negatives, epochs, seed=11)
+    assert list(emb.vectors) == list(want)
+    for word, vec in want.items():
+        assert emb[word].tobytes() == vec.tobytes(), word
+
+
+@pytest.mark.parametrize("setting", [{"dim": 0}, {"window": 0}, {"negatives": 0},
+                                     {"negatives": -1}, {"epochs": 0}])
+def test_non_positive_settings_rejected(setting):
+    with pytest.raises(EmbeddingError, match="must all be positive"):
+        train_embeddings([["a", "b"]], **setting)
 
 
 def test_empty_corpus_rejected():
@@ -85,8 +165,11 @@ class TestExpandSeeds:
         }
         return Embeddings(vectors, 2)
 
-    def test_k_zero_empty(self):
-        assert expand_seeds(self.hand_built(), ["pet"], k=0) == []
+    @pytest.mark.parametrize("k, min_sim", [(0, 0.0), (-3, 0.0), (1, float("nan"))],
+                             ids=["k-zero", "k-negative", "min-sim-nan"])
+    def test_k_below_one_or_nan_min_sim_rejected(self, k, min_sim):
+        with pytest.raises(ValueError, match="k must be at least 1|min_sim"):
+            expand_seeds(self.hand_built(), ["pet"], k=k, min_sim=min_sim)
 
     def test_top_neighbor_by_cosine(self):
         emb = self.hand_built()
