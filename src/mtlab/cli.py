@@ -1,9 +1,10 @@
 """Command-line entry point wiring the toolkit's workflows together.
 
 Every subcommand writes its outputs into --out-dir (default: $MTLAB_OUT or
-the current directory) and returns their paths; when it succeeds, `main`
-adds a manifest.json that digests every file it read.  Reports are
-emitted both as JSON and as aligned text; trace CSVs are plot-ready.
+the current directory) through `_out`, which records each path; when it
+succeeds, `main` adds a manifest.json that lists what was written and
+digests every file it read.  Reports are emitted both as JSON and as
+aligned text; trace CSVs are plot-ready.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import os
 import re
 import sys
@@ -37,14 +40,16 @@ __all__ = ["main", "parse_duration", "format_duration", "parse_sizes"]
 
 
 def parse_duration(text: str) -> float:
-    """Seconds from '22260', '22260s', '371m', or '6h11m' style strings."""
-    text = text.strip()
-    if re.fullmatch(r"\d+(?:\.\d+)?", text):
-        return float(text)
+    """Seconds from '22260', '22260s', '371m', or '6h11m' style strings.
+
+    The whole text must be one plain number or one or more <number><h|m|s>
+    parts, and the total must be positive and finite."""
+    text, number = text.strip(), r"\d+(?:\.\d+)?"
     total = 0.0
-    for value, unit in re.findall(r"(\d+(?:\.\d+)?)([hms])", text):
-        total += float(value) * {"h": 3600.0, "m": 60.0, "s": 1.0}[unit]
-    if total == 0.0:
+    if re.fullmatch(f"{number}|(?:{number}[hms])+", text):
+        total = sum(float(value) * {"h": 3600.0, "m": 60.0, "s": 1.0, "": 1.0}[unit]
+                    for value, unit in re.findall(f"({number})([hms]?)", text))
+    if not 0.0 < total < math.inf:
         raise argparse.ArgumentTypeError(f"cannot parse duration {text!r}")
     return total
 
@@ -94,59 +99,53 @@ def _read_json(path: str, error: type):
 
 
 def _out(args, name: str) -> str:
+    """The path of output `name` in --out-dir, recorded for the manifest."""
     os.makedirs(args.out_dir, exist_ok=True)
-    return os.path.join(args.out_dir, name)
+    path = os.path.join(args.out_dir, name)
+    args._outputs.append(path)
+    return path
 
 
 # ---------------------------------------------------------------------------
 # corpus
 
 
-def cmd_corpus_split(args) -> list[str]:
+def cmd_corpus_split(args) -> None:
     loaded = _load_corpus(args)
     result = corpus.split(loaded, args.validation_size, args.seed)
-    outputs = []
     for part, name in ((result.train, "train"), (result.validation, "validation")):
         src_path, tgt_path = _out(args, f"{name}.src"), _out(args, f"{name}.tgt")
         corpus.write_parallel(part, src_path, tgt_path)
-        outputs += [src_path, tgt_path]
     print(f"train {len(result.train)} pairs, validation {len(result.validation)} pairs"
           f" (dropped {loaded.dropped_count})")
-    return outputs
 
 
-def cmd_corpus_subsample(args) -> list[str]:
+def cmd_corpus_subsample(args) -> None:
     loaded = _load_corpus(args)
-    outputs = []
     for size, sub in zip(args.sizes, corpus.subsample(loaded, args.sizes, args.seed)):
         src_path, tgt_path = _out(args, f"size-{size}.src"), _out(args, f"size-{size}.tgt")
         corpus.write_parallel(sub, src_path, tgt_path)
-        outputs += [src_path, tgt_path]
         print(f"size {size}: {len(sub)} pairs")
-    return outputs
 
 
 # ---------------------------------------------------------------------------
 # bpe
 
 
-def cmd_bpe_train(args) -> list[str]:
+def cmd_bpe_train(args) -> None:
     trained = tokenizer.train_bpe(_load_corpus(args), args.merges, args.mode)
     if args.mode == "joint":
         named = [(trained, "bpe.model", "joint model")]
     else:
         named = [(model, f"bpe.{side}.model", model.mode)
                  for model, side in zip(trained, ("src", "tgt"))]
-    outputs = []
     for model, name, label in named:
         path = _out(args, name)
         tokenizer.save_model(model, path)
-        outputs.append(path)
         print(f"{label}: {model.merge_count} merges, alphabet {len(model.alphabet)}")
-    return outputs
 
 
-def cmd_bpe_apply(args) -> list[str]:
+def cmd_bpe_apply(args) -> None:
     model = tokenizer.load_model(args.model)
     lines = corpus.read_lines(args.input)
     rendered = [tokenizer.render_tokens(tokenizer.tokenize(model, line), args.marker)
@@ -154,24 +153,22 @@ def cmd_bpe_apply(args) -> list[str]:
     path = _out(args, args.output)
     corpus.write_lines(rendered, path)
     print(f"tokenized {len(lines)} sentences -> {path}")
-    return [path]
 
 
-def cmd_bpe_detok(args) -> list[str]:
+def cmd_bpe_detok(args) -> None:
     lines = corpus.read_lines(args.input)
     restored = [tokenizer.detokenize(tokenizer.parse_tokens(line, args.marker))
                 for line in lines]
     path = _out(args, args.output)
     corpus.write_lines(restored, path)
     print(f"detokenized {len(lines)} sentences -> {path}")
-    return [path]
 
 
 # ---------------------------------------------------------------------------
 # ner
 
 
-def cmd_ner_scan(args) -> list[str]:
+def cmd_ner_scan(args) -> None:
     loaded = _load_corpus(args)
     report = entities.scan_mismatches(loaded, _templates(args.templates_src),
                                       _templates(args.templates_tgt))
@@ -179,10 +176,9 @@ def cmd_ner_scan(args) -> list[str]:
     corpus.write_lines([report.to_json()], json_path)
     corpus.write_lines([report.to_text()], text_path)
     print(report.to_text())
-    return [json_path, text_path]
 
 
-def cmd_ner_mask(args) -> list[str]:
+def cmd_ner_mask(args) -> None:
     templates = _templates(args.templates)
     lines = corpus.read_lines(args.input)
     masked_lines = []
@@ -202,7 +198,6 @@ def cmd_ner_mask(args) -> list[str]:
     corpus.write_lines([json.dumps(maps, ensure_ascii=False, indent=2)], map_path)
     total = sum(len(m["entries"]) for m in maps)
     print(f"masked {total} entities in {len(lines)} sentences -> {masked_path}")
-    return [masked_path, map_path]
 
 
 def _is_map(stored) -> bool:
@@ -214,7 +209,7 @@ def _is_map(stored) -> bool:
                     for e in stored["entries"]))
 
 
-def cmd_ner_unmask(args) -> list[str]:
+def cmd_ner_unmask(args) -> None:
     templates = _templates(args.templates)
     lines = corpus.read_lines(args.input)
     maps = _read_json(args.map, entities.EntityError)
@@ -245,10 +240,9 @@ def cmd_ner_unmask(args) -> list[str]:
     path = _out(args, args.output)
     corpus.write_lines(out_lines, path)
     print(f"unmasked {len(lines)} sentences -> {path}")
-    return [path]
 
 
-def cmd_ner_validate(args) -> list[str]:
+def cmd_ner_validate(args) -> None:
     pairs = corpus.read_pairs(args.pairs)
     result = entities.validate_entity_translation(
         pairs, _templates(args.templates_src), _templates(args.templates_tgt),
@@ -257,14 +251,13 @@ def cmd_ner_validate(args) -> list[str]:
     path = _out(args, "entity-validation.json")
     corpus.write_lines([json.dumps(payload)], path)
     print(f"entity accuracy: {result.accuracy:.3f} over {len(pairs)} pairs")
-    return [path]
 
 
 # ---------------------------------------------------------------------------
 # bleu
 
 
-def cmd_bleu_corpus(args) -> list[str]:
+def cmd_bleu_corpus(args) -> None:
     config = bleu_mod.ScoringConfig(case_sensitive=not args.lowercase)
     report = bleu_mod.corpus_bleu(corpus.read_lines(args.candidates),
                                   corpus.read_lines(args.references), config)
@@ -272,14 +265,12 @@ def cmd_bleu_corpus(args) -> list[str]:
     corpus.write_lines([report.to_json()], path)
     print(f"BLEU = {report.score:.2f} (BP {report.brevity_penalty:.3f}, "
           + "/".join(f"{p:.3f}" for p in report.precisions) + ")")
-    return [path]
 
 
-def cmd_bleu_sentence(args) -> list[str]:
+def cmd_bleu_sentence(args) -> None:
     config = bleu_mod.ScoringConfig(smoothing=args.smoothing, case_sensitive=not args.lowercase)
     report = bleu_mod.sentence_bleu(args.candidate, args.reference, config)
     print(report.to_json())
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +289,7 @@ def _toy_model(args) -> SurrogateModel:
                           seed=args.seed)
 
 
-def cmd_optlab_train(args) -> list[str]:
+def cmd_optlab_train(args) -> None:
     train_ids, val_ids = _toy_data(args, args.tokens)
     trace = train(_toy_model(args), train_ids, val_ids, OptimizerConfig(args.optimizer),
                   epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
@@ -307,10 +298,9 @@ def cmd_optlab_train(args) -> list[str]:
     last = trace.rows[-1]
     print(f"{args.optimizer}: epoch {last.epoch} val_ppl {last.val_ppl:.3f} lr {last.lr:.5f}"
           + (" [divergent]" if trace.divergent else ""))
-    return [path]
 
 
-def cmd_optlab_simulate(args) -> list[str]:
+def cmd_optlab_simulate(args) -> None:
     train_ids, val_ids = _toy_data(args, args.tokens)
     if args.calibrate_single is not None:
         iterations = 840 if args.iterations_per_epoch is None else args.iterations_per_epoch
@@ -342,26 +332,22 @@ def cmd_optlab_simulate(args) -> list[str]:
     corpus.write_lines([json.dumps(payload)], json_path)
     print(f"{args.cluster_mode} x{args.workers}: epoch {format_duration(epoch_seconds)}, "
           f"final ppl {trace.final_ppl():.3f}, max staleness {trace.max_staleness}")
-    return [path, json_path]
 
 
-def cmd_optlab_sweep(args) -> list[str]:
+def cmd_optlab_sweep(args) -> None:
     full, val_ids = _toy_data(args, max(args.sizes))
     streams = [(str(size), full[:size]) for size in args.sizes]
     traces = corpus_size_sweep(SurrogateConfig(args.vocab, args.embed_dim, args.hidden_dim),
                                streams, val_ids, OptimizerConfig(args.optimizer),
                                iteration_budget=args.budget, batch_size=args.batch_size,
                                seed=args.seed, checkpoint_every=args.checkpoint_every)
-    outputs = []
     for label, trace in traces.items():
         path = _out(args, f"sweep-{label}.csv")
         trace.to_csv(path)
-        outputs.append(path)
         print(f"size {label}: final ppl {trace.final_ppl():.3f} at {trace.rows[-1].iterations} iterations")
-    return outputs
 
 
-def cmd_optlab_gradcheck(args) -> list[str]:
+def cmd_optlab_gradcheck(args) -> None:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     ids = synth.toy_lm_stream(args.batch_size * 4 + 1, args.vocab, seed=args.seed)
@@ -371,34 +357,31 @@ def cmd_optlab_gradcheck(args) -> list[str]:
     if not error < args.tolerance:
         raise ValueError(f"max relative gradient error {error:.3e} is not below "
                          f"--tolerance {args.tolerance:g}")
-    return []
 
 
 # ---------------------------------------------------------------------------
 # bsf
 
 
-def cmd_bsf_embed(args) -> list[str]:
+def cmd_bsf_embed(args) -> None:
     sentences = [line.split() for line in corpus.read_lines(args.input)]
     emb = bsf.train_embeddings(sentences, dim=args.dim, window=args.window,
                                negatives=args.negatives, epochs=args.epochs, seed=args.seed)
     path = _out(args, args.output)
     bsf.save_embeddings(emb, path)
     print(f"trained {len(emb.vectors)} vectors (dim {emb.dim}) -> {path}")
-    return [path]
 
 
-def cmd_bsf_expand(args) -> list[str]:
+def cmd_bsf_expand(args) -> None:
     emb = bsf.load_embeddings(args.vectors)
     candidates = bsf.expand_seeds(emb, args.seeds.split(","), args.k, args.min_sim)
     path = _out(args, args.output)
     bsf.save_terms(candidates, path, header="candidates for proofreading")
     for term, sim in candidates:
         print(f"{sim:.4f}  {term}")
-    return [path]
 
 
-def cmd_bsf_match(args) -> list[str]:
+def cmd_bsf_match(args) -> None:
     lexicon = bsf.AspectLexicon(args.aspect, args.language,
                                 approved_terms=bsf.load_terms(args.terms))
     sentences = corpus.read_lines(args.input)
@@ -406,34 +389,31 @@ def cmd_bsf_match(args) -> list[str]:
     path = _out(args, "matched-ids.txt")
     corpus.write_lines([str(i) for i in matched], path)
     print(f"matched {len(matched)} of {len(sentences)} sentences")
-    return [path]
 
 
 def _read_labeled(path: str) -> list[tuple[str, str]]:
     return [(text, label) for label, text in corpus.read_pairs(path)]
 
 
-def cmd_bsf_train(args) -> list[str]:
+def cmd_bsf_train(args) -> None:
     labeled = _read_labeled(args.labeled)
     spec = bsf.ClassifierSpec(bits=args.bits, lr=args.lr, epochs=args.epochs, l2=args.l2)
     clf = bsf.train_classifier(labeled, spec, seed=args.seed)
     path = _out(args, args.output)
     bsf.save_classifier(clf, path)
     print(f"trained on {len(labeled)} examples, labels {clf.labels} -> {path}")
-    return [path]
 
 
-def cmd_bsf_eval(args) -> list[str]:
+def cmd_bsf_eval(args) -> None:
     clf = bsf.load_classifier(args.model)
     metrics = bsf.evaluate_classifier(clf, _read_labeled(args.labeled))
     json_path = _out(args, "bsf-eval.json")
     corpus.write_lines([json.dumps({"per_label": metrics.per_label, "accuracy": metrics.accuracy,
                                     "macro_f1": metrics.macro_f1, "n": metrics.n})], json_path)
     print(metrics.to_text())
-    return [json_path]
 
 
-def cmd_bsf_report(args) -> list[str]:
+def cmd_bsf_report(args) -> None:
     pairs = corpus.read_pairs(args.pairs)
     lex_src = bsf.AspectLexicon(args.aspect, args.lang_src,
                                 approved_terms=bsf.load_terms(args.terms_src))
@@ -446,20 +426,18 @@ def cmd_bsf_report(args) -> list[str]:
     corpus.write_lines([report.to_json()], json_path)
     corpus.write_lines([report.to_text()], text_path)
     print(report.to_text())
-    return [json_path, text_path]
 
 
 # ---------------------------------------------------------------------------
 # eval (human scores)
 
 
-def cmd_eval_ingest(args) -> list[str]:
+def cmd_eval_ingest(args) -> None:
     records = humaneval.ingest_scores(args.scores, (args.score_min, args.score_max))
     print(f"{len(records)} valid records from {args.scores}")
-    return []
 
 
-def cmd_eval_summarize(args) -> list[str]:
+def cmd_eval_summarize(args) -> None:
     records = humaneval.ingest_scores(args.scores, (args.score_min, args.score_max))
     summary = humaneval.summarize(records, (args.score_min, args.score_max))
     json_path = _out(args, "summary.json")
@@ -473,10 +451,9 @@ def cmd_eval_summarize(args) -> list[str]:
         kappa = "n/a" if s.kappa_adequacy is None else f"{s.kappa_adequacy:.3f}"
         print(f"{name}: adequacy {s.mean_adequacy:.3f}, fluency {s.mean_fluency:.3f}, "
               f"kappa(adequacy) {kappa}, n={s.n}")
-    return [json_path, csv_path]
 
 
-def cmd_eval_correlate(args) -> list[str]:
+def cmd_eval_correlate(args) -> None:
     records = humaneval.ingest_scores(args.scores, (args.score_min, args.score_max))
     summary = humaneval.summarize(records, (args.score_min, args.score_max))
     bleu_by_system = _read_json(args.bleu, humaneval.ScoreError)
@@ -490,17 +467,14 @@ def cmd_eval_correlate(args) -> list[str]:
             table.append(f"{name},{bleu_by_system[name]},{s.mean_adequacy:.4f},{s.mean_fluency:.4f}")
     table_path = _out(args, "bleu-vs-human.csv")
     corpus.write_lines(table, table_path)
-    outputs = [table_path]
     for metric in ("adequacy", "fluency"):
         human = {name: getattr(s, f"mean_{metric}") for name, s in summary.systems.items()}
         report = humaneval.correlate(bleu_by_system, human)
         path = _out(args, f"correlation-{metric}.json")
         corpus.write_lines([report.to_json()], path)
-        outputs.append(path)
         print(f"{metric}: pearson {report.pearson_r:.3f}, spearman {report.spearman_rho:.3f}, "
               f"BLEU best={report.bleu_argmax}, human best={report.human_argmax}"
               + (" [argmax disagreement]" if report.argmax_disagreement else ""))
-    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -515,79 +489,6 @@ def _corpus_inputs(p):
     p.set_defaults(_corpus_parser=p)  # main checks the combination
 
 
-def _corpus_parsers(sub, common):
-    p = sub.add_parser(parents=[common], name="split")
-    _corpus_inputs(p)
-    p.add_argument("--validation-size", type=int, required=True)
-    p.set_defaults(func=cmd_corpus_split, _seeded=True)
-    p = sub.add_parser(parents=[common], name="subsample")
-    _corpus_inputs(p)
-    p.add_argument("--sizes", type=parse_sizes, required=True,
-                   help="comma-separated sizes, e.g. 100,250,500")
-    p.set_defaults(func=cmd_corpus_subsample, _seeded=True)
-
-
-def _bpe_parsers(sub, common):
-    p = sub.add_parser(parents=[common], name="train")
-    _corpus_inputs(p)
-    p.add_argument("--merges", type=int, required=True)
-    p.add_argument("--mode", choices=["joint", "separate"], default="joint")
-    p.set_defaults(func=cmd_bpe_train)
-    p = sub.add_parser(parents=[common], name="apply")
-    p.add_argument("--model", type=InputFile, required=True)
-    p.add_argument("--input", type=InputFile, required=True)
-    p.add_argument("--output", default="tokenized.txt")
-    p.add_argument("--marker", default=tokenizer.DEFAULT_MARKER)
-    p.set_defaults(func=cmd_bpe_apply)
-    p = sub.add_parser(parents=[common], name="detok")
-    p.add_argument("--input", type=InputFile, required=True)
-    p.add_argument("--output", default="detokenized.txt")
-    p.add_argument("--marker", default=tokenizer.DEFAULT_MARKER)
-    p.set_defaults(func=cmd_bpe_detok)
-
-
-def _ner_parsers(sub, common):
-    p = sub.add_parser(parents=[common], name="scan")
-    _corpus_inputs(p)
-    p.add_argument("--templates-src", type=template_source, default="en",
-                   help="template file or starter language code")
-    p.add_argument("--templates-tgt", type=template_source, default="de")
-    p.set_defaults(func=cmd_ner_scan)
-    p = sub.add_parser(parents=[common], name="mask")
-    p.add_argument("--input", type=InputFile, required=True)
-    p.add_argument("--templates", type=template_source, default="en")
-    p.set_defaults(func=cmd_ner_mask)
-    p = sub.add_parser(parents=[common], name="unmask")
-    p.add_argument("--input", type=InputFile, required=True)
-    p.add_argument("--map", type=InputFile, required=True)
-    p.add_argument("--templates", type=template_source, default="en",
-                   help="templates used at mask time")
-    p.add_argument("--locale", choices=["en", "de"], required=True)
-    p.add_argument("--unit-policy", choices=["keep", "to_km", "to_mi"])
-    p.add_argument("--output", default="unmasked.txt")
-    p.set_defaults(func=cmd_ner_unmask)
-    p = sub.add_parser(parents=[common], name="validate")
-    p.add_argument("--pairs", type=InputFile, required=True, help="TSV of source<TAB>output")
-    p.add_argument("--templates-src", type=template_source, default="en")
-    p.add_argument("--templates-tgt", type=template_source, default="de")
-    p.add_argument("--tolerance", type=float, default=0.005)
-    p.set_defaults(func=cmd_ner_validate)
-
-
-def _bleu_parsers(sub, common):
-    p = sub.add_parser(parents=[common], name="corpus")
-    p.add_argument("--candidates", type=InputFile, required=True)
-    p.add_argument("--references", type=InputFile, required=True)
-    p.add_argument("--lowercase", action="store_true")
-    p.set_defaults(func=cmd_bleu_corpus)
-    p = sub.add_parser(parents=[common], name="sentence")
-    p.add_argument("--candidate", required=True)
-    p.add_argument("--reference", required=True)
-    p.add_argument("--smoothing", choices=bleu_mod.SMOOTHINGS, default="add_one")
-    p.add_argument("--lowercase", action="store_true")
-    p.set_defaults(func=cmd_bleu_sentence)
-
-
 def _toy_flags(p, tokens=True, noise=True):
     p.add_argument("--vocab", type=int, default=128)
     p.add_argument("--embed-dim", type=int, default=48)
@@ -599,43 +500,126 @@ def _toy_flags(p, tokens=True, noise=True):
     p.add_argument("--batch-size", type=int, default=8)
 
 
-def _optlab_parsers(sub, common):
-    p = sub.add_parser(parents=[common], name="train")
+def _score_flags(p):
+    p.add_argument("--scores", type=InputFile, required=True, help="CSV score sheet")
+    p.add_argument("--score-min", type=int, default=1)
+    p.add_argument("--score-max", type=int, default=4)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The `mtlab` parser, built once per process and shared by every `main`
+    call; nothing in it depends on the environment or on one call's state."""
+    parser = argparse.ArgumentParser(prog="mtlab", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out-dir", help="output directory (default: $MTLAB_OUT or .)")
+    parser.add_argument("--seed", type=int, default=0, help="global random seed")
+    # the same flags are accepted after the subcommand; SUPPRESS keeps the
+    # leaf parser from clobbering a value parsed at the top level
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out-dir", default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    top = parser.add_subparsers(dest="group", required=True)
+
+    def group(name, help_text):
+        return top.add_parser(name, help=help_text).add_subparsers(dest="command", required=True)
+
+    def command(sub, name, func, **defaults):
+        p = sub.add_parser(name, parents=[common])
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    sub = group("corpus", "load/split/subsample parallel corpora")
+    p = command(sub, "split", cmd_corpus_split, _seeded=True)
+    _corpus_inputs(p)
+    p.add_argument("--validation-size", type=int, required=True)
+    p = command(sub, "subsample", cmd_corpus_subsample, _seeded=True)
+    _corpus_inputs(p)
+    p.add_argument("--sizes", type=parse_sizes, required=True,
+                   help="comma-separated sizes, e.g. 100,250,500")
+
+    sub = group("bpe", "subword model training and application")
+    p = command(sub, "train", cmd_bpe_train)
+    _corpus_inputs(p)
+    p.add_argument("--merges", type=int, required=True)
+    p.add_argument("--mode", choices=["joint", "separate"], default="joint")
+    p = command(sub, "apply", cmd_bpe_apply)
+    p.add_argument("--model", type=InputFile, required=True)
+    p.add_argument("--input", type=InputFile, required=True)
+    p.add_argument("--output", default="tokenized.txt")
+    p.add_argument("--marker", default=tokenizer.DEFAULT_MARKER)
+    p = command(sub, "detok", cmd_bpe_detok)
+    p.add_argument("--input", type=InputFile, required=True)
+    p.add_argument("--output", default="detokenized.txt")
+    p.add_argument("--marker", default=tokenizer.DEFAULT_MARKER)
+
+    sub = group("ner", "entity templates: scan/mask/unmask/validate")
+    p = command(sub, "scan", cmd_ner_scan)
+    _corpus_inputs(p)
+    p.add_argument("--templates-src", type=template_source, default="en",
+                   help="template file or starter language code")
+    p.add_argument("--templates-tgt", type=template_source, default="de")
+    p = command(sub, "mask", cmd_ner_mask)
+    p.add_argument("--input", type=InputFile, required=True)
+    p.add_argument("--templates", type=template_source, default="en")
+    p = command(sub, "unmask", cmd_ner_unmask)
+    p.add_argument("--input", type=InputFile, required=True)
+    p.add_argument("--map", type=InputFile, required=True)
+    p.add_argument("--templates", type=template_source, default="en",
+                   help="templates used at mask time")
+    p.add_argument("--locale", choices=["en", "de"], required=True)
+    p.add_argument("--unit-policy", choices=["keep", "to_km", "to_mi"])
+    p.add_argument("--output", default="unmasked.txt")
+    p = command(sub, "validate", cmd_ner_validate)
+    p.add_argument("--pairs", type=InputFile, required=True, help="TSV of source<TAB>output")
+    p.add_argument("--templates-src", type=template_source, default="en")
+    p.add_argument("--templates-tgt", type=template_source, default="de")
+    p.add_argument("--tolerance", type=float, default=0.005)
+
+    sub = group("bleu", "BLEU scoring")
+    p = command(sub, "corpus", cmd_bleu_corpus)
+    p.add_argument("--candidates", type=InputFile, required=True)
+    p.add_argument("--references", type=InputFile, required=True)
+    p.add_argument("--lowercase", action="store_true")
+    p = command(sub, "sentence", cmd_bleu_sentence)
+    p.add_argument("--candidate", required=True)
+    p.add_argument("--reference", required=True)
+    p.add_argument("--smoothing", choices=bleu_mod.SMOOTHINGS, default="add_one")
+    p.add_argument("--lowercase", action="store_true")
+
+    sub = group("optlab", "optimizer laboratory and cluster simulation")
+    p = command(sub, "train", cmd_optlab_train, _seeded=True)
     _toy_flags(p)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--epochs", type=int, default=20)
-    p.set_defaults(func=cmd_optlab_train, _seeded=True)
-    p = sub.add_parser(parents=[common], name="simulate")
+    p = command(sub, "simulate", cmd_optlab_simulate, _seeded=True)
+    p.set_defaults(_simulate_parser=p)  # main ties the epoch length to calibration
     _toy_flags(p)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--workers", type=int, required=True)
     p.add_argument("--cluster-mode", choices=["sync", "async"], required=True)
     p.add_argument("--warmup-iters", type=int, default=6000)
-    timing = p.add_mutually_exclusive_group()  # main also ties the epoch length to calibration
+    timing = p.add_mutually_exclusive_group()
     timing.add_argument("--calibrate-single", type=parse_duration, default=None,
                         help="single-worker epoch duration, e.g. 22260s or 6h11m")
     p.add_argument("--iterations-per-epoch", type=int, default=None,
                    help="with --calibrate-single only (default 840)")
     timing.add_argument("--batch-seconds", type=float, default=None, help="default 1.0")
     p.add_argument("--epochs", type=int, default=1)
-    p.set_defaults(func=cmd_optlab_simulate, _seeded=True, _simulate_parser=p)
-    p = sub.add_parser(parents=[common], name="sweep")
+    p = command(sub, "sweep", cmd_optlab_sweep, _seeded=True)
     _toy_flags(p, tokens=False)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--sizes", type=parse_sizes, required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--checkpoint-every", type=int, default=100)
-    p.set_defaults(func=cmd_optlab_sweep, _seeded=True)
-    p = sub.add_parser(parents=[common], name="gradcheck")
+    p = command(sub, "gradcheck", cmd_optlab_gradcheck, _seeded=True)
     _toy_flags(p, tokens=False, noise=False)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.set_defaults(func=cmd_optlab_gradcheck, _seeded=True)
 
-
-def _bsf_parsers(sub, common):
-    p = sub.add_parser(parents=[common], name="embed")
+    sub = group("bsf", "business sensitivity framework")
+    p = command(sub, "embed", cmd_bsf_embed, _seeded=True)
     p.add_argument("--input", type=InputFile, required=True,
                    help="pre-tokenized text, one sentence per line")
     p.add_argument("--dim", type=int, default=32)
@@ -643,33 +627,28 @@ def _bsf_parsers(sub, common):
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--output", default="vectors.txt")
-    p.set_defaults(func=cmd_bsf_embed, _seeded=True)
-    p = sub.add_parser(parents=[common], name="expand")
+    p = command(sub, "expand", cmd_bsf_expand)
     p.add_argument("--vectors", type=InputFile, required=True)
     p.add_argument("--seeds", required=True, help="comma-separated seed terms")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--min-sim", type=float, default=0.0)
     p.add_argument("--output", default="candidates.txt")
-    p.set_defaults(func=cmd_bsf_expand)
-    p = sub.add_parser(parents=[common], name="match")
+    p = command(sub, "match", cmd_bsf_match)
     p.add_argument("--input", type=InputFile, required=True)
     p.add_argument("--terms", type=InputFile, required=True)
     p.add_argument("--aspect", default="aspect")
     p.add_argument("--language", default="en")
-    p.set_defaults(func=cmd_bsf_match)
-    p = sub.add_parser(parents=[common], name="train")
+    p = command(sub, "train", cmd_bsf_train, _seeded=True)
     p.add_argument("--labeled", type=InputFile, required=True, help="TSV of label<TAB>text")
     p.add_argument("--bits", type=int, default=18)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=12)
     p.add_argument("--l2", type=float, default=1e-6)
     p.add_argument("--output", default="classifier.txt")
-    p.set_defaults(func=cmd_bsf_train, _seeded=True)
-    p = sub.add_parser(parents=[common], name="eval")
+    p = command(sub, "eval", cmd_bsf_eval)
     p.add_argument("--model", type=InputFile, required=True)
     p.add_argument("--labeled", type=InputFile, required=True)
-    p.set_defaults(func=cmd_bsf_eval)
-    p = sub.add_parser(parents=[common], name="report")
+    p = command(sub, "report", cmd_bsf_report)
     p.add_argument("--pairs", type=InputFile, required=True, help="TSV of source<TAB>translation")
     p.add_argument("--terms-src", type=InputFile, required=True)
     p.add_argument("--terms-tgt", type=InputFile, required=True)
@@ -678,66 +657,21 @@ def _bsf_parsers(sub, common):
     p.add_argument("--aspect", default="aspect")
     p.add_argument("--lang-src", default="en")
     p.add_argument("--lang-tgt", default="de")
-    p.set_defaults(func=cmd_bsf_report)
 
-
-def _score_flags(p):
-    p.add_argument("--scores", type=InputFile, required=True, help="CSV score sheet")
-    p.add_argument("--score-min", type=int, default=1)
-    p.add_argument("--score-max", type=int, default=4)
-
-
-def _eval_parsers(sub, common):
-    p = sub.add_parser(parents=[common], name="ingest")
-    _score_flags(p)
-    p.set_defaults(func=cmd_eval_ingest)
-    p = sub.add_parser(parents=[common], name="summarize")
-    _score_flags(p)
-    p.set_defaults(func=cmd_eval_summarize)
-    p = sub.add_parser(parents=[common], name="correlate")
+    sub = group("eval", "human evaluation analytics")
+    _score_flags(command(sub, "ingest", cmd_eval_ingest))
+    _score_flags(command(sub, "summarize", cmd_eval_summarize))
+    p = command(sub, "correlate", cmd_eval_correlate)
     _score_flags(p)
     p.add_argument("--bleu", type=InputFile, required=True, help="JSON mapping system -> BLEU score")
-    p.set_defaults(func=cmd_eval_correlate)
-
-
-# group name -> (help, builder of its subcommand parsers)
-_GROUPS = {
-    "corpus": ("load/split/subsample parallel corpora", _corpus_parsers),
-    "bpe": ("subword model training and application", _bpe_parsers),
-    "ner": ("entity templates: scan/mask/unmask/validate", _ner_parsers),
-    "bleu": ("BLEU scoring", _bleu_parsers),
-    "optlab": ("optimizer laboratory and cluster simulation", _optlab_parsers),
-    "bsf": ("business sensitivity framework", _bsf_parsers),
-    "eval": ("human evaluation analytics", _eval_parsers),
-}
-
-
-def build_parser(groups: set[str] | None = None) -> argparse.ArgumentParser:
-    """The `mtlab` parser.  Only the groups named in `groups` (all when None)
-    get their subcommands; the rest keep just their name and help."""
-    parser = argparse.ArgumentParser(prog="mtlab", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out-dir", default=os.environ.get("MTLAB_OUT", "."),
-                        help="output directory (default: $MTLAB_OUT or .)")
-    parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # leaf parser from clobbering a value parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    top = parser.add_subparsers(dest="group", required=True)
-    for name, (help_text, subcommands) in _GROUPS.items():
-        group = top.add_parser(name, help=help_text)
-        if groups is None or name in groups:
-            subcommands(group.add_subparsers(dest="command", required=True), common)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # argparse picks a group only by its exact name, so a group whose name is
-    # no token of argv cannot run and keeps its stub
-    args = build_parser(set(argv)).parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.out_dir is None:  # read per call: the parser outlives any one environment
+        args.out_dir = os.environ.get("MTLAB_OUT", ".")
+    args._outputs = []  # filled by _out
     given = tuple(bool(getattr(args, flag, None)) for flag in ("tsv", "src", "tgt"))
     if hasattr(args, "_corpus_parser") and given not in ((True, False, False), (False, True, True)):
         args._corpus_parser.error("give --tsv, or both --src and --tgt")
@@ -745,11 +679,11 @@ def main(argv: list[str] | None = None) -> int:
             and args.iterations_per_epoch is not None:
         args._simulate_parser.error("--iterations-per-epoch needs --calibrate-single")
     try:
-        outputs = args.func(args)
+        args.func(args)
         inputs = [value for value in vars(args).values() if isinstance(value, InputFile)]
-        write_manifest(args.out_dir, f"{args.group} {args.command}", vars(args), inputs, outputs,
-                       args.seed if getattr(args, "_seeded", False) else None)
-    except (ValueError, OSError) as exc:
+        write_manifest(args.out_dir, f"{args.group} {args.command}", vars(args), inputs,
+                       args._outputs, args.seed if getattr(args, "_seeded", False) else None)
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -54,13 +54,9 @@ class SentencePair:
 @dataclass(frozen=True)
 class ParallelCorpus:
     pairs: tuple[SentencePair, ...]
-    source_lang: str = "src"
-    target_lang: str = "tgt"
     dropped_count: int = 0  # blank-sided pairs removed at load time
 
     def __post_init__(self):
-        if self.source_lang == self.target_lang:
-            raise CorpusError(f"language codes must differ, both are {self.source_lang!r}")
         ids = [p.id for p in self.pairs]
         if len(set(ids)) != len(ids):
             raise CorpusError("pair ids are not unique")
@@ -121,7 +117,7 @@ def write_lines(lines: list[str], path: str) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def _build(rows: list[tuple[str, str]], source_lang: str, target_lang: str) -> ParallelCorpus:
+def _build(rows: list[tuple[str, str]]) -> ParallelCorpus:
     pairs = []
     dropped = 0
     for src, tgt in rows:
@@ -129,12 +125,10 @@ def _build(rows: list[tuple[str, str]], source_lang: str, target_lang: str) -> P
             dropped += 1
             continue
         pairs.append(SentencePair(src, tgt, len(pairs)))
-    return ParallelCorpus(tuple(pairs), source_lang, target_lang, dropped_count=dropped)
+    return ParallelCorpus(tuple(pairs), dropped_count=dropped)
 
 
-def load_parallel(
-    source_path: str, target_path: str, source_lang: str = "src", target_lang: str = "tgt"
-) -> ParallelCorpus:
+def load_parallel(source_path: str, target_path: str) -> ParallelCorpus:
     """Load two aligned one-sentence-per-line files into a corpus.
 
     Pairs with either side blank are dropped; the count is recorded on the
@@ -147,12 +141,12 @@ def load_parallel(
             f"line count mismatch: {source_path} has {len(src_lines)}, "
             f"{target_path} has {len(tgt_lines)}"
         )
-    return _build(list(zip(src_lines, tgt_lines)), source_lang, target_lang)
+    return _build(list(zip(src_lines, tgt_lines)))
 
 
-def load_tsv(path: str, source_lang: str = "src", target_lang: str = "tgt") -> ParallelCorpus:
+def load_tsv(path: str) -> ParallelCorpus:
     """Load a two-column TSV corpus (exactly one tab per line)."""
-    return _build(read_pairs(path), source_lang, target_lang)
+    return _build(read_pairs(path))
 
 
 def write_parallel(corpus: ParallelCorpus, source_path: str, target_path: str) -> None:
@@ -177,8 +171,7 @@ def split(corpus: ParallelCorpus, validation_size: int, seed: int) -> CorpusSpli
     random.Random(seed).shuffle(order)
     val = tuple(sorted(order[:validation_size], key=lambda p: p.id))
     train = tuple(sorted(order[validation_size:], key=lambda p: p.id))
-    mk = lambda pairs: ParallelCorpus(pairs, corpus.source_lang, corpus.target_lang)
-    return CorpusSplit(train=mk(train), validation=mk(val), seed=seed)
+    return CorpusSplit(train=ParallelCorpus(train), validation=ParallelCorpus(val), seed=seed)
 
 
 def subsample(corpus: ParallelCorpus, sizes: list[int], seed: int) -> list[ParallelCorpus]:
@@ -201,5 +194,5 @@ def subsample(corpus: ParallelCorpus, sizes: list[int], seed: int) -> list[Paral
     out = []
     for size in sizes:
         pairs = tuple(sorted(order[:size], key=lambda p: p.id))
-        out.append(ParallelCorpus(pairs, corpus.source_lang, corpus.target_lang))
+        out.append(ParallelCorpus(pairs))
     return out

@@ -91,7 +91,7 @@ def toy_parallel_corpus(n_pairs: int = 50, seed: int = 0) -> ParallelCorpus:
         src = _EN_TEMPLATES[t].format(d=f"{whole}.{frac}", **values)
         tgt = _DE_TEMPLATES[t].format(d=f"{whole},{frac}", **values)
         pairs.append(SentencePair(src, tgt, i))
-    return ParallelCorpus(tuple(pairs), "en", "de")
+    return ParallelCorpus(tuple(pairs))
 
 
 def entity_sentences(n: int, seed: int = 0, language: str = "en") -> list[str]:

@@ -11,12 +11,12 @@ def small_corpus():
         ("low new west", "tief neu west"),
     ]
     pairs = tuple(SentencePair(s, t, i) for i, (s, t) in enumerate(rows))
-    return ParallelCorpus(pairs, "en", "de")
+    return ParallelCorpus(pairs)
 
 
-def make_corpus(n, source_lang="en", target_lang="de"):
+def make_corpus(n):
     pairs = tuple(SentencePair(f"source sentence {i}", f"ziel satz {i}", i) for i in range(n))
-    return ParallelCorpus(pairs, source_lang, target_lang)
+    return ParallelCorpus(pairs)
 
 
 @pytest.fixture

@@ -233,7 +233,7 @@ def test_criterion_09_entity_pipeline():
         ("it is 500 m to the beach", "der Strand ist 500 m entfernt"),
         ("a 20-minute walk", "ein 20-minütiger Spaziergang"),
     ]))
-    corpus = ParallelCorpus(pairs, "en", "de")
+    corpus = ParallelCorpus(pairs)
     gappy = [entities.EntityTemplate("distance", "de", r"\b\d+(?:,\d+)?\s*(?:Kilometern?|km)\b"),
              entities.EntityTemplate("duration", "de",
                                      r"\b\d+[-\s]?(?:Minuten?|minütige[nrms]?)\b")]

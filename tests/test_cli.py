@@ -1,10 +1,11 @@
+import argparse
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from mtlab.cli import build_parser, main, parse_duration
+from mtlab.cli import main, parse_duration
 from mtlab.entities import save_templates, starter_templates
 from mtlab.manifest import file_digest
 from mtlab.synth import entity_sentences, parking_sentences, toy_parallel_corpus
@@ -28,8 +29,11 @@ def test_parse_duration_forms():
     assert parse_duration("22260s") == 22260.0
     assert parse_duration("371m") == 22260.0
     assert parse_duration("6h11m") == 22260.0
-    with pytest.raises(Exception):
-        parse_duration("soon")
+    assert parse_duration("1.5h") == 5400.0
+    for junk in ["soon", "", "6h11mfoo", "abc6h", "1.5.5h", "6h 11m", "0", "0.0", "0h", "0h0m0s",
+                 "9" * 400 + "s"]:
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_duration(junk)
 
 
 def test_corpus_split_writes_manifest(tmp_path, corpus_files):
@@ -581,19 +585,30 @@ def test_bsf_expand_bad_k_or_min_sim_exits_1(tmp_path, capsys, flag, value, mess
     assert not (tmp_path / "out").exists()
 
 
-def _subparsers(parser):
-    return parser._subparsers._group_actions[0].choices
+@pytest.mark.parametrize("argv", [
+    ["bsf", "embed", "--dim", "1000000000000000"],
+    ["optlab", "gradcheck", "--vocab", "1000000000000000"],
+    ["optlab", "train", "--tokens", "10000000000000000"],
+], ids=["embed-dim", "gradcheck-vocab", "train-tokens"])
+@pytest.mark.filterwarnings("ignore:embedding corpus has only")
+def test_size_too_large_for_memory_exits_1(tmp_path, capsys, argv):
+    # each size asks numpy for more than a PiB, which it refuses at once
+    (tmp_path / "t.txt").write_text("a b c\n", encoding="utf-8")
+    if argv[1] == "embed":
+        argv = [*argv, "--input", str(tmp_path / "t.txt")]
+    assert run(["--out-dir", tmp_path / "out", *argv]) == 1
+    assert "Unable to allocate" in _one_error_line(capsys)
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("group", sorted(_subparsers(build_parser())))
-def test_one_group_build_gives_the_full_help(group):
-    full, one = build_parser(), build_parser({group})
-    assert [name for name, parser in _subparsers(one).items()
-            if parser._subparsers is not None] == [group]
-    assert one.format_help() == full.format_help()
-    assert _subparsers(one)[group].format_help() == _subparsers(full)[group].format_help()
-    for command, parser in _subparsers(_subparsers(full)[group]).items():
-        assert _subparsers(_subparsers(one)[group])[command].format_help() == parser.format_help()
+def test_out_dir_default_follows_mtlab_out_on_each_call(tmp_path, monkeypatch, corpus_files):
+    src, tgt = corpus_files
+    for name in ("first", "second"):
+        monkeypatch.setenv("MTLAB_OUT", str(tmp_path / name))
+        assert run(["corpus", "split", "--src", src, "--tgt", tgt, "--validation-size", 5]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["config"]["out_dir"] == str(tmp_path / name)
+        assert manifest["outputs"] == ["train.src", "train.tgt", "validation.src", "validation.tgt"]
 
 
 def test_flag_value_naming_a_group_runs_the_command(tmp_path, monkeypatch, corpus_files):

@@ -94,11 +94,6 @@ def test_read_pairs_empty_file(tmp_path):
     assert read_pairs(tmp_path / "e.tsv") == []
 
 
-def test_same_language_codes_rejected():
-    with pytest.raises(CorpusError):
-        make_corpus(3, "en", "en")
-
-
 class TestSplit:
     def test_same_seed_identical(self, corpus100):
         a = split(corpus100, 10, seed=7)

@@ -17,7 +17,7 @@ DE_TPL = en.starter_templates("de")
 
 def corpus_from(rows):
     pairs = tuple(SentencePair(s, t, i) for i, (s, t) in enumerate(rows))
-    return ParallelCorpus(pairs, "en", "de")
+    return ParallelCorpus(pairs)
 
 
 class TestMask:

@@ -89,7 +89,7 @@ def test_empty_corpus_rejected():
     with pytest.raises(tk.TokenizerError):
         tk.train_bpe_texts([], 5)
     with pytest.raises(tk.TokenizerError):
-        tk.train_bpe(ParallelCorpus((), "en", "de"), 5)
+        tk.train_bpe(ParallelCorpus(()), 5)
 
 
 def test_early_stop_when_no_repeated_pairs():
