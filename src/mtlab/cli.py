@@ -56,6 +56,8 @@ def parse_duration(text: str) -> float:
 
 def format_duration(seconds: float) -> str:
     """'6h11m' style: seconds rounded to whole minutes."""
+    if not math.isfinite(seconds):
+        raise ValueError(f"cannot format a duration of {seconds} s")
     minutes = round(seconds / 60.0)
     return f"{minutes // 60}h{minutes % 60:02d}m"
 
@@ -317,20 +319,25 @@ def cmd_optlab_simulate(args) -> None:
     trace = simulate_cluster(_toy_model(args), train_ids, val_ids, OptimizerConfig(args.optimizer),
                              cluster, epochs=args.epochs, batch_size=args.batch_size,
                              seed=args.seed)
+    epoch_seconds = trace.rows[0].sim_seconds
+    try:
+        epoch_time = format_duration(epoch_seconds)
+    except ValueError as exc:
+        raise ValueError(f"{exc}: the simulated epoch overflows with per_batch_compute_time "
+                         f"{cluster.per_batch_compute_time}") from None
     path = _out(args, f"sim-{args.cluster_mode}-{args.workers}.csv")
     trace.to_csv(path)
-    epoch_seconds = trace.rows[0].sim_seconds
     payload = {
         "mode": args.cluster_mode,
         "workers": args.workers,
         "epoch_seconds": epoch_seconds,
-        "epoch_time": format_duration(epoch_seconds),
+        "epoch_time": epoch_time,
         "final_ppl": trace.final_ppl(),
         "max_staleness": trace.max_staleness,
     }
     json_path = _out(args, f"sim-{args.cluster_mode}-{args.workers}.json")
     corpus.write_lines([json.dumps(payload)], json_path)
-    print(f"{args.cluster_mode} x{args.workers}: epoch {format_duration(epoch_seconds)}, "
+    print(f"{args.cluster_mode} x{args.workers}: epoch {epoch_time}, "
           f"final ppl {trace.final_ppl():.3f}, max staleness {trace.max_staleness}")
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,12 @@ class ClusterConfig:
             raise ClusterError("worker_count must be at least 1")
         if self.mode == "async" and self.worker_count < 2:
             raise ClusterError("async mode reserves one worker for the master copy; need K >= 2")
+        if not 0 < self.per_batch_compute_time < math.inf:  # also false for nan
+            raise ClusterError(f"per_batch_compute_time must be finite and > 0, "
+                               f"got {self.per_batch_compute_time}")
+        for name in ("sync_overhead_per_batch", "async_comm_time"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ClusterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 def calibrated_cluster_config(

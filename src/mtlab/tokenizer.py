@@ -15,7 +15,16 @@ lazily invalidated max-heap over incrementally maintained pair counts.
 Application caches per word, as subword-nmt does: each `BpeModel` keeps
 two bounded memos, unit -> pieces and chunk -> tokens, so a chunk seen
 before is neither pre-split nor merged again.  The memos live and die with
-the model.
+the model.  A new chunk that is a plain word (letters with no capital
+after the first, plus at most one trailing non-alphanumeric character)
+is pre-split by one guard instead of the per-character class loop, since
+no case boundary or placeholder can fall inside it.  A new unit is merged
+in place on one symbol list: each step takes the leftmost lowest-ranked
+pair and merges its occurrences from there on.  Rendering, parsing and
+detokenizing each take one pass over the tokens: `render_tokens` escapes
+only pieces that are not plain alphanumerics free of the marker,
+`parse_tokens` unescapes only bodies holding a backslash and rejects an
+empty piece, and `detokenize` restores case inline.
 
 The per-item records, `_Unit` (a pre-split unit) and `AnnotatedToken`, are
 NamedTuples, cheap to build and compare; `TokenizedSentence` and
@@ -188,6 +197,15 @@ def _chunk_units(chunk: str) -> list[_Unit]:
     """
     if chunk[0].isspace():
         return [_Unit(chunk, CASE_N, True, True)]
+    # a plain word, optionally with one non-alphanumeric ("O" class) tail
+    # character: nothing after its first letter is upper case, so no case
+    # boundary falls inside it, and no placeholder fits in the tail
+    word = chunk if len(chunk) == 1 or chunk[-1].isalnum() else chunk[:-1]
+    if word.isalpha() and (len(word) == 1 or word[1:].islower()):
+        units = [_Unit(*_classify(word), False, True)]
+        if len(word) < len(chunk):
+            units.append(_Unit(chunk[-1], CASE_N, False, True))
+        return units
     units: list[_Unit] = []
 
     def emit_plain(text: str) -> None:
@@ -372,25 +390,37 @@ def vocabulary(model: BpeModel) -> set[str]:
 
 
 def _encode_unit(model: BpeModel, text: str) -> tuple[str, ...]:
-    """Apply merges in training order within one unit (rank-based, cached)."""
+    """Apply merges in training order within one unit (rank-based, cached).
+
+    Each step merges, in place, every occurrence of the lowest-ranked pair
+    from its leftmost one on; none lies before it, so this is `_merge_word`.
+    """
     cached = model._cache.get(text)
     if cached is not None:
         return cached
-    symbols = tuple(text)
-    ranks = model._ranks
-    while len(symbols) > 1:
-        best_rank, best_pair = None, None
-        for pair in zip(symbols, symbols[1:]):
-            rank = ranks.get(pair)
-            if rank is not None and (best_rank is None or rank < best_rank):
-                best_rank, best_pair = rank, pair
-        if best_pair is None:
+    symbols = list(text)
+    rank_of = model._ranks.get
+    unranked = len(model.merges)  # above every rank, even with a merge listed twice
+    while (pairs := len(symbols) - 1) > 0:
+        best = unranked
+        for i in range(pairs):
+            rank = rank_of((symbols[i], symbols[i + 1]), unranked)
+            if rank < best:
+                best, at = rank, i
+        if best == unranked:
             break
-        symbols = _merge_word(symbols, *best_pair, "".join(best_pair))
+        left, right = symbols[at], symbols[at + 1]
+        merged = left + right
+        i = at
+        while i < len(symbols) - 1:
+            if symbols[i] == left and symbols[i + 1] == right:
+                symbols[i : i + 2] = [merged]
+            i += 1
+    result = tuple(symbols)
     if len(model._cache) >= MEMO_LIMIT:
         model._cache.clear()
-    model._cache[text] = symbols
-    return symbols
+    model._cache[text] = result
+    return result
 
 
 def _encode_chunk(model: BpeModel, chunk: str) -> tuple[AnnotatedToken, ...]:
@@ -428,22 +458,18 @@ def tokenize(model: BpeModel, sentence: str) -> TokenizedSentence:
     return TokenizedSentence(tuple(tokens))
 
 
-def _restore(token: AnnotatedToken) -> str:
-    if token.case == CASE_C and token.piece:
-        return token.piece[0].upper() + token.piece[1:]
-    if token.case == CASE_U:
-        return token.piece.upper()
-    return token.piece
-
-
 def detokenize(ts: TokenizedSentence) -> str:
     """Exact inverse of tokenize: joiners collapse spaces, case features
     restore the original casing."""
     out: list[str] = []
-    for i, token in enumerate(ts.tokens):
-        if i > 0 and not ts.tokens[i - 1].joined_right:
-            out.append(" ")
-        out.append(_restore(token))
+    gap = ""
+    for piece, case, joined in ts.tokens:
+        if case == CASE_C:
+            piece = piece[:1].upper() + piece[1:]
+        elif case == CASE_U:
+            piece = piece.upper()
+        out.append(gap + piece)
+        gap = "" if joined else " "
     return "".join(out)
 
 
@@ -501,19 +527,24 @@ def render_tokens(ts: TokenizedSentence, marker: str = DEFAULT_MARKER) -> str:
     if marker != DEFAULT_MARKER:
         _check_marker(marker)
         overlaps = any(marker.startswith(marker[k:]) for k in range(1, len(marker)))
+    tokens = ts.tokens
+    last = len(tokens) - 1
     items = []
-    for i, token in enumerate(ts.tokens):
-        lead = i > 0 and ts.tokens[i - 1].joined_right and token.case == CASE_N
-        trail = token.joined_right and i + 1 < len(ts.tokens) and ts.tokens[i + 1].case != CASE_N
-        body = _escape(token.piece, marker)
+    after_joined = False
+    for i, (piece, case, joined) in enumerate(tokens):
+        lead = after_joined and case == CASE_N
+        trail = joined and i < last and tokens[i + 1].case != CASE_N
+        body = piece if piece.isalnum() and marker not in piece else _escape(piece, marker)
         if overlaps and trail and not lead and (body + marker).startswith(marker):
             body = "\\e" + body
-        items.append((marker if lead else "") + body + (marker if trail else "") + "|" + token.case)
+        items.append(f"{marker if lead else ''}{body}{marker if trail else ''}|{case}")
+        after_joined = joined
     return " ".join(items)
 
 
 def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
-    """Inverse of render_tokens."""
+    """Inverse of render_tokens; a malformed item or an empty piece (which
+    tokenize never yields) raises TokenizerError."""
     if marker != DEFAULT_MARKER:
         _check_marker(marker)
     if not text:
@@ -524,15 +555,21 @@ def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
         if not sep or case not in _CASES:
             raise TokenizerError(f"malformed token item {item!r}")
         # escaping guarantees the raw marker never appears inside a body
-        if body.startswith(marker):   # a left mark joins the previous token
-            body = body[len(marker):]
-            if parsed:
-                parsed[-1][2] = True
-        trail = body.endswith(marker)
-        if trail:
-            body = body[: -len(marker)]
-        parsed.append([_unescape(body, marker), case, trail])
-    return TokenizedSentence(tuple([AnnotatedToken(*p) for p in parsed]))
+        trail = False
+        if marker in body:
+            if body.startswith(marker):   # a left mark joins the previous token
+                body = body[len(marker):]
+                if parsed:
+                    parsed[-1][2] = True
+            if body.endswith(marker):
+                body = body[: -len(marker)]
+                trail = True
+        if "\\" in body:
+            body = _unescape(body, marker)
+        if not body:
+            raise TokenizerError(f"token item {item!r} has an empty piece")
+        parsed.append([body, case, trail])
+    return TokenizedSentence(tuple(map(AnnotatedToken._make, parsed)))
 
 
 # ---------------------------------------------------------------------------

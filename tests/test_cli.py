@@ -199,6 +199,23 @@ def test_optlab_simulate_other_mode_flag_is_usage_error(tmp_path, capsys, flags,
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("seconds, message", [
+    ("inf", "per_batch_compute_time must be finite and > 0"),
+    ("nan", "per_batch_compute_time must be finite and > 0"),
+    (0, "per_batch_compute_time must be finite and > 0"),
+    (-1, "per_batch_compute_time must be finite and > 0"),
+    ("1e308", "the simulated epoch overflows with per_batch_compute_time"),
+], ids=["inf", "nan", "zero", "negative", "overflow"])
+def test_optlab_simulate_bad_batch_seconds_exit_1(tmp_path, capsys, seconds, message):
+    assert run(["--out-dir", tmp_path, "optlab", "simulate", "--workers", 2,
+                "--cluster-mode", "sync", "--tokens", 200, "--batch-seconds", seconds,
+                "--vocab", 32, "--embed-dim", 8, "--hidden-dim", 16, "--epochs", 1]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert message in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_optlab_gradcheck_exit_status(tmp_path):
     assert run(["--out-dir", tmp_path, "optlab", "gradcheck", "--vocab", 24,
                 "--embed-dim", 6, "--hidden-dim", 10, "--samples", 80]) == 0
@@ -505,6 +522,16 @@ def test_bpe_marker_clashing_with_escapes_exits_1(tmp_path, capsys, marker):
     assert "marker" in _one_error_line(capsys)
     assert run(["--out-dir", out, "bpe", "detok", "--input", text, "--marker", marker]) == 1
     assert "marker" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("line", ["|L", "a■|L ■|N", "a|L \\e|N"],
+                         ids=["bare-case", "left-mark-only", "empty-escape"])
+def test_bpe_detok_empty_piece_exits_1(tmp_path, capsys, line):
+    text = tmp_path / "in.txt"
+    text.write_text(f"ok|L\n{line}\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "bpe", "detok", "--input", text]) == 1
+    assert "empty piece" in _one_error_line(capsys)
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("maps, message", [

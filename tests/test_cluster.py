@@ -35,6 +35,21 @@ def test_unknown_mode_rejected():
         ClusterConfig(2, "ring")
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("per_batch_compute_time", 0.0), ("per_batch_compute_time", -1.0),
+    ("per_batch_compute_time", float("inf")), ("per_batch_compute_time", float("nan")),
+    ("sync_overhead_per_batch", -0.5), ("sync_overhead_per_batch", float("inf")),
+    ("async_comm_time", float("nan")), ("async_comm_time", -1.0),
+])
+def test_timings_must_be_finite_and_in_range(setting, value):
+    with pytest.raises(ClusterError, match=setting):
+        ClusterConfig(2, "sync", **{setting: value})
+
+
+def test_zero_overheads_are_allowed():
+    ClusterConfig(2, "async", sync_overhead_per_batch=0.0, async_comm_time=0.0)
+
+
 def test_sync_equals_sequential_accumulation(data):
     train_ids, val_ids = data
     model_a = fresh_model()

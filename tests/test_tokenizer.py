@@ -246,3 +246,12 @@ class TestRenderedFormat:
         rendered = tk.render_tokens(ts, marker="@@")
         assert "wi@@|C" in rendered
         assert tk.parse_tokens(rendered, marker="@@") == ts
+
+    @pytest.mark.parametrize("text, marker", [
+        ("|L", "■"), ("■|N", "■"), ("a■|L ■|N", "■"), ("a|L ■■|N", "■"), ("a|L \\e|N", "■"),
+        ("a@@|L @@|N", "@@"), ("a|L x|N", "x"),
+    ])
+    def test_empty_piece_is_rejected(self, text, marker):
+        # tokenize never yields an empty piece, and one would not survive a round trip
+        with pytest.raises(tk.TokenizerError, match="empty piece"):
+            tk.parse_tokens(text, marker)
