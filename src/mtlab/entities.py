@@ -8,11 +8,16 @@ to drive the template refinement loop.
 
 The per-match records, `EntityMatch` and `PlaceholderEntry`, are
 NamedTuples; the one-per-sentence records are frozen dataclasses.  Each
-`EntityTemplate` keeps a scan memo, sentence -> spans of its non-empty
-matches, of at most SCAN_MEMO_LIMIT (4096) sentences and cleared when
-full, so a sentence scanned again (validation rescans the source that
-mask scanned; templated text repeats) runs no regex.  The memo lives and
-dies with the template object.
+`EntityTemplate` keeps two memos that live and die with the template
+object: sentence -> spans of its non-empty matches, so a sentence scanned
+again (validation rescans the source that mask scanned; templated text
+repeats) runs no regex, and matched text -> parsed value, so an entity
+text is parsed once.  Each memo holds two generations of at most
+SCAN_MEMO_LIMIT (4096) keys: when the current one fills it becomes the
+previous one, and a key found there moves back, so text that keeps
+recurring survives a stream of one-off sentences.  A template whose every
+match must hold a digit (`needs_digit`, proved from the parsed pattern)
+is skipped on sentences without one.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
+
+try:
+    from re import _parser as _sre_parse   # Python 3.11+
+except ImportError:   # Python 3.10
+    import sre_parse as _sre_parse
 
 from .corpus import ParallelCorpus, read_lines, write_lines
 from .tokenizer import PLACEHOLDER_RE, format_placeholder
@@ -56,7 +66,7 @@ KM_PER_MILE = Decimal("1.609344")
 
 TYPE_CODES = {"distance": "DIST", "duration": "DUR", "time": "TIME", "date": "DATE"}
 MAX_SAMPLE_IDS = 50   # mismatched pair ids kept per entity type in a scan report
-SCAN_MEMO_LIMIT = 1 << 12   # sentences each template's scan memo holds before it is cleared
+SCAN_MEMO_LIMIT = 1 << 12   # keys in each generation of a template's memos
 
 
 class EntityError(ValueError):
@@ -85,8 +95,10 @@ class Distance:
     unit: str  # m | km | mi
 
     def meters(self) -> float:
-        factor = {"m": Decimal(1), "km": Decimal(1000), "mi": KM_PER_MILE * 1000}[self.unit]
-        return float(self.magnitude * factor)
+        return float(self.magnitude * _METERS_PER_UNIT[self.unit])
+
+
+_METERS_PER_UNIT = {"m": Decimal(1), "km": Decimal(1000), "mi": KM_PER_MILE * 1000}
 
 
 @dataclass(frozen=True)
@@ -119,6 +131,67 @@ def _values_comparable(a, b, rel_tol: float) -> bool:
 # templates
 
 
+class _Memo(dict):
+    """A memo of two generations: this dict is the current one.  When it
+    holds SCAN_MEMO_LIMIT keys its contents become `previous` and it starts
+    empty; a key found in `previous` moves back into it."""
+
+    __slots__ = ("previous",)
+
+    def __init__(self):
+        super().__init__()
+        self.previous = {}
+
+    def fill(self, key, compute):
+        """Store and return the value for a key this dict lacks; an error
+        raised by `compute` stores nothing."""
+        value = self.previous.pop(key, None)
+        if value is None:
+            value = compute(key)
+        if len(self) >= SCAN_MEMO_LIMIT:
+            self.previous = dict(self)
+            self.clear()
+        self[key] = value
+        return value
+
+
+def _needs_digit(pattern: str) -> bool:
+    """True only if every match of the pattern must hold a `\\d` character.
+
+    Proved from the parse tree of the private `re` parser; any failure to
+    parse or walk it gives False, which leaves the digit gate off.
+    """
+    try:
+        return _seq_needs_digit(_sre_parse.parse(pattern, re.IGNORECASE))
+    except Exception:   # a changed private API must not break template loading
+        return False
+
+
+def _seq_needs_digit(items) -> bool:
+    return any(_item_needs_digit(op.name, av) for op, av in items)
+
+
+def _item_needs_digit(name: str, av) -> bool:
+    if name == "LITERAL":
+        return 48 <= av <= 57
+    if name == "RANGE":
+        return 48 <= av[0] <= av[1] <= 57
+    if name == "CATEGORY":
+        return av.name == "CATEGORY_DIGIT"
+    if name == "IN":   # a class: every member must be a digit, which a NEGATE member is not
+        return all(_item_needs_digit(op.name, a) for op, a in av)
+    if name in ("MAX_REPEAT", "MIN_REPEAT", "POSSESSIVE_REPEAT"):
+        low, _, item = av
+        return low >= 1 and _seq_needs_digit(item)
+    if name == "SUBPATTERN":
+        return _seq_needs_digit(av[-1])
+    if name == "ATOMIC_GROUP":
+        return _seq_needs_digit(av)
+    if name == "BRANCH":
+        return all(_seq_needs_digit(arm) for arm in av[1])
+    return False   # lookarounds, backreferences, conditionals, anchors, other characters
+
+
 @dataclass
 class EntityTemplate:
     entity_type: str
@@ -126,10 +199,13 @@ class EntityTemplate:
     pattern: str
     regex: re.Pattern = field(init=False, repr=False)
     code: str = field(init=False, repr=False)   # the TYPE part of `⟦TYPE_i⟧`
-    _spans: dict = field(init=False, repr=False, compare=False)
+    needs_digit: bool = field(init=False, repr=False)   # no match without a `\d`
+    _spans: _Memo = field(init=False, repr=False, compare=False)
+    _values: _Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._spans = {}
+        self._spans = _Memo()
+        self._values = _Memo()
         self.code = TYPE_CODES.get(self.entity_type, self.entity_type.upper())
         # unmask finds placeholders by PLACEHOLDER_RE, so a code it cannot match would be lost
         if not PLACEHOLDER_RE.fullmatch(format_placeholder(self.code, 0)):
@@ -143,21 +219,25 @@ class EntityTemplate:
             raise TemplateError(
                 f"template {self.entity_type}/{self.language}: bad pattern {self.pattern!r}: {exc}"
             ) from None
+        self.needs_digit = _needs_digit(self.pattern)
 
     def spans(self, sentence: str) -> tuple[tuple[int, int], ...]:
         """(start, end) of each non-empty match in the sentence (memoized)."""
         spans = self._spans.get(sentence)
-        if spans is None:
-            if len(self._spans) >= SCAN_MEMO_LIMIT:
-                self._spans.clear()
-            spans = self._spans[sentence] = tuple(
-                m.span() for m in self.regex.finditer(sentence) if m.end() > m.start())
-        return spans
+        return self._spans.fill(sentence, self._scan) if spans is None else spans
+
+    def _scan(self, sentence: str) -> tuple[tuple[int, int], ...]:
+        return tuple(m.span() for m in self.regex.finditer(sentence) if m.end() > m.start())
 
     def parse(self, text: str):
         """The normalized value; unknown types normalize to their surface form."""
         parser = _PARSERS.get(self.entity_type)
         return text if parser is None else parser(text, self.language)
+
+    def value(self, text: str):
+        """`parse(text)`, memoized; a parse error is raised again on every call."""
+        value = self._values.get(text)
+        return self._values.fill(text, self.parse) if value is None else value
 
 
 _EN_MONTHS = {m.lower(): i + 1 for i, m in enumerate(
@@ -315,15 +395,19 @@ def find_entities(sentence: str, templates: list[EntityTemplate]) -> list[Entity
     Spans inside existing placeholders are never matched, which makes
     masking idempotent.
     """
-    forbidden = ([(m.start(), m.end()) for m in PLACEHOLDER_RE.finditer(sentence)]
-                 if "⟦" in sentence else [])
+    digit = _DIGITS_RE.search(sentence) is not None
     candidates = []
     for t_index, template in enumerate(templates):
-        for start, end in template.spans(sentence):
-            if any(start < fe and fs < end for fs, fe in forbidden):
-                continue
-            candidates.append((start, start - end, t_index, end, template))
-    candidates.sort(key=lambda c: c[:3])
+        if digit or not template.needs_digit:
+            for start, end in template.spans(sentence):
+                candidates.append((start, start - end, t_index, end, template))
+    if "⟦" in sentence:
+        forbidden = [m.span() for m in PLACEHOLDER_RE.finditer(sentence)]
+        candidates = [c for c in candidates
+                      if not any(c[0] < fe and fs < c[3] for fs, fe in forbidden)]
+    # a template's non-empty matches never share a start, so (start, -length,
+    # t_index) is unique and the sort never compares templates
+    candidates.sort()
     picked: list[EntityMatch] = []
     cursor = 0
     for start, neg_len, t_index, end, template in candidates:
@@ -331,7 +415,7 @@ def find_entities(sentence: str, templates: list[EntityTemplate]) -> list[Entity
             continue
         text = sentence[start:end]
         picked.append(EntityMatch(start, end, text, template.entity_type, template.code,
-                                  template.parse(text)))
+                                  template.value(text)))
         cursor = end
     return picked
 
@@ -430,28 +514,31 @@ def unmask(translated: str, pmap: PlaceholderMap, locale: LocaleFormat) -> str:
     if not pmap.entries and "⟦" not in translated:
         return translated
     by_index = {e.index: e for e in pmap.entries}
-    seen: Counter = Counter()
+    seen = []
+    source_locale = locale.language == pmap.source_language
 
     def substitute(m: re.Match) -> str:
-        index = int(m.group().rstrip("⟧").rpartition("_")[2])
+        index = int(m.group(1))
         entry = by_index.get(index)
         if entry is None:
             raise DanglingPlaceholderError(
                 f"placeholder {m.group()} has no entry in the map (indices "
                 f"{sorted(by_index)})"
             )
-        seen[index] += 1
-        if locale.language == pmap.source_language:
-            return entry.original_text
-        return _render_value(entry, locale)
+        seen.append(index)
+        return entry.original_text if source_locale else _render_value(entry, locale)
 
     result = PLACEHOLDER_RE.sub(substitute, translated)
-    lost = sorted(set(by_index) - set(seen))
-    if lost:
-        warnings.warn(f"placeholders lost by translation: indices {lost}", EntityWarning)
-    duplicated = sorted(i for i, n in seen.items() if n > 1)
-    if duplicated:
-        warnings.warn(f"placeholders duplicated by translation: indices {duplicated}", EntityWarning)
+    # every seen index is in by_index, so equal counts with no repeat mean none was lost
+    if len(seen) != len(by_index) or len(set(seen)) != len(seen):
+        counts = Counter(seen)
+        lost = sorted(set(by_index) - set(counts))
+        if lost:
+            warnings.warn(f"placeholders lost by translation: indices {lost}", EntityWarning)
+        duplicated = sorted(i for i, n in counts.items() if n > 1)
+        if duplicated:
+            warnings.warn(f"placeholders duplicated by translation: indices {duplicated}",
+                          EntityWarning)
     return result
 
 

@@ -73,8 +73,9 @@ _CASES = frozenset((CASE_C, CASE_L, CASE_U, CASE_N))
 
 DEFAULT_MARKER = "■"
 
-# placeholder tokens pass through pre-splitting whole and are never merged
-PLACEHOLDER_RE = re.compile(r"⟦[A-Z][A-Z0-9]*_\d+⟧")
+# placeholder tokens pass through pre-splitting whole and are never merged;
+# group 1 is the index
+PLACEHOLDER_RE = re.compile(r"⟦[A-Z][A-Z0-9]*_(\d+)⟧")
 
 # `\s` on a str pattern matches exactly the characters `str.isspace` accepts
 _SPACE_RUN_RE = re.compile(r"(\s+)")
@@ -476,12 +477,15 @@ def detokenize(ts: TokenizedSentence) -> str:
 # ---------------------------------------------------------------------------
 # text renderings
 
-# one pass does every escape, so no escape's output is escaped again
-_ESCAPES = str.maketrans({"\\": "\\\\", " ": "\\s", "\t": "\\t", "\n": "\\n",
-                          "\r": "\\r", "|": "\\p"})
+# character -> the letter that follows the backslash in its escape; one
+# translate pass does every escape, so no escape's output is escaped again
+_ESCAPE_LETTERS = {"\\": "\\", " ": "s", "\t": "t", "\n": "n", "\r": "r", "|": "p"}
+_ESCAPES = str.maketrans({c: "\\" + e for c, e in _ESCAPE_LETTERS.items()})
+_UNESCAPES = {e: c for c, e in _ESCAPE_LETTERS.items()}
+_ESCAPE_SEQ_RE = re.compile(r"\\(.?)", re.DOTALL)
 # a backslash and the escape letters; `e` is safe because render_tokens adds
 # `\e` only after the marker is escaped
-_MARKER_CLASHES = "\\stnrpm"
+_MARKER_CLASHES = "".join(_UNESCAPES) + "m"
 
 
 def _check_marker(marker: str) -> None:
@@ -497,20 +501,20 @@ def _escape(piece: str, marker: str) -> str:
 
 
 def _unescape(piece: str, marker: str) -> str:
+    """Inverse of _escape, plus the empty escape `\\e`; an unknown escape or
+    a lone backslash at the end raises TokenizerError."""
     if "\\" not in piece:
         return piece
-    out = []
-    i = 0
-    back = {"\\": "\\", "s": " ", "t": "\t", "n": "\n", "r": "\r", "p": "|", "m": marker,
-            "e": ""}
-    while i < len(piece):
-        if piece[i] == "\\" and i + 1 < len(piece) and piece[i + 1] in back:
-            out.append(back[piece[i + 1]])
-            i += 2
-        else:
-            out.append(piece[i])
-            i += 1
-    return "".join(out)
+    back = {**_UNESCAPES, "m": marker, "e": ""}
+
+    def decode(m: re.Match) -> str:
+        char = back.get(m.group(1))
+        if char is None:
+            raise TokenizerError(f"unknown escape {m.group()!r} in {piece!r}" if m.group(1)
+                                 else f"lone backslash at the end of {piece!r}")
+        return char
+
+    return _ESCAPE_SEQ_RE.sub(decode, piece)
 
 
 def render_tokens(ts: TokenizedSentence, marker: str = DEFAULT_MARKER) -> str:
@@ -543,8 +547,9 @@ def render_tokens(ts: TokenizedSentence, marker: str = DEFAULT_MARKER) -> str:
 
 
 def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
-    """Inverse of render_tokens; a malformed item or an empty piece (which
-    tokenize never yields) raises TokenizerError."""
+    """Inverse of render_tokens; a malformed item, an unescaped `|`, a bad
+    escape or an empty piece (which tokenize never yields) raises
+    TokenizerError."""
     if marker != DEFAULT_MARKER:
         _check_marker(marker)
     if not text:
@@ -564,6 +569,8 @@ def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
             if body.endswith(marker):
                 body = body[: -len(marker)]
                 trail = True
+        if "|" in body:
+            raise TokenizerError(f"token item {item!r} holds an unescaped '|'")
         if "\\" in body:
             body = _unescape(body, marker)
         if not body:
@@ -602,8 +609,10 @@ def load_model(path: str) -> BpeModel:
         if not line:
             continue
         if line.startswith("#alphabet"):
-            for item in line.split(" ")[1:]:
-                alphabet.add(_unescape(item, DEFAULT_MARKER))
+            try:
+                alphabet.update(_unescape(item, DEFAULT_MARKER) for item in line.split(" ")[1:])
+            except TokenizerError as exc:
+                raise TokenizerError(f"{path}: line {lineno}: {exc}") from None
             continue
         try:
             left, right = line.split(" ")

@@ -534,6 +534,17 @@ def test_bpe_detok_empty_piece_exits_1(tmp_path, capsys, line):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("a|b|L", "unescaped"), ("a\\q|L", "unknown escape"), ("a\\|L", "lone backslash"),
+], ids=["raw-bar", "unknown-escape", "trailing-backslash"])
+def test_bpe_detok_body_render_never_writes_exits_1(tmp_path, capsys, line, message):
+    text = tmp_path / "in.txt"
+    text.write_text(f"ok|L\n{line}\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "bpe", "detok", "--input", text]) == 1
+    assert message in _one_error_line(capsys)
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("maps, message", [
     (b"[{}]", "map 1"),
     (b'[{"source_language": "en", "entries": [{"index": 0, "text": "5 km"}]}]', "map 1"),

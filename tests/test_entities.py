@@ -92,6 +92,38 @@ class TestUnmask:
         with pytest.warns(en.EntityWarning, match="lost"):
             en.unmask("nur ⟦DIST_0⟧ entfernt", pmap, en.DE_LOCALE)
 
+    def test_map_out_of_order_with_gaps_restores(self):
+        # the shape `ner unmask` builds from a JSON map: any order, any indices
+        entries = tuple(en.PlaceholderEntry(i, t.entity_type, text, t.parse(text)) for i, t, text in [
+            (7, EN_TPL[2], "2:30 pm"), (2, EN_TPL[0], "1.9 km"), (4, EN_TPL[1], "10-minute")])
+        pmap = en.PlaceholderMap("", entries, "en")
+        translated = "⟦DIST_2⟧, ⟦DUR_4⟧ bis ⟦TIME_7⟧"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", en.EntityWarning)
+            assert en.unmask(translated, pmap, en.EN_LOCALE) == "1.9 km, 10-minute bis 2:30 pm"
+            assert en.unmask(translated, pmap, en.DE_LOCALE) == "1,9 km, 10 min bis 14:30"
+        with pytest.raises(en.DanglingPlaceholderError, match=r"⟦DIST_3⟧ .*\[2, 4, 7\]"):
+            en.unmask("⟦DIST_2⟧ ⟦DIST_3⟧", pmap, en.DE_LOCALE)
+
+    @pytest.mark.parametrize("translated, messages", [
+        ("⟦DIST_0⟧ ⟦DIST_0⟧", ["lost by translation: indices [1, 2]",
+                               "duplicated by translation: indices [0]"]),
+        ("⟦DIST_2⟧ ⟦DIST_2⟧ ⟦DIST_0⟧", ["lost by translation: indices [1]",
+                                       "duplicated by translation: indices [2]"]),
+        ("⟦DIST_1⟧ ⟦DIST_1⟧ ⟦DIST_1⟧ ⟦DIST_0⟧", ["lost by translation: indices [2]",
+                                                "duplicated by translation: indices [1]"]),
+        ("⟦DIST_0⟧ ⟦DIST_1⟧ ⟦DIST_2⟧ ⟦DIST_1⟧", ["duplicated by translation: indices [1]"]),
+        ("⟦DIST_2⟧", ["lost by translation: indices [0, 1]"]),
+        ("⟦DIST_2⟧ ⟦DIST_0⟧ ⟦DIST_1⟧", []),
+    ], ids=["fewer", "same-count", "more", "extra", "one", "reordered"])
+    def test_lost_and_duplicated_warnings(self, translated, messages):
+        pmap = en.mask("1 km, 2 km, 3 km", EN_TPL)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", en.EntityWarning)
+            en.unmask(translated, pmap, en.DE_LOCALE)
+        assert [str(w.message) for w in caught] == [f"placeholders {m}" for m in messages]
+        assert all(w.category is en.EntityWarning for w in caught)
+
     def test_time_and_date_rendering(self):
         pmap = en.mask("open from 2:30 pm on March 5, 2018", EN_TPL)
         out = en.unmask("ab ⟦TIME_0⟧ am ⟦DATE_1⟧", pmap, en.DE_LOCALE)
@@ -244,24 +276,89 @@ def reference_find_entities(sentence, templates):
     return picked
 
 
-_FRAGMENTS = ["5", "12", "3.5", "1,5", "2024", "10:30", "7", "-", " ", " ", ".", ",", "/",
+_FRAGMENTS = ["5", "12", "3.5", "1,5", "2024", "10:30", "7", "٣", "-", " ", " ", ".", ",", "/",
               ":", "km", "m", "mi", "miles", "Kilometer", "Meilen", "min", "minute", "Minuten",
               "hours", "Stunden", "Uhr", "pm", "a.m.", "March", "März", "Mai", "December",
-              "ride", "⟦DIST_0⟧", "⟦DIST_0", "⟧"]
+              "ride", "Eiffel Tower", "⟦DIST_0⟧", "⟦DIST_0", "⟧"]
 _SENTENCES = st.lists(st.sampled_from(_FRAGMENTS), max_size=14).map("".join)
+# a user template that needs no digit and has no parser: the digit gate must never skip it
+LANDMARK = en.EntityTemplate("landmark", "en", r"\bEiffel Tower\b")
+
+
+def _memo_sizes(templates):
+    return [len(m) for t in templates for memo in (t._spans, t._values)
+            for m in (memo, memo.previous)]
 
 
 @given(_SENTENCES)
 @settings(max_examples=300, deadline=None)
 def test_find_entities_matches_reference(sentence):
-    for templates in (EN_TPL, DE_TPL):
+    for templates in (EN_TPL, DE_TPL, [*EN_TPL, LANDMARK]):
         expected = reference_find_entities(sentence, templates)
         assert en.find_entities(sentence, templates) == expected
-        assert en.find_entities(sentence, templates) == expected   # from the memo
+        assert en.find_entities(sentence, templates) == expected   # from the memos
+        fresh = [en.EntityTemplate(t.entity_type, t.language, t.pattern) for t in templates]
         with mock.patch.object(en, "SCAN_MEMO_LIMIT", 2):
             for other in (sentence + " 5 km", sentence, "4 pm " + sentence, sentence):
-                assert en.find_entities(other, templates) == reference_find_entities(other, templates)
-                assert all(len(t._spans) <= 2 for t in templates)
+                assert en.find_entities(other, fresh) == reference_find_entities(other, fresh)
+                assert max(_memo_sizes(fresh)) <= 2   # both generations of both memos
+
+
+def test_memo_keeps_a_recurring_sentence_across_one_offs():
+    template = en.EntityTemplate("distance", "en", r"\d+ km")
+    with mock.patch.object(en, "SCAN_MEMO_LIMIT", 2), \
+            mock.patch.object(template, "_scan", wraps=template._scan) as scan:
+        for one_off in range(6):
+            assert template.spans("5 km") == ((0, 4),)
+            template.spans(f"{one_off} km, once")
+    assert scan.call_count == 7   # "5 km" once, each one-off once
+
+
+@pytest.mark.parametrize("pattern, needs_digit", [
+    (r"\d+ km", True), (r"(?:\d)+", True), (r"\d+ km|\d+ mi|at \d{1,2}:\d\d", True),
+    (r"(?>\d)[0-9]?", True), (r"x[0-9]", True), (r"x5", True),
+    (r"\d*", False), (r"(\d|a)", False), (r"(?=\d)x", False), (r"\d{0,2}", False),
+    (r"[^a]", False), (r"\d+|km", False), (r"\bEiffel Tower\b", False),
+])
+def test_needs_digit(pattern, needs_digit):
+    assert en.EntityTemplate("distance", "en", pattern).needs_digit is needs_digit
+
+
+def test_every_starter_template_is_gated():
+    assert all(t.needs_digit for t in EN_TPL + DE_TPL)
+
+
+def test_unprovable_pattern_turns_the_gate_off():
+    gated = en.EntityTemplate("distance", "en", r"\d+ km")
+    with mock.patch.object(en, "_seq_needs_digit", side_effect=AttributeError):
+        ungated = en.EntityTemplate("distance", "en", r"\d+ km")
+    assert (gated.needs_digit, ungated.needs_digit) == (True, False)
+    assert en.find_entities("no digit here", [gated, ungated]) == []
+    assert "no digit here" not in gated._spans and "no digit here" in ungated._spans
+
+
+def test_value_memo_parses_each_picked_text_once():
+    calls = []
+
+    def parse(text, language):
+        calls.append(text)
+        return en._parse_distance(text, language)
+
+    distance = en.EntityTemplate("distance", "en", r"\d+ km")
+    date = en.EntityTemplate("date", "en", r"\d+")   # "5" is no date, so parsing it would raise
+    with mock.patch.dict(en._PARSERS, {"distance": parse}):
+        for sentence in ("5 km", "then 5 km", "5 km again"):
+            assert [m.value for m in en.find_entities(sentence, [distance, date])] == [
+                en.Distance(Decimal(5), "km")]
+    assert calls == ["5 km"]   # the overlapped "5" is never parsed
+
+
+def test_parse_error_is_not_memoized():
+    template = en.EntityTemplate("date", "en", r"\d+/\d+")   # no year, so no date parses
+    for _ in range(2):
+        with pytest.raises(en.EntityError, match="unparseable date"):
+            en.find_entities("on 3/4", [template])
+    assert "3/4" not in template._values and not template._values.previous
 
 
 def test_fresh_templates_start_with_empty_memos():

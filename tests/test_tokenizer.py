@@ -226,6 +226,12 @@ class TestModelFile:
         with pytest.raises(tk.TokenizerError):
             tk.load_model(path)
 
+    def test_bad_alphabet_escape_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.model"
+        path.write_text("bpe-v1 joint 0\n#alphabet a \\q\n", encoding="utf-8")
+        with pytest.raises(tk.TokenizerError, match="line 2: unknown escape"):
+            tk.load_model(path)
+
 
 class TestRenderedFormat:
     def test_render_parse_round_trip(self, trained):
@@ -255,3 +261,17 @@ class TestRenderedFormat:
         # tokenize never yields an empty piece, and one would not survive a round trip
         with pytest.raises(tk.TokenizerError, match="empty piece"):
             tk.parse_tokens(text, marker)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a|b|L", "unescaped '\\|'"), ("ok|L a■|b|N", "unescaped '\\|'"),
+        ("a\\q|L", "unknown escape"), ("a\\|L", "lone backslash"), ("a\\\\\\|L", "lone backslash"),
+    ])
+    def test_body_render_never_writes_is_rejected(self, text, message):
+        # each parsed before, into a piece that renders back to another line
+        with pytest.raises(tk.TokenizerError, match=message):
+            tk.parse_tokens(text)
+
+    def test_escapes_still_parse(self):
+        ts = tk.parse_tokens("a\\s\\t\\n\\r\\p\\\\\\m|L")
+        assert ts.pieces() == ["a \t\n\r|\\■"]
+        assert tk.render_tokens(ts) == "a\\s\\t\\n\\r\\p\\\\\\m|L"

@@ -310,7 +310,8 @@ def _reference_render(ts, marker=tk.DEFAULT_MARKER):
 
 
 def _reference_parse(text, marker=tk.DEFAULT_MARKER):
-    """`parse_tokens` before the one-pass rewrite (it let empty pieces through)."""
+    """`parse_tokens` before the one-pass rewrite (it let empty pieces and raw
+    bars through)."""
     if marker != tk.DEFAULT_MARKER:
         tk._check_marker(marker)
     if not text:
@@ -355,6 +356,16 @@ item_text = st.lists(st.tuples(st.text(alphabet="ab\\■@xΩms|", max_size=4),
                      min_size=1, max_size=6).map(lambda items: " ".join(b + c for b, c in items))
 
 
+_KNOWN_ESCAPE_RE = re.compile(r"\\[\\stnrpme]")
+
+
+def _lossy(text):
+    """True if an item body holds what render_tokens never writes: a raw `|`,
+    or a backslash that starts no escape (an unknown letter or the end)."""
+    return any("|" in body or "\\" in _KNOWN_ESCAPE_RE.sub("", body)
+               for body, _, _ in (item.rpartition("|") for item in text.split(" ")))
+
+
 @given(item_text, render_markers)
 @settings(max_examples=500, deadline=None)
 def test_parse_matches_reference_on_arbitrary_items(text, marker):
@@ -362,7 +373,7 @@ def test_parse_matches_reference_on_arbitrary_items(text, marker):
         expected = _reference_parse(text, marker)
     except tk.TokenizerError:
         expected = None
-    if expected is None or not all(expected.pieces()):
+    if expected is None or not all(expected.pieces()) or _lossy(text):
         with pytest.raises(tk.TokenizerError):
             tk.parse_tokens(text, marker)
     else:
