@@ -3,11 +3,16 @@
 Scores are on the 0-100 scale.  Corpus scoring pools clipped counts over
 all pairs before taking ratios; it is not an average of sentence scores.
 
-Per pair and order, the candidate's n-grams are first collected as a set.
-When no candidate n-gram repeats, every clipped count is 1 if the reference
-holds the n-gram and 0 if not, so the order's matches are the size of the
-set's intersection with the reference n-grams.  An order whose candidate
-repeats an n-gram falls back to clipping one Counter per side.
+Per pair, if one side's tokens are all distinct (after case folding), so
+are all its n-grams, and each order's clipped matches are the number of
+distinct n-grams the two sides share.  That side becomes a token -> position
+map, and reading the other side through it gives `m` (a negative sentinel
+for a token the map lacks).  Each `i` with `m[i] >= 0` starts a unigram
+match at position `m[i]` of the distinct side, and a start of an n-gram
+match also starts an n + 1-gram match when `m[i + n] == m[i] + n`.  Each
+order counts the distinct positions its starts name.  When both sides repeat
+a token, every order clips one Counter per side, except that an order whose
+candidate n-grams turn out distinct counts a set intersection instead.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 __all__ = ["ScoringConfig", "BleuReport", "BleuError", "corpus_bleu", "sentence_bleu"]
 
@@ -76,25 +82,75 @@ class BleuReport:
 
 def _score(matches: list[int], totals: list[int], cand_len: int, ref_len: int,
            config: ScoringConfig) -> BleuReport:
-    precisions = []
-    for n in range(MAX_N):
-        m, t = matches[n], totals[n]
-        if m == 0 and config.smoothing == "add_one":
-            precisions.append(1.0 / (t + 1))
-        elif t == 0:
-            precisions.append(0.0)
-        else:
-            precisions.append(m / t)
-    if cand_len == 0:
-        bp = 0.0
+    if config.smoothing == "add_one":
+        precisions = tuple([m / t if m else 1.0 / (t + 1) for m, t in zip(matches, totals)])
     else:
-        bp = min(1.0, math.exp(1.0 - ref_len / cand_len))
-    if any(p == 0.0 for p in precisions):
+        precisions = tuple([m / t if t else 0.0 for m, t in zip(matches, totals)])
+    bp = min(1.0, math.exp(1.0 - ref_len / cand_len)) if cand_len else 0.0
+    if 0.0 in precisions:
         score = 0.0
     else:
-        log_mean = sum(math.log(p) for p in precisions) / MAX_N
-        score = bp * math.exp(log_mean) * 100.0
-    return BleuReport(score, bp, tuple(precisions), cand_len, ref_len, config)
+        score = bp * math.exp(sum(map(math.log, precisions)) / MAX_N) * 100.0
+    return BleuReport(score, bp, precisions, cand_len, ref_len, config)
+
+
+def _clip(cand_toks: list[str], ref_toks: list[str], matches: list[int]) -> None:
+    """Add clipped matches per order for a candidate that repeats a token, so
+    its unigrams, as plain tokens, go straight to the Counters."""
+    # one shifted copy per order; zipping the first n + 1 yields the n + 1-grams
+    c_shifts = (cand_toks, cand_toks[1:], cand_toks[2:], cand_toks[3:])
+    r_shifts = (ref_toks, ref_toks[1:], ref_toks[2:], ref_toks[3:])
+    cand_grams, ref_grams = cand_toks, ref_toks
+    for n in range(min(len(cand_toks), MAX_N)):
+        if n:
+            grams = set(zip(*c_shifts[:n + 1]))
+            if len(grams) == len(cand_toks) - n:
+                matches[n] += len(grams.intersection(zip(*r_shifts[:n + 1])))
+                continue
+            cand_grams, ref_grams = zip(*c_shifts[:n + 1]), zip(*r_shifts[:n + 1])
+        ref_counts = Counter(ref_grams)
+        for gram, count in Counter(cand_grams).items():
+            in_ref = ref_counts.get(gram)
+            if in_ref:
+                matches[n] += count if count < in_ref else in_ref
+
+
+# `m` entry of a token the distinct side lacks; `_MISS + n` for n < MAX_N is
+# neither a position nor `_MISS`, so a miss never starts a bigram match
+_MISS = -MAX_N
+_PAD = (_MISS,) * (MAX_N - 1)
+
+
+def _add_pair(cand_toks: list[str], ref_toks: list[str], matches: list[int],
+              totals: list[int]) -> None:
+    """Add one pair's clipped matches and candidate n-gram counts, per order."""
+    length = len(cand_toks)
+    for n in range(min(length, MAX_N)):
+        totals[n] += length - n
+    if len(set(ref_toks)) == len(ref_toks):
+        keyed, probe = ref_toks, cand_toks
+    elif len(set(cand_toks)) == length:
+        keyed, probe = cand_toks, ref_toks
+    else:
+        _clip(cand_toks, ref_toks, matches)
+        return
+    where = {tok: i for i, tok in enumerate(keyed)}
+    m = list(map(where.get, probe, repeat(_MISS)))
+    hits = set(m)
+    hits.discard(_MISS)
+    if not hits:
+        return
+    matches[0] += len(hits)
+    # when no position of the distinct side is hit twice, every start left
+    # in an order names a different n-gram
+    distinct = len(hits) + m.count(_MISS) == len(m)
+    m += _PAD
+    starts = range(len(probe))
+    for n in range(1, MAX_N):
+        starts = [i for i in starts if m[i + n] == m[i] + n]
+        if not starts:
+            return
+        matches[n] += len(starts) if distinct else len({m[i] for i in starts})
 
 
 def corpus_bleu(candidates: list[str], references: list[str],
@@ -114,29 +170,20 @@ def corpus_bleu(candidates: list[str], references: list[str],
         ref_toks = config.split(ref)
         cand_len += len(cand_toks)
         ref_len += len(ref_toks)
-        # one shifted copy per order; zipping the first n + 1 yields the n + 1-grams
-        c_shifts = (cand_toks, cand_toks[1:], cand_toks[2:], cand_toks[3:])
-        r_shifts = (ref_toks, ref_toks[1:], ref_toks[2:], ref_toks[3:])
-        for n in range(MAX_N):
-            total = len(cand_toks) - n
-            if total <= 0:
-                break
-            totals[n] += total
-            grams = set(zip(*c_shifts[:n + 1]))
-            if len(grams) == total:
-                matches[n] += len(grams.intersection(zip(*r_shifts[:n + 1])))
-                continue
-            ref_counts = Counter(zip(*r_shifts[:n + 1]))
-            for gram, count in Counter(zip(*c_shifts[:n + 1])).items():
-                in_ref = ref_counts.get(gram)
-                if in_ref:
-                    matches[n] += count if count < in_ref else in_ref
+        _add_pair(cand_toks, ref_toks, matches, totals)
+    if not ref_len:
+        raise BleuError("the references hold no token")
     return _score(matches, totals, cand_len, ref_len, config)
 
 
 def sentence_bleu(candidate: str, reference: str,
                   config: ScoringConfig = ScoringConfig()) -> BleuReport:
     """Single-pair BLEU; configure smoothing to avoid hard zeros."""
-    if not candidate or not reference:
-        raise BleuError("candidate and reference must be non-empty")
-    return corpus_bleu([candidate], [reference], config)
+    cand_toks = config.split(candidate)
+    ref_toks = config.split(reference)
+    if not cand_toks or not ref_toks:
+        raise BleuError("candidate and reference must each hold a token")
+    matches = [0] * MAX_N
+    totals = [0] * MAX_N
+    _add_pair(cand_toks, ref_toks, matches, totals)
+    return _score(matches, totals, len(cand_toks), len(ref_toks), config)

@@ -1,7 +1,8 @@
 """Multiclass logistic regression over hashed unigram+bigram counts.
 
 Features are hashed with FNV-1a 64 (fixed and platform independent)
-truncated to `bits` bits; collisions are tolerated.  Training is plain
+truncated to `bits` bits; collisions are tolerated.  Each feature string's
+hash is remembered, up to HASH_MEMO_LIMIT strings.  Training is plain
 softmax SGD with a small L2 term applied to the touched columns.
 
 The trained weights are pinned to the bit, so each step fixes its float
@@ -39,6 +40,9 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 MAX_BITS = 24   # 2**24 float64 weights per label: 128 MiB
+HASH_MEMO_LIMIT = 1 << 16   # feature strings `_hashes` holds before it is cleared
+
+_hashes: dict[str, int] = {}   # feature string -> fnv1a64 value
 
 
 class ClassifierError(ValueError):
@@ -67,14 +71,18 @@ def hashed_features(text: str, bits: int, use_bigrams: bool = True) -> dict[int,
     so they never alias each other directly."""
     size = 1 << bits
     toks = _tokens(text)
-    counts: dict[int, float] = {}
-    for tok in toks:
-        slot = fnv1a64("u:" + tok) % size
-        counts[slot] = counts.get(slot, 0.0) + 1.0
+    keys = ["u:" + tok for tok in toks]
     if use_bigrams:
-        for a, b in zip(toks, toks[1:]):
-            slot = fnv1a64("b:" + a + " " + b) % size
-            counts[slot] = counts.get(slot, 0.0) + 1.0
+        keys += ["b:" + a + " " + b for a, b in zip(toks, toks[1:])]
+    counts: dict[int, float] = {}
+    for key in keys:
+        value = _hashes.get(key)
+        if value is None:
+            if len(_hashes) >= HASH_MEMO_LIMIT:
+                _hashes.clear()
+            value = _hashes[key] = fnv1a64(key)
+        slot = value % size
+        counts[slot] = counts.get(slot, 0.0) + 1.0
     return counts
 
 

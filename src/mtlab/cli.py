@@ -148,6 +148,7 @@ def cmd_bpe_train(args) -> None:
 
 
 def cmd_bpe_apply(args) -> None:
+    tokenizer.check_marker(args.marker)
     model = tokenizer.load_model(args.model)
     lines = corpus.read_lines(args.input)
     rendered = [tokenizer.render_tokens(tokenizer.tokenize(model, line), args.marker)
@@ -158,9 +159,14 @@ def cmd_bpe_apply(args) -> None:
 
 
 def cmd_bpe_detok(args) -> None:
+    tokenizer.check_marker(args.marker)
     lines = corpus.read_lines(args.input)
-    restored = [tokenizer.detokenize(tokenizer.parse_tokens(line, args.marker))
-                for line in lines]
+    restored = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            restored.append(tokenizer.detokenize(tokenizer.parse_tokens(line, args.marker)))
+        except tokenizer.TokenizerError as exc:
+            raise tokenizer.TokenizerError(f"{args.input}: line {lineno}: {exc}") from None
     path = _out(args, args.output)
     corpus.write_lines(restored, path)
     print(f"detokenized {len(lines)} sentences -> {path}")

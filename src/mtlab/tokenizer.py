@@ -63,6 +63,7 @@ __all__ = [
     "load_model",
     "render_tokens",
     "parse_tokens",
+    "check_marker",
 ]
 
 CASE_C = "C"  # true case: initial capital, rest lower
@@ -488,7 +489,7 @@ _ESCAPE_SEQ_RE = re.compile(r"\\(.?)", re.DOTALL)
 _MARKER_CLASHES = "".join(_UNESCAPES) + "m"
 
 
-def _check_marker(marker: str) -> None:
+def check_marker(marker: str) -> None:
     """Reject a marker that would split an item (whitespace) or clash with
     the escapes inside a piece."""
     if not marker or any(c.isspace() or c in _MARKER_CLASHES for c in marker):
@@ -529,7 +530,7 @@ def render_tokens(ts: TokenizedSentence, marker: str = DEFAULT_MARKER) -> str:
     """
     overlaps = False  # the default marker is one character
     if marker != DEFAULT_MARKER:
-        _check_marker(marker)
+        check_marker(marker)
         overlaps = any(marker.startswith(marker[k:]) for k in range(1, len(marker)))
     tokens = ts.tokens
     last = len(tokens) - 1
@@ -551,7 +552,7 @@ def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
     escape or an empty piece (which tokenize never yields) raises
     TokenizerError."""
     if marker != DEFAULT_MARKER:
-        _check_marker(marker)
+        check_marker(marker)
     if not text:
         return TokenizedSentence()
     parsed = []   # [piece, case, joined_right]

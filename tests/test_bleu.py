@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtlab import bleu
 from mtlab.bleu import BleuError, ScoringConfig, _score, corpus_bleu, sentence_bleu
 
 
@@ -94,7 +95,12 @@ token_lists = st.lists(st.sampled_from(["a", "b", "c", "A"]), max_size=9)
 @settings(max_examples=400, deadline=None)
 def test_corpus_bleu_matches_brute_force_counts(pairs, smoothing, case_sensitive):
     config = ScoringConfig(smoothing=smoothing, case_sensitive=case_sensitive)
-    report = corpus_bleu([" ".join(c) for c, _ in pairs], [" ".join(r) for _, r in pairs], config)
+    cands, refs = [" ".join(c) for c, _ in pairs], [" ".join(r) for _, r in pairs]
+    if not any(r for _, r in pairs):
+        with pytest.raises(BleuError, match="no token"):
+            corpus_bleu(cands, refs, config)
+        return
+    report = corpus_bleu(cands, refs, config)
     fold = (lambda toks: toks) if case_sensitive else (lambda toks: [t.lower() for t in toks])
     matches, totals = _brute_force_counts([fold(c) for c, _ in pairs],
                                           [fold(r) for _, r in pairs])
@@ -143,7 +149,77 @@ either_token_list = st.one_of(token_lists, distinct_token_lists)
 def test_corpus_bleu_equals_counter_reference(pairs, smoothing, case_sensitive):
     config = ScoringConfig(smoothing=smoothing, case_sensitive=case_sensitive)
     cands, refs = [" ".join(c) for c, _ in pairs], [" ".join(r) for _, r in pairs]
+    if not any(r for _, r in pairs):
+        with pytest.raises(BleuError, match="no token"):
+            corpus_bleu(cands, refs, config)
+        return
     assert corpus_bleu(cands, refs, config) == counter_corpus_bleu(cands, refs, config)
+
+
+def _with_repeat(tokens, at, to):
+    """`tokens` with a copy of one of its tokens inserted, so a token repeats."""
+    to %= len(tokens) + 1
+    return tokens[:to] + [tokens[at % len(tokens)]] + tokens[to:]
+
+
+repeating_token_lists = st.builds(_with_repeat, token_lists.filter(bool),
+                                  st.integers(0, 8), st.integers(0, 9))
+nonempty_distinct_lists = distinct_token_lists.filter(bool)
+# one strategy per counting path: the reference's tokens are distinct; only the
+# candidate's are; both repeat a token.  Lowercasing can merge "a" and "A"
+# and move a draw to another path.
+pairs_by_path = st.one_of(
+    st.tuples(st.one_of(repeating_token_lists, nonempty_distinct_lists), nonempty_distinct_lists),
+    st.tuples(nonempty_distinct_lists, repeating_token_lists),
+    st.tuples(repeating_token_lists, repeating_token_lists),
+)
+
+
+@given(pairs_by_path, st.sampled_from(["none", "add_one"]), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_sentence_bleu_equals_counter_reference_on_every_path(pair, smoothing, case_sensitive):
+    config = ScoringConfig(smoothing=smoothing, case_sensitive=case_sensitive)
+    cand, ref = " ".join(pair[0]), " ".join(pair[1])
+    expected = counter_corpus_bleu([cand], [ref], config)
+    assert sentence_bleu(cand, ref, config) == expected
+    assert corpus_bleu([cand], [ref], config) == expected
+
+
+# (candidate, reference, clipped matches per order, whether both sides repeat)
+PATH_CASES = {
+    "reference-distinct": ("the cat the cat sat", "the cat sat on mat", (3, 2, 1, 0), False),
+    "candidate-distinct": ("a cat sat on the mat", "the cat sat on the mat the cat",
+                           (5, 4, 3, 2), False),
+    "both-repeat": ("the cat the cat", "the cat the mat the", (3, 2, 1, 0), True),
+}
+
+
+@pytest.mark.parametrize("case", PATH_CASES.values(), ids=PATH_CASES.keys())
+def test_counting_path_matches_hand_count(monkeypatch, case):
+    cand, ref, matches, clipped = case
+    clip, calls = bleu._clip, []
+    monkeypatch.setattr(bleu, "_clip", lambda *args: calls.append(args) or clip(*args))
+    totals = [max(len(cand.split()) - n, 0) for n in range(4)]
+    report = sentence_bleu(cand, ref)
+    assert report.precisions == tuple(m / t for m, t in zip(matches, totals))
+    assert bool(calls) == clipped
+    assert report == corpus_bleu([cand], [ref])
+
+
+@pytest.mark.parametrize("cand, ref", [("a b c d", "   "), ("a b c d", ""), (" \t", "a b"),
+                                       ("", "a b")])
+def test_sentence_without_tokens_rejected(cand, ref):
+    with pytest.raises(BleuError, match="token"):
+        sentence_bleu(cand, ref, ScoringConfig(smoothing="add_one"))
+
+
+def test_corpus_whose_references_hold_no_token_rejected():
+    with pytest.raises(BleuError, match="no token"):
+        corpus_bleu(["a b c d"], [" "], ScoringConfig(smoothing="add_one"))
+    with pytest.raises(BleuError, match="no token"):
+        corpus_bleu(["a b", "c d"], ["", " \n "])
+    # one empty reference among others still scores
+    assert corpus_bleu(["a b", "c d"], ["a b", ""]).reference_length == 2
 
 
 def test_unknown_smoothing_rejected():

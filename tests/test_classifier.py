@@ -14,7 +14,9 @@ from mtlab.bsf import (
     save_classifier,
     train_classifier,
 )
+from mtlab.bsf import classifier
 from mtlab.bsf.classifier import _feature_arrays, fnv1a64, hashed_features
+from mtlab.bsf.lexicon import _tokens
 from mtlab.rng import stream
 from mtlab.synth import parking_parallel, parking_sentences
 
@@ -30,6 +32,31 @@ def test_hashing_deterministic_across_calls():
     a = hashed_features("Free parking on site", 18)
     b = hashed_features("Free parking on site", 18)
     assert a == b
+
+
+def test_hashed_features_memo_matches_direct_hashing(monkeypatch):
+    monkeypatch.setattr(classifier, "HASH_MEMO_LIMIT", 3)
+    monkeypatch.setattr(classifier, "_hashes", {})
+    texts = ["Free parking on site", "free parking nearby", "Kostenlose Parkplätze vor Ort"]
+    for text in texts * 2:
+        toks = _tokens(text)
+        expected: dict = {}
+        for key in [f"u:{t}" for t in toks] + [f"b:{a} {b}" for a, b in zip(toks, toks[1:])]:
+            slot = fnv1a64(key) % (1 << 18)
+            expected[slot] = expected.get(slot, 0.0) + 1.0
+        # same slots, counts and order, so weight updates sum in the same order
+        assert list(hashed_features(text, 18).items()) == list(expected.items())
+        assert len(classifier._hashes) <= 3
+
+
+def test_hashed_features_hashes_each_feature_string_once(monkeypatch):
+    hashed = []
+    monkeypatch.setattr(classifier, "_hashes", {})
+    monkeypatch.setattr(classifier, "fnv1a64", lambda key: hashed.append(key) or fnv1a64(key))
+    first = hashed_features("free parking free parking", 18)
+    assert hashed == ["u:free", "u:parking", "b:free parking", "b:parking free"]
+    assert hashed_features("free parking free parking", 18) == first
+    assert len(hashed) == 4
 
 
 def test_bigrams_contribute_features():

@@ -163,6 +163,19 @@ def test_bleu_sentence(capsys, tmp_path):
     assert '"score": 100.0' in capsys.readouterr().out
 
 
+def test_bleu_input_without_tokens_exits_1(capsys, tmp_path):
+    assert run(["--out-dir", tmp_path / "s", "bleu", "sentence", "--candidate", "a b c d",
+                "--reference", "   ", "--smoothing", "add_one"]) == 1
+    assert "token" in _one_error_line(capsys)
+    cands, refs = tmp_path / "cands.txt", tmp_path / "refs.txt"
+    cands.write_text("a b c d\ne f\n", encoding="utf-8")
+    refs.write_text(" \n\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "c", "bleu", "corpus", "--candidates", cands,
+                "--references", refs]) == 1
+    assert "no token" in _one_error_line(capsys)
+    assert not (tmp_path / "c" / "bleu.json").exists()
+
+
 def test_optlab_train_writes_trace(tmp_path):
     out = tmp_path / "out"
     assert run(["--out-dir", out, "optlab", "train", "--optimizer", "adam",
@@ -522,6 +535,14 @@ def test_bpe_marker_clashing_with_escapes_exits_1(tmp_path, capsys, marker):
     assert "marker" in _one_error_line(capsys)
     assert run(["--out-dir", out, "bpe", "detok", "--input", text, "--marker", marker]) == 1
     assert "marker" in _one_error_line(capsys)
+    # checked before any line is read, so an empty input is refused too
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    assert run(["--out-dir", out, "bpe", "apply", "--model", out / "bpe.model", "--input", empty,
+                "--marker", marker]) == 1
+    assert "marker" in _one_error_line(capsys)
+    assert run(["--out-dir", out, "bpe", "detok", "--input", empty, "--marker", marker]) == 1
+    assert "line" not in _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("line", ["|L", "a■|L ■|N", "a|L \\e|N"],
@@ -543,6 +564,13 @@ def test_bpe_detok_body_render_never_writes_exits_1(tmp_path, capsys, line, mess
     assert run(["--out-dir", tmp_path / "out", "bpe", "detok", "--input", text]) == 1
     assert message in _one_error_line(capsys)
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_bpe_detok_error_names_the_line(tmp_path, capsys):
+    text = tmp_path / "in.txt"
+    text.write_text("ok|L\n\nfine|L\na|b|L\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "bpe", "detok", "--input", text]) == 1
+    assert _one_error_line(capsys).startswith(f"error: {text}: line 4: token item 'a|b|L'")
 
 
 @pytest.mark.parametrize("maps, message", [

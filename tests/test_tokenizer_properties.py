@@ -295,7 +295,7 @@ def _reference_render(ts, marker=tk.DEFAULT_MARKER):
     """`render_tokens` before the one-pass rewrite: index look-ups around every token."""
     overlaps = False
     if marker != tk.DEFAULT_MARKER:
-        tk._check_marker(marker)
+        tk.check_marker(marker)
         overlaps = any(marker.startswith(marker[k:]) for k in range(1, len(marker)))
     items = []
     for i, token in enumerate(ts.tokens):
@@ -313,7 +313,7 @@ def _reference_parse(text, marker=tk.DEFAULT_MARKER):
     """`parse_tokens` before the one-pass rewrite (it let empty pieces and raw
     bars through)."""
     if marker != tk.DEFAULT_MARKER:
-        tk._check_marker(marker)
+        tk.check_marker(marker)
     if not text:
         return tk.TokenizedSentence()
     parsed = []
