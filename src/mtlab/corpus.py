@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "SentencePair",
@@ -44,8 +45,7 @@ class CorpusSizeError(CorpusError):
     """Requested size is incompatible with the corpus size."""
 
 
-@dataclass(frozen=True)
-class SentencePair:
+class SentencePair(NamedTuple):
     source: str
     target: str
     id: int

@@ -35,7 +35,7 @@ try:
 except ImportError:   # Python 3.10
     import sre_parse as _sre_parse
 
-from .corpus import ParallelCorpus, read_lines, write_lines
+from .corpus import ParallelCorpus, read_lines
 from .tokenizer import PLACEHOLDER_RE, format_placeholder
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "validate_entity_translation",
     "starter_templates",
     "load_templates",
-    "save_templates",
 ]
 
 KM_PER_MILE = Decimal("1.609344")
@@ -372,10 +371,6 @@ def load_templates(path: str) -> list[EntityTemplate]:
     return templates
 
 
-def save_templates(templates: list[EntityTemplate], path: str) -> None:
-    write_lines([f"{t.entity_type}\t{t.language}\t{t.pattern}" for t in templates], path)
-
-
 # ---------------------------------------------------------------------------
 # matching
 
@@ -619,6 +614,8 @@ def scan_mismatches(
     for pair in corpus:
         src_matches = find_entities(pair.source, templates_src)
         tgt_matches = find_entities(pair.target, templates_tgt)
+        if sorted(m.entity_type for m in src_matches) == sorted(m.entity_type for m in tgt_matches):
+            continue  # every type's count matches
         for etype in types:
             src_here = [m for m in src_matches if m.entity_type == etype]
             tgt_here = [m for m in tgt_matches if m.entity_type == etype]

@@ -7,13 +7,12 @@ checkpoints within an iteration budget.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..corpus import read_lines, write_lines
+from ..corpus import write_lines
 from ..rng import stream
 from .model import SurrogateConfig, SurrogateModel
 from .optimizers import Optimizer, OptimizerConfig, accumulate_gradients
@@ -57,17 +56,6 @@ class TrainingTrace:
         lines += [f"{row.epoch},{row.iterations},{row.sim_seconds:.6f},{row.val_ppl!r},{row.lr!r}"
                   for row in self.rows]
         write_lines(lines, path)
-
-    @classmethod
-    def from_csv(cls, path: str) -> "TrainingTrace":
-        trace = cls()
-        for record in csv.DictReader(read_lines(path)):
-            trace.rows.append(TraceRow(
-                int(record["epoch"]), int(record["iterations"]),
-                float(record["sim_seconds"]), float(record["val_ppl"]),
-                float(record["lr"]),
-            ))
-        return trace
 
 
 def epoch_batches(ids: np.ndarray, batch_size: int, seed: int, epoch: int) -> list:

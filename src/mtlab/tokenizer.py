@@ -10,7 +10,9 @@ them, so detokenization is byte-exact for every input sentence.
 Training follows the subword-nmt recipe (Sennrich, Haddow and Birch 2016):
 the unit frequency dictionary comes from pre-splitting each distinct
 whitespace chunk once, and each merge takes the most frequent pair from a
-lazily invalidated max-heap over incrementally maintained pair counts.
+lazily invalidated max-heap over incrementally maintained pair counts;
+merging a word in place changes only the counts of the pairs next to
+each merge site.
 
 Application caches per word, as subword-nmt does: each `BpeModel` keeps
 two bounded memos, unit -> pieces and chunk -> tokens, so a chunk seen
@@ -23,8 +25,9 @@ in place on one symbol list: each step takes the leftmost lowest-ranked
 pair and merges its occurrences from there on.  Rendering, parsing and
 detokenizing each take one pass over the tokens: `render_tokens` escapes
 only pieces that are not plain alphanumerics free of the marker,
-`parse_tokens` unescapes only bodies holding a backslash and rejects an
-empty piece, and `detokenize` restores case inline.
+`parse_tokens` unescapes only bodies holding a backslash and accepts
+exactly the lines `render_tokens` writes, and `detokenize` restores case
+inline.
 
 The per-item records, `_Unit` (a pre-split unit) and `AnnotatedToken`, are
 NamedTuples, cheap to build and compare; `TokenizedSentence` and
@@ -80,6 +83,8 @@ PLACEHOLDER_RE = re.compile(r"⟦[A-Z][A-Z0-9]*_(\d+)⟧")
 
 # `\s` on a str pattern matches exactly the characters `str.isspace` accepts
 _SPACE_RUN_RE = re.compile(r"(\s+)")
+# the letter, digit and other runs of an ASCII chunk
+_ASCII_RUN_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9]+")
 
 # entries each per-model memo (unit -> pieces, chunk -> tokens) holds before it
 # is cleared; near the limit, on Zipf text, the two take about 45 MB
@@ -154,13 +159,15 @@ class _Unit(NamedTuple):
     joined_right: bool
 
 
-def _classify(fragment: str) -> tuple[str, str]:
+def _classify(fragment: str, cased: bool = False) -> tuple[str, str]:
     """Return (piece_text, case) such that restoring case is byte-exact.
 
     Falls back to a verbatim N unit whenever lower/upper round-tripping
     would not reproduce the original (rare Unicode casing edge cases).
+    A caller that knows the fragment holds a cased character passes
+    `cased=True` to skip the scan for one.
     """
-    if not any(c.islower() or c.isupper() for c in fragment):
+    if not cased and not any(c.islower() or c.isupper() for c in fragment):
         return fragment, CASE_N
     low = fragment.lower()
     if fragment == low:
@@ -191,44 +198,58 @@ def _case_fragments(run: str) -> list[str]:
     return [run[a:b] for a, b in zip(starts, starts[1:])]
 
 
+def _plain_units(text: str) -> list[_Unit]:
+    """Units of placeholder-free, whitespace-free text, all joined right:
+    letter runs split at case boundaries, digit runs and other runs.
+
+    For ASCII, `[A-Za-z]`, `[0-9]` and the rest are exactly `str.isalpha`,
+    `str.isdigit` and the rest, so one regex finds the runs, and every
+    letter is cased; other text takes the per-character class loop.
+    """
+    is_ascii = text.isascii()
+    if is_ascii:
+        runs = _ASCII_RUN_RE.findall(text)
+    else:
+        cat = lambda c: "L" if c.isalpha() else ("D" if c.isdigit() else "O")
+        runs = ["".join(grp) for _, grp in groupby(text, key=cat)]
+    units = []
+    for run in runs:
+        if not run[0].isalpha():
+            units.append(_Unit(run, CASE_N, False, True))
+        elif len(run) == 1 or run[1:].islower():   # no capital after the first letter
+            units.append(_Unit(*_classify(run, is_ascii), False, True))
+        else:
+            units.extend(_Unit(*_classify(frag, is_ascii), False, True) for frag in _case_fragments(run))
+    return units
+
+
 def _chunk_units(chunk: str) -> list[_Unit]:
     """Split one chunk into units, all joined right.
 
     A whitespace run is one atomic unit; a whitespace-free chunk splits into
-    placeholders, letter runs (at case boundaries), digit runs and other runs.
+    placeholders (atomic; an ASCII chunk holds none) and `_plain_units`.
     """
     if chunk[0].isspace():
         return [_Unit(chunk, CASE_N, True, True)]
     # a plain word, optionally with one non-alphanumeric ("O" class) tail
     # character: nothing after its first letter is upper case, so no case
-    # boundary falls inside it, and no placeholder fits in the tail
+    # boundary falls inside it, and no placeholder fits in the tail; past
+    # one letter, `islower` has proved a cased character
     word = chunk if len(chunk) == 1 or chunk[-1].isalnum() else chunk[:-1]
     if word.isalpha() and (len(word) == 1 or word[1:].islower()):
-        units = [_Unit(*_classify(word), False, True)]
+        units = [_Unit(*_classify(word, len(word) > 1), False, True)]
         if len(word) < len(chunk):
             units.append(_Unit(chunk[-1], CASE_N, False, True))
         return units
+    if chunk.isascii():
+        return _plain_units(chunk)
     units: list[_Unit] = []
-
-    def emit_plain(text: str) -> None:
-        cat = lambda c: "L" if c.isalpha() else ("D" if c.isdigit() else "O")
-        for kind, grp in groupby(text, key=cat):
-            run = "".join(grp)
-            if kind == "L":
-                for frag in _case_fragments(run):
-                    piece, case = _classify(frag)
-                    units.append(_Unit(piece, case, False, True))
-            else:
-                units.append(_Unit(run, CASE_N, False, True))
-
     pos = 0
     for m in PLACEHOLDER_RE.finditer(chunk):
-        if m.start() > pos:
-            emit_plain(chunk[pos : m.start()])
+        units += _plain_units(chunk[pos : m.start()])
         units.append(_Unit(m.group(), CASE_N, True, True))
         pos = m.end()
-    if pos < len(chunk):
-        emit_plain(chunk[pos:])
+    units += _plain_units(chunk[pos:])
     return units
 
 
@@ -296,12 +317,18 @@ def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str
     least the current one: a popped entry whose count is stale is pushed
     back with the current count, and after each merge the pairs that touch
     the new symbol (the only ones whose count can grow) are pushed again.
-    The pair -> words index only grows (bar the merged pair's entry): a
-    listed word that a merge leaves as long as it was has lost the pair and
-    is skipped, and a merge indexes only the pairs holding the new symbol.
+
+    Each word is a symbol list merged in place, left to right without
+    overlaps, as subword-nmt's `update_pair_statistics` does: a merge site
+    between `prev` and `next` moves the counts of (prev, left) and
+    (right, next) to (prev, merged) and (merged, next), and takes one off
+    the best pair; no other pair of the word changes.  The pair -> words
+    index only grows (bar the merged pair's entry): a listed word that no
+    longer holds the pair has no site and is left alone, and a merge
+    indexes only the pairs holding the new symbol.
     """
-    words = [tuple(w) for w in unit_freqs]
-    freqs = [unit_freqs[w] for w in unit_freqs]
+    words = [list(w) for w in unit_freqs]
+    freqs = list(unit_freqs.values())
     alphabet = {c for w in words for c in w}
 
     pair_counts: Counter = Counter()
@@ -326,36 +353,34 @@ def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str
         merged = left + right
         grown = set()
         for wi in pair_where.pop(best):
-            old = words[wi]
-            new = _merge_word(old, left, right, merged)
-            if len(new) == len(old):  # an earlier merge took the pair
-                continue
-            words[wi] = new
+            word = words[wi]
             freq = freqs[wi]
-            for pair in zip(old, old[1:]):
-                pair_counts[pair] -= freq
-            for pair in zip(new, new[1:]):
-                pair_counts[pair] += freq
-                if merged in pair:
-                    pair_where[pair].add(wi)
-                    grown.add(pair)
+            last = len(word) - 1
+            i = 0
+            while i < last:
+                if word[i] == left and word[i + 1] == right:
+                    pair_counts[best] -= freq
+                    if i:
+                        prev = word[i - 1]
+                        pair_counts[prev, left] -= freq
+                        pair = (prev, merged)
+                        pair_counts[pair] += freq
+                        pair_where[pair].add(wi)
+                        grown.add(pair)
+                    if i < last - 1:
+                        nxt = word[i + 2]
+                        pair_counts[right, nxt] -= freq
+                        pair = (merged, nxt)
+                        pair_counts[pair] += freq
+                        pair_where[pair].add(wi)
+                        grown.add(pair)
+                    word[i : i + 2] = [merged]
+                    last -= 1
+                i += 1
         for pair in grown:
             if pair_counts[pair] >= 2:
                 heapq.heappush(heap, (-pair_counts[pair], pair))
     return merges, alphabet
-
-
-def _merge_word(word: tuple, left: str, right: str, merged: str) -> tuple:
-    out = []
-    i = 0
-    while i < len(word):
-        if i + 1 < len(word) and word[i] == left and word[i + 1] == right:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(word[i])
-            i += 1
-    return tuple(out)
 
 
 def train_bpe_texts(texts: list[str], merge_count: int, mode: str = "joint") -> BpeModel:
@@ -395,7 +420,8 @@ def _encode_unit(model: BpeModel, text: str) -> tuple[str, ...]:
     """Apply merges in training order within one unit (rank-based, cached).
 
     Each step merges, in place, every occurrence of the lowest-ranked pair
-    from its leftmost one on; none lies before it, so this is `_merge_word`.
+    from its leftmost one on; none lies before it, so this merges the
+    whole unit left to right without overlaps.
     """
     cached = model._cache.get(text)
     if cached is not None:
@@ -548,35 +574,64 @@ def render_tokens(ts: TokenizedSentence, marker: str = DEFAULT_MARKER) -> str:
 
 
 def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
-    """Inverse of render_tokens; a malformed item, an unescaped `|`, a bad
-    escape or an empty piece (which tokenize never yields) raises
-    TokenizerError."""
+    """Inverse of render_tokens, accepting exactly the lines it writes.
+
+    A malformed item, an unescaped `|`, a bad escape, an empty piece (which
+    tokenize never yields), a raw marker inside a piece, a body escaped
+    other than as render_tokens escapes it, or a mark where render_tokens
+    puts none (a left mark on the first item or before a piece that is not
+    N, a right mark on the last item or before an N piece) raises
+    TokenizerError.
+    """
     if marker != DEFAULT_MARKER:
         check_marker(marker)
     if not text:
         return TokenizedSentence()
     parsed = []   # [piece, case, joined_right]
+    trailed = False   # the previous item ends with a right mark
     for item in text.split(" "):
         body, sep, case = item.rpartition("|")
         if not sep or case not in _CASES:
             raise TokenizerError(f"malformed token item {item!r}")
-        # escaping guarantees the raw marker never appears inside a body
         trail = False
         if marker in body:
-            if body.startswith(marker):   # a left mark joins the previous token
+            lead = body.startswith(marker)   # a left mark joins the previous token
+            if lead:
                 body = body[len(marker):]
-                if parsed:
-                    parsed[-1][2] = True
             if body.endswith(marker):
                 body = body[: -len(marker)]
                 trail = True
-        if "|" in body:
-            raise TokenizerError(f"token item {item!r} holds an unescaped '|'")
-        if "\\" in body:
-            body = _unescape(body, marker)
-        if not body:
-            raise TokenizerError(f"token item {item!r} has an empty piece")
+                # render_tokens leads a body with `\e` when it would read as a left mark
+                if not lead and body.startswith("\\e") and (body[2:] + marker).startswith(marker):
+                    body = body[2:]
+            if not body:
+                raise TokenizerError(f"token item {item!r} has an empty piece")
+            if marker in body and "|" not in body:
+                raise TokenizerError(f"token item {item!r} holds a raw marker inside its piece")
+            if lead:
+                if not parsed or case != CASE_N:
+                    raise TokenizerError(f"token item {item!r} has a left mark, which only an N "
+                                         f"piece after another token takes")
+                parsed[-1][2] = True
+        if not body.isalnum():
+            if "|" in body:
+                raise TokenizerError(f"token item {item!r} holds an unescaped '|'")
+            if "\\" in body:
+                piece = _unescape(body, marker)
+                if piece and _escape(piece, marker) != body:
+                    raise TokenizerError(f"token item {item!r} is not escaped as render_tokens escapes it")
+                body = piece
+            # without a backslash, only a raw tab, LF or CR (not printable) needs escaping
+            elif not body.isprintable() and _escape(body, marker) != body:
+                raise TokenizerError(f"token item {item!r} is not escaped as render_tokens escapes it")
+            if not body:
+                raise TokenizerError(f"token item {item!r} has an empty piece")
+        if trailed and case == CASE_N:
+            raise TokenizerError(f"token item {item!r} is an N piece after a right mark")
         parsed.append([body, case, trail])
+        trailed = trail
+    if trailed:
+        raise TokenizerError(f"the last token item {item!r} has a right mark")
     return TokenizedSentence(tuple(map(AnnotatedToken._make, parsed)))
 
 

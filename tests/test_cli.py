@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mtlab.cli import main, parse_duration
-from mtlab.entities import save_templates, starter_templates
+from mtlab.entities import starter_templates
 from mtlab.manifest import file_digest
 from mtlab.synth import entity_sentences, parking_sentences, toy_parallel_corpus
 from mtlab.corpus import write_parallel
@@ -557,12 +557,16 @@ def test_bpe_detok_empty_piece_exits_1(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("line, message", [
     ("a|b|L", "unescaped"), ("a\\q|L", "unknown escape"), ("a\\|L", "lone backslash"),
-], ids=["raw-bar", "unknown-escape", "trailing-backslash"])
+    ("■a|L", "left mark"), ("a■|L", "right mark"), ("a\\eb|L", "not escaped"),
+    ("a■b|L", "raw marker"), ("a|L ■b|L", "left mark"), ("a■|L b|N", "right mark"),
+], ids=["raw-bar", "unknown-escape", "trailing-backslash", "first-left-mark", "last-right-mark",
+        "inner-empty-escape", "raw-marker", "left-mark-before-cased", "right-mark-before-n"])
 def test_bpe_detok_body_render_never_writes_exits_1(tmp_path, capsys, line, message):
     text = tmp_path / "in.txt"
     text.write_text(f"ok|L\n{line}\n", encoding="utf-8")
     assert run(["--out-dir", tmp_path / "out", "bpe", "detok", "--input", text]) == 1
-    assert message in _one_error_line(capsys)
+    error = _one_error_line(capsys)
+    assert f"{text}: line 2: " in error and message in error
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
@@ -740,7 +744,9 @@ def test_template_type_without_a_placeholder_code_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["scan", "mask", "unmask", "validate"])
 def test_template_files_are_manifest_inputs(tmp_path, command):
     for lang in ("en", "de"):
-        save_templates(starter_templates(lang), tmp_path / f"tpl.{lang}")
+        (tmp_path / f"tpl.{lang}").write_text(
+            "".join(f"{t.entity_type}\t{t.language}\t{t.pattern}\n" for t in starter_templates(lang)),
+            encoding="utf-8")
     (tmp_path / "c.tsv").write_text("A 5 km walk.\tEin Weg von 5 km.\n", encoding="utf-8")
     (tmp_path / "sents.txt").write_text("A 5 km walk.\n", encoding="utf-8")
     both = ["--templates-src", tmp_path / "tpl.en", "--templates-tgt", tmp_path / "tpl.de"]

@@ -6,6 +6,8 @@ from mtlab.corpus import (
     AlignmentError,
     CorpusError,
     CorpusSizeError,
+    ParallelCorpus,
+    SentencePair,
     load_parallel,
     load_tsv,
     read_pairs,
@@ -18,6 +20,13 @@ from conftest import make_corpus
 
 def write(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_duplicate_pair_ids_rejected():
+    pairs = (SentencePair("one", "eins", 0), SentencePair("two", "zwei", 1))
+    assert len(ParallelCorpus(pairs)) == 2
+    with pytest.raises(CorpusError, match="not unique"):
+        ParallelCorpus((*pairs, SentencePair("three", "drei", 0)))
 
 
 def test_load_parallel_three_lines(tmp_path):

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 from decimal import Decimal
 from unittest import mock
 
@@ -171,6 +172,50 @@ class TestScan:
         with pytest.raises(en.TemplateError):
             en.scan_mismatches(corpus, [], DE_TPL)
 
+    def test_matches_per_type_reference(self):
+        # balanced pairs are skipped as a whole; pairs whose types come in
+        # another order must count as balanced, and pairs with equal totals
+        # but other types as mismatched, as the per-type loop counts them
+        corpus = corpus_from([
+            ("5 km, then 2 hours", "2 Stunden, dann 5 km"),
+            ("at 10:30 after 3 km", "nach 3 km um 10:30"),
+            ("5 km away", "2 Stunden entfernt"),
+            ("5 km and 3 km", "5 km und 2 Stunden"),
+            ("2 hours, 5 km, 3 km", "3 km, 5 km"),
+            ("no entity", "nichts hier"),
+            ("4 miles", "6,4 km"),
+            ("at 10:30", "um 11:30 und 12:00"),
+        ])
+        assert en.scan_mismatches(corpus, EN_TPL, DE_TPL) == _reference_scan_mismatches(
+            corpus, EN_TPL, DE_TPL)
+
+
+def _reference_scan_mismatches(corpus, templates_src, templates_tgt):
+    """`scan_mismatches` with the per-type comparison run on every pair."""
+    types = sorted({t.entity_type for t in templates_src} | {t.entity_type for t in templates_tgt})
+    mismatch_counts = {t: 0 for t in types}
+    sample_ids = {t: [] for t in types}
+    src_lang, tgt_lang = templates_src[0].language, templates_tgt[0].language
+    unmatched = {src_lang: Counter(), tgt_lang: Counter()}
+    total = 0
+    for pair in corpus:
+        src_matches = en.find_entities(pair.source, templates_src)
+        tgt_matches = en.find_entities(pair.target, templates_tgt)
+        for etype in types:
+            src_here = [m for m in src_matches if m.entity_type == etype]
+            tgt_here = [m for m in tgt_matches if m.entity_type == etype]
+            if len(src_here) == len(tgt_here):
+                continue
+            mismatch_counts[etype] += 1
+            if len(sample_ids[etype]) < en.MAX_SAMPLE_IDS:
+                sample_ids[etype].append(pair.id)
+            unpaired_src, unpaired_tgt = en._pair_values(src_here, tgt_here, 1e-9)
+            unmatched[src_lang].update(m.text for m in unpaired_src)
+            unmatched[tgt_lang].update(m.text for m in unpaired_tgt)
+            total += len(unpaired_src) + len(unpaired_tgt)
+    return en.MismatchReport(mismatch_counts, sample_ids,
+                             {k: dict(v) for k, v in unmatched.items()}, total, len(corpus))
+
 
 class TestValidate:
     def test_equal_distance(self):
@@ -231,7 +276,8 @@ class TestTemplates:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "templates.tsv"
-        en.save_templates(EN_TPL, path)
+        path.write_text("".join(f"{t.entity_type}\t{t.language}\t{t.pattern}\n" for t in EN_TPL),
+                        encoding="utf-8")
         loaded = en.load_templates(path)
         assert [(t.entity_type, t.language, t.pattern) for t in loaded] == [
             (t.entity_type, t.language, t.pattern) for t in EN_TPL
@@ -381,7 +427,8 @@ def test_zero_length_matches_are_dropped():
     (tk.AnnotatedToken, ("piece", "case", "joined_right"), {"joined_right": False}),
     (en.EntityMatch, ("start", "end", "text", "entity_type", "code", "value"), {}),
     (en.PlaceholderEntry, ("index", "entity_type", "original_text", "value"), {}),
-], ids=["unit", "token", "match", "entry"])
+    (SentencePair, ("source", "target", "id"), {}),
+], ids=["unit", "token", "match", "entry", "pair"])
 def test_per_item_records_keep_their_contract(record, fields, defaults):
     assert record._fields == fields
     assert record._field_defaults == defaults

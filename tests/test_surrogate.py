@@ -224,8 +224,8 @@ def test_trace_csv_round_trip(tmp_path):
     trace = train(model, ids, ids, OptimizerConfig("sgd_decay"), epochs=3, batch_size=16, seed=5)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
-    from mtlab.optlab import TrainingTrace
-    again = TrainingTrace.from_csv(path)
-    assert again.rows == trace.rows
-    header = path.read_text().splitlines()[0]
+    header, *lines = path.read_text().splitlines()
     assert header == "epoch,iterations,sim_seconds,val_ppl,lr"
+    rows = [line.split(",") for line in lines]
+    assert [(int(e), int(it), float(sim), float(ppl), float(lr)) for e, it, sim, ppl, lr in rows] == [
+        (row.epoch, row.iterations, row.sim_seconds, row.val_ppl, row.lr) for row in trace.rows]

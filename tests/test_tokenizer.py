@@ -265,6 +265,9 @@ class TestRenderedFormat:
     @pytest.mark.parametrize("text, message", [
         ("a|b|L", "unescaped '\\|'"), ("ok|L a■|b|N", "unescaped '\\|'"),
         ("a\\q|L", "unknown escape"), ("a\\|L", "lone backslash"), ("a\\\\\\|L", "lone backslash"),
+        ("■a|L", "left mark"), ("a■|L", "right mark"), ("a\\eb|L", "not escaped"),
+        ("a■b|L", "raw marker"), ("a|L ■b|L", "left mark"), ("a■|L b|N", "right mark"),
+        ("\\eab■|L c|L", "not escaped"), ("a\tb|L", "not escaped"),
     ])
     def test_body_render_never_writes_is_rejected(self, text, message):
         # each parsed before, into a piece that renders back to another line

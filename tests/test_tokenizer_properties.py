@@ -1,11 +1,12 @@
 """Hypothesis property tests for the tokenizer: round trips, markers and BPE training."""
 
+import heapq
 import random
 import re
 import string
 import sys
-from collections import Counter
-from itertools import groupby
+from collections import Counter, defaultdict
+from itertools import groupby, product
 from unittest import mock
 
 import pytest
@@ -153,6 +154,20 @@ def _reference_chunk_units(chunk):
     return units
 
 
+def _merge_word(word, left, right, merged):
+    """Merge every occurrence of (left, right), left to right without overlaps."""
+    out = []
+    i = 0
+    while i < len(word):
+        if i + 1 < len(word) and word[i] == left and word[i + 1] == right:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(word[i])
+            i += 1
+    return tuple(out)
+
+
 def _reference_encode_unit(model, text):
     """Merges in rank order, rebuilding the symbol tuple with `_merge_word`
     at every step; no memo."""
@@ -165,7 +180,7 @@ def _reference_encode_unit(model, text):
                 best_rank, best_pair = rank, pair
         if best_pair is None:
             break
-        symbols = tk._merge_word(symbols, *best_pair, "".join(best_pair))
+        symbols = _merge_word(symbols, *best_pair, "".join(best_pair))
     return symbols
 
 
@@ -258,6 +273,90 @@ def test_plain_word_guard_matches_reference_on_every_cased_or_alphanumeric_bmp_c
         chunks, map(tk._chunk_units, chunks), map(_reference_chunk_units, chunks))
         if units != expected]
     assert wrong == []
+
+
+ascii_solid = [c for c in map(chr, range(128)) if not c.isspace()]
+
+
+def test_chunk_units_match_reference_on_every_short_ascii_chunk():
+    # the ASCII path finds runs with one regex; every chunk of one or two
+    # non-whitespace characters, and every three-character chunk over
+    # letters of both cases, digits and separators, must split as the loop does
+    chunks = [*ascii_solid, *(a + b for a in ascii_solid for b in ascii_solid),
+              *map("".join, product("aAzZ09.-:/_", repeat=3))]
+    wrong = [chunk for chunk in chunks if tk._chunk_units(chunk) != _reference_chunk_units(chunk)]
+    assert wrong == []
+
+
+@given(st.one_of(st.text(alphabet=ascii_solid, min_size=1, max_size=16),
+                 st.text(alphabet="aAbBzZ09.-:/_", min_size=1, max_size=16)))
+@settings(max_examples=500, deadline=None)
+def test_chunk_units_match_reference_on_ascii_text(chunk):
+    assert tk._chunk_units(chunk) == _reference_chunk_units(chunk)
+
+
+def _reference_train_merges(unit_freqs, merge_count):
+    """Merge learning that rebuilds each touched word as a tuple with
+    `_merge_word`, then subtracts all of its old pairs and adds all of its
+    new ones; heap, index and tie rule as in `_train_merges`."""
+    words = [tuple(w) for w in unit_freqs]
+    freqs = [unit_freqs[w] for w in unit_freqs]
+    alphabet = {c for w in words for c in w}
+    pair_counts = Counter()
+    pair_where = defaultdict(set)
+    for wi, word in enumerate(words):
+        for pair in zip(word, word[1:]):
+            pair_counts[pair] += freqs[wi]
+            pair_where[pair].add(wi)
+    heap = [(-count, pair) for pair, count in pair_counts.items() if count >= 2]
+    heapq.heapify(heap)
+    merges = []
+    while heap and len(merges) < merge_count:
+        neg_count, best = heapq.heappop(heap)
+        count = pair_counts.get(best, 0)
+        if count != -neg_count:
+            if count >= 2:
+                heapq.heappush(heap, (-count, best))
+            continue
+        merges.append(best)
+        left, right = best
+        merged = left + right
+        grown = set()
+        for wi in pair_where.pop(best):
+            old = words[wi]
+            new = _merge_word(old, left, right, merged)
+            if len(new) == len(old):
+                continue
+            words[wi] = new
+            freq = freqs[wi]
+            for pair in zip(old, old[1:]):
+                pair_counts[pair] -= freq
+            for pair in zip(new, new[1:]):
+                pair_counts[pair] += freq
+                if merged in pair:
+                    pair_where[pair].add(wi)
+                    grown.add(pair)
+        for pair in grown:
+            if pair_counts[pair] >= 2:
+                heapq.heappush(heap, (-pair_counts[pair], pair))
+    return merges, alphabet
+
+
+# unit-frequency tables over two and three letters, with overlapping repeats
+# (aaaa, abab) whose merge sites touch each other
+repeats = st.sampled_from(["aaaa", "aaaaaaa", "abab", "ababab", "abba", "abcabc", "cccc", "aabbaabb"])
+unit_tables = st.one_of(
+    *(st.dictionaries(st.one_of(st.text(alphabet=letters, min_size=1, max_size=9), repeats)
+                      .filter(lambda w, letters=letters: set(w) <= set(letters)),
+                      st.integers(min_value=1, max_value=30), max_size=14)
+      for letters in ("ab", "abc")))
+
+
+@given(unit_tables, st.integers(min_value=0, max_value=60))
+@settings(max_examples=400, deadline=None)
+def test_train_merges_matches_tuple_rebuild_reference(table, merge_count):
+    freqs = Counter(table)
+    assert tk._train_merges(freqs, merge_count) == _reference_train_merges(freqs, merge_count)
 
 
 # merge lists over two letters whose symbols repeat (aa, abab): the in-place
@@ -356,25 +455,44 @@ item_text = st.lists(st.tuples(st.text(alphabet="ab\\■@xΩms|", max_size=4),
                      min_size=1, max_size=6).map(lambda items: " ".join(b + c for b, c in items))
 
 
-_KNOWN_ESCAPE_RE = re.compile(r"\\[\\stnrpme]")
-
-
-def _lossy(text):
-    """True if an item body holds what render_tokens never writes: a raw `|`,
-    or a backslash that starts no escape (an unknown letter or the end)."""
-    return any("|" in body or "\\" in _KNOWN_ESCAPE_RE.sub("", body)
-               for body, _, _ in (item.rpartition("|") for item in text.split(" ")))
-
-
 @given(item_text, render_markers)
 @settings(max_examples=500, deadline=None)
 def test_parse_matches_reference_on_arbitrary_items(text, marker):
+    # parse_tokens accepts a line exactly when the reference reads it into
+    # non-empty pieces that render back to the same line
     try:
         expected = _reference_parse(text, marker)
     except tk.TokenizerError:
         expected = None
-    if expected is None or not all(expected.pieces()) or _lossy(text):
+    if expected is None or not all(expected.pieces()) or tk.render_tokens(expected, marker) != text:
         with pytest.raises(tk.TokenizerError):
             tk.parse_tokens(text, marker)
     else:
         assert tk.parse_tokens(text, marker) == expected
+
+
+@st.composite
+def near_rendered_lines(draw):
+    """A rendered line with one character deleted, inserted or replaced."""
+    marker = draw(render_markers)
+    tokens = draw(odd_tokens.filter(bool))
+    line = tk.render_tokens(tk.TokenizedSentence(tuple(tokens)), marker)
+    at = draw(st.integers(min_value=0, max_value=len(line)))
+    char = draw(st.sampled_from("ab\\|■@xΩemsLN \t"))
+    edit = draw(st.sampled_from(["delete", "insert", "replace"]))
+    if edit == "insert":
+        line = line[:at] + char + line[at:]
+    elif at < len(line):
+        line = line[:at] + (char if edit == "replace" else "") + line[at + 1:]
+    return line, marker
+
+
+@given(st.one_of(near_rendered_lines(), st.tuples(item_text, render_markers)))
+@settings(max_examples=1000, deadline=None)
+def test_every_accepted_line_renders_back_unchanged(line_and_marker):
+    line, marker = line_and_marker
+    try:
+        ts = tk.parse_tokens(line, marker)
+    except tk.TokenizerError:
+        return
+    assert tk.render_tokens(ts, marker) == line
