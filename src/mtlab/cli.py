@@ -63,11 +63,16 @@ def format_duration(seconds: float) -> str:
 
 
 def parse_sizes(text: str) -> list[int]:
-    """Sizes from a comma-separated list such as '100,250,500'."""
+    """Distinct non-negative sizes from a comma-separated list such as '100,250,500'."""
     try:
-        return [int(s) for s in text.split(",")]
+        sizes = [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse size list {text!r}") from None
+    if min(sizes) < 0:
+        raise argparse.ArgumentTypeError(f"size list {text!r} holds a negative size")
+    if len(set(sizes)) < len(sizes):
+        raise argparse.ArgumentTypeError(f"size list {text!r} repeats a size")
+    return sizes
 
 
 class InputFile(str):

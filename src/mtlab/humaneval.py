@@ -12,6 +12,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import read_lines
 
@@ -36,8 +37,7 @@ class ScoreError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AdequacyFluencyRecord:
+class AdequacyFluencyRecord(NamedTuple):
     sentence_id: int
     rater_id: str
     system: str
@@ -45,33 +45,51 @@ class AdequacyFluencyRecord:
     fluency: int
 
 
+_SHEET_COLUMNS = ("sentence_id", "rater_id", "system", "adequacy", "fluency")
+
+
+def _header_keyed(header: list[str], row: list[str]) -> dict:
+    """A row as `csv.DictReader` reads it: missing cells are None, extra
+    cells a list under the key None."""
+    keyed = dict(zip(header, row))
+    if len(header) < len(row):
+        keyed[None] = row[len(header):]
+    for name in header[len(row):]:
+        keyed[name] = None
+    return keyed
+
+
 def ingest_scores(path: str, score_range: tuple[int, int] = DEFAULT_RANGE) -> list[AdequacyFluencyRecord]:
     """Read and validate a score sheet CSV.
 
-    Expected header: sentence_id,rater_id,system,adequacy,fluency.
-    Rejects out-of-range scores and duplicate (sentence, rater, system)
-    keys, naming the offending row.
+    Expected header: sentence_id,rater_id,system,adequacy,fluency, in any
+    order and with any other columns.  Blank rows are skipped.  Rejects a
+    row that lacks one of these cells, a non-integer id or score,
+    out-of-range scores and duplicate (sentence, rater, system) keys,
+    naming the offending row (counting non-blank rows from the header on).
     """
     low, high = score_range
-    records = []
-    seen = set()
     # quoted fields may span lines, so the reader gets each line's newline back
-    reader = csv.DictReader(line + "\n" for line in read_lines(path))
+    reader = csv.reader(line + "\n" for line in read_lines(path))
     try:
         rows = list(reader)
     except csv.Error as exc:
-        raise ScoreError(f"{path}: line {reader.reader.line_num}: {exc}") from None
-    required = {"sentence_id", "rater_id", "system", "adequacy", "fluency"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise ScoreError(f"{path}: header must contain {sorted(required)}")
-    for row_number, row in enumerate(rows, start=2):
+        raise ScoreError(f"{path}: line {reader.line_num}: {exc}") from None
+    header = rows[0] if rows else []
+    if not set(_SHEET_COLUMNS).issubset(header):
+        raise ScoreError(f"{path}: header must contain {sorted(_SHEET_COLUMNS)}")
+    # a repeated column name reads its last column, as `csv.DictReader` does
+    column = {name: i for i, name in enumerate(header)}
+    sid, rater, system, adequacy, fluency = (column[name] for name in _SHEET_COLUMNS)
+    records = []
+    seen = set()
+    for row_number, row in enumerate(filter(None, rows[1:]), start=2):
         try:
-            record = AdequacyFluencyRecord(
-                int(row["sentence_id"]), row["rater_id"], row["system"],
-                int(row["adequacy"]), int(row["fluency"]),
-            )
-        except (TypeError, ValueError):
-            raise ScoreError(f"{path}: row {row_number}: malformed record {row}") from None
+            record = AdequacyFluencyRecord(int(row[sid]), row[rater], row[system],
+                                           int(row[adequacy]), int(row[fluency]))
+        except (IndexError, ValueError):
+            raise ScoreError(f"{path}: row {row_number}: malformed record "
+                             f"{_header_keyed(header, row)}") from None
         for name, score in (("adequacy", record.adequacy), ("fluency", record.fluency)):
             if not low <= score <= high:
                 raise ScoreError(

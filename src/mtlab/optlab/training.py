@@ -170,7 +170,11 @@ def corpus_size_sweep(
     """Train one fresh model per (label, token stream) for a fixed number of
     batch iterations, recording validation perplexity every
     `checkpoint_every` iterations so curves are comparable across sizes.
+    The labels key the result, so a repeated label raises TrainingError.
     Shares its loop with `train` and `simulate_cluster`."""
+    labels = [label for label, _ in streams]
+    if len(set(labels)) < len(labels):
+        raise TrainingError(f"stream labels must be distinct, got {labels}")
     results: dict[str, TrainingTrace] = {}
     for label, ids in streams:
         model = SurrogateModel(model_config, seed)

@@ -17,9 +17,11 @@ each merge site.
 Application caches per word, as subword-nmt does: each `BpeModel` keeps
 two bounded memos, unit -> pieces and chunk -> tokens, so a chunk seen
 before is neither pre-split nor merged again.  The memos live and die with
-the model.  A new chunk that is a plain word (letters with no capital
-after the first, plus at most one trailing non-alphanumeric character)
-is pre-split by one guard instead of the per-character class loop, since
+the model.  A chunk's memoized tokens end not joined, the form before the
+default single-space separator, so most chunks are copied in as they
+are.  A new chunk that is a plain word (letters with no capital after
+the first, plus at most one trailing non-alphanumeric character) is
+pre-split by one guard instead of the per-character class loop, since
 no case boundary or placeholder can fall inside it.  A new unit is merged
 in place on one symbol list: each step takes the leftmost lowest-ranked
 pair and merges its occurrences from there on.  Rendering, parsing and
@@ -27,7 +29,8 @@ detokenizing each take one pass over the tokens: `render_tokens` escapes
 only pieces that are not plain alphanumerics free of the marker,
 `parse_tokens` unescapes only bodies holding a backslash and accepts
 exactly the lines `render_tokens` writes, and `detokenize` restores case
-inline.
+inline.  `parse_tokens` parses each distinct item once: a module memo
+maps an item to its token for the last marker used.
 
 The per-item records, `_Unit` (a pre-split unit) and `AnnotatedToken`, are
 NamedTuples, cheap to build and compare; `TokenizedSentence` and
@@ -86,8 +89,9 @@ _SPACE_RUN_RE = re.compile(r"(\s+)")
 # the letter, digit and other runs of an ASCII chunk
 _ASCII_RUN_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9]+")
 
-# entries each per-model memo (unit -> pieces, chunk -> tokens) holds before it
-# is cleared; near the limit, on Zipf text, the two take about 45 MB
+# entries each per-model memo (unit -> pieces, chunk -> tokens) and the parse
+# memo (item -> token) hold before they are cleared; near the limit, on Zipf
+# text, the two model memos take about 45 MB
 MEMO_LIMIT = 1 << 16
 
 
@@ -123,7 +127,8 @@ class BpeModel:
     Applying the model fills two memos, each bounded by MEMO_LIMIT entries:
     `_cache` maps a unit's text to its pieces, and `_chunks` maps a chunk
     (a whitespace-free run, or one whitespace run) to its tokens, all
-    joined right.
+    joined right but the last: the closed form, as the chunk reads before
+    a single-space separator or at the end of a sentence.
     """
 
     merges: tuple[tuple[str, str], ...]
@@ -452,10 +457,8 @@ def _encode_unit(model: BpeModel, text: str) -> tuple[str, ...]:
 
 
 def _encode_chunk(model: BpeModel, chunk: str) -> tuple[AnnotatedToken, ...]:
-    """A chunk's annotated pieces, all joined right (cached)."""
-    cached = model._chunks.get(chunk)
-    if cached is not None:
-        return cached
+    """A chunk's annotated pieces, all joined right but the last, memoized in
+    `model._chunks`; `tokenize` looks the chunk up there first."""
     tokens: list[AnnotatedToken] = []
     for unit in _chunk_units(chunk):
         if unit.atomic:
@@ -464,6 +467,8 @@ def _encode_chunk(model: BpeModel, chunk: str) -> tuple[AnnotatedToken, ...]:
         for j, piece in enumerate(_encode_unit(model, unit.text)):
             case = CASE_L if j and unit.case == CASE_C else unit.case
             tokens.append(AnnotatedToken(piece, case, True))
+    last = tokens[-1]
+    tokens[-1] = AnnotatedToken(last.piece, last.case, False)
     result = tuple(tokens)
     if len(model._chunks) >= MEMO_LIMIT:
         model._chunks.clear()
@@ -478,11 +483,12 @@ def tokenize(model: BpeModel, sentence: str) -> TokenizedSentence:
     single-character pieces.
     """
     tokens: list[AnnotatedToken] = []
+    memo = model._chunks
     for chunk, joined in _split_chunks(sentence):
-        tokens.extend(_encode_chunk(model, chunk))
-        if not joined:
+        tokens.extend(memo.get(chunk) or _encode_chunk(model, chunk))
+        if joined:
             last = tokens[-1]
-            tokens[-1] = AnnotatedToken(last.piece, last.case, False)
+            tokens[-1] = AnnotatedToken(last.piece, last.case, True)
     return TokenizedSentence(tuple(tokens))
 
 
@@ -573,6 +579,57 @@ def render_tokens(ts: TokenizedSentence, marker: str = DEFAULT_MARKER) -> str:
     return " ".join(items)
 
 
+_LEFT_MARK = "token item {!r} has a left mark, which only an N piece after another token takes"
+
+
+def _parse_item(item: str, marker: str, first: bool) -> tuple[AnnotatedToken, bool]:
+    """One rendered item as (token, left-marked); the token is joined right
+    when the item has a right mark.  Raises TokenizerError on every fault
+    that needs no neighbouring item to see.  An item that comes `first` in
+    its line also raises on a left mark, ahead of the body checks, so that
+    such an item names its left mark even when its body is faulty too."""
+    body, sep, case = item.rpartition("|")
+    if not sep or case not in _CASES:
+        raise TokenizerError(f"malformed token item {item!r}")
+    lead = trail = False
+    if marker in body:
+        lead = body.startswith(marker)
+        if lead:
+            body = body[len(marker):]
+        if body.endswith(marker):
+            body = body[: -len(marker)]
+            trail = True
+            # render_tokens leads a body with `\e` when it would read as a left mark
+            if not lead and body.startswith("\\e") and (body[2:] + marker).startswith(marker):
+                body = body[2:]
+        if not body:
+            raise TokenizerError(f"token item {item!r} has an empty piece")
+        if marker in body and "|" not in body:
+            raise TokenizerError(f"token item {item!r} holds a raw marker inside its piece")
+        if lead and (first or case != CASE_N):
+            raise TokenizerError(_LEFT_MARK.format(item))
+    if not body.isalnum():
+        if "|" in body:
+            raise TokenizerError(f"token item {item!r} holds an unescaped '|'")
+        if "\\" in body:
+            piece = _unescape(body, marker)
+            if piece and _escape(piece, marker) != body:
+                raise TokenizerError(f"token item {item!r} is not escaped as render_tokens escapes it")
+            body = piece
+        # without a backslash, only a raw tab, LF or CR (not printable) needs escaping
+        elif not body.isprintable() and _escape(body, marker) != body:
+            raise TokenizerError(f"token item {item!r} is not escaped as render_tokens escapes it")
+        if not body:
+            raise TokenizerError(f"token item {item!r} has an empty piece")
+    return AnnotatedToken(body, case, trail), lead
+
+
+# item -> _parse_item(item, marker, ...) for one marker at a time; replaced
+# when the marker changes and cleared at MEMO_LIMIT entries; a raising item
+# is never stored, and `first` changes only whether an item raises
+_parsed: tuple[str, dict] = (DEFAULT_MARKER, {})
+
+
 def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
     """Inverse of render_tokens, accepting exactly the lines it writes.
 
@@ -582,57 +639,43 @@ def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
     puts none (a left mark on the first item or before a piece that is not
     N, a right mark on the last item or before an N piece) raises
     TokenizerError.
+
+    Each distinct item is parsed once per marker: `_parse_item` checks it
+    alone, its result is kept in the module memo `_parsed` (at most
+    MEMO_LIMIT items, for the last marker used), and this loop makes only
+    the checks that need a neighbour.  The returned tokens are shared with
+    the memo; they are immutable.
     """
-    if marker != DEFAULT_MARKER:
+    global _parsed
+    memo_marker, memo = _parsed
+    if marker != memo_marker:
         check_marker(marker)
+        memo = {}
+        _parsed = (marker, memo)
     if not text:
         return TokenizedSentence()
-    parsed = []   # [piece, case, joined_right]
+    tokens: list[AnnotatedToken] = []
     trailed = False   # the previous item ends with a right mark
     for item in text.split(" "):
-        body, sep, case = item.rpartition("|")
-        if not sep or case not in _CASES:
-            raise TokenizerError(f"malformed token item {item!r}")
-        trail = False
-        if marker in body:
-            lead = body.startswith(marker)   # a left mark joins the previous token
-            if lead:
-                body = body[len(marker):]
-            if body.endswith(marker):
-                body = body[: -len(marker)]
-                trail = True
-                # render_tokens leads a body with `\e` when it would read as a left mark
-                if not lead and body.startswith("\\e") and (body[2:] + marker).startswith(marker):
-                    body = body[2:]
-            if not body:
-                raise TokenizerError(f"token item {item!r} has an empty piece")
-            if marker in body and "|" not in body:
-                raise TokenizerError(f"token item {item!r} holds a raw marker inside its piece")
-            if lead:
-                if not parsed or case != CASE_N:
-                    raise TokenizerError(f"token item {item!r} has a left mark, which only an N "
-                                         f"piece after another token takes")
-                parsed[-1][2] = True
-        if not body.isalnum():
-            if "|" in body:
-                raise TokenizerError(f"token item {item!r} holds an unescaped '|'")
-            if "\\" in body:
-                piece = _unescape(body, marker)
-                if piece and _escape(piece, marker) != body:
-                    raise TokenizerError(f"token item {item!r} is not escaped as render_tokens escapes it")
-                body = piece
-            # without a backslash, only a raw tab, LF or CR (not printable) needs escaping
-            elif not body.isprintable() and _escape(body, marker) != body:
-                raise TokenizerError(f"token item {item!r} is not escaped as render_tokens escapes it")
-            if not body:
-                raise TokenizerError(f"token item {item!r} has an empty piece")
-        if trailed and case == CASE_N:
+        entry = memo.get(item)
+        if entry is None:
+            entry = _parse_item(item, marker, not tokens)
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            memo[item] = entry
+        token, lead = entry
+        if lead:   # a left mark joins the previous token
+            if not tokens:   # the item was memoized from a later place in a line
+                raise TokenizerError(_LEFT_MARK.format(item))
+            prev = tokens[-1]
+            tokens[-1] = AnnotatedToken(prev.piece, prev.case, True)
+        if trailed and token.case == CASE_N:
             raise TokenizerError(f"token item {item!r} is an N piece after a right mark")
-        parsed.append([body, case, trail])
-        trailed = trail
+        tokens.append(token)
+        trailed = token.joined_right
     if trailed:
         raise TokenizerError(f"the last token item {item!r} has a right mark")
-    return TokenizedSentence(tuple(map(AnnotatedToken._make, parsed)))
+    return TokenizedSentence(tuple(tokens))
 
 
 # ---------------------------------------------------------------------------

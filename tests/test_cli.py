@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mtlab.cli import main, parse_duration
+from mtlab.cli import main, parse_duration, parse_sizes
 from mtlab.entities import starter_templates
 from mtlab.manifest import file_digest
 from mtlab.synth import entity_sentences, parking_sentences, toy_parallel_corpus
@@ -394,10 +394,20 @@ def test_optlab_model_sizes_below_one_exit_1(tmp_path, capsys, recwarn, flag, fi
     ["optlab", "sweep", "--sizes", "5x", "--budget", "10"],
 ])
 def test_malformed_sizes_is_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "cannot parse size list '5x'" in capsys.readouterr().err
+    for sizes, message in [("5x", "cannot parse size list '5x'"),
+                           ("300,-100", "size list '300,-100' holds a negative size"),
+                           ("-1", "size list '-1' holds a negative size"),
+                           ("300,300", "size list '300,300' repeats a size"),
+                           ("1,01", "size list '1,01' repeats a size")]:
+        with pytest.raises(SystemExit) as exc:
+            main([sizes if arg == "5x" else arg for arg in argv])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"mtlab {' '.join(argv[:2])}: error: argument --sizes: {message}"]
+
+
+def test_size_zero_is_accepted():
+    assert parse_sizes("0,5") == [0, 5]
 
 
 def test_sweep_rejects_tokens(capsys):

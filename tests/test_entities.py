@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mtlab import entities as en
 from mtlab import tokenizer as tk
 from mtlab.corpus import ParallelCorpus, SentencePair
+from mtlab.humaneval import AdequacyFluencyRecord
 from mtlab.synth import entity_sentences
 
 EN_TPL = en.starter_templates("en")
@@ -428,7 +429,8 @@ def test_zero_length_matches_are_dropped():
     (en.EntityMatch, ("start", "end", "text", "entity_type", "code", "value"), {}),
     (en.PlaceholderEntry, ("index", "entity_type", "original_text", "value"), {}),
     (SentencePair, ("source", "target", "id"), {}),
-], ids=["unit", "token", "match", "entry", "pair"])
+    (AdequacyFluencyRecord, ("sentence_id", "rater_id", "system", "adequacy", "fluency"), {}),
+], ids=["unit", "token", "match", "entry", "pair", "score"])
 def test_per_item_records_keep_their_contract(record, fields, defaults):
     assert record._fields == fields
     assert record._field_defaults == defaults

@@ -1,7 +1,11 @@
+import csv
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mtlab.corpus import read_lines
 from mtlab.humaneval import (
     AdequacyFluencyRecord,
     ScoreError,
@@ -49,6 +53,116 @@ class TestIngest:
         path.write_text("a,b\n1,2\n", encoding="utf-8")
         with pytest.raises(ScoreError, match="header"):
             ingest_scores(path)
+
+
+def _record_of_present_cells(*fields):
+    # DictReader reads a short row's missing cells as None; the reference kept
+    # such a cell as a rater or system, and a short row is now malformed
+    if None in fields:
+        raise TypeError("the row lacks a cell")
+    return AdequacyFluencyRecord(*fields)
+
+
+def _reference_ingest_scores(path, score_range=(1, 4)):
+    """`ingest_scores` as it read sheets through `csv.DictReader`, but for
+    `_record_of_present_cells`."""
+    low, high = score_range
+    records = []
+    seen = set()
+    reader = csv.DictReader(line + "\n" for line in read_lines(path))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ScoreError(f"{path}: line {reader.reader.line_num}: {exc}") from None
+    required = {"sentence_id", "rater_id", "system", "adequacy", "fluency"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise ScoreError(f"{path}: header must contain {sorted(required)}")
+    for row_number, row in enumerate(rows, start=2):
+        try:
+            record = _record_of_present_cells(
+                int(row["sentence_id"]), row["rater_id"], row["system"],
+                int(row["adequacy"]), int(row["fluency"]),
+            )
+        except (TypeError, ValueError):
+            raise ScoreError(f"{path}: row {row_number}: malformed record {row}") from None
+        for name, score in (("adequacy", record.adequacy), ("fluency", record.fluency)):
+            if not low <= score <= high:
+                raise ScoreError(
+                    f"{path}: row {row_number}: {name}={score} outside range {low}-{high}"
+                )
+        key = (record.sentence_id, record.rater_id, record.system)
+        if key in seen:
+            raise ScoreError(f"{path}: row {row_number}: duplicate key {key}")
+        seen.add(key)
+        records.append(record)
+    return records
+
+
+def _outcome(ingest, path):
+    try:
+        return ingest(path)
+    except ScoreError as exc:
+        return str(exc)
+
+
+HEADERS = [
+    HEADER.split(","),
+    ["fluency", "system", "sentence_id", "adequacy", "rater_id"],
+    HEADER.split(",") + ["comment"],
+    ["comment", "adequacy", "sentence_id", "rater_id", "system", "fluency"],
+    HEADER.split(",") + ["adequacy"],     # a repeated column reads its last cell
+    ["sentence_id", "rater_id", "system", "adequacy"],
+    [],
+]
+CELLS = {"sentence_id": ["1", "2", " 3"] * 5 + ["x"], "rater_id": ["r1", "r2", '"r\n3"', '"r,4"'],
+         "system": ["sysA", "sysB", '"sys\n\nC"'], "adequacy": ["1", "2", "4"] * 5 + ["9", "0", ""],
+         "fluency": ["1", "3", "4"] * 5 + ["5"], "comment": ["ok", '"a ""quoted"" note"', ""]}
+
+
+@st.composite
+def score_sheets(draw):
+    """Sheet text: a header, then rows that may be blank, short or long, with
+    quoted multi-line cells, out-of-range scores and repeated keys."""
+    header = draw(st.sampled_from(HEADERS[:5] * 3 + HEADERS[5:]))
+    lines = [""] * (draw(st.integers(0, 7)) == 0) + [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["blank", "blank", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        cells = [draw(st.sampled_from(CELLS[name])) for name in header]
+        if kind == "short":
+            cells = cells[: draw(st.integers(0, max(len(cells) - 1, 0)))] or ["1"]
+        elif kind == "long":
+            cells.append("extra")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+@given(score_sheets())
+@settings(max_examples=400, deadline=None)
+def test_ingest_matches_dictreader_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("sheet") / "scores.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(ingest_scores, path) == _outcome(_reference_ingest_scores, path)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("\n".join([HEADER, "", "1,r1,sysA,3,4", "", "", "2,r1,sysA,9,4"]), "row 3: adequacy=9 outside range 1-4"),
+    ("\n".join([HEADER, "1,r1,sysA,3"]),
+     "row 2: malformed record {'sentence_id': '1', 'rater_id': 'r1', 'system': 'sysA', "
+     "'adequacy': '3', 'fluency': None}"),
+    ("\n".join(["fluency,system,sentence_id,adequacy,rater_id", "4,sysA,1,3"]),
+     "row 2: malformed record {'fluency': '4', 'system': 'sysA', 'sentence_id': '1', "
+     "'adequacy': '3', 'rater_id': None}"),
+    ("\n".join([HEADER, '1,"r\n1",sysA,3,4', '1,"r\n1",sysA,2,2']), "row 3: duplicate key (1, 'r\\n1', 'sysA')"),
+])
+def test_ingest_names_the_row(tmp_path, text, expected):
+    path = tmp_path / "scores.csv"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ScoreError) as exc:
+        ingest_scores(path)
+    assert str(exc.value) == f"{path}: {expected}"
 
 
 def rec(sid, rater, system, adequacy, fluency):

@@ -31,6 +31,14 @@ def test_run_corpus_size_short(tmp_path):
         assert lines[0] == TRACE_HEADER and len(lines) == 3
 
 
+def test_run_corpus_size_rejects_negative_or_repeated_sizes(tmp_path):
+    for sizes in ("500,-100", "500,500"):
+        result = run_script("run_corpus_size.py", "--sizes", sizes, "--out-dir", tmp_path)
+        assert result.returncode == 2
+        assert "error: argument --sizes: size list" in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_cluster_timing():
     result = run_script("run_cluster_timing.py")
     assert result.returncode == 0, result.stderr

@@ -1,6 +1,6 @@
 import pytest
 
-from mtlab.optlab import OptimizerConfig, SurrogateConfig, corpus_size_sweep
+from mtlab.optlab import OptimizerConfig, SurrogateConfig, TrainingError, corpus_size_sweep
 from mtlab.synth import toy_lm_stream
 
 CFG = SurrogateConfig(vocab_size=32, embed_dim=8, hidden_dim=16)
@@ -47,3 +47,10 @@ def test_larger_corpus_wins_with_large_budget(val_ids):
     small = traces["500"].rows[-1].val_ppl
     large = traces["8000"].rows[-1].val_ppl
     assert large <= small * 1.02  # equality tolerance declared by this test
+
+
+def test_repeated_label_rejected(val_ids):
+    # the labels key the result, so a repeated one would drop a curve
+    with pytest.raises(TrainingError, match="labels must be distinct"):
+        corpus_size_sweep(CFG, nested_streams([300, 300]), val_ids, OptimizerConfig("sgd_decay"),
+                          iteration_budget=10, batch_size=8, seed=5)

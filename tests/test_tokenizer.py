@@ -274,6 +274,13 @@ class TestRenderedFormat:
         with pytest.raises(tk.TokenizerError, match=message):
             tk.parse_tokens(text)
 
+    @pytest.mark.parametrize("text", ["■a|b|N", "■\\q|N", "■\\e|N", "■a\tb|N", "■,|N x|L"])
+    def test_left_mark_on_first_item_is_named_before_body_faults(self, text):
+        # as the one-pass parser named it, whether or not the item is memoized
+        for _ in range(2):
+            with pytest.raises(tk.TokenizerError, match="left mark"):
+                tk.parse_tokens(text)
+
     def test_escapes_still_parse(self):
         ts = tk.parse_tokens("a\\s\\t\\n\\r\\p\\\\\\m|L")
         assert ts.pieces() == ["a \t\n\r|\\■"]

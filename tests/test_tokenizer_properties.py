@@ -10,7 +10,7 @@ from itertools import groupby, product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mtlab import tokenizer as tk
@@ -247,6 +247,21 @@ def test_tokenize_matches_unit_by_unit_reference(limit, text):
     assert len(model._chunks) <= limit and len(model._cache) <= limit
 
 
+@given(st.lists(odd_texts, max_size=8))
+@example(["a  b", "a b", "a\tb", "a"])
+@example(["a", "a\tb", "a b", "a  b"])
+@settings(max_examples=200, deadline=None)
+def test_memo_reuse_across_sentences_matches_reference(texts):
+    # one model's memos carry each chunk from sentence to sentence, where it
+    # may be joined in one and closed in the next
+    model = tk.BpeModel(MODEL.merges, MODEL.alphabet)
+    for text in texts:
+        assert tk.tokenize(model, text) == _reference_tokenize(tk.BpeModel(MODEL.merges, MODEL.alphabet), text)
+    # each memoized chunk is closed: every token but the last is joined right
+    assert all([t.joined_right for t in tokens] == [True] * (len(tokens) - 1) + [False]
+               for tokens in model._chunks.values())
+
+
 def test_full_memo_starts_over():
     model = tk.BpeModel(MODEL.merges, MODEL.alphabet)
     with mock.patch.object(tk, "MEMO_LIMIT", 2):
@@ -439,6 +454,27 @@ odd_tokens = st.lists(st.builds(tk.AnnotatedToken, st.one_of(odd_piece, words),
                                 st.sampled_from(sorted(tk._CASES)), st.booleans()), max_size=10)
 
 
+def _parse_cold_then_warm(text, marker):
+    """parse_tokens on an empty item memo, then again once each item of the
+    line is memoized from a later place in a line; both calls must raise the
+    same error or return the same tokens."""
+    def outcome(line):
+        try:
+            return tk.parse_tokens(line, marker)
+        except tk.TokenizerError as exc:
+            return str(exc)
+
+    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, {})):
+        cold = outcome(text)
+        for item in text.split(" "):
+            outcome("a|L " + item)
+        warm = outcome(text)
+    assert cold == warm
+    if isinstance(cold, str):
+        raise tk.TokenizerError(cold)
+    return cold
+
+
 @given(odd_tokens, render_markers)
 @settings(max_examples=500, deadline=None)
 def test_render_and_parse_match_reference(tokens, marker):
@@ -447,7 +483,7 @@ def test_render_and_parse_match_reference(tokens, marker):
     ts = tk.TokenizedSentence(tuple(tokens))
     rendered = tk.render_tokens(ts, marker)
     assert rendered == _reference_render(ts, marker)
-    assert tk.parse_tokens(rendered, marker) == _reference_parse(rendered, marker) == ts
+    assert _parse_cold_then_warm(rendered, marker) == _reference_parse(rendered, marker) == ts
 
 
 item_text = st.lists(st.tuples(st.text(alphabet="ab\\■@xΩms|", max_size=4),
@@ -466,9 +502,47 @@ def test_parse_matches_reference_on_arbitrary_items(text, marker):
         expected = None
     if expected is None or not all(expected.pieces()) or tk.render_tokens(expected, marker) != text:
         with pytest.raises(tk.TokenizerError):
-            tk.parse_tokens(text, marker)
+            _parse_cold_then_warm(text, marker)
     else:
-        assert tk.parse_tokens(text, marker) == expected
+        assert _parse_cold_then_warm(text, marker) == expected
+
+
+@pytest.mark.parametrize("line", ["a|L b■|X", "■a|N", "a|L ■b|L", "a■|L b|N", "a■|L", "a|b|L",
+                                  "a\\q|L", "\\e|N", "a■b|L", "a\tb|L"])
+def test_rejected_line_raises_the_same_message_twice(line):
+    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, {})):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(tk.TokenizerError) as exc:
+                tk.parse_tokens(line)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        # an item that is faulty alone is never stored
+        for item in tk._parsed[1]:
+            tk._parse_item(item, tk.DEFAULT_MARKER, False)
+
+
+def test_item_memo_holds_one_marker_at_a_time():
+    line = "a@@|L b|L"
+    marked = tk.TokenizedSentence((tk.AnnotatedToken("a", tk.CASE_L, True),
+                                   tk.AnnotatedToken("b", tk.CASE_L, False)))
+    plain = tk.TokenizedSentence((tk.AnnotatedToken("a@@", tk.CASE_L, False),
+                                  tk.AnnotatedToken("b", tk.CASE_L, False)))
+    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, {})):
+        assert tk.parse_tokens(line, "@@") == marked
+        assert tk.parse_tokens(line) == plain
+        assert tk._parsed[0] == tk.DEFAULT_MARKER
+        assert tk.parse_tokens(line, "@@") == marked
+        assert tk._parsed[0] == "@@" and set(tk._parsed[1]) == {"a@@|L", "b|L"}
+
+
+def test_full_item_memo_starts_over():
+    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, {})), \
+            mock.patch.object(tk, "MEMO_LIMIT", 2):
+        for line in ["a|L", "a|L b|L", "wi■|L fi|L ■,|N", "c|C d|U", "e|L"]:
+            assert tk.render_tokens(tk.parse_tokens(line)) == line
+            assert len(tk._parsed[1]) <= 2
+        assert "e|L" in tk._parsed[1]
 
 
 @st.composite
@@ -492,7 +566,7 @@ def near_rendered_lines(draw):
 def test_every_accepted_line_renders_back_unchanged(line_and_marker):
     line, marker = line_and_marker
     try:
-        ts = tk.parse_tokens(line, marker)
+        ts = _parse_cold_then_warm(line, marker)
     except tk.TokenizerError:
         return
     assert tk.render_tokens(ts, marker) == line
