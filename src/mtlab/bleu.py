@@ -13,6 +13,17 @@ match also starts an n + 1-gram match when `m[i + n] == m[i] + n`.  Each
 order counts the distinct positions its starts name.  When both sides repeat
 a token, every order clips one Counter per side, except that an order whose
 candidate n-grams turn out distinct counts a set intersection instead.
+
+Sentence BLEU reads each pair's counts through `_pair_stats`, which keeps
+them in the module memo `_pairs`, keyed by (candidate, reference,
+case_sensitive); smoothing does not change the counts.  So a pair is
+counted once however often it is scored.  Corpus BLEU sums the memoized
+counts of the pairs sentence BLEU has scored and counts any other pair
+straight into its sums without storing it, so a corpus of new pairs costs
+at most one memo lookup a pair (none when the memo is empty) and keeps
+none of them alive.  The memo is cleared when it holds PAIR_MEMO_LIMIT
+(8192) pairs, a smaller bound than the tokenizer's MEMO_LIMIT because each
+entry keeps both sentences alive.
 """
 
 from __future__ import annotations
@@ -20,14 +31,17 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import add
 
 __all__ = ["ScoringConfig", "BleuReport", "BleuError", "corpus_bleu", "sentence_bleu"]
 
 
 MAX_N = 4
 SMOOTHINGS = ("none", "add_one")
+PAIR_MEMO_LIMIT = 1 << 13   # pairs `_pairs` holds before it is cleared
 
 
 class BleuError(ValueError):
@@ -80,7 +94,7 @@ class BleuReport:
         )
 
 
-def _score(matches: list[int], totals: list[int], cand_len: int, ref_len: int,
+def _score(matches: Sequence[int], totals: Sequence[int], cand_len: int, ref_len: int,
            config: ScoringConfig) -> BleuReport:
     if config.smoothing == "add_one":
         precisions = tuple([m / t if m else 1.0 / (t + 1) for m, t in zip(matches, totals)])
@@ -153,6 +167,29 @@ def _add_pair(cand_toks: list[str], ref_toks: list[str], matches: list[int],
         matches[n] += len(starts) if distinct else len({m[i] for i in starts})
 
 
+# (candidate, reference, case_sensitive) -> (clipped matches per order,
+# candidate n-grams per order, candidate length, reference length)
+_pairs: dict[tuple[str, str, bool], tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
+
+
+def _pair_stats(candidate: str, reference: str,
+                config: ScoringConfig) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """One pair's clipped matches and candidate n-gram counts per order, and
+    its candidate and reference lengths, counted once and kept in `_pairs`."""
+    key = (candidate, reference, config.case_sensitive)
+    stats = _pairs.get(key)
+    if stats is None:
+        cand_toks = config.split(candidate)
+        ref_toks = config.split(reference)
+        matches = [0] * MAX_N
+        totals = [0] * MAX_N
+        _add_pair(cand_toks, ref_toks, matches, totals)
+        if len(_pairs) >= PAIR_MEMO_LIMIT:
+            _pairs.clear()
+        stats = _pairs[key] = (tuple(matches), tuple(totals), len(cand_toks), len(ref_toks))
+    return stats
+
+
 def corpus_bleu(candidates: list[str], references: list[str],
                 config: ScoringConfig = ScoringConfig()) -> BleuReport:
     """Pooled clipped-count BLEU over a corpus of candidate/reference pairs."""
@@ -166,11 +203,20 @@ def corpus_bleu(candidates: list[str], references: list[str],
     totals = [0] * MAX_N
     cand_len = ref_len = 0
     for cand, ref in zip(candidates, references):
-        cand_toks = config.split(cand)
-        ref_toks = config.split(ref)
-        cand_len += len(cand_toks)
-        ref_len += len(ref_toks)
-        _add_pair(cand_toks, ref_toks, matches, totals)
+        # an empty memo has nothing to find, so skip hashing the pair
+        stats = _pairs.get((cand, ref, config.case_sensitive)) if _pairs else None
+        if stats is None:
+            cand_toks = config.split(cand)
+            ref_toks = config.split(ref)
+            cand_len += len(cand_toks)
+            ref_len += len(ref_toks)
+            _add_pair(cand_toks, ref_toks, matches, totals)
+        else:
+            pair_matches, pair_totals, pair_cand_len, pair_ref_len = stats
+            matches = list(map(add, matches, pair_matches))
+            totals = list(map(add, totals, pair_totals))
+            cand_len += pair_cand_len
+            ref_len += pair_ref_len
     if not ref_len:
         raise BleuError("the references hold no token")
     return _score(matches, totals, cand_len, ref_len, config)
@@ -179,11 +225,7 @@ def corpus_bleu(candidates: list[str], references: list[str],
 def sentence_bleu(candidate: str, reference: str,
                   config: ScoringConfig = ScoringConfig()) -> BleuReport:
     """Single-pair BLEU; configure smoothing to avoid hard zeros."""
-    cand_toks = config.split(candidate)
-    ref_toks = config.split(reference)
-    if not cand_toks or not ref_toks:
+    matches, totals, cand_len, ref_len = _pair_stats(candidate, reference, config)
+    if not cand_len or not ref_len:
         raise BleuError("candidate and reference must each hold a token")
-    matches = [0] * MAX_N
-    totals = [0] * MAX_N
-    _add_pair(cand_toks, ref_toks, matches, totals)
-    return _score(matches, totals, len(cand_toks), len(ref_toks), config)
+    return _score(matches, totals, cand_len, ref_len, config)

@@ -59,23 +59,34 @@ def _header_keyed(header: list[str], row: list[str]) -> dict:
     return keyed
 
 
+def _check_range(score_range: tuple[int, int]) -> tuple[int, int]:
+    low, high = score_range
+    if low > high:
+        raise ScoreError(f"score range {low}-{high} is empty: its minimum exceeds its maximum")
+    return low, high
+
+
 def ingest_scores(path: str, score_range: tuple[int, int] = DEFAULT_RANGE) -> list[AdequacyFluencyRecord]:
     """Read and validate a score sheet CSV.
 
     Expected header: sentence_id,rater_id,system,adequacy,fluency, in any
-    order and with any other columns.  Blank rows are skipped.  Rejects a
-    row that lacks one of these cells, a non-integer id or score,
-    out-of-range scores and duplicate (sentence, rater, system) keys,
-    naming the offending row (counting non-blank rows from the header on).
+    order and with any other columns.  Blank rows are skipped.  Rejects an
+    empty score range, a row that lacks one of these cells, a non-integer
+    id or score, out-of-range scores and duplicate (sentence, rater, system)
+    keys, naming the file line the offending row starts on.
     """
-    low, high = score_range
+    low, high = _check_range(score_range)
     # quoted fields may span lines, so the reader gets each line's newline back
     reader = csv.reader(line + "\n" for line in read_lines(path))
+    rows = []   # (file line the row starts on, row)
+    end = 0     # file line the last row read ends on
     try:
-        rows = list(reader)
+        for row in reader:
+            rows.append((end + 1, row))
+            end = reader.line_num
     except csv.Error as exc:
         raise ScoreError(f"{path}: line {reader.line_num}: {exc}") from None
-    header = rows[0] if rows else []
+    header = rows[0][1] if rows else []
     if not set(_SHEET_COLUMNS).issubset(header):
         raise ScoreError(f"{path}: header must contain {sorted(_SHEET_COLUMNS)}")
     # a repeated column name reads its last column, as `csv.DictReader` does
@@ -83,21 +94,23 @@ def ingest_scores(path: str, score_range: tuple[int, int] = DEFAULT_RANGE) -> li
     sid, rater, system, adequacy, fluency = (column[name] for name in _SHEET_COLUMNS)
     records = []
     seen = set()
-    for row_number, row in enumerate(filter(None, rows[1:]), start=2):
+    for line, row in rows[1:]:
+        if not row:
+            continue
         try:
             record = AdequacyFluencyRecord(int(row[sid]), row[rater], row[system],
                                            int(row[adequacy]), int(row[fluency]))
         except (IndexError, ValueError):
-            raise ScoreError(f"{path}: row {row_number}: malformed record "
+            raise ScoreError(f"{path}: line {line}: malformed record "
                              f"{_header_keyed(header, row)}") from None
         for name, score in (("adequacy", record.adequacy), ("fluency", record.fluency)):
             if not low <= score <= high:
                 raise ScoreError(
-                    f"{path}: row {row_number}: {name}={score} outside range {low}-{high}"
+                    f"{path}: line {line}: {name}={score} outside range {low}-{high}"
                 )
         key = (record.sentence_id, record.rater_id, record.system)
         if key in seen:
-            raise ScoreError(f"{path}: row {row_number}: duplicate key {key}")
+            raise ScoreError(f"{path}: line {line}: duplicate key {key}")
         seen.add(key)
         records.append(record)
     return records
@@ -157,6 +170,7 @@ def weighted_kappa(pairs: list[tuple[int, int]], score_range: tuple[int, int] = 
 def summarize(records: list[AdequacyFluencyRecord],
               score_range: tuple[int, int] = DEFAULT_RANGE) -> EvaluationSummary:
     """Per-system means (sentence-first aggregation) and rater agreement."""
+    _check_range(score_range)
     if not records:
         raise ScoreError("no records to summarize")
     by_system = defaultdict(list)

@@ -1,6 +1,9 @@
 import math
 import random
 from collections import Counter
+from contextlib import suppress
+from dataclasses import astuple
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -144,16 +147,33 @@ either_token_list = st.one_of(token_lists, distinct_token_lists)
 
 
 @given(st.lists(st.tuples(either_token_list, either_token_list), min_size=1, max_size=4),
-       st.sampled_from(["none", "add_one"]), st.booleans())
+       st.sampled_from(["none", "add_one"]), st.booleans(),
+       st.lists(st.booleans(), max_size=6), st.integers(0, 3),
+       st.sampled_from([bleu.PAIR_MEMO_LIMIT, 2]))
 @settings(max_examples=300, deadline=None)
-def test_corpus_bleu_equals_counter_reference(pairs, smoothing, case_sensitive):
+def test_corpus_bleu_equals_counter_reference(pairs, smoothing, case_sensitive, primed, repeats,
+                                              limit):
+    """Also over a mix of pairs that add-one sentence BLEU has memoized, new
+    pairs and repeated pairs, and with a memo of 2 pairs; corpus BLEU only
+    reads the memo."""
     config = ScoringConfig(smoothing=smoothing, case_sensitive=case_sensitive)
+    sentence_config = ScoringConfig(smoothing="add_one", case_sensitive=case_sensitive)
+    pairs = pairs + pairs[:repeats]
     cands, refs = [" ".join(c) for c, _ in pairs], [" ".join(r) for _, r in pairs]
-    if not any(r for _, r in pairs):
-        with pytest.raises(BleuError, match="no token"):
-            corpus_bleu(cands, refs, config)
-        return
-    assert corpus_bleu(cands, refs, config) == counter_corpus_bleu(cands, refs, config)
+    bleu._pairs.clear()
+    with patch.object(bleu, "PAIR_MEMO_LIMIT", limit):
+        for cand, ref, prime in zip(cands, refs, primed):
+            if prime:
+                with suppress(BleuError):   # a side without a token
+                    sentence_bleu(cand, ref, sentence_config)
+                assert len(bleu._pairs) <= limit
+        memo = dict(bleu._pairs)
+        if not any(r for _, r in pairs):
+            with pytest.raises(BleuError, match="no token"):
+                corpus_bleu(cands, refs, config)
+        else:
+            assert corpus_bleu(cands, refs, config) == counter_corpus_bleu(cands, refs, config)
+        assert bleu._pairs == memo
 
 
 def _with_repeat(tokens, at, to):
@@ -181,7 +201,15 @@ def test_sentence_bleu_equals_counter_reference_on_every_path(pair, smoothing, c
     config = ScoringConfig(smoothing=smoothing, case_sensitive=case_sensitive)
     cand, ref = " ".join(pair[0]), " ".join(pair[1])
     expected = counter_corpus_bleu([cand], [ref], config)
-    assert sentence_bleu(cand, ref, config) == expected
+    bleu._pairs.clear()
+    cold = sentence_bleu(cand, ref, config)
+    assert list(bleu._pairs) == [(cand, ref, case_sensitive)]
+    warm = sentence_bleu(cand, ref, config)
+    assert astuple(cold) == astuple(warm) == astuple(expected)
+    # the other smoothing reads the same memoized counts
+    other = ScoringConfig("add_one" if smoothing == "none" else "none", case_sensitive)
+    assert sentence_bleu(cand, ref, other) == counter_corpus_bleu([cand], [ref], other)
+    assert len(bleu._pairs) == 1
     assert corpus_bleu([cand], [ref], config) == expected
 
 
@@ -209,15 +237,24 @@ def test_counting_path_matches_hand_count(monkeypatch, case):
 @pytest.mark.parametrize("cand, ref", [("a b c d", "   "), ("a b c d", ""), (" \t", "a b"),
                                        ("", "a b")])
 def test_sentence_without_tokens_rejected(cand, ref):
-    with pytest.raises(BleuError, match="token"):
-        sentence_bleu(cand, ref, ScoringConfig(smoothing="add_one"))
+    # the first call counts the pair and memoizes it; the second reads the memo
+    for _ in range(2):
+        with pytest.raises(BleuError, match="token"):
+            sentence_bleu(cand, ref, ScoringConfig(smoothing="add_one"))
+        assert list(bleu._pairs) == [(cand, ref, True)]
 
 
 def test_corpus_whose_references_hold_no_token_rejected():
-    with pytest.raises(BleuError, match="no token"):
-        corpus_bleu(["a b c d"], [" "], ScoringConfig(smoothing="add_one"))
-    with pytest.raises(BleuError, match="no token"):
-        corpus_bleu(["a b", "c d"], ["", " \n "])
+    for memoized in (False, True):   # counted by corpus BLEU, then read from the memo
+        if memoized:
+            for cand, ref in [("a b c d", " "), ("a b", ""), ("c d", " \n ")]:
+                with pytest.raises(BleuError, match="token"):
+                    sentence_bleu(cand, ref)
+        with pytest.raises(BleuError, match="no token"):
+            corpus_bleu(["a b c d"], [" "], ScoringConfig(smoothing="add_one"))
+        with pytest.raises(BleuError, match="no token"):
+            corpus_bleu(["a b", "c d"], ["", " \n "])
+        assert len(bleu._pairs) == (3 if memoized else 0)
     # one empty reference among others still scores
     assert corpus_bleu(["a b", "c d"], ["a b", ""]).reference_length == 2
 
@@ -278,6 +315,18 @@ def test_sentence_add_one_smoothing_positive():
         (math.log(2 / 4) + math.log(1 / 3) + math.log(1 / 3) + math.log(1 / 2)) / 4
     ) * 100.0
     assert report.score == pytest.approx(expected)
+
+
+def test_case_settings_never_share_a_memo_entry():
+    folded, cased = ScoringConfig(case_sensitive=False), ScoringConfig()
+    # two tokens hold no trigram, so only the first two orders can match
+    assert sentence_bleu("A b", "a b", folded).precisions == (1.0, 1.0, 0.0, 0.0)
+    assert corpus_bleu(["A b"], ["a b"], cased).precisions == (1 / 2, 0.0, 0.0, 0.0)
+    assert sentence_bleu("A b", "a b", cased).precisions == (1 / 2, 0.0, 0.0, 0.0)
+    assert sentence_bleu("A b", "a b", folded).precisions == (1.0, 1.0, 0.0, 0.0)
+    assert corpus_bleu(["A b"], ["a b"], folded).precisions == (1.0, 1.0, 0.0, 0.0)
+    assert corpus_bleu(["A b"], ["a b"], cased).precisions == (1 / 2, 0.0, 0.0, 0.0)
+    assert set(bleu._pairs) == {("A b", "a b", False), ("A b", "a b", True)}
 
 
 def test_case_sensitivity_flag():

@@ -325,6 +325,19 @@ def test_eval_flow(tmp_path):
     assert (out / "bleu-vs-human.csv").read_text().splitlines()[0] == "system,bleu,adequacy,fluency"
 
 
+@pytest.mark.parametrize("command", ["ingest", "summarize"])
+@pytest.mark.parametrize("rows", [["1,r1,sysA,3,4"], []], ids=["one-row", "header-only"])
+def test_eval_empty_score_range_exits_1(tmp_path, capsys, command, rows):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("\n".join(["sentence_id,rater_id,system,adequacy,fluency", *rows]) + "\n",
+                      encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "eval", command, "--scores", scores,
+                "--score-min", "4", "--score-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: score range 4-2 is empty: its minimum exceeds its maximum\n"
+
+
 def test_domain_error_exits_1(tmp_path):
     missing = tmp_path / "nope.txt"
     assert run(["--out-dir", tmp_path, "bleu", "corpus", "--candidates", missing,

@@ -35,7 +35,7 @@ class TestIngest:
 
     def test_out_of_range_names_row(self, tmp_path):
         path = sheet(tmp_path, ["1,r1,sysA,3,4", "2,r1,sysA,9,4"])
-        with pytest.raises(ScoreError, match="row 3"):
+        with pytest.raises(ScoreError, match="line 3"):
             ingest_scores(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
@@ -45,8 +45,14 @@ class TestIngest:
 
     def test_malformed_row_named(self, tmp_path):
         path = sheet(tmp_path, ["1,r1,sysA,three,4"])
-        with pytest.raises(ScoreError, match="row 2"):
+        with pytest.raises(ScoreError, match="line 2"):
             ingest_scores(path)
+
+    @pytest.mark.parametrize("rows", [["1,r1,sysA,3,4"], []], ids=["one-row", "header-only"])
+    def test_empty_range_rejected_up_front(self, tmp_path, rows):
+        with pytest.raises(ScoreError) as exc:
+            ingest_scores(sheet(tmp_path, rows), (4, 2))
+        assert str(exc.value) == "score range 4-2 is empty: its minimum exceeds its maximum"
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -65,34 +71,44 @@ def _record_of_present_cells(*fields):
 
 def _reference_ingest_scores(path, score_range=(1, 4)):
     """`ingest_scores` as it read sheets through `csv.DictReader`, but for
-    `_record_of_present_cells`."""
+    `_record_of_present_cells`.  A row is named by the file line it starts
+    on: the first non-blank line after the end of the row before it."""
     low, high = score_range
     records = []
     seen = set()
-    reader = csv.DictReader(line + "\n" for line in read_lines(path))
+    lines = read_lines(path)
+    reader = csv.DictReader(line + "\n" for line in lines)
+    rows = []
     try:
-        rows = list(reader)
+        reader.fieldnames   # reads the header
+        end = reader.line_num
+        for row in reader:
+            start = end
+            while not lines[start]:   # DictReader skips blank lines
+                start += 1
+            rows.append((start + 1, row))
+            end = reader.line_num
     except csv.Error as exc:
         raise ScoreError(f"{path}: line {reader.reader.line_num}: {exc}") from None
     required = {"sentence_id", "rater_id", "system", "adequacy", "fluency"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise ScoreError(f"{path}: header must contain {sorted(required)}")
-    for row_number, row in enumerate(rows, start=2):
+    for line_number, row in rows:
         try:
             record = _record_of_present_cells(
                 int(row["sentence_id"]), row["rater_id"], row["system"],
                 int(row["adequacy"]), int(row["fluency"]),
             )
         except (TypeError, ValueError):
-            raise ScoreError(f"{path}: row {row_number}: malformed record {row}") from None
+            raise ScoreError(f"{path}: line {line_number}: malformed record {row}") from None
         for name, score in (("adequacy", record.adequacy), ("fluency", record.fluency)):
             if not low <= score <= high:
                 raise ScoreError(
-                    f"{path}: row {row_number}: {name}={score} outside range {low}-{high}"
+                    f"{path}: line {line_number}: {name}={score} outside range {low}-{high}"
                 )
         key = (record.sentence_id, record.rater_id, record.system)
         if key in seen:
-            raise ScoreError(f"{path}: row {row_number}: duplicate key {key}")
+            raise ScoreError(f"{path}: line {line_number}: duplicate key {key}")
         seen.add(key)
         records.append(record)
     return records
@@ -148,14 +164,14 @@ def test_ingest_matches_dictreader_reference(tmp_path_factory, text):
 
 
 @pytest.mark.parametrize("text, expected", [
-    ("\n".join([HEADER, "", "1,r1,sysA,3,4", "", "", "2,r1,sysA,9,4"]), "row 3: adequacy=9 outside range 1-4"),
+    ("\n".join([HEADER, "", "1,r1,sysA,3,4", "", "", "2,r1,sysA,9,4"]), "line 6: adequacy=9 outside range 1-4"),
     ("\n".join([HEADER, "1,r1,sysA,3"]),
-     "row 2: malformed record {'sentence_id': '1', 'rater_id': 'r1', 'system': 'sysA', "
+     "line 2: malformed record {'sentence_id': '1', 'rater_id': 'r1', 'system': 'sysA', "
      "'adequacy': '3', 'fluency': None}"),
     ("\n".join(["fluency,system,sentence_id,adequacy,rater_id", "4,sysA,1,3"]),
-     "row 2: malformed record {'fluency': '4', 'system': 'sysA', 'sentence_id': '1', "
+     "line 2: malformed record {'fluency': '4', 'system': 'sysA', 'sentence_id': '1', "
      "'adequacy': '3', 'rater_id': None}"),
-    ("\n".join([HEADER, '1,"r\n1",sysA,3,4', '1,"r\n1",sysA,2,2']), "row 3: duplicate key (1, 'r\\n1', 'sysA')"),
+    ("\n".join([HEADER, '1,"r\n1",sysA,3,4', '1,"r\n1",sysA,2,2']), "line 4: duplicate key (1, 'r\\n1', 'sysA')"),
 ])
 def test_ingest_names_the_row(tmp_path, text, expected):
     path = tmp_path / "scores.csv"
@@ -219,6 +235,12 @@ class TestSummarize:
     def test_empty_records_rejected(self):
         with pytest.raises(ScoreError):
             summarize([])
+
+    def test_empty_range_rejected(self):
+        records = [rec(1, "r1", "sys", 3, 3)]
+        assert summarize(records, (3, 3)).systems["sys"].mean_adequacy == 3.0
+        with pytest.raises(ScoreError, match="^score range 3-2 is empty"):
+            summarize(records, (3, 2))
 
 
 class TestCorrelate:
