@@ -14,16 +14,14 @@ order counts the distinct positions its starts name.  When both sides repeat
 a token, every order clips one Counter per side, except that an order whose
 candidate n-grams turn out distinct counts a set intersection instead.
 
-Sentence BLEU reads each pair's counts through `_pair_stats`, which keeps
-them in the module memo `_pairs`, keyed by (candidate, reference,
-case_sensitive); smoothing does not change the counts.  So a pair is
-counted once however often it is scored.  Corpus BLEU sums the memoized
-counts of the pairs sentence BLEU has scored and counts any other pair
-straight into its sums without storing it, so a corpus of new pairs costs
-at most one memo lookup a pair (none when the memo is empty) and keeps
-none of them alive.  The memo is cleared when it holds PAIR_MEMO_LIMIT
-(8192) pairs, a smaller bound than the tokenizer's MEMO_LIMIT because each
-entry keeps both sentences alive.
+Sentence BLEU keeps each pair's counts in the module memo `_pairs`
+(`memo.Memo`), keyed by (candidate, reference, case_sensitive); smoothing
+does not change the counts.  So a pair is counted once however often it
+is scored.  Corpus BLEU sums the memoized counts of the pairs sentence
+BLEU has scored, in either generation, and counts any other pair straight
+into its sums without storing it, so a corpus of new pairs costs at most
+two memo lookups a pair (none when the memo is empty) and keeps none of
+them alive.
 """
 
 from __future__ import annotations
@@ -36,12 +34,14 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add
 
+from .memo import Memo
+
 __all__ = ["ScoringConfig", "BleuReport", "BleuError", "corpus_bleu", "sentence_bleu"]
 
 
 MAX_N = 4
 SMOOTHINGS = ("none", "add_one")
-PAIR_MEMO_LIMIT = 1 << 13   # pairs `_pairs` holds before it is cleared
+PAIR_MEMO_LIMIT = 1 << 12   # pairs a generation of `_pairs`; each keeps two sentences alive
 
 
 class BleuError(ValueError):
@@ -169,25 +169,17 @@ def _add_pair(cand_toks: list[str], ref_toks: list[str], matches: list[int],
 
 # (candidate, reference, case_sensitive) -> (clipped matches per order,
 # candidate n-grams per order, candidate length, reference length)
-_pairs: dict[tuple[str, str, bool], tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
+_pairs = Memo(PAIR_MEMO_LIMIT)
 
 
-def _pair_stats(candidate: str, reference: str,
+def _count_pair(key: tuple[str, str, bool],
                 config: ScoringConfig) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """One pair's clipped matches and candidate n-gram counts per order, and
-    its candidate and reference lengths, counted once and kept in `_pairs`."""
-    key = (candidate, reference, config.case_sensitive)
-    stats = _pairs.get(key)
-    if stats is None:
-        cand_toks = config.split(candidate)
-        ref_toks = config.split(reference)
-        matches = [0] * MAX_N
-        totals = [0] * MAX_N
-        _add_pair(cand_toks, ref_toks, matches, totals)
-        if len(_pairs) >= PAIR_MEMO_LIMIT:
-            _pairs.clear()
-        stats = _pairs[key] = (tuple(matches), tuple(totals), len(cand_toks), len(ref_toks))
-    return stats
+    cand_toks = config.split(key[0])
+    ref_toks = config.split(key[1])
+    matches = [0] * MAX_N
+    totals = [0] * MAX_N
+    _add_pair(cand_toks, ref_toks, matches, totals)
+    return tuple(matches), tuple(totals), len(cand_toks), len(ref_toks)
 
 
 def corpus_bleu(candidates: list[str], references: list[str],
@@ -202,9 +194,10 @@ def corpus_bleu(candidates: list[str], references: list[str],
     matches = [0] * MAX_N
     totals = [0] * MAX_N
     cand_len = ref_len = 0
+    # read both generations and store nothing; skip hashing when the memo is empty
+    get, get_previous, case = _pairs.get, _pairs.previous.get, config.case_sensitive
     for cand, ref in zip(candidates, references):
-        # an empty memo has nothing to find, so skip hashing the pair
-        stats = _pairs.get((cand, ref, config.case_sensitive)) if _pairs else None
+        stats = (get(key := (cand, ref, case)) or get_previous(key)) if _pairs else None
         if stats is None:
             cand_toks = config.split(cand)
             ref_toks = config.split(ref)
@@ -225,7 +218,8 @@ def corpus_bleu(candidates: list[str], references: list[str],
 def sentence_bleu(candidate: str, reference: str,
                   config: ScoringConfig = ScoringConfig()) -> BleuReport:
     """Single-pair BLEU; configure smoothing to avoid hard zeros."""
-    matches, totals, cand_len, ref_len = _pair_stats(candidate, reference, config)
+    key = (candidate, reference, config.case_sensitive)
+    matches, totals, cand_len, ref_len = _pairs.get(key) or _pairs.fill(key, _count_pair, config)
     if not cand_len or not ref_len:
         raise BleuError("candidate and reference must each hold a token")
     return _score(matches, totals, cand_len, ref_len, config)

@@ -2,8 +2,8 @@
 
 Features are hashed with FNV-1a 64 (fixed and platform independent)
 truncated to `bits` bits; collisions are tolerated.  Each feature string's
-hash is remembered, up to HASH_MEMO_LIMIT strings.  Training is plain
-softmax SGD with a small L2 term applied to the touched columns.
+hash is remembered in a memo (`memo.Memo`).  Training is plain softmax
+SGD with a small L2 term applied to the touched columns.
 
 The trained weights are pinned to the bit, so each step fixes its float
 order: it gathers the touched columns once as `w`, scores `w @ cnt + bias`
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import read_lines, write_lines
+from ..memo import Memo
 from ..rng import stream
 from .embeddings import _parse_values
 from .lexicon import _tokens
@@ -40,9 +41,9 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 MAX_BITS = 24   # 2**24 float64 weights per label: 128 MiB
-HASH_MEMO_LIMIT = 1 << 16   # feature strings `_hashes` holds before it is cleared
+HASH_MEMO_LIMIT = 1 << 15   # feature strings in each generation of `_hashes`
 
-_hashes: dict[str, int] = {}   # feature string -> fnv1a64 value
+_hashes = Memo(HASH_MEMO_LIMIT)   # feature string -> fnv1a64 value
 
 
 class ClassifierError(ValueError):
@@ -75,13 +76,9 @@ def hashed_features(text: str, bits: int, use_bigrams: bool = True) -> dict[int,
     if use_bigrams:
         keys += ["b:" + a + " " + b for a, b in zip(toks, toks[1:])]
     counts: dict[int, float] = {}
+    get = _hashes.get   # bound once, as `memo.Memo` advises for a loop
     for key in keys:
-        value = _hashes.get(key)
-        if value is None:
-            if len(_hashes) >= HASH_MEMO_LIMIT:
-                _hashes.clear()
-            value = _hashes[key] = fnv1a64(key)
-        slot = value % size
+        slot = (get(key) or _hashes.fill(key, fnv1a64)) % size
         counts[slot] = counts.get(slot, 0.0) + 1.0
     return counts
 

@@ -97,10 +97,10 @@ def _templates(source: str) -> list[entities.EntityTemplate]:
 
 
 def _read_json(path: str, error: type):
-    """A JSON file; a syntax or encoding fault raises `error` naming the path."""
+    """A `corpus.read_text` file as JSON; a syntax fault raises `error`."""
+    text = corpus.read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(text)
     except ValueError as exc:
         raise error(f"{path}: {exc}") from None
 

@@ -1,8 +1,8 @@
 """Parallel-corpus loading, validation, splitting and subsampling.
 
-`read_lines`, `read_pairs` and `write_lines` are the one reader and writer
-of line-oriented text files: UTF-8, LF or CRLF line ends, and errors that
-name the file and the line.
+`read_text`, `read_lines`, `read_pairs` and `write_lines` are the one
+reader and writer of text files: UTF-8, LF or CRLF line ends, and errors
+that name the file and the line.
 
 A corpus is an ordered list of aligned sentence pairs.  Freshly loaded
 corpora carry ids 0..n-1; derived corpora (splits, subsamples) keep the
@@ -24,6 +24,7 @@ __all__ = [
     "CorpusSizeError",
     "read_lines",
     "read_pairs",
+    "read_text",
     "write_lines",
     "load_parallel",
     "load_tsv",
@@ -84,8 +85,8 @@ class CorpusSplit:
     seed: int
 
 
-def read_lines(path: str) -> list[str]:
-    """Lines of a UTF-8 text file; CorpusError names the line of a bad byte."""
+def read_text(path: str) -> str:
+    """A UTF-8 text file, CRLF read as LF; CorpusError names a bad byte's line."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -93,10 +94,12 @@ def read_lines(path: str) -> list[str]:
     except UnicodeDecodeError as exc:
         line = raw[: exc.start].count(b"\n") + 1
         raise CorpusError(f"{path}: invalid UTF-8 at line {line}") from None
-    # LF and CRLF accepted; a trailing newline does not create an empty line
-    text = text.replace("\r\n", "\n")
-    if text.endswith("\n"):
-        text = text[:-1]
+    return text.replace("\r\n", "\n")
+
+
+def read_lines(path: str) -> list[str]:
+    """Lines of a `read_text` file; a trailing newline adds no empty line."""
+    text = read_text(path).removesuffix("\n")
     return text.split("\n") if text else []
 
 

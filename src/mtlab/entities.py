@@ -8,16 +8,13 @@ to drive the template refinement loop.
 
 The per-match records, `EntityMatch` and `PlaceholderEntry`, are
 NamedTuples; the one-per-sentence records are frozen dataclasses.  Each
-`EntityTemplate` keeps two memos that live and die with the template
-object: sentence -> spans of its non-empty matches, so a sentence scanned
-again (validation rescans the source that mask scanned; templated text
-repeats) runs no regex, and matched text -> parsed value, so an entity
-text is parsed once.  Each memo holds two generations of at most
-SCAN_MEMO_LIMIT (4096) keys: when the current one fills it becomes the
-previous one, and a key found there moves back, so text that keeps
-recurring survives a stream of one-off sentences.  A template whose every
-match must hold a digit (`needs_digit`, proved from the parsed pattern)
-is skipped on sentences without one.
+`EntityTemplate` keeps two memos (`memo.Memo`, SCAN_MEMO_LIMIT keys a
+generation) that live and die with the template object: sentence -> spans
+of its non-empty matches, so a sentence scanned again (validation rescans
+the source that mask scanned; templated text repeats) runs no regex, and
+matched text -> parsed value, so an entity text is parsed once.  A
+template whose every match must hold a digit (`needs_digit`, proved from
+the parsed pattern) is skipped on sentences without one.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ except ImportError:   # Python 3.10
     import sre_parse as _sre_parse
 
 from .corpus import ParallelCorpus, read_lines
+from .memo import Memo
 from .tokenizer import PLACEHOLDER_RE, format_placeholder
 
 __all__ = [
@@ -130,30 +128,6 @@ def _values_comparable(a, b, rel_tol: float) -> bool:
 # templates
 
 
-class _Memo(dict):
-    """A memo of two generations: this dict is the current one.  When it
-    holds SCAN_MEMO_LIMIT keys its contents become `previous` and it starts
-    empty; a key found in `previous` moves back into it."""
-
-    __slots__ = ("previous",)
-
-    def __init__(self):
-        super().__init__()
-        self.previous = {}
-
-    def fill(self, key, compute):
-        """Store and return the value for a key this dict lacks; an error
-        raised by `compute` stores nothing."""
-        value = self.previous.pop(key, None)
-        if value is None:
-            value = compute(key)
-        if len(self) >= SCAN_MEMO_LIMIT:
-            self.previous = dict(self)
-            self.clear()
-        self[key] = value
-        return value
-
-
 def _needs_digit(pattern: str) -> bool:
     """True only if every match of the pattern must hold a `\\d` character.
 
@@ -199,12 +173,12 @@ class EntityTemplate:
     regex: re.Pattern = field(init=False, repr=False)
     code: str = field(init=False, repr=False)   # the TYPE part of `⟦TYPE_i⟧`
     needs_digit: bool = field(init=False, repr=False)   # no match without a `\d`
-    _spans: _Memo = field(init=False, repr=False, compare=False)
-    _values: _Memo = field(init=False, repr=False, compare=False)
+    _spans: Memo = field(init=False, repr=False, compare=False)
+    _values: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._spans = _Memo()
-        self._values = _Memo()
+        self._spans = Memo(SCAN_MEMO_LIMIT)
+        self._values = Memo(SCAN_MEMO_LIMIT)
         self.code = TYPE_CODES.get(self.entity_type, self.entity_type.upper())
         # unmask finds placeholders by PLACEHOLDER_RE, so a code it cannot match would be lost
         if not PLACEHOLDER_RE.fullmatch(format_placeholder(self.code, 0)):

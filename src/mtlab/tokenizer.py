@@ -15,10 +15,10 @@ merging a word in place changes only the counts of the pairs next to
 each merge site.
 
 Application caches per word, as subword-nmt does: each `BpeModel` keeps
-two bounded memos, unit -> pieces and chunk -> tokens, so a chunk seen
-before is neither pre-split nor merged again.  The memos live and die with
-the model.  A chunk's memoized tokens end not joined, the form before the
-default single-space separator, so most chunks are copied in as they
+two memos (`memo.Memo`), unit -> pieces and chunk -> tokens, so a chunk
+seen before is neither pre-split nor merged again.  The memos live and die
+with the model.  A chunk's memoized tokens end not joined, the form before
+the default single-space separator, so most chunks are copied in as they
 are.  A new chunk that is a plain word (letters with no capital after
 the first, plus at most one trailing non-alphanumeric character) is
 pre-split by one guard instead of the per-character class loop, since
@@ -30,7 +30,7 @@ only pieces that are not plain alphanumerics free of the marker,
 `parse_tokens` unescapes only bodies holding a backslash and accepts
 exactly the lines `render_tokens` writes, and `detokenize` restores case
 inline.  `parse_tokens` parses each distinct item once: a module memo
-maps an item to its token for the last marker used.
+(`memo.Memo`) maps an item to its token for the last marker used.
 
 The per-item records, `_Unit` (a pre-split unit) and `AnnotatedToken`, are
 NamedTuples, cheap to build and compare; `TokenizedSentence` and
@@ -47,6 +47,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .corpus import ParallelCorpus, read_lines, write_lines
+from .memo import Memo
 
 __all__ = [
     "CASE_C",
@@ -89,10 +90,9 @@ _SPACE_RUN_RE = re.compile(r"(\s+)")
 # the letter, digit and other runs of an ASCII chunk
 _ASCII_RUN_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9]+")
 
-# entries each per-model memo (unit -> pieces, chunk -> tokens) and the parse
-# memo (item -> token) hold before they are cleared; near the limit, on Zipf
-# text, the two model memos take about 45 MB
-MEMO_LIMIT = 1 << 16
+# keys a generation in the model memos and the parse memo; with both
+# generations full, on Zipf text, the two model memos take about 45 MB
+MEMO_LIMIT = 1 << 15
 
 
 def format_placeholder(code: str, index: int) -> str:
@@ -124,7 +124,7 @@ class TokenizedSentence:
 class BpeModel:
     """Ordered merge list plus the base alphabet; immutable after training.
 
-    Applying the model fills two memos, each bounded by MEMO_LIMIT entries:
+    Applying the model fills two memos of MEMO_LIMIT keys a generation:
     `_cache` maps a unit's text to its pieces, and `_chunks` maps a chunk
     (a whitespace-free run, or one whitespace run) to its tokens, all
     joined right but the last: the closed form, as the chunk reads before
@@ -135,13 +135,13 @@ class BpeModel:
     alphabet: frozenset[str]
     mode: str = "joint"
     _ranks: dict = field(init=False, repr=False, compare=False)
-    _cache: dict = field(init=False, repr=False, compare=False)
-    _chunks: dict = field(init=False, repr=False, compare=False)
+    _cache: Memo = field(init=False, repr=False, compare=False)
+    _chunks: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._ranks = {pair: i for i, pair in enumerate(self.merges)}
-        self._cache = {}
-        self._chunks = {}
+        self._cache = Memo(MEMO_LIMIT)
+        self._chunks = Memo(MEMO_LIMIT)
 
     @property
     def merge_count(self) -> int:
@@ -421,16 +421,13 @@ def vocabulary(model: BpeModel) -> set[str]:
 # application
 
 
-def _encode_unit(model: BpeModel, text: str) -> tuple[str, ...]:
-    """Apply merges in training order within one unit (rank-based, cached).
+def _encode_unit(text: str, model: BpeModel) -> tuple[str, ...]:
+    """Apply merges in training order within one unit (rank-based).
 
     Each step merges, in place, every occurrence of the lowest-ranked pair
     from its leftmost one on; none lies before it, so this merges the
     whole unit left to right without overlaps.
     """
-    cached = model._cache.get(text)
-    if cached is not None:
-        return cached
     symbols = list(text)
     rank_of = model._ranks.get
     unranked = len(model.merges)  # above every rank, even with a merge listed twice
@@ -449,31 +446,24 @@ def _encode_unit(model: BpeModel, text: str) -> tuple[str, ...]:
             if symbols[i] == left and symbols[i + 1] == right:
                 symbols[i : i + 2] = [merged]
             i += 1
-    result = tuple(symbols)
-    if len(model._cache) >= MEMO_LIMIT:
-        model._cache.clear()
-    model._cache[text] = result
-    return result
+    return tuple(symbols)
 
 
-def _encode_chunk(model: BpeModel, chunk: str) -> tuple[AnnotatedToken, ...]:
-    """A chunk's annotated pieces, all joined right but the last, memoized in
-    `model._chunks`; `tokenize` looks the chunk up there first."""
+def _encode_chunk(chunk: str, model: BpeModel) -> tuple[AnnotatedToken, ...]:
+    """A chunk's annotated pieces, all joined right but the last."""
     tokens: list[AnnotatedToken] = []
+    cache = model._cache
     for unit in _chunk_units(chunk):
         if unit.atomic:
             tokens.append(AnnotatedToken(unit.text, unit.case, True))
             continue
-        for j, piece in enumerate(_encode_unit(model, unit.text)):
+        pieces = cache.get(unit.text) or cache.fill(unit.text, _encode_unit, model)
+        for j, piece in enumerate(pieces):
             case = CASE_L if j and unit.case == CASE_C else unit.case
             tokens.append(AnnotatedToken(piece, case, True))
     last = tokens[-1]
     tokens[-1] = AnnotatedToken(last.piece, last.case, False)
-    result = tuple(tokens)
-    if len(model._chunks) >= MEMO_LIMIT:
-        model._chunks.clear()
-    model._chunks[chunk] = result
-    return result
+    return tuple(tokens)
 
 
 def tokenize(model: BpeModel, sentence: str) -> TokenizedSentence:
@@ -484,8 +474,9 @@ def tokenize(model: BpeModel, sentence: str) -> TokenizedSentence:
     """
     tokens: list[AnnotatedToken] = []
     memo = model._chunks
+    get = memo.get   # bound once, as `memo.Memo` advises for a loop
     for chunk, joined in _split_chunks(sentence):
-        tokens.extend(memo.get(chunk) or _encode_chunk(model, chunk))
+        tokens.extend(get(chunk) or memo.fill(chunk, _encode_chunk, model))
         if joined:
             last = tokens[-1]
             tokens[-1] = AnnotatedToken(last.piece, last.case, True)
@@ -582,7 +573,7 @@ def render_tokens(ts: TokenizedSentence, marker: str = DEFAULT_MARKER) -> str:
 _LEFT_MARK = "token item {!r} has a left mark, which only an N piece after another token takes"
 
 
-def _parse_item(item: str, marker: str, first: bool) -> tuple[AnnotatedToken, bool]:
+def _parse_item(item: str, marker: str, first: bool = False) -> tuple[AnnotatedToken, bool]:
     """One rendered item as (token, left-marked); the token is joined right
     when the item has a right mark.  Raises TokenizerError on every fault
     that needs no neighbouring item to see.  An item that comes `first` in
@@ -624,10 +615,14 @@ def _parse_item(item: str, marker: str, first: bool) -> tuple[AnnotatedToken, bo
     return AnnotatedToken(body, case, trail), lead
 
 
-# item -> _parse_item(item, marker, ...) for one marker at a time; replaced
-# when the marker changes and cleared at MEMO_LIMIT entries; a raising item
-# is never stored, and `first` changes only whether an item raises
-_parsed: tuple[str, dict] = (DEFAULT_MARKER, {})
+def _parse_first(item: str, marker: str) -> tuple[AnnotatedToken, bool]:
+    return _parse_item(item, marker, True)
+
+
+# item -> _parse_item(item, marker, ...) for one marker at a time, replaced
+# when the marker changes; a raising item is never stored, and `first`
+# changes only whether an item raises
+_parsed: tuple[str, Memo] = (DEFAULT_MARKER, Memo(MEMO_LIMIT))
 
 
 def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
@@ -641,29 +636,24 @@ def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
     TokenizerError.
 
     Each distinct item is parsed once per marker: `_parse_item` checks it
-    alone, its result is kept in the module memo `_parsed` (at most
-    MEMO_LIMIT items, for the last marker used), and this loop makes only
-    the checks that need a neighbour.  The returned tokens are shared with
-    the memo; they are immutable.
+    alone, its result is kept in the module memo `_parsed` (for the last
+    marker used), and this loop makes only the checks that need a
+    neighbour.  The returned tokens are shared with the memo; they are
+    immutable.
     """
     global _parsed
     memo_marker, memo = _parsed
     if marker != memo_marker:
         check_marker(marker)
-        memo = {}
+        memo = Memo(MEMO_LIMIT)
         _parsed = (marker, memo)
     if not text:
         return TokenizedSentence()
     tokens: list[AnnotatedToken] = []
     trailed = False   # the previous item ends with a right mark
+    get = memo.get   # bound once, as `memo.Memo` advises for a loop
     for item in text.split(" "):
-        entry = memo.get(item)
-        if entry is None:
-            entry = _parse_item(item, marker, not tokens)
-            if len(memo) >= MEMO_LIMIT:
-                memo.clear()
-            memo[item] = entry
-        token, lead = entry
+        token, lead = get(item) or memo.fill(item, _parse_item if tokens else _parse_first, marker)
         if lead:   # a left mark joins the previous token
             if not tokens:   # the item was memoized from a later place in a line
                 raise TokenizerError(_LEFT_MARK.format(item))

@@ -7,9 +7,10 @@ from mtlab.corpus import ParallelCorpus, SentencePair
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Start every test with the module-level memos empty, so whether it
-    takes a cold or a memoized path does not depend on the tests before it;
-    a test of warm behaviour fills them itself."""
+    """Start every test with both generations of the module-level memos
+    empty (`Memo.clear`), so whether it takes a cold or a memoized path does
+    not depend on the tests before it; a test of warm behaviour fills them
+    itself."""
     tokenizer._parsed[1].clear()
     classifier._hashes.clear()
     bleu._pairs.clear()

@@ -154,26 +154,40 @@ either_token_list = st.one_of(token_lists, distinct_token_lists)
 def test_corpus_bleu_equals_counter_reference(pairs, smoothing, case_sensitive, primed, repeats,
                                               limit):
     """Also over a mix of pairs that add-one sentence BLEU has memoized, new
-    pairs and repeated pairs, and with a memo of 2 pairs; corpus BLEU only
-    reads the memo."""
+    pairs and repeated pairs, and with a memo of 2 pairs a generation;
+    corpus BLEU only reads the memo."""
     config = ScoringConfig(smoothing=smoothing, case_sensitive=case_sensitive)
     sentence_config = ScoringConfig(smoothing="add_one", case_sensitive=case_sensitive)
     pairs = pairs + pairs[:repeats]
     cands, refs = [" ".join(c) for c, _ in pairs], [" ".join(r) for _, r in pairs]
     bleu._pairs.clear()
-    with patch.object(bleu, "PAIR_MEMO_LIMIT", limit):
+    with patch.object(bleu._pairs, "limit", limit):
         for cand, ref, prime in zip(cands, refs, primed):
             if prime:
                 with suppress(BleuError):   # a side without a token
                     sentence_bleu(cand, ref, sentence_config)
-                assert len(bleu._pairs) <= limit
-        memo = dict(bleu._pairs)
+                assert len(bleu._pairs) <= limit and len(bleu._pairs.previous) <= limit
+        memo = (dict(bleu._pairs), dict(bleu._pairs.previous))
         if not any(r for _, r in pairs):
             with pytest.raises(BleuError, match="no token"):
                 corpus_bleu(cands, refs, config)
         else:
             assert corpus_bleu(cands, refs, config) == counter_corpus_bleu(cands, refs, config)
-        assert bleu._pairs == memo
+        assert (bleu._pairs, bleu._pairs.previous) == memo
+
+
+def test_corpus_bleu_counts_no_pair_again_across_a_rotation():
+    """Sentence BLEU on 3 pairs with 2 pairs a generation moves the first
+    two into `previous`; corpus BLEU still finds all three."""
+    cands, refs = ["a b c", "b c d", "c d e"], ["a b c d", "b c", "e d c"]
+    with patch.object(bleu._pairs, "limit", 2):
+        for cand, ref in zip(cands, refs):
+            sentence_bleu(cand, ref)
+        assert len(bleu._pairs.previous) == 2
+        with patch.object(bleu, "_add_pair", wraps=bleu._add_pair) as add_pair:
+            report = corpus_bleu(cands, refs)
+    assert add_pair.call_count == 0
+    assert report == counter_corpus_bleu(cands, refs, ScoringConfig())
 
 
 def _with_repeat(tokens, at, to):

@@ -17,6 +17,7 @@ from mtlab.bsf import (
 from mtlab.bsf import classifier
 from mtlab.bsf.classifier import _feature_arrays, fnv1a64, hashed_features
 from mtlab.bsf.lexicon import _tokens
+from mtlab.memo import Memo
 from mtlab.rng import stream
 from mtlab.synth import parking_parallel, parking_sentences
 
@@ -35,8 +36,7 @@ def test_hashing_deterministic_across_calls():
 
 
 def test_hashed_features_memo_matches_direct_hashing(monkeypatch):
-    monkeypatch.setattr(classifier, "HASH_MEMO_LIMIT", 3)
-    monkeypatch.setattr(classifier, "_hashes", {})
+    monkeypatch.setattr(classifier, "_hashes", Memo(3))
     texts = ["Free parking on site", "free parking nearby", "Kostenlose Parkplätze vor Ort"]
     for text in texts * 2:
         toks = _tokens(text)
@@ -46,12 +46,11 @@ def test_hashed_features_memo_matches_direct_hashing(monkeypatch):
             expected[slot] = expected.get(slot, 0.0) + 1.0
         # same slots, counts and order, so weight updates sum in the same order
         assert list(hashed_features(text, 18).items()) == list(expected.items())
-        assert len(classifier._hashes) <= 3
+        assert len(classifier._hashes) <= 3 and len(classifier._hashes.previous) <= 3
 
 
 def test_hashed_features_hashes_each_feature_string_once(monkeypatch):
     hashed = []
-    monkeypatch.setattr(classifier, "_hashes", {})
     monkeypatch.setattr(classifier, "fnv1a64", lambda key: hashed.append(key) or fnv1a64(key))
     first = hashed_features("free parking free parking", 18)
     assert hashed == ["u:free", "u:parking", "b:free parking", "b:parking free"]

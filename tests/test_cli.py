@@ -607,7 +607,8 @@ def test_bpe_detok_error_names_the_line(tmp_path, capsys):
      b'"text": "5 km"}]}]', "map 1"),
     (b'{"entries": []}', "list of placeholder maps"),
     (b"[{", "maps.json"),
-], ids=["no-entries", "entry-without-type", "string-index", "not-a-list", "not-json"])
+    (b'[\n  {"a":\xff}\n]\n', "maps.json: invalid UTF-8 at line 2"),
+], ids=["no-entries", "entry-without-type", "string-index", "not-a-list", "not-json", "bad-byte"])
 def test_malformed_placeholder_map_exits_1(tmp_path, capsys, maps, message):
     (tmp_path / "masked.txt").write_text("ab ⟦DIST_0⟧ cd\n", encoding="utf-8")
     (tmp_path / "maps.json").write_bytes(maps)
@@ -617,16 +618,20 @@ def test_malformed_placeholder_map_exits_1(tmp_path, capsys, maps, message):
     assert "maps.json" in err and message in err
 
 
-@pytest.mark.parametrize("bleu", [b'["a", "b"]', b'{"1M": "46.5"}', b'{"1M": true}', b"{"],
-                         ids=["list", "string-score", "bool-score", "not-json"])
-def test_malformed_bleu_scores_exit_1_naming_the_file(tmp_path, capsys, bleu):
+@pytest.mark.parametrize("bleu, message", [
+    (b'["a", "b"]', "expected a JSON object"), (b'{"1M": "46.5"}', "expected a JSON object"),
+    (b'{"1M": true}', "expected a JSON object"), (b"{", "Expecting"),
+    (b'{\n  "1M": \xff\n}\n', "bleu.json: invalid UTF-8 at line 2"),
+], ids=["list", "string-score", "bool-score", "not-json", "bad-byte"])
+def test_malformed_bleu_scores_exit_1_naming_the_file(tmp_path, capsys, bleu, message):
     scores = tmp_path / "scores.csv"
     scores.write_text("sentence_id,rater_id,system,adequacy,fluency\n1,r1,1M,2,2\n"
                       "1,r1,10M,3,3\n", encoding="utf-8")
     (tmp_path / "bleu.json").write_bytes(bleu)
     assert run(["--out-dir", tmp_path / "out", "eval", "correlate", "--scores", scores,
                 "--bleu", tmp_path / "bleu.json"]) == 1
-    assert "bleu.json" in _one_error_line(capsys)
+    err = _one_error_line(capsys)
+    assert "bleu.json" in err and message in err
 
 
 @pytest.mark.parametrize("bits", [0, -1, 40])

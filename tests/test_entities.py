@@ -345,16 +345,17 @@ def test_find_entities_matches_reference(sentence):
         assert en.find_entities(sentence, templates) == expected
         assert en.find_entities(sentence, templates) == expected   # from the memos
         fresh = [en.EntityTemplate(t.entity_type, t.language, t.pattern) for t in templates]
-        with mock.patch.object(en, "SCAN_MEMO_LIMIT", 2):
-            for other in (sentence + " 5 km", sentence, "4 pm " + sentence, sentence):
-                assert en.find_entities(other, fresh) == reference_find_entities(other, fresh)
-                assert max(_memo_sizes(fresh)) <= 2   # both generations of both memos
+        for t in fresh:
+            t._spans.limit = t._values.limit = 2
+        for other in (sentence + " 5 km", sentence, "4 pm " + sentence, sentence):
+            assert en.find_entities(other, fresh) == reference_find_entities(other, fresh)
+            assert max(_memo_sizes(fresh)) <= 2   # both generations of both memos
 
 
 def test_memo_keeps_a_recurring_sentence_across_one_offs():
     template = en.EntityTemplate("distance", "en", r"\d+ km")
-    with mock.patch.object(en, "SCAN_MEMO_LIMIT", 2), \
-            mock.patch.object(template, "_scan", wraps=template._scan) as scan:
+    template._spans.limit = 2
+    with mock.patch.object(template, "_scan", wraps=template._scan) as scan:
         for one_off in range(6):
             assert template.spans("5 km") == ((0, 4),)
             template.spans(f"{one_off} km, once")

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mtlab import tokenizer as tk
+from mtlab.memo import Memo
 from test_tokenizer import oracle_bpe
 
 MODEL = tk.train_bpe_texts(
@@ -232,19 +233,19 @@ odd_texts = st.tuples(st.lists(st.tuples(odd_space, odd_chunk), max_size=10),
     lambda t: "".join(sep + c for sep, c in t[0])[0 if t[1] else 1:] + t[2])
 
 
-@pytest.mark.parametrize("limit", [tk.MEMO_LIMIT, 1])
+@pytest.mark.parametrize("limit", [1 << 16, 1])   # a limit no example reaches, and the least
 @given(st.one_of(odd_texts, st.text(alphabet="aAb ⟦⟧D_0\t\u3000\x85\x1c.", max_size=30),
                  st.text(max_size=30)))
 @settings(max_examples=300, deadline=None)
 def test_tokenize_matches_unit_by_unit_reference(limit, text):
     reference = _reference_tokenize(tk.BpeModel(MODEL.merges, MODEL.alphabet), text)
     model = tk.BpeModel(MODEL.merges, MODEL.alphabet)
-    with mock.patch.object(tk, "MEMO_LIMIT", limit):
-        first = tk.tokenize(model, text)
-        second = tk.tokenize(model, text)  # every chunk is memoized now, unless bounded out
+    model._chunks.limit = model._cache.limit = limit
+    first = tk.tokenize(model, text)
+    second = tk.tokenize(model, text)  # every chunk is memoized now, unless bounded out
     assert first == second == reference
     assert tk._presplit(text) == _reference_presplit(text)
-    assert len(model._chunks) <= limit and len(model._cache) <= limit
+    assert max(map(len, _generations(model))) <= limit
 
 
 @given(st.lists(odd_texts, max_size=8))
@@ -262,13 +263,34 @@ def test_memo_reuse_across_sentences_matches_reference(texts):
                for tokens in model._chunks.values())
 
 
-def test_full_memo_starts_over():
+@given(st.lists(st.one_of(odd_texts, st.text(max_size=30)), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_unit_memo_grows_by_the_units_tokenize_encodes(texts):
+    # the text_pipeline benchmark counts encode misses this way: on a fresh
+    # model, `len(model._cache)` grows by the new non-atomic units of `_presplit`
     model = tk.BpeModel(MODEL.merges, MODEL.alphabet)
-    with mock.patch.object(tk, "MEMO_LIMIT", 2):
-        for chunk in ("hotel", "garden", "views", "station"):
-            tk.tokenize(model, chunk)
-    assert "station" in model._chunks and "station" in model._cache
-    assert len(model._chunks) <= 2 and len(model._cache) <= 2
+    seen = set()
+    for text in texts:
+        before = len(model._cache)
+        tk.tokenize(model, text)
+        new = {unit.text for unit in tk._presplit(text) if not unit.atomic} - seen
+        assert len(model._cache) - before == len(new)
+        seen |= new
+
+
+def _generations(model):
+    return model._chunks, model._chunks.previous, model._cache, model._cache.previous
+
+
+def test_full_memo_starts_over():
+    # a full generation becomes `previous` and the current one starts empty
+    model = tk.BpeModel(MODEL.merges, MODEL.alphabet)
+    model._chunks.limit = model._cache.limit = 2
+    for chunk in ("hotel", "garden", "views", "station"):
+        tk.tokenize(model, chunk)
+    assert set(model._chunks) == {"views", "station"} and "station" in model._cache
+    assert set(model._chunks.previous) == {"hotel", "garden"}
+    assert max(map(len, _generations(model))) <= 2
 
 
 def test_space_class_is_str_isspace():
@@ -387,7 +409,7 @@ two_letter_merges = st.lists(st.tuples(two_letter_symbols, two_letter_symbols), 
 def test_encode_unit_matches_tuple_merge_reference(merges, texts):
     model = tk.BpeModel(tuple(merges), frozenset("ab"))
     for text in texts:
-        assert tk._encode_unit(model, text) == _reference_encode_unit(model, text)
+        assert tk._encode_unit(text, model) == _reference_encode_unit(model, text)
 
 
 @pytest.mark.parametrize("merges, text, pieces", [
@@ -401,7 +423,8 @@ def test_encode_unit_matches_tuple_merge_reference(merges, texts):
 def test_encode_unit_on_repeated_symbols(merges, text, pieces):
     model = tk.BpeModel(tuple(merges), frozenset("ab"))
     assert _reference_encode_unit(model, text) == pieces
-    assert tk._encode_unit(model, text) == pieces
+    assert tk._encode_unit(text, model) == pieces
+    assert tk.tokenize(model, text).pieces() == list(pieces)
     assert model._cache == {text: pieces}
 
 
@@ -464,7 +487,7 @@ def _parse_cold_then_warm(text, marker):
         except tk.TokenizerError as exc:
             return str(exc)
 
-    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, {})):
+    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, Memo(tk.MEMO_LIMIT))):
         cold = outcome(text)
         for item in text.split(" "):
             outcome("a|L " + item)
@@ -510,7 +533,7 @@ def test_parse_matches_reference_on_arbitrary_items(text, marker):
 @pytest.mark.parametrize("line", ["a|L b■|X", "■a|N", "a|L ■b|L", "a■|L b|N", "a■|L", "a|b|L",
                                   "a\\q|L", "\\e|N", "a■b|L", "a\tb|L"])
 def test_rejected_line_raises_the_same_message_twice(line):
-    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, {})):
+    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, Memo(tk.MEMO_LIMIT))):
         messages = []
         for _ in range(2):
             with pytest.raises(tk.TokenizerError) as exc:
@@ -528,7 +551,7 @@ def test_item_memo_holds_one_marker_at_a_time():
                                    tk.AnnotatedToken("b", tk.CASE_L, False)))
     plain = tk.TokenizedSentence((tk.AnnotatedToken("a@@", tk.CASE_L, False),
                                   tk.AnnotatedToken("b", tk.CASE_L, False)))
-    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, {})):
+    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, Memo(tk.MEMO_LIMIT))):
         assert tk.parse_tokens(line, "@@") == marked
         assert tk.parse_tokens(line) == plain
         assert tk._parsed[0] == tk.DEFAULT_MARKER
@@ -537,11 +560,10 @@ def test_item_memo_holds_one_marker_at_a_time():
 
 
 def test_full_item_memo_starts_over():
-    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, {})), \
-            mock.patch.object(tk, "MEMO_LIMIT", 2):
+    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, Memo(2))):
         for line in ["a|L", "a|L b|L", "wi■|L fi|L ■,|N", "c|C d|U", "e|L"]:
             assert tk.render_tokens(tk.parse_tokens(line)) == line
-            assert len(tk._parsed[1]) <= 2
+            assert len(tk._parsed[1]) <= 2 and len(tk._parsed[1].previous) <= 2
         assert "e|L" in tk._parsed[1]
 
 
