@@ -5,17 +5,25 @@ truncated to `bits` bits; collisions are tolerated.  Each feature string's
 hash is remembered in a memo (`memo.Memo`).  Training is plain softmax
 SGD with a small L2 term applied to the touched columns.
 
+A classifier stores only the slots that training touched (or that its file
+lists): `slots` holds them sorted, and column `j` of `weights` belongs to
+`slots[j]`.  One more column, the last, stays zero and stands for every
+other slot, so memory scales with the stored slots, not with `2**bits`.
+
 The trained weights are pinned to the bit, so each step fixes its float
 order: it gathers the touched columns once as `w`, scores `w @ cnt + bias`
 (one BLAS gemv), normalizes with `scores.max()`, `np.exp` and `prob.sum()`,
 and updates `w -= lr * (prob[:, None] * cnt + l2 * w)` before writing `w`
-back.
+back.  Scoring maps a slot that was never trained to the zero column
+instead of dropping it, so the gemv sees the same operands in the same
+order as a gather from the full `2**bits` table and sums to the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -40,7 +48,7 @@ __all__ = [
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-MAX_BITS = 24   # 2**24 float64 weights per label: 128 MiB
+MAX_BITS = 24   # slot ids below 2**24; only the trained slots take memory
 HASH_MEMO_LIMIT = 1 << 15   # feature strings in each generation of `_hashes`
 
 _hashes = Memo(HASH_MEMO_LIMIT)   # feature string -> fnv1a64 value
@@ -83,11 +91,14 @@ def hashed_features(text: str, bits: int, use_bigrams: bool = True) -> dict[int,
     return counts
 
 
-def _feature_arrays(text: str, bits: int, use_bigrams: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(slots, counts) of `hashed_features`; scores are `weights[:, slots] @ counts + bias`,
-    which is `bias` for a text without features."""
+def _feature_arrays(text: str, bits: int, use_bigrams: bool,
+                    columns: dict[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(slots, counts) of `hashed_features`, or with `columns` each slot's column
+    (`len(columns)`, the zero column, for a slot not in it).  Scores are
+    `weights[:, cols] @ counts + bias`, which is `bias` for a text without features."""
     feats = hashed_features(text, bits, use_bigrams)
-    return (np.fromiter(feats.keys(), dtype=np.int64, count=len(feats)),
+    keys = feats if columns is None else map(columns.get, feats, repeat(len(columns)))
+    return (np.fromiter(keys, dtype=np.int64, count=len(feats)),
             np.fromiter(feats.values(), dtype=np.float64, count=len(feats)))
 
 
@@ -95,13 +106,19 @@ def _feature_arrays(text: str, bits: int, use_bigrams: bool) -> tuple[np.ndarray
 class HashedLinearClassifier:
     labels: tuple[str, ...]
     bits: int
-    weights: np.ndarray          # (n_labels, 2**bits)
+    slots: np.ndarray            # (n_slots,) sorted slot ids that carry weights
+    weights: np.ndarray          # (n_labels, n_slots + 1); the last column is zero
     bias: np.ndarray             # (n_labels,)
     spec: ClassifierSpec
 
+    def __post_init__(self):
+        self._columns = dict(zip(self.slots.tolist(), range(len(self.slots))))   # slot -> column
+
     def scores(self, text: str) -> np.ndarray:
-        idx, cnt = _feature_arrays(text, self.bits, self.spec.use_bigrams)
-        return self.weights[:, idx] @ cnt + self.bias
+        cols, cnt = _feature_arrays(text, self.bits, self.spec.use_bigrams, self._columns)
+        # a fancy-index gather, like training's: `take` would change its layout,
+        # and with it the gemv kernel and the bits
+        return self.weights[:, cols] @ cnt + self.bias
 
     def predict(self, text: str) -> str:
         return self.labels[int(np.argmax(self.scores(text)))]
@@ -125,10 +142,11 @@ def train_classifier(
     if len(labels) < 2:
         raise ClassifierError(f"need at least 2 distinct labels, got {labels}")
     label_index = {label: i for i, label in enumerate(labels)}
-    size = 1 << spec.bits
-    weights = np.zeros((len(labels), size))
-    bias = np.zeros(len(labels))
     features = [_feature_arrays(text, spec.bits, spec.use_bigrams) for text, _ in labeled]
+    slots = np.unique(np.concatenate([idx for idx, _ in features]))
+    features = [(np.searchsorted(slots, idx), cnt) for idx, cnt in features]
+    weights = np.zeros((len(labels), len(slots) + 1))
+    bias = np.zeros(len(labels))
     targets = [label_index[label] for _, label in labeled]
 
     lr, l2 = spec.lr, spec.l2
@@ -145,7 +163,7 @@ def train_classifier(
             w -= lr * (prob[:, None] * cnt + l2 * w)
             weights[:, idx] = w
             bias -= lr * prob
-    return HashedLinearClassifier(labels, spec.bits, weights, bias, spec)
+    return HashedLinearClassifier(labels, spec.bits, slots, weights, bias, spec)
 
 
 @dataclass(frozen=True)
@@ -220,8 +238,8 @@ def save_classifier(clf: HashedLinearClassifier, path: str) -> None:
     write_lines([f"{_CLF_HEADER} {clf.bits} {len(clf.labels)} {int(clf.spec.use_bigrams)}",
                  "\t".join(clf.labels),
                  "bias " + " ".join(repr(float(x)) for x in clf.bias),
-                 *(f"{slot} " + " ".join(repr(float(x)) for x in clf.weights[:, slot])
-                   for slot in nonzero)], path)
+                 *(f"{clf.slots[col]} " + " ".join(repr(float(x)) for x in clf.weights[:, col])
+                   for col in nonzero)], path)
 
 
 def load_classifier(path: str) -> HashedLinearClassifier:
@@ -240,14 +258,18 @@ def load_classifier(path: str) -> HashedLinearClassifier:
     if len(labels) != n_labels:
         raise ClassifierError(f"{path}: line 2: expected {n_labels} labels, got {len(labels)}")
     bias = np.array(_parse_values(path, 3, lines[2].split()[1:], n_labels, ClassifierError))
-    weights = np.zeros((n_labels, size))
+    by_slot: dict[int, list[float]] = {}   # a repeated slot's last line wins
     for lineno, line in enumerate(lines[3:], start=4):
         parts = line.split()
         if not parts:
             continue
         if not parts[0].isdecimal() or int(parts[0]) >= size:
             raise ClassifierError(f"{path}: line {lineno}: slot {parts[0]!r} not in [0, 2**{bits})")
-        weights[:, int(parts[0])] = _parse_values(path, lineno, parts[1:], n_labels,
-                                                  ClassifierError)
+        by_slot[int(parts[0])] = _parse_values(path, lineno, parts[1:], n_labels,
+                                               ClassifierError)
+    slots = np.array(sorted(by_slot), dtype=np.int64)
+    weights = np.zeros((n_labels, len(slots) + 1))
+    for col, slot in enumerate(slots.tolist()):
+        weights[:, col] = by_slot[slot]
     spec = ClassifierSpec(bits=bits, use_bigrams=bool(use_bigrams))
-    return HashedLinearClassifier(labels, bits, weights, bias, spec)
+    return HashedLinearClassifier(labels, bits, slots, weights, bias, spec)

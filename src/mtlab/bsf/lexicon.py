@@ -63,17 +63,21 @@ def match_sentences(sentences: list[str], lexicon: AspectLexicon) -> list[int]:
     """Indices of sentences containing any lexicon term.
 
     Matching is case-insensitive on whole tokens; multi-word terms must
-    appear as contiguous token sequences.
+    appear as contiguous token sequences.  A term without tokens (blank, or
+    punctuation only) is dropped: it would match every sentence.
     """
-    terms = [_tokens(term) for term in lexicon.approved_terms if term.strip()]
-    if not terms:
+    by_width: dict[int, set[tuple[str, ...]]] = {}
+    for term in lexicon.approved_terms:
+        if toks := tuple(_tokens(term)):
+            by_width.setdefault(len(toks), set()).add(toks)
+    if not by_width:
         raise ValueError(f"lexicon {lexicon.aspect}/{lexicon.language} has no usable terms")
     matched = []
     for i, sentence in enumerate(sentences):
         toks = _tokens(sentence)
-        for term in terms:
-            width = len(term)
-            if any(toks[j : j + width] == term for j in range(len(toks) - width + 1)):
+        for width, terms in by_width.items():
+            # each window of `width` tokens is one set lookup among the terms
+            if not terms.isdisjoint(zip(*[toks[k:] for k in range(width)])):
                 matched.append(i)
                 break
     return matched

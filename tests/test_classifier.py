@@ -1,7 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlab.bsf import (
     AspectLexicon,
@@ -98,6 +101,13 @@ class TestTraining:
         assert [clf.predict(t) for t in texts] == before
 
 
+def dense_weights(clf):
+    """The full (n_labels, 2**bits) table that a compact classifier stands for."""
+    dense = np.zeros((len(clf.labels), 1 << clf.bits))
+    dense[:, clf.slots] = clf.weights[:, :-1]
+    return dense
+
+
 def reference_train(labeled, spec, seed):
     """The per-step loop `train_classifier` replaced: three gathers of the
     touched columns and an `np.outer` update per example."""
@@ -133,7 +143,8 @@ def reference_train(labeled, spec, seed):
 def test_training_is_bit_identical_to_the_reference_loop(labeled, spec):
     clf = train_classifier(labeled, spec, seed=7)
     weights, bias = reference_train(labeled, spec, seed=7)
-    assert clf.weights.tobytes() == weights.tobytes()
+    assert dense_weights(clf).tobytes() == weights.tobytes()
+    assert not clf.weights[:, -1].any()
     assert clf.bias.tobytes() == bias.tobytes()
 
 
@@ -200,10 +211,94 @@ class TestModelFile:
         with pytest.raises(ClassifierError):
             load_classifier(path)
 
+    @pytest.mark.parametrize("spec", [ClassifierSpec(), ClassifierSpec(bits=3, epochs=4)])
+    def test_save_load_save_is_byte_identical(self, tmp_path, spec):
+        clf = train_classifier(parking_sentences("en", 120, seed=3), spec, seed=1)
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_classifier(clf, first)
+        save_classifier(load_classifier(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_repeated_slot_line_loads_last_wins(self, tmp_path):
+        path = tmp_path / "clf.txt"
+        path.write_text("bsfclf-v1 4 2 1\na\tb\nbias 0.5 -0.5\n"
+                        "7 1.0 2.0\n3 0.25 0.0\n7 -1.0 4.0\n", encoding="utf-8")
+        clf = load_classifier(path)
+        assert clf.slots.tolist() == [3, 7]
+        assert clf.weights.tolist() == [[0.25, -1.0, 0.0], [0.0, 4.0, 0.0]]
+        dense = np.zeros((2, 16))
+        dense[:, [3, 7]] = [[0.25, -1.0], [0.0, 4.0]]
+        for text in ["free parking", "alpha beta gamma delta", "x y z", ""]:
+            idx, cnt = _feature_arrays(text, 4, True)
+            assert clf.scores(text).tobytes() == (dense[:, idx] @ cnt + clf.bias).tobytes()
+
+
+class TestCompactStorage:
+    @pytest.mark.parametrize("spec", [ClassifierSpec(), ClassifierSpec(bits=3, epochs=4)])
+    def test_scores_equal_a_dense_gather(self, spec):
+        clf = train_classifier(parking_sentences("en", 120, seed=3), spec, seed=1)
+        dense = dense_weights(clf)
+        texts = [t for t, _ in parking_sentences("de", 30, seed=8)] + ["", "!!", "zebra quokka"]
+        unseen = 0
+        for text in texts:
+            idx, cnt = _feature_arrays(text, spec.bits, spec.use_bigrams)
+            unseen += int(np.isin(idx, clf.slots, invert=True).sum())
+            assert clf.scores(text).tobytes() == (dense[:, idx] @ cnt + clf.bias).tobytes()
+        assert unseen > 0 or spec.bits == 3   # at 3 bits training fills all 8 slots
+
+    def test_bits_24_train_and_load_trace_under_4_mb(self, tmp_path):
+        # the full table would be 2**24 float64 weights, 128 MiB, per label
+        labeled = parking_sentences("en", 240, seed=3)
+        path = tmp_path / "clf.txt"
+        tracemalloc.start()
+        try:
+            clf = train_classifier(labeled, ClassifierSpec(bits=24, epochs=1), seed=0)
+            train_peak = tracemalloc.get_traced_memory()[1]
+            save_classifier(clf, path)
+            tracemalloc.reset_peak()
+            load_classifier(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert train_peak < 4 << 20
+        assert load_peak < 4 << 20
+
+
+def reference_match(sentences, lexicon):
+    """The per-position slice loop `match_sentences` replaced."""
+    terms = [_tokens(term) for term in lexicon.approved_terms if term.strip()]
+    matched = []
+    for i, sentence in enumerate(sentences):
+        toks = _tokens(sentence)
+        for term in terms:
+            width = len(term)
+            if any(toks[j : j + width] == term for j in range(len(toks) - width + 1)):
+                matched.append(i)
+                break
+    return matched
+
+
+WORDS = ["park", "Parking", "free", "car", "garage", "car-park"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(WORDS + ["--", "!", ""]), max_size=10), max_size=6),
+       st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3), min_size=1, max_size=4))
+def test_match_sentences_equals_the_reference_loop(sentences, terms):
+    sentences = [" ".join(words) for words in sentences]
+    lexicon = AspectLexicon("parking", "en", approved_terms=[" ".join(t) for t in terms])
+    assert match_sentences(sentences, lexicon) == reference_match(sentences, lexicon)
+
 
 class TestMatchSentences:
     def lexicon(self, terms):
         return AspectLexicon("parking", "en", approved_terms=terms)
+
+    def test_term_without_tokens_is_dropped(self):
+        sentences = ["no parking here", "hello world", ""]
+        assert match_sentences(sentences, self.lexicon(["--", "parking", "  "])) == [0]
+        with pytest.raises(ValueError, match="no usable terms"):
+            match_sentences(sentences, self.lexicon(["--"]))
 
     def test_single_word_match(self):
         matched = match_sentences(["Free parking is available.", "Nice view."],

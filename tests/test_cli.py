@@ -292,6 +292,30 @@ def test_bsf_report_end_to_end(tmp_path):
     assert (out / "bsf-report.txt").read_text(encoding="utf-8")
 
 
+def _bsf_report_with_terms(tmp_path, terms_src):
+    """`bsf report` on two pairs, with two hand-written classifiers that always say `b`."""
+    (tmp_path / "pairs.tsv").write_text(
+        "Free parking here.\tGratis parken.\nA nice garden.\tEin Garten.\n", encoding="utf-8")
+    (tmp_path / "terms.en.txt").write_text(terms_src, encoding="utf-8")
+    (tmp_path / "terms.de.txt").write_text("parken\n", encoding="utf-8")
+    (tmp_path / "clf.txt").write_text("bsfclf-v1 4 2 1\na\tb\nbias 0.0 1.0\n", encoding="utf-8")
+    return run(["--out-dir", tmp_path / "out", "bsf", "report", "--pairs", tmp_path / "pairs.tsv",
+                "--terms-src", tmp_path / "terms.en.txt", "--terms-tgt", tmp_path / "terms.de.txt",
+                "--clf-src", tmp_path / "clf.txt", "--clf-tgt", tmp_path / "clf.txt"])
+
+
+def test_bsf_report_drops_a_punctuation_only_term(tmp_path):
+    assert _bsf_report_with_terms(tmp_path, "parking\n--\n") == 0
+    payload = json.loads((tmp_path / "out" / "bsf-report.json").read_text(encoding="utf-8"))
+    assert payload["matched_count"] == 1
+
+
+def test_bsf_report_without_usable_terms_exits_1(tmp_path, capsys):
+    assert _bsf_report_with_terms(tmp_path, "--\n...\n") == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "has no usable terms" in err
+
+
 def test_ner_unmask_missing_template_type_exits_1(tmp_path):
     out = tmp_path / "out"
     (tmp_path / "masked.txt").write_text("ab ⟦DUR_0⟧ cd\n", encoding="utf-8")
