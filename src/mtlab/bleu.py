@@ -11,8 +11,7 @@ for a token the map lacks).  Each `i` with `m[i] >= 0` starts a unigram
 match at position `m[i]` of the distinct side, and a start of an n-gram
 match also starts an n + 1-gram match when `m[i + n] == m[i] + n`.  Each
 order counts the distinct positions its starts name.  When both sides repeat
-a token, every order clips one Counter per side, except that an order whose
-candidate n-grams turn out distinct counts a set intersection instead.
+a token, every order clips one Counter per side.
 
 Sentence BLEU keeps each pair's counts in the module memo `_pairs`
 (`memo.Memo`), keyed by (candidate, reference, case_sensitive); smoothing
@@ -117,10 +116,6 @@ def _clip(cand_toks: list[str], ref_toks: list[str], matches: list[int]) -> None
     cand_grams, ref_grams = cand_toks, ref_toks
     for n in range(min(len(cand_toks), MAX_N)):
         if n:
-            grams = set(zip(*c_shifts[:n + 1]))
-            if len(grams) == len(cand_toks) - n:
-                matches[n] += len(grams.intersection(zip(*r_shifts[:n + 1])))
-                continue
             cand_grams, ref_grams = zip(*c_shifts[:n + 1]), zip(*r_shifts[:n + 1])
         ref_counts = Counter(ref_grams)
         for gram, count in Counter(cand_grams).items():

@@ -153,23 +153,20 @@ def cmd_bpe_train(args) -> None:
 
 
 def cmd_bpe_apply(args) -> None:
-    tokenizer.check_marker(args.marker)
     model = tokenizer.load_model(args.model)
     lines = corpus.read_lines(args.input)
-    rendered = [tokenizer.render_tokens(tokenizer.tokenize(model, line), args.marker)
-                for line in lines]
+    rendered = [tokenizer.render_tokens(tokenizer.tokenize(model, line)) for line in lines]
     path = _out(args, args.output)
     corpus.write_lines(rendered, path)
     print(f"tokenized {len(lines)} sentences -> {path}")
 
 
 def cmd_bpe_detok(args) -> None:
-    tokenizer.check_marker(args.marker)
     lines = corpus.read_lines(args.input)
     restored = []
     for lineno, line in enumerate(lines, start=1):
         try:
-            restored.append(tokenizer.detokenize(tokenizer.parse_tokens(line, args.marker)))
+            restored.append(tokenizer.detokenize(tokenizer.parse_tokens(line)))
         except tokenizer.TokenizerError as exc:
             raise tokenizer.TokenizerError(f"{args.input}: line {lineno}: {exc}") from None
     path = _out(args, args.output)
@@ -565,11 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=InputFile, required=True)
     p.add_argument("--input", type=InputFile, required=True)
     p.add_argument("--output", default="tokenized.txt")
-    p.add_argument("--marker", default=tokenizer.DEFAULT_MARKER)
     p = command(sub, "detok", cmd_bpe_detok)
     p.add_argument("--input", type=InputFile, required=True)
     p.add_argument("--output", default="detokenized.txt")
-    p.add_argument("--marker", default=tokenizer.DEFAULT_MARKER)
 
     sub = group("ner", "entity templates: scan/mask/unmask/validate")
     p = command(sub, "scan", cmd_ner_scan)

@@ -48,17 +48,6 @@ class AdequacyFluencyRecord(NamedTuple):
 _SHEET_COLUMNS = ("sentence_id", "rater_id", "system", "adequacy", "fluency")
 
 
-def _header_keyed(header: list[str], row: list[str]) -> dict:
-    """A row as `csv.DictReader` reads it: missing cells are None, extra
-    cells a list under the key None."""
-    keyed = dict(zip(header, row))
-    if len(header) < len(row):
-        keyed[None] = row[len(header):]
-    for name in header[len(row):]:
-        keyed[name] = None
-    return keyed
-
-
 def _check_range(score_range: tuple[int, int]) -> tuple[int, int]:
     low, high = score_range
     if low > high:
@@ -101,8 +90,7 @@ def ingest_scores(path: str, score_range: tuple[int, int] = DEFAULT_RANGE) -> li
             record = AdequacyFluencyRecord(int(row[sid]), row[rater], row[system],
                                            int(row[adequacy]), int(row[fluency]))
         except (IndexError, ValueError):
-            raise ScoreError(f"{path}: line {line}: malformed record "
-                             f"{_header_keyed(header, row)}") from None
+            raise ScoreError(f"{path}: line {line}: malformed record {row}") from None
         for name, score in (("adequacy", record.adequacy), ("fluency", record.fluency)):
             if not low <= score <= high:
                 raise ScoreError(

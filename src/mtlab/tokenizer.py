@@ -26,11 +26,11 @@ no case boundary or placeholder can fall inside it.  A new unit is merged
 in place on one symbol list: each step takes the leftmost lowest-ranked
 pair and merges its occurrences from there on.  Rendering, parsing and
 detokenizing each take one pass over the tokens: `render_tokens` escapes
-only pieces that are not plain alphanumerics free of the marker,
-`parse_tokens` unescapes only bodies holding a backslash and accepts
-exactly the lines `render_tokens` writes, and `detokenize` restores case
-inline.  `parse_tokens` parses each distinct item once: a module memo
-(`memo.Memo`) maps an item to its token for the last marker used.
+only pieces that are not plain alphanumerics, `parse_tokens` unescapes
+only bodies holding a backslash and accepts exactly the lines
+`render_tokens` writes, and `detokenize` restores case inline.
+`parse_tokens` parses each distinct item once: a module memo
+(`memo.Memo`) maps an item to its token.
 
 The per-item records, `_Unit` (a pre-split unit) and `AnnotatedToken`, are
 NamedTuples, cheap to build and compare; `TokenizedSentence` and
@@ -54,7 +54,7 @@ __all__ = [
     "CASE_L",
     "CASE_U",
     "CASE_N",
-    "DEFAULT_MARKER",
+    "MARKER",
     "PLACEHOLDER_RE",
     "format_placeholder",
     "AnnotatedToken",
@@ -70,7 +70,6 @@ __all__ = [
     "load_model",
     "render_tokens",
     "parse_tokens",
-    "check_marker",
 ]
 
 CASE_C = "C"  # true case: initial capital, rest lower
@@ -79,7 +78,9 @@ CASE_U = "U"  # all capitals
 CASE_N = "N"  # non-alphabetic (piece kept verbatim)
 _CASES = frozenset((CASE_C, CASE_L, CASE_U, CASE_N))
 
-DEFAULT_MARKER = "■"
+# the joiner, which marks a spaceless gap in the one-line text form; one
+# non-alphanumeric character, as `render_tokens` and `_parse_item` assume
+MARKER = "■"
 
 # placeholder tokens pass through pre-splitting whole and are never merged;
 # group 1 is the index
@@ -146,11 +147,6 @@ class BpeModel:
     @property
     def merge_count(self) -> int:
         return len(self.merges)
-
-    def prefix(self, k: int) -> "BpeModel":
-        """Model restricted to the first k merges (training determinism makes
-        this identical to retraining with merge_count=k)."""
-        return BpeModel(self.merges[:k], self.alphabet, self.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -503,36 +499,24 @@ def detokenize(ts: TokenizedSentence) -> str:
 
 # character -> the letter that follows the backslash in its escape; one
 # translate pass does every escape, so no escape's output is escaped again
-_ESCAPE_LETTERS = {"\\": "\\", " ": "s", "\t": "t", "\n": "n", "\r": "r", "|": "p"}
+_ESCAPE_LETTERS = {"\\": "\\", " ": "s", "\t": "t", "\n": "n", "\r": "r", "|": "p", MARKER: "m"}
 _ESCAPES = str.maketrans({c: "\\" + e for c, e in _ESCAPE_LETTERS.items()})
 _UNESCAPES = {e: c for c, e in _ESCAPE_LETTERS.items()}
 _ESCAPE_SEQ_RE = re.compile(r"\\(.?)", re.DOTALL)
-# a backslash and the escape letters; `e` is safe because render_tokens adds
-# `\e` only after the marker is escaped
-_MARKER_CLASHES = "".join(_UNESCAPES) + "m"
 
 
-def check_marker(marker: str) -> None:
-    """Reject a marker that would split an item (whitespace) or clash with
-    the escapes inside a piece."""
-    if not marker or any(c.isspace() or c in _MARKER_CLASHES for c in marker):
-        raise TokenizerError(f"marker {marker!r} must be non-empty and hold no whitespace, "
-                             f"no backslash and none of the escape letters s t n r p m")
+def _escape(piece: str) -> str:
+    return piece.translate(_ESCAPES)
 
 
-def _escape(piece: str, marker: str) -> str:
-    return piece.translate(_ESCAPES).replace(marker, "\\m")
-
-
-def _unescape(piece: str, marker: str) -> str:
-    """Inverse of _escape, plus the empty escape `\\e`; an unknown escape or
-    a lone backslash at the end raises TokenizerError."""
+def _unescape(piece: str) -> str:
+    """Inverse of _escape; an unknown escape or a lone backslash at the end
+    raises TokenizerError."""
     if "\\" not in piece:
         return piece
-    back = {**_UNESCAPES, "m": marker, "e": ""}
 
     def decode(m: re.Match) -> str:
-        char = back.get(m.group(1))
+        char = _UNESCAPES.get(m.group(1))
         if char is None:
             raise TokenizerError(f"unknown escape {m.group()!r} in {piece!r}" if m.group(1)
                                  else f"lone backslash at the end of {piece!r}")
@@ -541,20 +525,13 @@ def _unescape(piece: str, marker: str) -> str:
     return _ESCAPE_SEQ_RE.sub(decode, piece)
 
 
-def render_tokens(ts: TokenizedSentence, marker: str = DEFAULT_MARKER) -> str:
+def render_tokens(ts: TokenizedSentence) -> str:
     """One-line text form: `piece|CASE` items separated by single spaces.
 
     A spaceless gap puts the marker on the left piece's right edge, except
     that a gap before a non-alphabetic token marks that token's left edge
-    instead (matching the conventional look: `wi■ fi ■,`).  A marker that
-    overlaps itself (`@@`) can make a body followed by the marker start with
-    the marker too (`@` + `@@`); such a body is led by the empty escape `\\e`
-    so the item cannot read as a left mark.
+    instead (matching the conventional look: `wi■ fi ■,`).
     """
-    overlaps = False  # the default marker is one character
-    if marker != DEFAULT_MARKER:
-        check_marker(marker)
-        overlaps = any(marker.startswith(marker[k:]) for k in range(1, len(marker)))
     tokens = ts.tokens
     last = len(tokens) - 1
     items = []
@@ -562,10 +539,8 @@ def render_tokens(ts: TokenizedSentence, marker: str = DEFAULT_MARKER) -> str:
     for i, (piece, case, joined) in enumerate(tokens):
         lead = after_joined and case == CASE_N
         trail = joined and i < last and tokens[i + 1].case != CASE_N
-        body = piece if piece.isalnum() and marker not in piece else _escape(piece, marker)
-        if overlaps and trail and not lead and (body + marker).startswith(marker):
-            body = "\\e" + body
-        items.append(f"{marker if lead else ''}{body}{marker if trail else ''}|{case}")
+        body = piece if piece.isalnum() else _escape(piece)
+        items.append(f"{MARKER if lead else ''}{body}{MARKER if trail else ''}|{case}")
         after_joined = joined
     return " ".join(items)
 
@@ -573,7 +548,7 @@ def render_tokens(ts: TokenizedSentence, marker: str = DEFAULT_MARKER) -> str:
 _LEFT_MARK = "token item {!r} has a left mark, which only an N piece after another token takes"
 
 
-def _parse_item(item: str, marker: str, first: bool = False) -> tuple[AnnotatedToken, bool]:
+def _parse_item(item: str, first: bool = False) -> tuple[AnnotatedToken, bool]:
     """One rendered item as (token, left-marked); the token is joined right
     when the item has a right mark.  Raises TokenizerError on every fault
     that needs no neighbouring item to see.  An item that comes `first` in
@@ -583,19 +558,16 @@ def _parse_item(item: str, marker: str, first: bool = False) -> tuple[AnnotatedT
     if not sep or case not in _CASES:
         raise TokenizerError(f"malformed token item {item!r}")
     lead = trail = False
-    if marker in body:
-        lead = body.startswith(marker)
+    if MARKER in body:
+        lead = body.startswith(MARKER)
         if lead:
-            body = body[len(marker):]
-        if body.endswith(marker):
-            body = body[: -len(marker)]
+            body = body[1:]
+        if body.endswith(MARKER):
+            body = body[:-1]
             trail = True
-            # render_tokens leads a body with `\e` when it would read as a left mark
-            if not lead and body.startswith("\\e") and (body[2:] + marker).startswith(marker):
-                body = body[2:]
         if not body:
             raise TokenizerError(f"token item {item!r} has an empty piece")
-        if marker in body and "|" not in body:
+        if MARKER in body and "|" not in body:
             raise TokenizerError(f"token item {item!r} holds a raw marker inside its piece")
         if lead and (first or case != CASE_N):
             raise TokenizerError(_LEFT_MARK.format(item))
@@ -603,29 +575,24 @@ def _parse_item(item: str, marker: str, first: bool = False) -> tuple[AnnotatedT
         if "|" in body:
             raise TokenizerError(f"token item {item!r} holds an unescaped '|'")
         if "\\" in body:
-            piece = _unescape(body, marker)
-            if piece and _escape(piece, marker) != body:
+            piece = _unescape(body)
+            if _escape(piece) != body:
                 raise TokenizerError(f"token item {item!r} is not escaped as render_tokens escapes it")
             body = piece
         # without a backslash, only a raw tab, LF or CR (not printable) needs escaping
-        elif not body.isprintable() and _escape(body, marker) != body:
+        elif not body.isprintable() and _escape(body) != body:
             raise TokenizerError(f"token item {item!r} is not escaped as render_tokens escapes it")
         if not body:
             raise TokenizerError(f"token item {item!r} has an empty piece")
     return AnnotatedToken(body, case, trail), lead
 
 
-def _parse_first(item: str, marker: str) -> tuple[AnnotatedToken, bool]:
-    return _parse_item(item, marker, True)
+# item -> _parse_item(item, first); a raising item is never stored, and
+# `first` changes only whether an item raises
+_parsed = Memo(MEMO_LIMIT)
 
 
-# item -> _parse_item(item, marker, ...) for one marker at a time, replaced
-# when the marker changes; a raising item is never stored, and `first`
-# changes only whether an item raises
-_parsed: tuple[str, Memo] = (DEFAULT_MARKER, Memo(MEMO_LIMIT))
-
-
-def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
+def parse_tokens(text: str) -> TokenizedSentence:
     """Inverse of render_tokens, accepting exactly the lines it writes.
 
     A malformed item, an unescaped `|`, a bad escape, an empty piece (which
@@ -635,25 +602,18 @@ def parse_tokens(text: str, marker: str = DEFAULT_MARKER) -> TokenizedSentence:
     N, a right mark on the last item or before an N piece) raises
     TokenizerError.
 
-    Each distinct item is parsed once per marker: `_parse_item` checks it
-    alone, its result is kept in the module memo `_parsed` (for the last
-    marker used), and this loop makes only the checks that need a
-    neighbour.  The returned tokens are shared with the memo; they are
-    immutable.
+    Each distinct item is parsed once: `_parse_item` checks it alone, its
+    result is kept in the module memo `_parsed`, and this loop makes only
+    the checks that need a neighbour.  The returned tokens are shared with
+    the memo; they are immutable.
     """
-    global _parsed
-    memo_marker, memo = _parsed
-    if marker != memo_marker:
-        check_marker(marker)
-        memo = Memo(MEMO_LIMIT)
-        _parsed = (marker, memo)
     if not text:
         return TokenizedSentence()
     tokens: list[AnnotatedToken] = []
     trailed = False   # the previous item ends with a right mark
-    get = memo.get   # bound once, as `memo.Memo` advises for a loop
+    get = _parsed.get   # bound once, as `memo.Memo` advises for a loop
     for item in text.split(" "):
-        token, lead = get(item) or memo.fill(item, _parse_item if tokens else _parse_first, marker)
+        token, lead = get(item) or _parsed.fill(item, _parse_item, not tokens)
         if lead:   # a left mark joins the previous token
             if not tokens:   # the item was memoized from a later place in a line
                 raise TokenizerError(_LEFT_MARK.format(item))
@@ -676,7 +636,7 @@ _MODEL_HEADER = "bpe-v1"
 
 def save_model(model: BpeModel, path: str) -> None:
     """Versioned header, one merge per line; alphabet appended for losslessness."""
-    chars = [_escape(c, DEFAULT_MARKER) for c in sorted(model.alphabet)]
+    chars = [_escape(c) for c in sorted(model.alphabet)]
     write_lines([f"{_MODEL_HEADER} {model.mode} {model.merge_count}",
                  *(f"{left} {right}" for left, right in model.merges),
                  *("#alphabet " + " ".join(chars[i : i + 64]) for i in range(0, len(chars), 64))],
@@ -699,7 +659,7 @@ def load_model(path: str) -> BpeModel:
             continue
         if line.startswith("#alphabet"):
             try:
-                alphabet.update(_unescape(item, DEFAULT_MARKER) for item in line.split(" ")[1:])
+                alphabet.update(_unescape(item) for item in line.split(" ")[1:])
             except TokenizerError as exc:
                 raise TokenizerError(f"{path}: line {lineno}: {exc}") from None
             continue

@@ -568,32 +568,7 @@ def _one_error_line(capsys) -> str:
     return err
 
 
-@pytest.mark.parametrize("marker", ["", "s", "\\", "a b"],
-                         ids=["empty", "escape-letter", "backslash", "space"])
-def test_bpe_marker_clashing_with_escapes_exits_1(tmp_path, capsys, marker):
-    text = tmp_path / "in.txt"
-    text.write_text("hello world, WiFi here\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert run(["--out-dir", out, "bpe", "train", "--src", text, "--tgt", text,
-                "--merges", 5]) == 0
-    capsys.readouterr()
-    assert run(["--out-dir", out, "bpe", "apply", "--model", out / "bpe.model", "--input", text,
-                "--marker", marker]) == 1
-    assert "marker" in _one_error_line(capsys)
-    assert run(["--out-dir", out, "bpe", "detok", "--input", text, "--marker", marker]) == 1
-    assert "marker" in _one_error_line(capsys)
-    # checked before any line is read, so an empty input is refused too
-    empty = tmp_path / "empty.txt"
-    empty.write_text("", encoding="utf-8")
-    assert run(["--out-dir", out, "bpe", "apply", "--model", out / "bpe.model", "--input", empty,
-                "--marker", marker]) == 1
-    assert "marker" in _one_error_line(capsys)
-    assert run(["--out-dir", out, "bpe", "detok", "--input", empty, "--marker", marker]) == 1
-    assert "line" not in _one_error_line(capsys)
-
-
-@pytest.mark.parametrize("line", ["|L", "a■|L ■|N", "a|L \\e|N"],
-                         ids=["bare-case", "left-mark-only", "empty-escape"])
+@pytest.mark.parametrize("line", ["|L", "a■|L ■|N"], ids=["bare-case", "left-mark-only"])
 def test_bpe_detok_empty_piece_exits_1(tmp_path, capsys, line):
     text = tmp_path / "in.txt"
     text.write_text(f"ok|L\n{line}\n", encoding="utf-8")
@@ -604,10 +579,12 @@ def test_bpe_detok_empty_piece_exits_1(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("line, message", [
     ("a|b|L", "unescaped"), ("a\\q|L", "unknown escape"), ("a\\|L", "lone backslash"),
-    ("■a|L", "left mark"), ("a■|L", "right mark"), ("a\\eb|L", "not escaped"),
+    ("■a|L", "left mark"), ("a■|L", "right mark"), ("a\\eb|L", "unknown escape"),
     ("a■b|L", "raw marker"), ("a|L ■b|L", "left mark"), ("a■|L b|N", "right mark"),
+    ("a|L \\e|N", "unknown escape"),
 ], ids=["raw-bar", "unknown-escape", "trailing-backslash", "first-left-mark", "last-right-mark",
-        "inner-empty-escape", "raw-marker", "left-mark-before-cased", "right-mark-before-n"])
+        "inner-empty-escape", "raw-marker", "left-mark-before-cased", "right-mark-before-n",
+        "empty-escape"])
 def test_bpe_detok_body_render_never_writes_exits_1(tmp_path, capsys, line, message):
     text = tmp_path / "in.txt"
     text.write_text(f"ok|L\n{line}\n", encoding="utf-8")

@@ -100,7 +100,9 @@ def _reference_ingest_scores(path, score_range=(1, 4)):
                 int(row["adequacy"]), int(row["fluency"]),
             )
         except (TypeError, ValueError):
-            raise ScoreError(f"{path}: line {line_number}: malformed record {row}") from None
+            # the row's cells, read again from the line the row starts on
+            cells = next(csv.reader(text + "\n" for text in lines[line_number - 1:]))
+            raise ScoreError(f"{path}: line {line_number}: malformed record {cells}") from None
         for name, score in (("adequacy", record.adequacy), ("fluency", record.fluency)):
             if not low <= score <= high:
                 raise ScoreError(
@@ -166,11 +168,9 @@ def test_ingest_matches_dictreader_reference(tmp_path_factory, text):
 @pytest.mark.parametrize("text, expected", [
     ("\n".join([HEADER, "", "1,r1,sysA,3,4", "", "", "2,r1,sysA,9,4"]), "line 6: adequacy=9 outside range 1-4"),
     ("\n".join([HEADER, "1,r1,sysA,3"]),
-     "line 2: malformed record {'sentence_id': '1', 'rater_id': 'r1', 'system': 'sysA', "
-     "'adequacy': '3', 'fluency': None}"),
+     "line 2: malformed record ['1', 'r1', 'sysA', '3']"),
     ("\n".join(["fluency,system,sentence_id,adequacy,rater_id", "4,sysA,1,3"]),
-     "line 2: malformed record {'fluency': '4', 'system': 'sysA', 'sentence_id': '1', "
-     "'adequacy': '3', 'rater_id': None}"),
+     "line 2: malformed record ['4', 'sysA', '1', '3']"),
     ("\n".join([HEADER, '1,"r\n1",sysA,3,4', '1,"r\n1",sysA,2,2']), "line 4: duplicate key (1, 'r\\n1', 'sysA')"),
 ])
 def test_ingest_names_the_row(tmp_path, text, expected):

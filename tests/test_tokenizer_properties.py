@@ -1,4 +1,4 @@
-"""Hypothesis property tests for the tokenizer: round trips, markers and BPE training."""
+"""Hypothesis property tests for the tokenizer: round trips, the rendered form and BPE training."""
 
 import heapq
 import random
@@ -68,30 +68,18 @@ def test_rendered_form_parses_back(sentence):
     assert tk.parse_tokens(tk.render_tokens(ts)) == ts
 
 
-# markers like `@@` and `aba` overlap themselves, so a piece such as `@`
-# or `ab` followed by the marker also starts with it; the other characters
-# clash with the item separator or with the escapes
-markers = st.one_of(
-    st.sampled_from(["@@", "aba", "■■", "@|@", "e", "", " ", "a b", "s", "ps", "\\"]),
-    st.text(alphabet="@a|■eLstnrpm\\ \t\u3000", max_size=4),
-    st.text(max_size=3),
-)
+# one- and two-character chunks glued to the marker, and chunks holding the
+# item separator `|` or the escape character `\`, apart by any whitespace run
 marker_chunk = st.one_of(chunk, st.sampled_from(["@", "a", "ab", "|", "\\"]))
 marker_sentences = st.lists(st.tuples(st.sampled_from(["", " ", "  ", "\t"]), marker_chunk),
                             max_size=12).map(lambda parts: "".join(sep + c for sep, c in parts))
 
 
-@given(st.one_of(sentences, marker_sentences), markers)
+@given(st.one_of(sentences, marker_sentences))
 @settings(max_examples=500, deadline=None)
-def test_every_accepted_marker_round_trips(sentence, marker):
+def test_every_accepted_marker_round_trips(sentence):
     ts = tk.tokenize(MODEL, sentence)
-    try:
-        rendered = tk.render_tokens(ts, marker)
-    except tk.TokenizerError:
-        with pytest.raises(tk.TokenizerError):
-            tk.parse_tokens("a|L", marker)
-        return
-    assert tk.parse_tokens(rendered, marker) == ts
+    assert tk.parse_tokens(tk.render_tokens(ts)) == ts
 
 
 @given(st.text(alphabet=string.ascii_letters, min_size=1, max_size=12))
@@ -428,29 +416,23 @@ def test_encode_unit_on_repeated_symbols(merges, text, pieces):
     assert model._cache == {text: pieces}
 
 
-def _reference_render(ts, marker=tk.DEFAULT_MARKER):
+def _reference_render(ts):
     """`render_tokens` before the one-pass rewrite: index look-ups around every token."""
-    overlaps = False
-    if marker != tk.DEFAULT_MARKER:
-        tk.check_marker(marker)
-        overlaps = any(marker.startswith(marker[k:]) for k in range(1, len(marker)))
+    marker = tk.MARKER
     items = []
     for i, token in enumerate(ts.tokens):
         lead = i > 0 and ts.tokens[i - 1].joined_right and token.case == tk.CASE_N
         trail = (token.joined_right and i + 1 < len(ts.tokens)
                  and ts.tokens[i + 1].case != tk.CASE_N)
-        body = tk._escape(token.piece, marker)
-        if overlaps and trail and not lead and (body + marker).startswith(marker):
-            body = "\\e" + body
+        body = tk._escape(token.piece)
         items.append((marker if lead else "") + body + (marker if trail else "") + "|" + token.case)
     return " ".join(items)
 
 
-def _reference_parse(text, marker=tk.DEFAULT_MARKER):
+def _reference_parse(text):
     """`parse_tokens` before the one-pass rewrite (it let empty pieces and raw
     bars through)."""
-    if marker != tk.DEFAULT_MARKER:
-        tk.check_marker(marker)
+    marker = tk.MARKER
     if not text:
         return tk.TokenizedSentence()
     parsed = []
@@ -465,29 +447,26 @@ def _reference_parse(text, marker=tk.DEFAULT_MARKER):
         trail = body.endswith(marker)
         if trail:
             body = body[: -len(marker)]
-        parsed.append([tk._unescape(body, marker), case, trail])
+        parsed.append([tk._unescape(body), case, trail])
     return tk.TokenizedSentence(tuple([tk.AnnotatedToken(*p) for p in parsed]))
 
 
-# `x` is alphanumeric, so a piece holding it must still be escaped; `ab`
-# and `Ω` are longer or non-ASCII markers that do not overlap themselves
-render_markers = st.sampled_from(["■", "@@", "x", "ab", "Ω"])
 odd_piece = st.text(alphabet="ab\\| \t\n\rx@Ω■ezL", min_size=1, max_size=5)
 odd_tokens = st.lists(st.builds(tk.AnnotatedToken, st.one_of(odd_piece, words),
                                 st.sampled_from(sorted(tk._CASES)), st.booleans()), max_size=10)
 
 
-def _parse_cold_then_warm(text, marker):
+def _parse_cold_then_warm(text):
     """parse_tokens on an empty item memo, then again once each item of the
     line is memoized from a later place in a line; both calls must raise the
     same error or return the same tokens."""
     def outcome(line):
         try:
-            return tk.parse_tokens(line, marker)
+            return tk.parse_tokens(line)
         except tk.TokenizerError as exc:
             return str(exc)
 
-    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, Memo(tk.MEMO_LIMIT))):
+    with mock.patch.object(tk, "_parsed", Memo(tk.MEMO_LIMIT)):
         cold = outcome(text)
         for item in text.split(" "):
             outcome("a|L " + item)
@@ -498,15 +477,15 @@ def _parse_cold_then_warm(text, marker):
     return cold
 
 
-@given(odd_tokens, render_markers)
+@given(odd_tokens)
 @settings(max_examples=500, deadline=None)
-def test_render_and_parse_match_reference(tokens, marker):
+def test_render_and_parse_match_reference(tokens):
     if tokens:
         tokens[-1] = tokens[-1]._replace(joined_right=False)
     ts = tk.TokenizedSentence(tuple(tokens))
-    rendered = tk.render_tokens(ts, marker)
-    assert rendered == _reference_render(ts, marker)
-    assert _parse_cold_then_warm(rendered, marker) == _reference_parse(rendered, marker) == ts
+    rendered = tk.render_tokens(ts)
+    assert rendered == _reference_render(ts)
+    assert _parse_cold_then_warm(rendered) == _reference_parse(rendered) == ts
 
 
 item_text = st.lists(st.tuples(st.text(alphabet="ab\\■@xΩms|", max_size=4),
@@ -514,26 +493,26 @@ item_text = st.lists(st.tuples(st.text(alphabet="ab\\■@xΩms|", max_size=4),
                      min_size=1, max_size=6).map(lambda items: " ".join(b + c for b, c in items))
 
 
-@given(item_text, render_markers)
+@given(item_text)
 @settings(max_examples=500, deadline=None)
-def test_parse_matches_reference_on_arbitrary_items(text, marker):
+def test_parse_matches_reference_on_arbitrary_items(text):
     # parse_tokens accepts a line exactly when the reference reads it into
     # non-empty pieces that render back to the same line
     try:
-        expected = _reference_parse(text, marker)
+        expected = _reference_parse(text)
     except tk.TokenizerError:
         expected = None
-    if expected is None or not all(expected.pieces()) or tk.render_tokens(expected, marker) != text:
+    if expected is None or not all(expected.pieces()) or tk.render_tokens(expected) != text:
         with pytest.raises(tk.TokenizerError):
-            _parse_cold_then_warm(text, marker)
+            _parse_cold_then_warm(text)
     else:
-        assert _parse_cold_then_warm(text, marker) == expected
+        assert _parse_cold_then_warm(text) == expected
 
 
 @pytest.mark.parametrize("line", ["a|L b■|X", "■a|N", "a|L ■b|L", "a■|L b|N", "a■|L", "a|b|L",
                                   "a\\q|L", "\\e|N", "a■b|L", "a\tb|L"])
 def test_rejected_line_raises_the_same_message_twice(line):
-    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, Memo(tk.MEMO_LIMIT))):
+    with mock.patch.object(tk, "_parsed", Memo(tk.MEMO_LIMIT)):
         messages = []
         for _ in range(2):
             with pytest.raises(tk.TokenizerError) as exc:
@@ -541,38 +520,23 @@ def test_rejected_line_raises_the_same_message_twice(line):
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
         # an item that is faulty alone is never stored
-        for item in tk._parsed[1]:
-            tk._parse_item(item, tk.DEFAULT_MARKER, False)
-
-
-def test_item_memo_holds_one_marker_at_a_time():
-    line = "a@@|L b|L"
-    marked = tk.TokenizedSentence((tk.AnnotatedToken("a", tk.CASE_L, True),
-                                   tk.AnnotatedToken("b", tk.CASE_L, False)))
-    plain = tk.TokenizedSentence((tk.AnnotatedToken("a@@", tk.CASE_L, False),
-                                  tk.AnnotatedToken("b", tk.CASE_L, False)))
-    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, Memo(tk.MEMO_LIMIT))):
-        assert tk.parse_tokens(line, "@@") == marked
-        assert tk.parse_tokens(line) == plain
-        assert tk._parsed[0] == tk.DEFAULT_MARKER
-        assert tk.parse_tokens(line, "@@") == marked
-        assert tk._parsed[0] == "@@" and set(tk._parsed[1]) == {"a@@|L", "b|L"}
+        for item in tk._parsed:
+            tk._parse_item(item, False)
 
 
 def test_full_item_memo_starts_over():
-    with mock.patch.object(tk, "_parsed", (tk.DEFAULT_MARKER, Memo(2))):
+    with mock.patch.object(tk, "_parsed", Memo(2)):
         for line in ["a|L", "a|L b|L", "wi■|L fi|L ■,|N", "c|C d|U", "e|L"]:
             assert tk.render_tokens(tk.parse_tokens(line)) == line
-            assert len(tk._parsed[1]) <= 2 and len(tk._parsed[1].previous) <= 2
-        assert "e|L" in tk._parsed[1]
+            assert len(tk._parsed) <= 2 and len(tk._parsed.previous) <= 2
+        assert "e|L" in tk._parsed
 
 
 @st.composite
 def near_rendered_lines(draw):
     """A rendered line with one character deleted, inserted or replaced."""
-    marker = draw(render_markers)
     tokens = draw(odd_tokens.filter(bool))
-    line = tk.render_tokens(tk.TokenizedSentence(tuple(tokens)), marker)
+    line = tk.render_tokens(tk.TokenizedSentence(tuple(tokens)))
     at = draw(st.integers(min_value=0, max_value=len(line)))
     char = draw(st.sampled_from("ab\\|■@xΩemsLN \t"))
     edit = draw(st.sampled_from(["delete", "insert", "replace"]))
@@ -580,15 +544,14 @@ def near_rendered_lines(draw):
         line = line[:at] + char + line[at:]
     elif at < len(line):
         line = line[:at] + (char if edit == "replace" else "") + line[at + 1:]
-    return line, marker
+    return line
 
 
-@given(st.one_of(near_rendered_lines(), st.tuples(item_text, render_markers)))
+@given(st.one_of(near_rendered_lines(), item_text))
 @settings(max_examples=1000, deadline=None)
-def test_every_accepted_line_renders_back_unchanged(line_and_marker):
-    line, marker = line_and_marker
+def test_every_accepted_line_renders_back_unchanged(line):
     try:
-        ts = _parse_cold_then_warm(line, marker)
+        ts = _parse_cold_then_warm(line)
     except tk.TokenizerError:
         return
-    assert tk.render_tokens(ts, marker) == line
+    assert tk.render_tokens(ts) == line
