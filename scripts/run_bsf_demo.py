@@ -1,11 +1,8 @@
 #!/usr/bin/env python3
-"""End-to-end business-sensitivity demo on the synthetic parking corpus.
+"""Business-sensitivity demo: embeddings, lexicon, classifiers, flip report.
 
-Trains word embeddings, expands a seed lexicon, trains the English and
-German aspect classifiers, evaluates them on a hold-out, and prints the
-cross-language matrix with planted label flips flagged.
-
-Usage: python scripts/run_bsf_demo.py
+An alias of `mtlab experiment bsf-demo`, which also writes a manifest.json.
+Usage: python scripts/run_bsf_demo.py [--out-dir runs/bsf-demo]
 """
 
 import os
@@ -13,45 +10,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from mtlab.bsf import (
-    AspectLexicon,
-    cross_language_report,
-    evaluate_classifier,
-    expand_seeds,
-    train_classifier,
-    train_embeddings,
-)
-from mtlab.synth import embedding_corpus, parking_parallel, parking_sentences
-
-
-def main() -> int:
-    print("== lexicon expansion ==")
-    emb = train_embeddings(embedding_corpus(seed=1), dim=16, window=2, epochs=5, seed=4)
-    for term, sim in expand_seeds(emb, ["pet", "dog"], k=4):
-        print(f"  {sim:.3f} {term}")
-
-    print("\n== per-language classifiers (500-example hold-out) ==")
-    classifiers = {}
-    for language in ("en", "de"):
-        data = parking_sentences(language, 1100, seed=5)
-        clf = train_classifier(data[:600], seed=2)
-        metrics = evaluate_classifier(clf, data[600:1100])
-        classifiers[language] = clf
-        print(f"[{language}] macro-F1 {metrics.macro_f1:.3f}")
-        print(metrics.to_text())
-
-    print("\n== cross-language report (5% planted flips) ==")
-    en_data, de_data, flipped = parking_parallel(400, seed=6, flip_fraction=0.05)
-    pairs = [(e[0], d[0]) for e, d in zip(en_data, de_data)]
-    lex_en = AspectLexicon("parking", "en", approved_terms=["parking", "park"])
-    lex_de = AspectLexicon("parking", "de",
-                           approved_terms=["parkplätze", "parken", "parkplatz", "garage"])
-    report = cross_language_report(pairs, lex_en, lex_de,
-                                   classifiers["en"], classifiers["de"])
-    print(report.to_text())
-    print(f"\nplanted flips: {flipped}")
-    return 0
-
+from mtlab.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["--out-dir", "runs/bsf-demo", "experiment", "bsf-demo", *sys.argv[1:]]))

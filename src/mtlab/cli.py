@@ -21,7 +21,7 @@ import re
 import sys
 
 from . import bleu as bleu_mod
-from . import bsf, corpus, entities, humaneval, synth, tokenizer
+from . import bsf, corpus, entities, humaneval, presets, synth, tokenizer
 from .manifest import write_manifest
 from .optlab import (
     ClusterConfig,
@@ -35,6 +35,7 @@ from .optlab import (
     simulate_cluster,
     train,
 )
+from .optlab.cluster import ITERATIONS_PER_EPOCH, SINGLE_EPOCH_SECONDS
 
 __all__ = ["main", "parse_duration", "format_duration", "parse_sizes"]
 
@@ -313,7 +314,8 @@ def cmd_optlab_train(args) -> None:
 def cmd_optlab_simulate(args) -> None:
     train_ids, val_ids = _toy_data(args, args.tokens)
     if args.calibrate_single is not None:
-        iterations = 840 if args.iterations_per_epoch is None else args.iterations_per_epoch
+        iterations = (ITERATIONS_PER_EPOCH if args.iterations_per_epoch is None
+                      else args.iterations_per_epoch)
         cluster = calibrated_cluster_config(
             args.cluster_mode, args.workers, args.calibrate_single,
             iterations_per_epoch=iterations, warmup_iterations=args.warmup_iters)
@@ -493,6 +495,61 @@ def cmd_eval_correlate(args) -> None:
 
 
 # ---------------------------------------------------------------------------
+# experiment (the paper's runs; presets fixes every setting and seed)
+
+
+def cmd_experiment_convergence(args) -> None:
+    traces = presets.convergence_traces(args.epochs)
+    for kind, trace in traces.items():
+        path = _out(args, f"trace-{kind}.csv")
+        trace.to_csv(path)
+        print(f"{kind:>10}: wrote {path}")
+    quarter = max(1, args.epochs // 4)
+    print(f"\n{'optimizer':>10} {'ppl@' + str(quarter):>10} {'final ppl':>10} {'final lr':>10}")
+    for kind, trace in traces.items():
+        print(f"{kind:>10} {trace.ppl_at_epoch(quarter):>10.3f} "
+              f"{trace.final_ppl():>10.3f} {trace.rows[-1].lr:>10.5f}")
+
+
+def cmd_experiment_cluster_timing(args) -> None:
+    print(f"single worker (calibration): {format_duration(SINGLE_EPOCH_SECONDS)}")
+    print(f"{'workers':>8} {'mode':>6} {'simulated':>10} {'reported':>9} {'error':>7}")
+    worst = 0.0
+    for mode, workers, simulated, reported in presets.timing_table():
+        err = (simulated - reported) / reported
+        worst = max(worst, abs(err))
+        print(f"{workers:>8} {mode:>6} {format_duration(simulated):>10} "
+              f"{format_duration(reported):>9} {err:>+7.1%}")
+    print(f"\nworst absolute error: {worst:.1%}")
+
+
+def cmd_experiment_corpus_size(args) -> None:
+    traces = presets.corpus_size_traces(args.sizes, args.budget, args.checkpoint_every)
+    for label, trace in traces.items():
+        trace.to_csv(_out(args, f"sweep-{label}.csv"))
+    print("iterations " + " ".join(f"{label:>9}" for label in traces))
+    for i, row in enumerate(next(iter(traces.values())).rows):
+        cells = " ".join(f"{trace.rows[i].val_ppl:>9.3f}" for trace in traces.values())
+        print(f"{row.iterations:>10} {cells}")
+
+
+def cmd_experiment_bsf_demo(args) -> None:
+    print("== lexicon expansion ==")
+    emb = bsf.train_embeddings(synth.embedding_corpus(seed=1), dim=16, window=2, epochs=5, seed=4)
+    for term, sim in bsf.expand_seeds(emb, ["pet", "dog"], k=4):
+        print(f"  {sim:.3f} {term}")
+    print("\n== per-language classifiers (500-example hold-out) ==")
+    classifiers = presets.bsf_classifiers()
+    for language, (_, metrics) in classifiers.items():
+        print(f"[{language}] macro-F1 {metrics.macro_f1:.3f}")
+        print(metrics.to_text())
+    print("\n== cross-language report (5% planted flips) ==")
+    report, flipped, _ = presets.bsf_flip_report(classifiers)
+    print(report.to_text())
+    print(f"\nplanted flips: {flipped}")
+
+
+# ---------------------------------------------------------------------------
 # parser
 
 
@@ -616,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     timing.add_argument("--calibrate-single", type=parse_duration, default=None,
                         help="single-worker epoch duration, e.g. 22260s or 6h11m")
     p.add_argument("--iterations-per-epoch", type=int, default=None,
-                   help="with --calibrate-single only (default 840)")
+                   help=f"with --calibrate-single only (default {ITERATIONS_PER_EPOCH})")
     timing.add_argument("--batch-seconds", type=float, default=None, help="default 1.0")
     p.add_argument("--epochs", type=int, default=1)
     p = command(sub, "sweep", cmd_optlab_sweep, _seeded=True)
@@ -670,6 +727,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aspect", default="aspect")
     p.add_argument("--lang-src", default="en")
     p.add_argument("--lang-tgt", default="de")
+
+    sub = group("experiment", "the paper's experiments, each with fixed settings and seeds")
+    p = command(sub, "convergence", cmd_experiment_convergence)
+    p.add_argument("--epochs", type=int, default=presets.CONVERGENCE["epochs"])
+    command(sub, "cluster-timing", cmd_experiment_cluster_timing)
+    p = command(sub, "corpus-size", cmd_experiment_corpus_size)
+    p.add_argument("--sizes", type=parse_sizes, default="500,1000,2000,4000,8000")
+    p.add_argument("--budget", type=int, default=8000)
+    p.add_argument("--checkpoint-every", type=int, default=500)
+    command(sub, "bsf-demo", cmd_experiment_bsf_demo)
 
     sub = group("eval", "human evaluation analytics")
     _score_flags(command(sub, "ingest", cmd_eval_ingest))

@@ -31,6 +31,8 @@ __all__ = [
     "calibrated_cluster_config",
     "SYNC_EPOCH_OVERHEAD_SECONDS",
     "ASYNC_EPOCH_OVERHEAD_SECONDS",
+    "SINGLE_EPOCH_SECONDS",
+    "ITERATIONS_PER_EPOCH",
 ]
 
 # Overhead budget per epoch, fitted once against the reported wall-clock
@@ -38,6 +40,9 @@ __all__ = [
 # per-batch figures used by a calibrated simulation.
 SYNC_EPOCH_OVERHEAD_SECONDS = 2100.0
 ASYNC_EPOCH_OVERHEAD_SECONDS = 600.0
+# The default calibration: the reported single-worker epoch (6h11m) and its batch count.
+SINGLE_EPOCH_SECONDS = 22260.0
+ITERATIONS_PER_EPOCH = 840
 
 
 class ClusterError(ValueError):
@@ -71,8 +76,8 @@ class ClusterConfig:
 def calibrated_cluster_config(
     mode: str,
     worker_count: int,
-    single_epoch_seconds: float = 22260.0,
-    iterations_per_epoch: int = 840,
+    single_epoch_seconds: float = SINGLE_EPOCH_SECONDS,
+    iterations_per_epoch: int = ITERATIONS_PER_EPOCH,
     warmup_iterations: int = 0,
 ) -> ClusterConfig:
     """Timing parameters calibrated so one worker takes `single_epoch_seconds`."""

@@ -14,13 +14,6 @@ import pytest
 from mtlab import entities
 from mtlab import tokenizer as tk
 from mtlab.bleu import corpus_bleu
-from mtlab.bsf import (
-    AspectLexicon,
-    cross_language_report,
-    evaluate_classifier,
-    match_sentences,
-    train_classifier,
-)
 from mtlab.corpus import ParallelCorpus, SentencePair
 from mtlab.humaneval import correlate
 from mtlab.optlab import (
@@ -33,8 +26,9 @@ from mtlab.optlab import (
     simulate_cluster,
     train,
 )
-from mtlab.presets import CONVERGENCE, convergence_data, convergence_model, timing_table
-from mtlab.synth import entity_sentences, parking_parallel, parking_sentences, toy_lm_stream
+from mtlab.presets import (CONVERGENCE, bsf_classifiers, bsf_flip_report, convergence_traces,
+                           timing_table)
+from mtlab.synth import entity_sentences, toy_lm_stream
 
 from test_bleu import oracle_bleu
 from test_tokenizer import FIXTURE_CORPORA, oracle_bpe
@@ -59,15 +53,8 @@ def test_criterion_01_timing_reproduction():
 
 def test_criterion_02_convergence_pattern():
     started = time.monotonic()
-    cfg = CONVERGENCE
-    train_ids, val_ids = convergence_data()
-    traces = {}
-    for kind in ("sgd_decay", "adam", "adagrad", "adadelta"):
-        model = convergence_model()
-        traces[kind] = train(model, train_ids, val_ids, OptimizerConfig(kind),
-                             epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                             seed=cfg["seed"])
-    quarter = cfg["epochs"] // 4
+    traces = convergence_traces()
+    quarter = CONVERGENCE["epochs"] // 4
     adam_quarter = traces["adam"].ppl_at_epoch(quarter)
     sgd_quarter = traces["sgd_decay"].ppl_at_epoch(quarter)
     finals = {kind: trace.final_ppl() for kind, trace in traces.items()}
@@ -249,28 +236,16 @@ def test_criterion_09_entity_pipeline():
 
 def test_criterion_10_bsf_end_to_end():
     started = time.monotonic()
-    results = {}
-    for language in ("en", "de"):
-        data = parking_sentences(language, 1100, seed=5)
-        train_set, heldout = data[:600], data[600:1100]
-        assert len(heldout) == 500
-        clf = train_classifier(train_set, seed=2)
-        results[language] = (clf, evaluate_classifier(clf, heldout))
+    results = bsf_classifiers()
+    assert all(metrics.n == 500 for _, metrics in results.values())
     f1_ok = all(metrics.macro_f1 >= 0.95 for _, metrics in results.values())
 
-    en_data, de_data, flipped = parking_parallel(400, seed=6, flip_fraction=0.05)
-    pairs = [(e[0], d[0]) for e, d in zip(en_data, de_data)]
-    lex_en = AspectLexicon("parking", "en", approved_terms=["parking", "park"])
-    lex_de = AspectLexicon("parking", "de",
-                           approved_terms=["parkplätze", "parken", "parkplatz", "garage"])
-    bsf_report = cross_language_report(pairs, lex_en, lex_de,
-                                       results["en"][0], results["de"][0])
+    bsf_report, flipped, matched = bsf_flip_report(results)
     rows_ok = all(
         sum(bsf_report.matrix[label].values()) == pytest.approx(100.0, abs=0.1)
         for label in bsf_report.labels if bsf_report.volumes[label]
     )
-    matched = set(match_sentences([p[0] for p in pairs], lex_en))
-    expected_flags = {i for i in flipped if i in matched}
+    expected_flags = set(flipped) & set(matched)
     flags_ok = expected_flags <= set(bsf_report.flagged_ids)
     elapsed = time.monotonic() - started
     report(10, "both classifiers reach macro-F1 >= 0.95; matrix rows sum to 100; flips flagged",

@@ -568,6 +568,18 @@ def _one_error_line(capsys) -> str:
     return err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["convergence", "--epochs", 0], "epochs must be at least 1, got 0"),
+    (["corpus-size", "--budget", 0], "iteration_budget must be at least 1, got 0"),
+    (["corpus-size", "--checkpoint-every", 0], "checkpoint_every must be at least 1, got 0"),
+    (["corpus-size", "--sizes", 1], "token stream must contain at least one bigram"),
+])
+def test_experiment_bad_counts_exit_1(tmp_path, capsys, argv, message):
+    assert run(["--out-dir", tmp_path, "experiment", *argv]) == 1
+    assert message in _one_error_line(capsys)
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("line", ["|L", "a■|L ■|N"], ids=["bare-case", "left-mark-only"])
 def test_bpe_detok_empty_piece_exits_1(tmp_path, capsys, line):
     text = tmp_path / "in.txt"

@@ -1,6 +1,6 @@
 """Golden runs of every CLI subcommand.
 
-Runs all 24 subcommands (27 invocations) on small seeded inputs in a
+Runs all 28 subcommands (31 invocations) on small seeded inputs in a
 scratch directory, with relative paths so the recorded config is stable,
 and pins each run's exit code, stdout, the SHA-256 of every file it
 writes and its manifest.json minus `written_at`.  Templates are given as
@@ -81,6 +81,11 @@ RUNS = [
                     "--terms-src", "terms.en.txt", "--terms-tgt", "terms.de.txt",
                     "--clf-src", "out/bsf-train-en/clf.en.txt",
                     "--clf-tgt", "out/bsf-train-de/clf.de.txt"]),
+    ("experiment-convergence", ["experiment", "convergence", "--epochs", "1"]),
+    ("experiment-cluster-timing", ["experiment", "cluster-timing"]),
+    ("experiment-corpus-size", ["experiment", "corpus-size", "--sizes", "500,1000",
+                                "--budget", "100", "--checkpoint-every", "50"]),
+    ("experiment-bsf-demo", ["experiment", "bsf-demo"]),
     ("eval-ingest", ["eval", "ingest", "--scores", "scores.csv"]),
     ("eval-summarize", ["eval", "summarize", "--scores", "scores.csv"]),
     ("eval-correlate", ["eval", "correlate", "--scores", "scores.csv", "--bleu", "bleu.json"]),
@@ -152,7 +157,7 @@ def test_runs_cover_every_subcommand(golden):
     groups = build_parser()._subparsers._group_actions[0].choices
     every = {f"{group} {command}" for group, parser in groups.items()
              for command in parser._subparsers._group_actions[0].choices}
-    assert len(every) == 24
+    assert len(every) == 28
     assert {run["manifest"]["subcommand"] for run in golden.values()} == every
 
 

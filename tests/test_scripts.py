@@ -39,9 +39,17 @@ def test_run_corpus_size_rejects_negative_or_repeated_sizes(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_run_cluster_timing():
-    result = run_script("run_cluster_timing.py")
+def test_run_convergence_bad_count_exits_1_without_traceback(tmp_path):
+    result = run_script("run_convergence.py", "--epochs", 0, "--out-dir", tmp_path)
+    assert result.returncode == 1
+    assert result.stderr == "error: epochs must be at least 1, got 0\n"
+    assert "Traceback" not in result.stderr and not list(tmp_path.iterdir())
+
+
+def test_run_cluster_timing(tmp_path):
+    result = run_script("run_cluster_timing.py", "--out-dir", tmp_path)
     assert result.returncode == 0, result.stderr
+    assert (tmp_path / "manifest.json").exists()
     lines = result.stdout.splitlines()
     assert lines[0] == "single worker (calibration): 6h11m"
     rows = [line.split() for line in lines[2:10]]
@@ -51,9 +59,10 @@ def test_run_cluster_timing():
     assert lines[-1].startswith("worst absolute error: ")
 
 
-def test_run_bsf_demo():
-    result = run_script("run_bsf_demo.py")
+def test_run_bsf_demo(tmp_path):
+    result = run_script("run_bsf_demo.py", "--out-dir", tmp_path)
     assert result.returncode == 0, result.stderr
+    assert (tmp_path / "manifest.json").exists()
     out = result.stdout
     assert "== lexicon expansion ==" in out and "[de] macro-F1" in out
     flagged = out.split("flagged: ")[1].splitlines()[0]
