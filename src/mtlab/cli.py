@@ -4,7 +4,8 @@ Every subcommand writes its outputs into --out-dir (default: $MTLAB_OUT or
 the current directory) through `_out`, which records each path; when it
 succeeds, `main` adds a manifest.json that lists what was written and
 digests every file it read.  Reports are emitted both as JSON and as
-aligned text; trace CSVs are plot-ready.
+aligned text; trace CSVs are plot-ready.  Only the commands that draw random
+numbers take --seed, after the subcommand, and no flag may be abbreviated.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -582,30 +583,31 @@ def _score_flags(p):
 def build_parser() -> argparse.ArgumentParser:
     """The `mtlab` parser, built once per process and shared by every `main`
     call; nothing in it depends on the environment or on one call's state."""
-    parser = argparse.ArgumentParser(prog="mtlab", description=__doc__,
+    parser = argparse.ArgumentParser(prog="mtlab", description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out-dir", help="output directory (default: $MTLAB_OUT or .)")
-    parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # leaf parser from clobbering a value parsed at the top level
+    # --out-dir also goes after the subcommand (SUPPRESS keeps the leaf from clobbering
+    # a top-level value); no parser takes abbreviations, which would read --seed as --seeds
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     top = parser.add_subparsers(dest="group", required=True)
 
     def group(name, help_text):
-        return top.add_parser(name, help=help_text).add_subparsers(dest="command", required=True)
+        return top.add_parser(name, help=help_text, allow_abbrev=False).add_subparsers(
+            dest="command", required=True)
 
-    def command(sub, name, func, **defaults):
-        p = sub.add_parser(name, parents=[common])
-        p.set_defaults(func=func, **defaults)
+    def command(sub, name, func, seeded=False):
+        p = sub.add_parser(name, parents=[common], allow_abbrev=False)
+        p.set_defaults(func=func)
+        if seeded:  # only the commands that draw random numbers take --seed
+            p.add_argument("--seed", type=int, default=0, help="random seed")
         return p
 
     sub = group("corpus", "load/split/subsample parallel corpora")
-    p = command(sub, "split", cmd_corpus_split, _seeded=True)
+    p = command(sub, "split", cmd_corpus_split, seeded=True)
     _corpus_inputs(p)
     p.add_argument("--validation-size", type=int, required=True)
-    p = command(sub, "subsample", cmd_corpus_subsample, _seeded=True)
+    p = command(sub, "subsample", cmd_corpus_subsample, seeded=True)
     _corpus_inputs(p)
     p.add_argument("--sizes", type=parse_sizes, required=True,
                    help="comma-separated sizes, e.g. 100,250,500")
@@ -658,11 +660,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lowercase", action="store_true")
 
     sub = group("optlab", "optimizer laboratory and cluster simulation")
-    p = command(sub, "train", cmd_optlab_train, _seeded=True)
+    p = command(sub, "train", cmd_optlab_train, seeded=True)
     _toy_flags(p)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--epochs", type=int, default=20)
-    p = command(sub, "simulate", cmd_optlab_simulate, _seeded=True)
+    p = command(sub, "simulate", cmd_optlab_simulate, seeded=True)
     p.set_defaults(_simulate_parser=p)  # main ties the epoch length to calibration
     _toy_flags(p)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
@@ -676,20 +678,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"with --calibrate-single only (default {ITERATIONS_PER_EPOCH})")
     timing.add_argument("--batch-seconds", type=float, default=None, help="default 1.0")
     p.add_argument("--epochs", type=int, default=1)
-    p = command(sub, "sweep", cmd_optlab_sweep, _seeded=True)
+    p = command(sub, "sweep", cmd_optlab_sweep, seeded=True)
     _toy_flags(p, tokens=False)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--sizes", type=parse_sizes, required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--checkpoint-every", type=int, default=100)
-    p = command(sub, "gradcheck", cmd_optlab_gradcheck, _seeded=True)
+    p = command(sub, "gradcheck", cmd_optlab_gradcheck, seeded=True)
     _toy_flags(p, tokens=False, noise=False)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-6)
 
     sub = group("bsf", "business sensitivity framework")
-    p = command(sub, "embed", cmd_bsf_embed, _seeded=True)
+    p = command(sub, "embed", cmd_bsf_embed, seeded=True)
     p.add_argument("--input", type=InputFile, required=True,
                    help="pre-tokenized text, one sentence per line")
     p.add_argument("--dim", type=int, default=32)
@@ -708,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=InputFile, required=True)
     p.add_argument("--aspect", default="aspect")
     p.add_argument("--language", default="en")
-    p = command(sub, "train", cmd_bsf_train, _seeded=True)
+    p = command(sub, "train", cmd_bsf_train, seeded=True)
     p.add_argument("--labeled", type=InputFile, required=True, help="TSV of label<TAB>text")
     p.add_argument("--bits", type=int, default=18)
     p.add_argument("--lr", type=float, default=0.5)
@@ -762,7 +764,7 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args)
         inputs = [value for value in vars(args).values() if isinstance(value, InputFile)]
         write_manifest(args.out_dir, f"{args.group} {args.command}", vars(args), inputs,
-                       args._outputs, args.seed if getattr(args, "_seeded", False) else None)
+                       args._outputs, getattr(args, "seed", None))
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

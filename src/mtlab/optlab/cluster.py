@@ -68,7 +68,7 @@ class ClusterConfig:
         if not 0 < self.per_batch_compute_time < math.inf:  # also false for nan
             raise ClusterError(f"per_batch_compute_time must be finite and > 0, "
                                f"got {self.per_batch_compute_time}")
-        for name in ("sync_overhead_per_batch", "async_comm_time"):
+        for name in ("sync_overhead_per_batch", "async_comm_time", "async_warmup_iterations"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ClusterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 

@@ -14,7 +14,7 @@ import numpy as np
 from .optlab import (OptimizerConfig, SurrogateConfig, SurrogateModel, TrainingTrace,
                      calibrated_cluster_config, corpus_size_sweep, optimizers,
                      simulate_cluster, train)
-from .optlab.cluster import ITERATIONS_PER_EPOCH, SINGLE_EPOCH_SECONDS
+from .optlab.cluster import ITERATIONS_PER_EPOCH
 from .synth import parking_parallel, parking_sentences, toy_lm_stream
 
 __all__ = ["CONVERGENCE", "convergence_data", "convergence_model", "convergence_traces",
@@ -33,15 +33,12 @@ CONVERGENCE = {
     "corpus_seed": 11,
 }
 
+# (mode, workers) -> the reported epoch seconds, for the default calibration
 TIMING = {
-    "single_epoch_seconds": SINGLE_EPOCH_SECONDS,
-    "iterations_per_epoch": ITERATIONS_PER_EPOCH,
-    "reported_seconds": {
-        ("sync", 2): 12660.0, ("async", 2): 21120.0,
-        ("sync", 4): 8040.0, ("async", 4): 7500.0,
-        ("sync", 6): 5940.0, ("async", 6): 4560.0,
-        ("sync", 8): 4980.0, ("async", 8): 3360.0,
-    },
+    ("sync", 2): 12660.0, ("async", 2): 21120.0,
+    ("sync", 4): 8040.0, ("async", 4): 7500.0,
+    ("sync", 6): 5940.0, ("async", 6): 4560.0,
+    ("sync", 8): 4980.0, ("async", 8): 3360.0,
 }
 
 
@@ -73,13 +70,11 @@ def convergence_traces(epochs: int = CONVERGENCE["epochs"]) -> dict[str, Trainin
 
 def timing_table() -> list[tuple[str, int, float, float]]:
     """(mode, workers, simulated, reported) epoch seconds per reported entry."""
-    iterations = TIMING["iterations_per_epoch"]
-    train_ids = toy_lm_stream(iterations * 4 + 1, 24, seed=3)
+    train_ids = toy_lm_stream(ITERATIONS_PER_EPOCH * 4 + 1, 24, seed=3)
     val_ids = toy_lm_stream(120, 24, seed=4)
     rows = []
-    for (mode, workers), reported in TIMING["reported_seconds"].items():
-        cluster = calibrated_cluster_config(mode, workers,
-                                            TIMING["single_epoch_seconds"], iterations)
+    for (mode, workers), reported in TIMING.items():
+        cluster = calibrated_cluster_config(mode, workers)
         model = SurrogateModel(SurrogateConfig(24, 4, 8), seed=9)
         trace = simulate_cluster(model, train_ids, val_ids, OptimizerConfig("sgd_decay"),
                                  cluster, epochs=1, batch_size=4, seed=2)

@@ -1,11 +1,13 @@
 import argparse
 import json
 import os
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from mtlab.cli import main, parse_duration, parse_sizes
+from mtlab.cli import build_parser, main, parse_duration, parse_sizes
 from mtlab.entities import starter_templates
 from mtlab.manifest import file_digest
 from mtlab.synth import entity_sentences, parking_sentences, toy_parallel_corpus
@@ -39,7 +41,7 @@ def test_parse_duration_forms():
 def test_corpus_split_writes_manifest(tmp_path, corpus_files):
     src, tgt = corpus_files
     out = tmp_path / "out"
-    code = run(["--out-dir", out, "--seed", 5, "corpus", "split",
+    code = run(["--out-dir", out, "corpus", "split", "--seed", 5,
                 "--src", src, "--tgt", tgt, "--validation-size", 8])
     assert code == 0
     assert (out / "train.src").exists() and (out / "validation.tgt").exists()
@@ -54,7 +56,7 @@ def test_corpus_split_rerun_is_bit_identical(tmp_path, corpus_files):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        run(["--out-dir", out, "--seed", 5, "corpus", "split",
+        run(["--out-dir", out, "corpus", "split", "--seed", 5,
              "--src", src, "--tgt", tgt, "--validation-size", 8])
         outs.append((out / "train.src").read_bytes() + (out / "validation.src").read_bytes())
     assert outs[0] == outs[1]
@@ -374,6 +376,55 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+SEEDED = {"corpus split", "corpus subsample", "optlab train", "optlab simulate", "optlab sweep",
+          "optlab gradcheck", "bsf embed", "bsf train"}
+
+
+def test_seed_only_where_random_numbers_are_drawn_and_no_abbreviations():
+    parser = build_parser()
+    assert {s for a in parser._actions for s in a.option_strings} == {"-h", "--help", "--out-dir"}
+    with_seed, parsers = set(), [parser]
+    for group, group_parser in parser._subparsers._group_actions[0].choices.items():
+        parsers.append(group_parser)
+        for command, leaf in group_parser._subparsers._group_actions[0].choices.items():
+            parsers.append(leaf)
+            if "--seed" in leaf._option_string_actions:
+                with_seed.add(f"{group} {command}")
+    assert with_seed == SEEDED
+    assert len(parsers) == 1 + 8 + 28 and not any(p.allow_abbrev for p in parsers)
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "cluster-timing", "--seed", 9],
+    ["bsf", "expand", "--vectors", "v", "--seeds", "dog", "--seed", 3],
+    ["bsf", "match", "--input", "i", "--term", "t"],
+    ["--out", "o", "experiment", "cluster-timing"],
+], ids=["unseeded-command", "seed-beside-seeds", "abbreviated-flag", "abbreviated-top-level-flag"])
+def test_unseeded_seed_and_abbreviated_flags_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # a parser that took `--out` for `--out-dir` would write `o/`
+    with pytest.raises(SystemExit) as exc:
+        run(["--out-dir", tmp_path, *argv])
+    assert exc.value.code == 2
+    assert not list(tmp_path.rglob("manifest.json"))
+
+
+def _readme_commands() -> list[str]:
+    """Each `mtlab ...` command in README's bash blocks, continuation lines joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("mtlab ")]
+
+
+def test_readme_lists_the_commands():
+    assert len(_readme_commands()) == 32
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_commands_parse(line):
+    build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--epochs", 0],
     ["train", "--batch-size", 0],
@@ -384,6 +435,7 @@ def test_usage_error_exits_2():
     ["gradcheck", "--samples", 0],
     ["simulate", "--workers", 2, "--cluster-mode", "sync", "--calibrate-single", "6h",
      "--iterations-per-epoch", 0],
+    ["simulate", "--workers", 3, "--cluster-mode", "async", "--warmup-iters", -5],
 ])
 def test_optlab_counts_below_one_exit_1(tmp_path, capsys, argv):
     small = ["--vocab", 32, "--embed-dim", 8, "--hidden-dim", 16]

@@ -36,7 +36,7 @@ TINY_LM = [*TINY_MODEL, "--tokens", "600"]
 # (run name, argv); each run writes into the out-dir named after it, and
 # later runs read earlier runs' outputs
 RUNS = [
-    ("corpus-split", ["--seed", "3", "corpus", "split", "--src", "c.src", "--tgt", "c.tgt",
+    ("corpus-split", ["corpus", "split", "--seed", "3", "--src", "c.src", "--tgt", "c.tgt",
                       "--validation-size", "5"]),
     ("corpus-subsample", ["corpus", "subsample", "--tsv", "c.tsv", "--sizes", "5,10",
                           "--seed", "4"]),
