@@ -27,8 +27,8 @@ def _tokens(text: str) -> list[str]:
 
 @dataclass
 class AspectLexicon:
-    aspect: str
-    language: str
+    aspect: str = ""  # aspect and language only name the lexicon in match_sentences' error
+    language: str = ""
     approved_terms: list[str] = field(default_factory=list)
 
 
@@ -84,9 +84,12 @@ def match_sentences(sentences: list[str], lexicon: AspectLexicon) -> list[int]:
 
 
 def load_terms(path: str) -> list[str]:
-    """One term per line; `#` starts a comment."""
+    """One term per line; `#` starts a comment; a file with no usable term raises ValueError."""
     terms = [line.split("#", 1)[0].strip() for line in read_lines(path)]
-    return [term for term in terms if term]
+    terms = [term for term in terms if term]
+    if not any(_tokens(term) for term in terms):
+        raise ValueError(f"terms file {path} has no usable terms")
+    return terms
 
 
 def save_terms(terms: list, path: str, header: str = "") -> None:

@@ -314,19 +314,20 @@ def cmd_optlab_train(args) -> None:
 
 def cmd_optlab_simulate(args) -> None:
     train_ids, val_ids = _toy_data(args, args.tokens)
+    warmup = ClusterConfig.async_warmup_iterations if args.warmup_iters is None else args.warmup_iters
     if args.calibrate_single is not None:
         iterations = (ITERATIONS_PER_EPOCH if args.iterations_per_epoch is None
                       else args.iterations_per_epoch)
         cluster = calibrated_cluster_config(
             args.cluster_mode, args.workers, args.calibrate_single,
-            iterations_per_epoch=iterations, warmup_iterations=args.warmup_iters)
+            iterations_per_epoch=iterations, warmup_iterations=warmup)
         # the calibration fixes the batch count per epoch; size the stream to it
         train_ids = _toy_data(args, iterations * args.batch_size + 1)[0]
     else:
         cluster = ClusterConfig(args.workers, args.cluster_mode,
                                 per_batch_compute_time=(1.0 if args.batch_seconds is None
                                                         else args.batch_seconds),
-                                async_warmup_iterations=args.warmup_iters)
+                                async_warmup_iterations=warmup)
     trace = simulate_cluster(_toy_model(args), train_ids, val_ids, OptimizerConfig(args.optimizer),
                              cluster, epochs=args.epochs, batch_size=args.batch_size,
                              seed=args.seed)
@@ -400,8 +401,7 @@ def cmd_bsf_expand(args) -> None:
 
 
 def cmd_bsf_match(args) -> None:
-    lexicon = bsf.AspectLexicon(args.aspect, args.language,
-                                approved_terms=bsf.load_terms(args.terms))
+    lexicon = bsf.AspectLexicon(approved_terms=bsf.load_terms(args.terms))
     sentences = corpus.read_lines(args.input)
     matched = bsf.match_sentences(sentences, lexicon)
     path = _out(args, "matched-ids.txt")
@@ -433,10 +433,8 @@ def cmd_bsf_eval(args) -> None:
 
 def cmd_bsf_report(args) -> None:
     pairs = corpus.read_pairs(args.pairs)
-    lex_src = bsf.AspectLexicon(args.aspect, args.lang_src,
-                                approved_terms=bsf.load_terms(args.terms_src))
-    lex_tgt = bsf.AspectLexicon(args.aspect, args.lang_tgt,
-                                approved_terms=bsf.load_terms(args.terms_tgt))
+    lex_src = bsf.AspectLexicon(approved_terms=bsf.load_terms(args.terms_src))
+    lex_tgt = bsf.AspectLexicon(approved_terms=bsf.load_terms(args.terms_tgt))
     report = bsf.cross_language_report(pairs, lex_src, lex_tgt,
                                        bsf.load_classifier(args.clf_src),
                                        bsf.load_classifier(args.clf_tgt))
@@ -665,12 +663,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--epochs", type=int, default=20)
     p = command(sub, "simulate", cmd_optlab_simulate, seeded=True)
-    p.set_defaults(_simulate_parser=p)  # main ties the epoch length to calibration
+    p.set_defaults(_simulate_parser=p)  # main checks the flags that belong to one mode
     _toy_flags(p)
     p.add_argument("--optimizer", choices=optimizers.KINDS, default="sgd_decay")
     p.add_argument("--workers", type=int, required=True)
     p.add_argument("--cluster-mode", choices=["sync", "async"], required=True)
-    p.add_argument("--warmup-iters", type=int, default=6000)
+    p.add_argument("--warmup-iters", type=int,
+                   help=f"async mode only (default {ClusterConfig.async_warmup_iterations})")
     timing = p.add_mutually_exclusive_group()
     timing.add_argument("--calibrate-single", type=parse_duration, default=None,
                         help="single-worker epoch duration, e.g. 22260s or 6h11m")
@@ -708,8 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "match", cmd_bsf_match)
     p.add_argument("--input", type=InputFile, required=True)
     p.add_argument("--terms", type=InputFile, required=True)
-    p.add_argument("--aspect", default="aspect")
-    p.add_argument("--language", default="en")
     p = command(sub, "train", cmd_bsf_train, seeded=True)
     p.add_argument("--labeled", type=InputFile, required=True, help="TSV of label<TAB>text")
     p.add_argument("--bits", type=int, default=18)
@@ -726,9 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms-tgt", type=InputFile, required=True)
     p.add_argument("--clf-src", type=InputFile, required=True)
     p.add_argument("--clf-tgt", type=InputFile, required=True)
-    p.add_argument("--aspect", default="aspect")
-    p.add_argument("--lang-src", default="en")
-    p.add_argument("--lang-tgt", default="de")
 
     sub = group("experiment", "the paper's experiments, each with fixed settings and seeds")
     p = command(sub, "convergence", cmd_experiment_convergence)
@@ -757,9 +751,11 @@ def main(argv: list[str] | None = None) -> int:
     given = tuple(bool(getattr(args, flag, None)) for flag in ("tsv", "src", "tgt"))
     if hasattr(args, "_corpus_parser") and given not in ((True, False, False), (False, True, True)):
         args._corpus_parser.error("give --tsv, or both --src and --tgt")
-    if hasattr(args, "_simulate_parser") and args.calibrate_single is None \
-            and args.iterations_per_epoch is not None:
-        args._simulate_parser.error("--iterations-per-epoch needs --calibrate-single")
+    if hasattr(args, "_simulate_parser"):
+        if args.calibrate_single is None and args.iterations_per_epoch is not None:
+            args._simulate_parser.error("--iterations-per-epoch needs --calibrate-single")
+        if args.cluster_mode != "async" and args.warmup_iters is not None:
+            args._simulate_parser.error("--warmup-iters needs --cluster-mode async")
     try:
         args.func(args)
         inputs = [value for value in vars(args).values() if isinstance(value, InputFile)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,16 +140,15 @@ def weighted_kappa(pairs: list[tuple[int, int]], score_range: tuple[int, int] = 
     size = high - low + 1
     if size < 2 or not pairs:
         return None
-    observed = [[0.0] * size for _ in range(size)]
-    for a, b in pairs:
-        observed[a - low][b - low] += 1
-    n = len(pairs)
-    marginal_a = [sum(row) for row in observed]
-    marginal_b = [sum(observed[i][j] for i in range(size)) for j in range(size)]
-    weight = lambda i, j: (i - j) ** 2 / (size - 1) ** 2
-    num = sum(weight(i, j) * observed[i][j] for i in range(size) for j in range(size))
-    den = sum(weight(i, j) * marginal_a[i] * marginal_b[j] / n
-              for i in range(size) for j in range(size))
+    # sums over the observed scores only, in (a, b) order: an empty cell would add 0.0
+    n, scale = len(pairs), (size - 1) ** 2
+    marginal_a, marginal_b, num = {}, {}, 0
+    for (a, b), count in sorted(Counter(pairs).items()):
+        marginal_a[a] = marginal_a.get(a, 0) + count
+        marginal_b[b] = marginal_b.get(b, 0) + count
+        num += (a - b) ** 2 / scale * count
+    den = sum((a - b) ** 2 / scale * ma * mb / n
+              for a, ma in sorted(marginal_a.items()) for b, mb in sorted(marginal_b.items()))
     if den == 0.0:
         return None
     return 1.0 - num / den

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,16 @@ def test_ner_scan_reports_counts(tmp_path, corpus_files):
     assert "mismatch_counts" in report and report["pair_count"] == 40
 
 
+def test_ner_scan_empty_corpus_reports_zero_pairs(tmp_path):
+    for name in ("e.src", "e.tgt"):
+        (tmp_path / name).write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--out-dir", out, "ner", "scan", "--src", tmp_path / "e.src",
+                "--tgt", tmp_path / "e.tgt"]) == 0
+    assert json.loads((out / "mismatches.json").read_text(encoding="utf-8"))["pair_count"] == 0
+    assert (out / "manifest.json").exists()
+
+
 def test_ner_validate(tmp_path):
     out = tmp_path / "out"
     pairs = tmp_path / "pairs.tsv"
@@ -203,6 +214,7 @@ def test_optlab_simulate_calibrated_async8(tmp_path):
     (["--calibrate-single", "6h", "--batch-seconds", 99],
      "argument --batch-seconds: not allowed with argument --calibrate-single"),
     (["--iterations-per-epoch", 20], "--iterations-per-epoch needs --calibrate-single"),
+    (["--warmup-iters", 0], "--warmup-iters needs --cluster-mode async"),
 ])
 def test_optlab_simulate_other_mode_flag_is_usage_error(tmp_path, capsys, flags, message):
     with pytest.raises(SystemExit) as exc:
@@ -294,6 +306,10 @@ def test_bsf_report_end_to_end(tmp_path):
     assert (out / "bsf-report.txt").read_text(encoding="utf-8")
 
 
+_BSF_REPORT_FILES = ["--pairs", "p.tsv", "--terms-src", "en.txt", "--terms-tgt", "de.txt",
+                     "--clf-src", "en.clf", "--clf-tgt", "de.clf"]
+
+
 def _bsf_report_with_terms(tmp_path, terms_src):
     """`bsf report` on two pairs, with two hand-written classifiers that always say `b`."""
     (tmp_path / "pairs.tsv").write_text(
@@ -316,6 +332,31 @@ def test_bsf_report_without_usable_terms_exits_1(tmp_path, capsys):
     assert _bsf_report_with_terms(tmp_path, "--\n...\n") == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "has no usable terms" in err
+
+
+def test_bsf_match_unusable_terms_file_exits_1_naming_it(tmp_path, capsys):
+    (tmp_path / "s.txt").write_text("Free parking here.\n", encoding="utf-8")
+    terms = tmp_path / "terms.txt"
+    terms.write_text("# approved\n--\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "bsf", "match", "--input", tmp_path / "s.txt",
+                "--terms", terms]) == 1
+    assert f"terms file {terms} has no usable terms" in _one_error_line(capsys)
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["match", "--input", "s.txt", "--terms", "t.txt", "--aspect", "parking"],
+    ["match", "--input", "s.txt", "--terms", "t.txt", "--language", "en"],
+    ["report", *_BSF_REPORT_FILES, "--aspect", "parking"],
+    ["report", *_BSF_REPORT_FILES, "--lang-src", "en"],
+    ["report", *_BSF_REPORT_FILES, "--lang-tgt", "de"],
+], ids=["match-aspect", "match-language", "report-aspect", "report-lang-src",
+        "report-lang-tgt"])
+def test_bsf_deleted_lexicon_name_flags_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(["--out-dir", tmp_path, "bsf", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
 
 
 def test_ner_unmask_missing_template_type_exits_1(tmp_path):
@@ -349,6 +390,25 @@ def test_eval_flow(tmp_path):
     correlation = json.loads((out / "correlation-adequacy.json").read_text())
     assert correlation["argmax_disagreement"] is True
     assert (out / "bleu-vs-human.csv").read_text().splitlines()[0] == "system,bleu,adequacy,fluency"
+
+
+def test_eval_summarize_wide_score_range_is_fast_and_keeps_kappa(tmp_path):
+    scores = tmp_path / "scores.csv"
+    rows = ["sentence_id,rater_id,system,adequacy,fluency"]
+    for sid, (a1, a2, f1, f2) in enumerate([(1, 2, 3, 3), (2, 2, 4, 3), (4, 3, 2, 1),
+                                            (3, 3, 1, 2), (2, 1, 4, 4)], start=1):
+        rows += [f"{sid},r1,sysA,{a1},{f1}", f"{sid},r2,sysA,{a2},{f2}"]
+    scores.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    kappas = {}
+    for high in (4, 1_000_000):
+        start = time.perf_counter()
+        assert run(["--out-dir", tmp_path / str(high), "eval", "summarize", "--scores", scores,
+                    "--score-max", high]) == 0
+        assert time.perf_counter() - start < 1.0
+        system = json.loads((tmp_path / str(high) / "summary.json").read_text())["sysA"]
+        kappas[high] = (system["kappa_adequacy"], system["kappa_fluency"])
+    assert None not in kappas[4]
+    assert kappas[1_000_000] == pytest.approx(kappas[4], rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("command", ["ingest", "summarize"])

@@ -4,8 +4,10 @@ Runs all 28 subcommands (31 invocations) on small seeded inputs in a
 scratch directory, with relative paths so the recorded config is stable,
 and pins each run's exit code, stdout, the SHA-256 of every file it
 writes and its manifest.json minus `written_at`.  Templates are given as
-starter codes.  Regenerate only from a commit whose outputs are known
-good:
+starter codes.  A sweep then moves each flag of each run to one other
+value and checks that the run changes.  Regenerate only from a commit
+whose outputs are known good; the script prints each run and key whose
+value changed:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -15,11 +17,12 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import tempfile
 
 import pytest
 
-from mtlab.cli import build_parser, main
+from mtlab.cli import InputFile, build_parser, main, parse_sizes, template_source
 from mtlab.corpus import write_lines, write_parallel
 from mtlab.entities import find_entities, starter_templates
 from mtlab.synth import (
@@ -128,22 +131,27 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def run_one(name: str, argv: list[str]) -> dict:
+    """`argv` run into out/<name>: its exit code, stdout and the SHA-256 of each file it wrote."""
+    out_dir = os.path.join("out", name)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["--out-dir", out_dir, *argv])
+    written = sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []
+    files = {f: _sha256(os.path.join(out_dir, f)) for f in written if f != "manifest.json"}
+    return {"exit": code, "stdout": stdout.getvalue(), "files": files}
+
+
 def run_all() -> dict:
     """Every run in RUNS from the current directory: what it printed and wrote."""
     write_inputs()
     record = {}
     for name, argv in RUNS:
-        out_dir = os.path.join("out", name)
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = main(["--out-dir", out_dir, *argv])
-        files = {f: _sha256(os.path.join(out_dir, f))
-                 for f in sorted(os.listdir(out_dir)) if f != "manifest.json"}
-        with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
+        record[name] = run_one(name, argv)
+        with open(os.path.join("out", name, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
         del manifest["written_at"]
-        record[name] = {"exit": code, "stdout": stdout.getvalue(), "files": files,
-                        "manifest": manifest}
+        record[name]["manifest"] = manifest
     return record
 
 
@@ -153,20 +161,140 @@ def golden():
         return json.load(fh)
 
 
-def test_runs_cover_every_subcommand(golden):
+@pytest.fixture(scope="module")
+def baseline(tmp_path_factory):
+    """A directory in which run_all ran, and what it recorded; the flag sweep
+    reruns single runs there against those outputs."""
+    path = tmp_path_factory.mktemp("cli-golden")
+    here = os.getcwd()
+    os.chdir(path)
+    try:
+        return path, run_all()
+    finally:
+        os.chdir(here)
+
+
+def _leaves() -> dict:
+    """'group command' -> the leaf parser, for every subcommand."""
     groups = build_parser()._subparsers._group_actions[0].choices
-    every = {f"{group} {command}" for group, parser in groups.items()
-             for command in parser._subparsers._group_actions[0].choices}
+    return {f"{group} {command}": leaf for group, parser in groups.items()
+            for command, leaf in parser._subparsers._group_actions[0].choices.items()}
+
+
+def test_runs_cover_every_subcommand(golden):
+    every = set(_leaves())
     assert len(every) == 28
     assert {run["manifest"]["subcommand"] for run in golden.values()} == every
 
 
-def test_every_run_matches_golden(tmp_path, monkeypatch, golden):
-    monkeypatch.chdir(tmp_path)
-    got = run_all()
+def test_every_run_matches_golden(baseline, golden):
+    got = baseline[1]
     assert sorted(got) == sorted(golden)
     for name, want in golden.items():
         assert got[name] == want, name
+
+
+# Values for flags whose generic move (int +1, float x2, text + "x", the next
+# choice, the other starter code, a size list less its last size, a flag
+# toggled) shows no effect on these inputs, keyed by flag or "subcommand flag"
+MOVES = {
+    "--score-min": "3",  # the sheet's scores lie in 2-4: only a narrower range drops rows
+    "--score-max": "3",
+    "ner validate --tolerance": "0.5",  # 0.01 and 0.02 pass and fail the same pairs
+    "optlab gradcheck --tolerance": "1e-9",  # below the measured error, so the check fails
+    "--tokens": "3000",  # under --calibrate-single it sizes only the validation stream,
+                         # to max(500, tokens // 5)
+    "--calibrate-single": "3h",
+    "--candidate": "the hotel has a garden",  # "poolx" would miss the reference as "pool" does
+    "--reference": "the hotel has a pool",
+    "--seeds": "dog",  # "carx" would change the run too, but with a warning
+}
+
+# (run, flag) -> why moving the flag changes nothing on the golden inputs
+UNCHANGED = {}
+
+
+def _moved(subcommand: str, action, value) -> list[str]:
+    """The argv tokens that give `action` one other valid value than `value`."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:  # a store_true flag is toggled
+        return [] if value else [flag]
+    moved = MOVES.get(f"{subcommand} {flag}", MOVES.get(flag))
+    if moved is None:
+        if action.choices:
+            moved = next(choice for choice in action.choices if choice != value)
+        elif action.type is template_source:
+            moved = "de" if value == "en" else "en"
+        elif action.type is parse_sizes:
+            moved = ",".join(str(size) for size in value[:-1])
+        elif action.type is int:
+            moved = 1 if value is None else value + 1
+        elif action.type is float:
+            moved = 1.0 if value is None else value * 2 or 0.5
+        elif action.type is None:
+            moved = f"{value or ''}x"
+        else:
+            raise AssertionError(f"{subcommand} {flag}: add a value to MOVES")
+    return [flag, str(moved)]
+
+
+def _without(argv: list[str], action) -> list[str]:
+    """`argv` with every occurrence of `action`'s flag and its value dropped."""
+    kept, skip = [], 0
+    for token in argv:
+        if skip:
+            skip -= 1
+        elif token in action.option_strings:
+            skip = 0 if action.nargs == 0 else 1
+        else:
+            kept.append(token)
+    return kept
+
+
+def _rerun(name: str, argv: list[str]) -> dict:
+    """`name` run again with `argv`, its baseline outputs set aside meanwhile;
+    a usage error records exit 2 and nothing else."""
+    out_dir = os.path.join("out", name)
+    os.rename(out_dir, out_dir + ".baseline")
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return run_one(name, argv)
+    except SystemExit as exc:
+        return {"exit": exc.code}
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)
+        os.rename(out_dir + ".baseline", out_dir)
+
+
+def test_every_flag_changes_its_run(baseline, monkeypatch):
+    """Each flag of a run's subcommand, moved to one other value, changes the
+    run's exit code, stdout or an output file: a manifest's config never
+    records a setting that took no effect.  Paths are not moved."""
+    path, record = baseline
+    monkeypatch.chdir(path)
+    leaves, unchanged = _leaves(), set()
+    for name, argv in RUNS:
+        args = build_parser().parse_args(argv)
+        subcommand = f"{args.group} {args.command}"
+        for action in leaves[subcommand]._actions:
+            if action.dest in ("help", "out_dir", "output") or action.type is InputFile:
+                continue
+            moved = [*_without(argv, action),
+                     *_moved(subcommand, action, getattr(args, action.dest))]
+            got = _rerun(name, moved)
+            if all(got.get(key) == record[name][key] for key in ("exit", "stdout", "files")):
+                unchanged.add((name, action.option_strings[0]))
+    assert sorted(unchanged) == sorted(UNCHANGED)
+
+
+def _changed_keys(old, new, path=""):
+    """(dotted key, old value, new value) for each leaf that differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _changed_keys(old.get(key, "(absent)"), new.get(key, "(absent)"),
+                                     f"{path}.{key}" if path else key)
+    elif old != new:
+        yield path, old, new
 
 
 if __name__ == "__main__":
@@ -177,6 +305,11 @@ if __name__ == "__main__":
             record = run_all()
         finally:
             os.chdir(here)
+    if os.path.exists(GOLDEN_PATH):
+        with open(GOLDEN_PATH, encoding="utf-8") as fh:
+            previous = json.load(fh)
+        for key, old, new in _changed_keys(previous, record):
+            print(f"changed {key}: {json.dumps(old)[:60]} -> {json.dumps(new)[:60]}")
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True, ensure_ascii=False)
