@@ -13,8 +13,9 @@ generation) that live and die with the template object: sentence -> spans
 of its non-empty matches, so a sentence scanned again (validation rescans
 the source that mask scanned; templated text repeats) runs no regex, and
 matched text -> parsed value, so an entity text is parsed once.  A
-template whose every match must hold a digit (`needs_digit`, proved from
-the parsed pattern) is skipped on sentences without one.
+template whose pattern is one of the shipped starter patterns, each of which
+matches only text holding a digit (`needs_digit`), is skipped on sentences
+without one; any other pattern is scanned on every sentence.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
-
-try:
-    from re import _parser as _sre_parse   # Python 3.11+
-except ImportError:   # Python 3.10
-    import sre_parse as _sre_parse
 
 from .corpus import ParallelCorpus, read_lines
 from .memo import Memo
@@ -128,43 +124,6 @@ def _values_comparable(a, b, rel_tol: float) -> bool:
 # templates
 
 
-def _needs_digit(pattern: str) -> bool:
-    """True only if every match of the pattern must hold a `\\d` character.
-
-    Proved from the parse tree of the private `re` parser; any failure to
-    parse or walk it gives False, which leaves the digit gate off.
-    """
-    try:
-        return _seq_needs_digit(_sre_parse.parse(pattern, re.IGNORECASE))
-    except Exception:   # a changed private API must not break template loading
-        return False
-
-
-def _seq_needs_digit(items) -> bool:
-    return any(_item_needs_digit(op.name, av) for op, av in items)
-
-
-def _item_needs_digit(name: str, av) -> bool:
-    if name == "LITERAL":
-        return 48 <= av <= 57
-    if name == "RANGE":
-        return 48 <= av[0] <= av[1] <= 57
-    if name == "CATEGORY":
-        return av.name == "CATEGORY_DIGIT"
-    if name == "IN":   # a class: every member must be a digit, which a NEGATE member is not
-        return all(_item_needs_digit(op.name, a) for op, a in av)
-    if name in ("MAX_REPEAT", "MIN_REPEAT", "POSSESSIVE_REPEAT"):
-        low, _, item = av
-        return low >= 1 and _seq_needs_digit(item)
-    if name == "SUBPATTERN":
-        return _seq_needs_digit(av[-1])
-    if name == "ATOMIC_GROUP":
-        return _seq_needs_digit(av)
-    if name == "BRANCH":
-        return all(_seq_needs_digit(arm) for arm in av[1])
-    return False   # lookarounds, backreferences, conditionals, anchors, other characters
-
-
 @dataclass
 class EntityTemplate:
     entity_type: str
@@ -172,7 +131,7 @@ class EntityTemplate:
     pattern: str
     regex: re.Pattern = field(init=False, repr=False)
     code: str = field(init=False, repr=False)   # the TYPE part of `⟦TYPE_i⟧`
-    needs_digit: bool = field(init=False, repr=False)   # no match without a `\d`
+    needs_digit: bool = field(init=False, repr=False)   # a starter pattern: no match without a digit
     _spans: Memo = field(init=False, repr=False, compare=False)
     _values: Memo = field(init=False, repr=False, compare=False)
 
@@ -192,7 +151,8 @@ class EntityTemplate:
             raise TemplateError(
                 f"template {self.entity_type}/{self.language}: bad pattern {self.pattern!r}: {exc}"
             ) from None
-        self.needs_digit = _needs_digit(self.pattern)
+        # the regex depends only on the pattern (the flags are fixed), so a starter's gate holds
+        self.needs_digit = self.pattern in _DIGIT_PATTERNS
 
     def spans(self, sentence: str) -> tuple[tuple[int, int], ...]:
         """(start, end) of each non-empty match in the sentence (memoized)."""
@@ -321,6 +281,10 @@ _STARTER_PATTERNS = {
                  r"|\b\d{1,2}\.\d{1,2}\.\d{4}\b|\b\d{4}-\d{2}-\d{2}\b"),
     },
 }
+
+
+# each starter pattern must match only text that holds a digit (a hypothesis test checks it)
+_DIGIT_PATTERNS = frozenset(p for by_type in _STARTER_PATTERNS.values() for p in by_type.values())
 
 
 def starter_templates(language: str) -> list[EntityTemplate]:

@@ -56,7 +56,7 @@ class ClusterConfig:
     per_batch_compute_time: float = 1.0
     sync_overhead_per_batch: float = 0.0
     async_comm_time: float = 0.0
-    async_warmup_iterations: int = 6000
+    async_warmup_iterations: int = 0
 
     def __post_init__(self):
         if self.mode not in ("sync", "async"):
@@ -78,7 +78,7 @@ def calibrated_cluster_config(
     worker_count: int,
     single_epoch_seconds: float = SINGLE_EPOCH_SECONDS,
     iterations_per_epoch: int = ITERATIONS_PER_EPOCH,
-    warmup_iterations: int = 0,
+    warmup_iterations: int = ClusterConfig.async_warmup_iterations,
 ) -> ClusterConfig:
     """Timing parameters calibrated so one worker takes `single_epoch_seconds`."""
     if iterations_per_epoch < 1:

@@ -210,6 +210,18 @@ def test_optlab_simulate_calibrated_async8(tmp_path):
     assert abs(payload["epoch_seconds"] - 3360.0) / 3360.0 < 0.15
 
 
+def test_optlab_simulate_default_async_run_uses_every_trainer(tmp_path):
+    # a default warmup longer than the epoch would run every K on one trainer
+    traces = []
+    for workers in (3, 8):
+        out = tmp_path / f"k{workers}"
+        assert run(["--out-dir", out, "optlab", "simulate", "--cluster-mode", "async",
+                    "--tokens", 3000, "--vocab", 32, "--embed-dim", 8, "--hidden-dim", 16,
+                    "--workers", workers]) == 0
+        traces.append((out / f"sim-async-{workers}.csv").read_text())
+    assert traces[0] != traces[1]
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--calibrate-single", "6h", "--batch-seconds", 99],
      "argument --batch-seconds: not allowed with argument --calibrate-single"),

@@ -363,12 +363,11 @@ def test_memo_keeps_a_recurring_sentence_across_one_offs():
 
 
 @pytest.mark.parametrize("pattern, needs_digit", [
-    (r"\d+ km", True), (r"(?:\d)+", True), (r"\d+ km|\d+ mi|at \d{1,2}:\d\d", True),
-    (r"(?>\d)[0-9]?", True), (r"x[0-9]", True), (r"x5", True),
-    (r"\d*", False), (r"(\d|a)", False), (r"(?=\d)x", False), (r"\d{0,2}", False),
-    (r"[^a]", False), (r"\d+|km", False), (r"\bEiffel Tower\b", False),
+    (r"\d+ km", False), (r"\d*", False), (r"(\d|a)", False), (r"(?=\d)x", False),
+    (r"\d{0,2}", False), (r"[^a]", False), (r"\d+|km", False), (r"\bEiffel Tower\b", False),
 ])
 def test_needs_digit(pattern, needs_digit):
+    # only a shipped starter pattern is gated, whatever digits a loaded pattern demands
     assert en.EntityTemplate("distance", "en", pattern).needs_digit is needs_digit
 
 
@@ -376,13 +375,43 @@ def test_every_starter_template_is_gated():
     assert all(t.needs_digit for t in EN_TPL + DE_TPL)
 
 
-def test_unprovable_pattern_turns_the_gate_off():
-    gated = en.EntityTemplate("distance", "en", r"\d+ km")
-    with mock.patch.object(en, "_seq_needs_digit", side_effect=AttributeError):
-        ungated = en.EntityTemplate("distance", "en", r"\d+ km")
-    assert (gated.needs_digit, ungated.needs_digit) == (True, False)
-    assert en.find_entities("no digit here", [gated, ungated]) == []
-    assert "no digit here" not in gated._spans and "no digit here" in ungated._spans
+# the words the starter patterns spell out, with their separators and no digit
+_STARTER_WORDS = [
+    *en._EN_MONTHS, *en._DE_MONTHS, "March", "März", "Mai", "May",
+    "kilometers", "kilometer", "kilometres", "kilometre", "km", "meters", "meter", "metres",
+    "metre", "miles", "mile", "mi", "m", "minutes", "minute", "min", "hours", "hour",
+    "Kilometern", "Kilometer", "Metern", "Meter", "Meilen", "Meile", "Minuten", "Minute",
+    "minütigen", "minütige", "Min.", "Min", "Stunden", "Stunde", "stündiger", "stündige",
+    "am", "pm", "a.m.", "p.m.", "a", "p", "Uhr",
+    ":", ",", ".", "/", "-", " ", "  ", "\t", "\n",
+]
+
+
+@given(st.lists(st.sampled_from(_STARTER_WORDS), max_size=12).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_no_starter_matches_digit_free_text(text):
+    # the gate skips starters on sentences without a digit, so that must never drop a match
+    assert en._DIGITS_RE.search(text) is None
+    for template in EN_TPL + DE_TPL:
+        assert template._scan(text) == ()
+
+
+def test_loaded_starter_line_is_gated_and_other_lines_are_not(tmp_path):
+    starter = next(t for t in EN_TPL if t.entity_type == "distance")
+    path = tmp_path / "templates.tsv"
+    path.write_text(f"distance\ten\t{starter.pattern}\ndistance\tde\t{starter.pattern}\n"
+                    f"distance\ten\t\\d+ km\n", encoding="utf-8")
+    assert [t.needs_digit for t in en.load_templates(path)] == [True, True, False]
+
+
+def test_ungated_template_still_matches_digit_free_text():
+    landmark = en.EntityTemplate("landmark", "en", r"\bEiffel Tower\b")
+    sentence = "Walk to the Eiffel Tower at noon."
+    starters = en.starter_templates("en")
+    matches = en.find_entities(sentence, [*starters, landmark])
+    assert [(m.text, m.entity_type) for m in matches] == [("Eiffel Tower", "landmark")]
+    # the gated starters ran no regex on the sentence; the ungated template did
+    assert all(sentence not in t._spans for t in starters) and sentence in landmark._spans
 
 
 def test_value_memo_parses_each_picked_text_once():
