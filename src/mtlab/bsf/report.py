@@ -47,12 +47,13 @@ class BsfReport:
 def cross_language_report(
     pairs: list[tuple[str, str]],
     lexicon_src: AspectLexicon,
-    lexicon_tgt: AspectLexicon,
+    lexicon_tgt: AspectLexicon | None,
     clf_src: HashedLinearClassifier,
     clf_tgt: HashedLinearClassifier,
 ) -> BsfReport:
-    """Classify both sides of lexicon-matched pairs; rows of the matrix are
-    normalized by the source-label volumes, off-diagonal pairs are flagged."""
+    """Classify both sides of the pairs `lexicon_src` matches; rows of the matrix are
+    normalized by the source-label volumes, off-diagonal pairs are flagged.
+    `lexicon_tgt` is unused and may be None (kept until ROADMAP item 5(c))."""
     if clf_src.labels != clf_tgt.labels:
         raise ClassifierError(
             f"classifiers must share a label set: {clf_src.labels} vs {clf_tgt.labels}"

@@ -213,42 +213,40 @@ def cmd_ner_mask(args) -> None:
 
 
 def _is_map(stored) -> bool:
-    """The shape `ner mask` writes: source_language plus entries of {index, type, text}."""
+    """`ner mask`'s shape: source_language plus distinct-index entries of {index, type, text}."""
     return (isinstance(stored, dict) and isinstance(stored.get("source_language"), str)
             and isinstance(stored.get("entries"), list)
             and all(isinstance(e, dict) and type(e.get("index")) is int
                     and isinstance(e.get("type"), str) and isinstance(e.get("text"), str)
-                    for e in stored["entries"]))
+                    for e in stored["entries"])
+            and len({e["index"] for e in stored["entries"]}) == len(stored["entries"]))
 
 
 def cmd_ner_unmask(args) -> None:
-    templates = _templates(args.templates)
     lines = corpus.read_lines(args.input)
     maps = _read_json(args.map, entities.EntityError)
     if not isinstance(maps, list):
         raise entities.EntityError(f"{args.map}: expected a JSON list of placeholder maps")
     if len(maps) != len(lines):
-        raise entities.EntityError(f"{len(lines)} sentences but {len(maps)} placeholder maps")
+        raise entities.EntityError(f"{args.input} has {len(lines)} sentences but {args.map} "
+                                   f"has {len(maps)} placeholder maps")
     locale = entities.DE_LOCALE if args.locale == "de" else entities.EN_LOCALE
     if args.unit_policy:
         locale = dataclasses.replace(locale, unit_policy=args.unit_policy)
-    by_type = {t.entity_type: t for t in templates}
     out_lines = []
     for n, (line, stored) in enumerate(zip(lines, maps), start=1):
-        if not _is_map(stored):
-            raise entities.EntityError(
-                f"{args.map}: map {n}: expected source_language and entries of "
-                "{index, type, text}")
-        entries = []
-        for e in stored["entries"]:
-            template = by_type.get(e["type"])
-            if template is None:
-                raise entities.TemplateError(
-                    f"no template for entity type {e['type']!r} in {args.templates}")
-            entries.append(entities.PlaceholderEntry(
-                e["index"], e["type"], e["text"], template.parse(e["text"])))
-        pmap = entities.PlaceholderMap(line, tuple(entries), stored["source_language"])
-        out_lines.append(entities.unmask(line, pmap, locale))
+        try:
+            if not _is_map(stored):
+                raise entities.EntityError("expected source_language and entries of "
+                                           "{index, type, text} with distinct indices")
+            language = stored["source_language"]
+            pmap = entities.PlaceholderMap(line, tuple(
+                entities.PlaceholderEntry(e["index"], e["type"], e["text"],
+                                          entities.parse_value(e["type"], e["text"], language))
+                for e in stored["entries"]), language)
+            out_lines.append(entities.unmask(line, pmap, locale))
+        except entities.EntityError as exc:
+            raise entities.EntityError(f"{args.map}: map {n}: {exc}") from None
     path = _out(args, args.output)
     corpus.write_lines(out_lines, path)
     print(f"unmasked {len(lines)} sentences -> {path}")
@@ -433,9 +431,8 @@ def cmd_bsf_eval(args) -> None:
 
 def cmd_bsf_report(args) -> None:
     pairs = corpus.read_pairs(args.pairs)
-    lex_src = bsf.AspectLexicon(approved_terms=bsf.load_terms(args.terms_src))
-    lex_tgt = bsf.AspectLexicon(approved_terms=bsf.load_terms(args.terms_tgt))
-    report = bsf.cross_language_report(pairs, lex_src, lex_tgt,
+    lexicon = bsf.AspectLexicon(approved_terms=bsf.load_terms(args.terms_src))
+    report = bsf.cross_language_report(pairs, lexicon, None,
                                        bsf.load_classifier(args.clf_src),
                                        bsf.load_classifier(args.clf_tgt))
     json_path, text_path = _out(args, "bsf-report.json"), _out(args, "bsf-report.txt")
@@ -635,8 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "unmask", cmd_ner_unmask)
     p.add_argument("--input", type=InputFile, required=True)
     p.add_argument("--map", type=InputFile, required=True)
-    p.add_argument("--templates", type=template_source, default="en",
-                   help="templates used at mask time")
     p.add_argument("--locale", choices=["en", "de"], required=True)
     p.add_argument("--unit-policy", choices=["keep", "to_km", "to_mi"])
     p.add_argument("--output", default="unmasked.txt")
@@ -720,7 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "report", cmd_bsf_report)
     p.add_argument("--pairs", type=InputFile, required=True, help="TSV of source<TAB>translation")
     p.add_argument("--terms-src", type=InputFile, required=True)
-    p.add_argument("--terms-tgt", type=InputFile, required=True)
     p.add_argument("--clf-src", type=InputFile, required=True)
     p.add_argument("--clf-tgt", type=InputFile, required=True)
 

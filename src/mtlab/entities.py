@@ -53,6 +53,7 @@ __all__ = [
     "validate_entity_translation",
     "starter_templates",
     "load_templates",
+    "parse_value",
 ]
 
 KM_PER_MILE = Decimal("1.609344")
@@ -163,9 +164,8 @@ class EntityTemplate:
         return tuple(m.span() for m in self.regex.finditer(sentence) if m.end() > m.start())
 
     def parse(self, text: str):
-        """The normalized value; unknown types normalize to their surface form."""
-        parser = _PARSERS.get(self.entity_type)
-        return text if parser is None else parser(text, self.language)
+        """`parse_value` of the text in this template's type and language."""
+        return parse_value(self.entity_type, text, self.language)
 
     def value(self, text: str):
         """`parse(text)`, memoized; a parse error is raised again on every call."""
@@ -259,6 +259,12 @@ _PARSERS = {
     "time": _parse_time,
     "date": _parse_date,
 }
+
+
+def parse_value(entity_type: str, text: str, language: str):
+    """The normalized value of `text`, written in `language`; a type with no parser keeps `text`."""
+    parser = _PARSERS.get(entity_type)
+    return text if parser is None else parser(text, language)
 
 
 _EN_MONTH_ALT = "|".join(m.capitalize() for m in _EN_MONTHS)

@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import itertools
 import json
 import os
 import re
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from mtlab import entities
 from mtlab.cli import build_parser, main, parse_duration, parse_sizes
 from mtlab.entities import starter_templates
 from mtlab.manifest import file_digest
@@ -107,20 +110,29 @@ def test_bpe_separate_mode_writes_two_models(tmp_path, corpus_files):
 
 
 def test_ner_scan_mask_unmask(tmp_path):
-    out = tmp_path / "out"
-    sentences = entity_sentences(12, seed=3)
-    input_path = tmp_path / "sents.txt"
-    input_path.write_text("\n".join(sentences) + "\n", encoding="utf-8")
-
-    assert run(["--out-dir", out, "ner", "mask", "--input", input_path,
-                "--templates", "en"]) == 0
-    masked = (out / "masked.txt").read_text(encoding="utf-8").splitlines()
-    assert any("⟦" in line for line in masked)
-
-    assert run(["--out-dir", out, "ner", "unmask", "--input", out / "masked.txt",
-                "--map", out / "maps.json", "--templates", "en", "--locale", "en",
-                "--output", "restored.txt"]) == 0
-    assert (out / "restored.txt").read_text(encoding="utf-8").splitlines() == sentences
+    """`ner mask` then `ner unmask` equals the library's mask -> unmask for each source
+    language, target locale and unit policy: values are parsed in the map's language."""
+    for source in ("en", "de"):
+        sentences = entity_sentences(12, seed=3, language=source)
+        input_path = tmp_path / f"sents.{source}"
+        input_path.write_text("\n".join(sentences) + "\n", encoding="utf-8")
+        masked = tmp_path / f"masked-{source}"
+        assert run(["--out-dir", masked, "ner", "mask", "--input", input_path,
+                    "--templates", source]) == 0
+        pmaps = [entities.mask(line, starter_templates(source)) for line in sentences]
+        lines = (masked / "masked.txt").read_text(encoding="utf-8").splitlines()
+        assert lines == [p.masked_sentence for p in pmaps] and any("⟦" in line for line in lines)
+        for locale, policy in itertools.product(("en", "de"), ("keep", "to_km", "to_mi")):
+            out = tmp_path / f"{source}-{locale}-{policy}"
+            assert run(["--out-dir", out, "ner", "unmask", "--input", masked / "masked.txt",
+                        "--map", masked / "maps.json", "--locale", locale,
+                        "--unit-policy", policy, "--output", "restored.txt"]) == 0
+            target = dataclasses.replace(
+                entities.DE_LOCALE if locale == "de" else entities.EN_LOCALE, unit_policy=policy)
+            expected = [entities.unmask(p.masked_sentence, p, target) for p in pmaps]
+            assert (out / "restored.txt").read_text(encoding="utf-8").splitlines() == expected
+            if locale == source:
+                assert expected == sentences
 
 
 def test_ner_scan_reports_counts(tmp_path, corpus_files):
@@ -309,17 +321,16 @@ def test_bsf_report_end_to_end(tmp_path):
         assert run(["--out-dir", out, "bsf", "train", "--labeled", tmp_path / f"labeled.{lang}.tsv",
                     "--output", f"clf.{lang}.txt"]) == 0
     (tmp_path / "terms.en.txt").write_text("parking\npark\n", encoding="utf-8")
-    (tmp_path / "terms.de.txt").write_text("parkplätze\nparken\ngarage\n", encoding="utf-8")
     assert run(["--out-dir", out, "bsf", "report", "--pairs", tmp_path / "pairs.tsv",
-                "--terms-src", tmp_path / "terms.en.txt", "--terms-tgt", tmp_path / "terms.de.txt",
+                "--terms-src", tmp_path / "terms.en.txt",
                 "--clf-src", out / "clf.en.txt", "--clf-tgt", out / "clf.de.txt"]) == 0
     payload = json.loads((out / "bsf-report.json").read_text(encoding="utf-8"))
     assert set(payload["labels"]) == {"free", "paid", "other"}
     assert (out / "bsf-report.txt").read_text(encoding="utf-8")
 
 
-_BSF_REPORT_FILES = ["--pairs", "p.tsv", "--terms-src", "en.txt", "--terms-tgt", "de.txt",
-                     "--clf-src", "en.clf", "--clf-tgt", "de.clf"]
+_BSF_REPORT_FILES = ["--pairs", "p.tsv", "--terms-src", "en.txt", "--clf-src", "en.clf",
+                     "--clf-tgt", "de.clf"]
 
 
 def _bsf_report_with_terms(tmp_path, terms_src):
@@ -327,10 +338,9 @@ def _bsf_report_with_terms(tmp_path, terms_src):
     (tmp_path / "pairs.tsv").write_text(
         "Free parking here.\tGratis parken.\nA nice garden.\tEin Garten.\n", encoding="utf-8")
     (tmp_path / "terms.en.txt").write_text(terms_src, encoding="utf-8")
-    (tmp_path / "terms.de.txt").write_text("parken\n", encoding="utf-8")
     (tmp_path / "clf.txt").write_text("bsfclf-v1 4 2 1\na\tb\nbias 0.0 1.0\n", encoding="utf-8")
     return run(["--out-dir", tmp_path / "out", "bsf", "report", "--pairs", tmp_path / "pairs.tsv",
-                "--terms-src", tmp_path / "terms.en.txt", "--terms-tgt", tmp_path / "terms.de.txt",
+                "--terms-src", tmp_path / "terms.en.txt",
                 "--clf-src", tmp_path / "clf.txt", "--clf-tgt", tmp_path / "clf.txt"])
 
 
@@ -371,16 +381,30 @@ def test_bsf_deleted_lexicon_name_flags_are_usage_errors(tmp_path, capsys, argv)
     assert "unrecognized arguments: --" in capsys.readouterr().err
 
 
-def test_ner_unmask_missing_template_type_exits_1(tmp_path):
-    out = tmp_path / "out"
+@pytest.mark.parametrize("argv", [
+    ["ner", "unmask", "--input", "m.txt", "--map", "maps.json", "--locale", "de",
+     "--templates", "en"],
+    ["bsf", "report", *_BSF_REPORT_FILES, "--terms-tgt", "de.txt"],
+], ids=["unmask-templates", "report-terms-tgt"])
+def test_deleted_path_flags_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(["--out-dir", tmp_path, *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("manifest.json"))
+
+
+def test_ner_unmask_restores_an_unparsed_type_as_written(tmp_path):
     (tmp_path / "masked.txt").write_text("ab ⟦DUR_0⟧ cd\n", encoding="utf-8")
     (tmp_path / "maps.json").write_text(json.dumps(
         [{"source_language": "en",
           "entries": [{"index": 0, "type": "unknown_kind", "text": "55-minute"}]}]),
         encoding="utf-8")
-    assert run(["--out-dir", out, "ner", "unmask", "--input", tmp_path / "masked.txt",
-                "--map", tmp_path / "maps.json", "--templates", "en",
-                "--locale", "de"]) == 1
+    for locale in ("en", "de"):
+        out = tmp_path / locale
+        assert run(["--out-dir", out, "ner", "unmask", "--input", tmp_path / "masked.txt",
+                    "--map", tmp_path / "maps.json", "--locale", locale]) == 0
+        assert (out / "unmasked.txt").read_text(encoding="utf-8") == "ab 55-minute cd\n"
 
 
 def test_eval_flow(tmp_path):
@@ -614,8 +638,8 @@ FAULTY = "<faulty file>"
 @pytest.mark.parametrize("argv, content, line", [
     (["ner", "validate", "--pairs", FAULTY], b"5 km away\t5 km entfernt\nno tab\n", 2),
     (["ner", "validate", "--pairs", FAULTY], b"5 km away\t5 km entfernt\textra\n", 1),
-    (["bsf", "report", "--pairs", FAULTY, "--terms-src", FAULTY, "--terms-tgt", FAULTY,
-      "--clf-src", FAULTY, "--clf-tgt", FAULTY], b"Free parking.\tGratis parken.\nno tab\n", 2),
+    (["bsf", "report", "--pairs", FAULTY, "--terms-src", FAULTY, "--clf-src", FAULTY,
+      "--clf-tgt", FAULTY], b"Free parking.\tGratis parken.\nno tab\n", 2),
     (["bsf", "train", "--labeled", FAULTY], b"free\tFree parking.\nno tab\n", 2),
     (["bpe", "detok", "--input", FAULTY], b"fine\n\xff broken\n", 2),
     (["bleu", "corpus", "--candidates", FAULTY, "--references", FAULTY], b"fine\n\xff broken\n", 2),
@@ -745,7 +769,16 @@ def test_bpe_detok_error_names_the_line(tmp_path, capsys):
     (b'{"entries": []}', "list of placeholder maps"),
     (b"[{", "maps.json"),
     (b'[\n  {"a":\xff}\n]\n', "maps.json: invalid UTF-8 at line 2"),
-], ids=["no-entries", "entry-without-type", "string-index", "not-a-list", "not-json", "bad-byte"])
+    (b'[{"source_language": "en", "entries": [{"index": 0, "type": "distance", "text": "5 km"}, '
+     b'{"index": 0, "type": "distance", "text": "9 km"}]}]', "maps.json: map 1: "),
+    (b'[{"source_language": "en", "entries": [{"index": 0, "type": "distance", "text": "far"}]}]',
+     "maps.json: map 1: no number in entity text 'far'"),
+    (b'[{"source_language": "en", "entries": [{"index": 1, "type": "distance", "text": "5 km"}]}]',
+     "maps.json: map 1: placeholder ⟦DIST_0⟧ has no entry"),
+    (b'[{"source_language": "en", "entries": []}, {"source_language": "en", "entries": []}]',
+     "masked.txt has 1 sentences but "),
+], ids=["no-entries", "entry-without-type", "string-index", "not-a-list", "not-json", "bad-byte",
+        "repeated-index", "unparsed-value", "dangling-placeholder", "count-mismatch"])
 def test_malformed_placeholder_map_exits_1(tmp_path, capsys, maps, message):
     (tmp_path / "masked.txt").write_text("ab ⟦DIST_0⟧ cd\n", encoding="utf-8")
     (tmp_path / "maps.json").write_bytes(maps)
@@ -906,7 +939,7 @@ def test_template_type_without_a_placeholder_code_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("command", ["scan", "mask", "unmask", "validate"])
+@pytest.mark.parametrize("command", ["scan", "mask", "validate"])
 def test_template_files_are_manifest_inputs(tmp_path, command):
     for lang in ("en", "de"):
         (tmp_path / f"tpl.{lang}").write_text(
@@ -915,20 +948,15 @@ def test_template_files_are_manifest_inputs(tmp_path, command):
     (tmp_path / "c.tsv").write_text("A 5 km walk.\tEin Weg von 5 km.\n", encoding="utf-8")
     (tmp_path / "sents.txt").write_text("A 5 km walk.\n", encoding="utf-8")
     both = ["--templates-src", tmp_path / "tpl.en", "--templates-tgt", tmp_path / "tpl.de"]
-    masked = tmp_path / "masked"
-    assert run(["--out-dir", masked, "ner", "mask", "--input", tmp_path / "sents.txt",
-                "--templates", tmp_path / "tpl.en"]) == 0
     argv = {
         "scan": ["--tsv", tmp_path / "c.tsv", *both],
         "mask": ["--input", tmp_path / "sents.txt", "--templates", tmp_path / "tpl.en"],
-        "unmask": ["--input", masked / "masked.txt", "--map", masked / "maps.json",
-                   "--templates", tmp_path / "tpl.en", "--locale", "de"],
         "validate": ["--pairs", tmp_path / "c.tsv", *both],
     }[command]
     out = tmp_path / "out"
     assert run(["--out-dir", out, "ner", command, *argv]) == 0
     inputs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["inputs"]
-    expected = {"tpl.en"} if command in ("mask", "unmask") else {"tpl.en", "tpl.de"}
+    expected = {"tpl.en"} if command == "mask" else {"tpl.en", "tpl.de"}
     assert expected <= set(inputs)
     for name in expected:
         assert inputs[name] == file_digest(tmp_path / name)

@@ -81,7 +81,7 @@ RUNS = [
     ("bsf-eval", ["bsf", "eval", "--model", "out/bsf-train-en/clf.en.txt",
                   "--labeled", "labeled.en.tsv"]),
     ("bsf-report", ["bsf", "report", "--pairs", "bsf-pairs.tsv",
-                    "--terms-src", "terms.en.txt", "--terms-tgt", "terms.de.txt",
+                    "--terms-src", "terms.en.txt",
                     "--clf-src", "out/bsf-train-en/clf.en.txt",
                     "--clf-tgt", "out/bsf-train-de/clf.de.txt"]),
     ("experiment-convergence", ["experiment", "convergence", "--epochs", "1"]),
@@ -116,7 +116,6 @@ def write_inputs() -> None:
     for lang, rows in (("en", en_data), ("de", de_data)):
         write_lines([f"{label}\t{text}" for text, label in rows], f"labeled.{lang}.tsv")
     write_lines(["parking", "park"], "terms.en.txt")
-    write_lines(["parkplätze", "parken", "garage"], "terms.de.txt")
     rows = ["sentence_id,rater_id,system,adequacy,fluency"]
     for system, (adequacy, fluency) in {"1M": (2, 3), "7.5M": (3, 3), "10M": (4, 2)}.items():
         for sid in range(1, 4):
