@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -230,9 +229,7 @@ def cmd_ner_unmask(args) -> None:
     if len(maps) != len(lines):
         raise entities.EntityError(f"{args.input} has {len(lines)} sentences but {args.map} "
                                    f"has {len(maps)} placeholder maps")
-    locale = entities.DE_LOCALE if args.locale == "de" else entities.EN_LOCALE
-    if args.unit_policy:
-        locale = dataclasses.replace(locale, unit_policy=args.unit_policy)
+    locale = entities.LocaleFormat(args.locale, args.unit_policy)
     out_lines = []
     for n, (line, stored) in enumerate(zip(lines, maps), start=1):
         try:
@@ -633,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=InputFile, required=True)
     p.add_argument("--map", type=InputFile, required=True)
     p.add_argument("--locale", choices=["en", "de"], required=True)
-    p.add_argument("--unit-policy", choices=["keep", "to_km", "to_mi"])
+    p.add_argument("--unit-policy", choices=["keep", "to_km", "to_mi"], default="keep")
     p.add_argument("--output", default="unmasked.txt")
     p = command(sub, "validate", cmd_ner_validate)
     p.add_argument("--pairs", type=InputFile, required=True, help="TSV of source<TAB>output")

@@ -82,7 +82,6 @@ class ParallelCorpus:
 class CorpusSplit:
     train: ParallelCorpus
     validation: ParallelCorpus
-    seed: int
 
 
 def read_text(path: str) -> str:
@@ -174,7 +173,7 @@ def split(corpus: ParallelCorpus, validation_size: int, seed: int) -> CorpusSpli
     random.Random(seed).shuffle(order)
     val = tuple(sorted(order[:validation_size], key=lambda p: p.id))
     train = tuple(sorted(order[validation_size:], key=lambda p: p.id))
-    return CorpusSplit(train=ParallelCorpus(train), validation=ParallelCorpus(val), seed=seed)
+    return CorpusSplit(train=ParallelCorpus(train), validation=ParallelCorpus(val))
 
 
 def subsample(corpus: ParallelCorpus, sizes: list[int], seed: int) -> list[ParallelCorpus]:

@@ -2,9 +2,10 @@
 
 Entities (distances, durations, clock times, dates) are recognized by
 per-language regex templates, replaced by indexed placeholders before
-translation, and substituted back afterwards with the value rendered in
-the target locale.  A corpus scan reports source/target count mismatches
-to drive the template refinement loop.
+translation, and substituted back afterwards.  A target locale is a
+language, which decides how values are written, plus a unit policy that
+converts km and miles in every locale.  A corpus scan reports
+source/target count mismatches to drive the template refinement loop.
 
 The per-match records, `EntityMatch` and `PlaceholderEntry`, are
 NamedTuples; the one-per-sentence records are frozen dataclasses.  Each
@@ -57,6 +58,7 @@ __all__ = [
 ]
 
 KM_PER_MILE = Decimal("1.609344")
+_UNIT_POLICIES = {"keep": None, "to_km": "mi", "to_mi": "km"}   # -> the unit it converts
 
 TYPE_CODES = {"distance": "DIST", "duration": "DUR", "time": "TIME", "date": "DATE"}
 MAX_SAMPLE_IDS = 50   # mismatched pair ids kept per entity type in a scan report
@@ -268,7 +270,7 @@ def parse_value(entity_type: str, text: str, language: str):
 
 
 _EN_MONTH_ALT = "|".join(m.capitalize() for m in _EN_MONTHS)
-_DE_MONTH_ALT = "|".join(("März" if m == "märz" else m.capitalize()) for m in _DE_MONTHS)
+_DE_MONTH_ALT = "|".join(m.capitalize() for m in _DE_MONTHS)
 
 _STARTER_PATTERNS = {
     "en": {
@@ -379,19 +381,17 @@ class PlaceholderMap:
 
 @dataclass(frozen=True)
 class LocaleFormat:
-    language: str
-    decimal_separator: str = "."
-    time_style: str = "24h"            # "24h" | "12h"
-    date_pattern: str = "YYYY-MM-DD"   # tokens: YYYY MM DD M D
-    unit_policy: str = "keep"          # "keep" | "to_km" | "to_mi"
+    language: str              # "en" | "de"
+    unit_policy: str = "keep"  # "keep" | "to_km" | "to_mi"
 
     def __post_init__(self):
-        if self.decimal_separator not in (".", ","):
-            raise EntityError(f"decimal separator must be '.' or ',', got {self.decimal_separator!r}")
+        if self.language not in ("en", "de") or self.unit_policy not in _UNIT_POLICIES:
+            raise EntityError(f"{self}: the language must be en or de and the unit policy "
+                              f"one of {', '.join(_UNIT_POLICIES)}")
 
 
-EN_LOCALE = LocaleFormat("en", ".", "12h", "MM/DD/YYYY", "keep")
-DE_LOCALE = LocaleFormat("de", ",", "24h", "DD.MM.YYYY", "keep")
+EN_LOCALE = LocaleFormat("en")
+DE_LOCALE = LocaleFormat("de")
 
 
 def mask(sentence: str, templates: list[EntityTemplate]) -> PlaceholderMap:
@@ -410,45 +410,45 @@ def mask(sentence: str, templates: list[EntityTemplate]) -> PlaceholderMap:
     return PlaceholderMap("".join(out), tuple(entries), language)
 
 
-def _format_number(mag: Decimal, separator: str) -> str:
-    return str(mag).replace(".", separator)
+def _converted(value, unit_policy: str):
+    """A km or mi distance in the policy's unit, rounded to 0.1; any value the policy
+    leaves as it is (meters, other types, `keep`) comes back as the same object."""
+    if isinstance(value, Distance) and value.unit == _UNIT_POLICIES[unit_policy]:
+        unit = "km" if value.unit == "mi" else "mi"
+        mag = value.magnitude * KM_PER_MILE if unit == "km" else value.magnitude / KM_PER_MILE
+        return Distance(mag.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP), unit)
+    return value
 
 
-def _render_value(entry: PlaceholderEntry, locale: LocaleFormat) -> str:
-    value = entry.value
+def _render_value(value, language: str) -> str:
+    """`value` written in `language`, by the rule the parsers read: German `1,9 km`,
+    `12,5 Meilen`, `14:30`, `05.03.2018`; English `1.9 km`, `12.5 mi`, `2:30 pm`, `03/05/2018`."""
+    de = language == "de"
     if isinstance(value, Distance):
-        mag, unit = value.magnitude, value.unit
-        if locale.unit_policy == "to_km" and unit == "mi":
-            mag = (mag * KM_PER_MILE).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
-            unit = "km"
-        elif locale.unit_policy == "to_mi" and unit == "km":
-            mag = (mag / KM_PER_MILE).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
-            unit = "mi"
-        return f"{_format_number(mag, locale.decimal_separator)} {unit}"
+        number = str(value.magnitude)
+        if de:
+            return f"{number.replace('.', ',')} {'Meilen' if value.unit == 'mi' else value.unit}"
+        return f"{number} {value.unit}"
     if isinstance(value, Duration):
         return f"{value.minutes} min"
     if isinstance(value, TimeOfDay):
         hour, minute = divmod(value.minutes, 60)
-        if locale.time_style == "12h":
-            suffix = "am" if hour < 12 else "pm"
-            display = hour % 12 or 12
-            return f"{display}:{minute:02d} {suffix}"
-        return f"{hour:02d}:{minute:02d}"
+        if de:
+            return f"{hour:02d}:{minute:02d}"
+        return f"{hour % 12 or 12}:{minute:02d} {'am' if hour < 12 else 'pm'}"
     if isinstance(value, DateValue):
-        out = locale.date_pattern
-        for token, rendered in [("YYYY", f"{value.year:04d}"), ("MM", f"{value.month:02d}"),
-                                ("DD", f"{value.day:02d}"), ("M", str(value.month)),
-                                ("D", str(value.day))]:
-            out = out.replace(token, rendered)
-        return out
+        if de:
+            return f"{value.day:02d}.{value.month:02d}.{value.year:04d}"
+        return f"{value.month:02d}/{value.day:02d}/{value.year:04d}"
     return str(value)
 
 
 def unmask(translated: str, pmap: PlaceholderMap, locale: LocaleFormat) -> str:
     """Substitute placeholders back, rendering values for the target locale.
 
-    With the source locale the original surface forms are restored
-    verbatim, making mask -> unmask a byte-exact round trip.
+    With the source locale, an entry the unit policy leaves as it is keeps
+    its original surface form, making mask -> unmask with `keep` a
+    byte-exact round trip.
     """
     if not pmap.entries and "⟦" not in translated:
         return translated
@@ -465,7 +465,10 @@ def unmask(translated: str, pmap: PlaceholderMap, locale: LocaleFormat) -> str:
                 f"{sorted(by_index)})"
             )
         seen.append(index)
-        return entry.original_text if source_locale else _render_value(entry, locale)
+        value = _converted(entry.value, locale.unit_policy)
+        if source_locale and value is entry.value:
+            return entry.original_text
+        return _render_value(value, locale.language)
 
     result = PLACEHOLDER_RE.sub(substitute, translated)
     # every seen index is in by_index, so equal counts with no repeat mean none was lost

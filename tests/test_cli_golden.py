@@ -1,6 +1,6 @@
 """Golden runs of every CLI subcommand.
 
-Runs all 28 subcommands (31 invocations) on small seeded inputs in a
+Runs all 28 subcommands (32 invocations) on small seeded inputs in a
 scratch directory, with relative paths so the recorded config is stable,
 and pins each run's exit code, stdout, the SHA-256 of every file it
 writes and its manifest.json minus `written_at`.  Templates are given as
@@ -54,6 +54,9 @@ RUNS = [
     ("ner-unmask", ["ner", "unmask", "--input", "out/ner-mask/masked.txt",
                     "--map", "out/ner-mask/maps.json", "--locale", "de",
                     "--unit-policy", "to_km"]),
+    ("ner-unmask-source", ["ner", "unmask", "--input", "out/ner-mask/masked.txt",
+                           "--map", "out/ner-mask/maps.json", "--locale", "en",
+                           "--unit-policy", "to_km"]),
     ("ner-validate", ["ner", "validate", "--pairs", "pairs.tsv", "--tolerance", "0.01"]),
     ("bleu-corpus", ["bleu", "corpus", "--candidates", "cand.txt", "--references", "ref.txt",
                      "--lowercase"]),

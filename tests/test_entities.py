@@ -1,3 +1,5 @@
+import hashlib
+import json
 import warnings
 from collections import Counter
 from decimal import Decimal
@@ -80,9 +82,23 @@ class TestUnmask:
 
     def test_mile_conversion_with_rounding(self):
         pmap = en.mask("about 10 miles from town", EN_TPL)
-        locale = en.LocaleFormat("de", ",", "24h", "DD.MM.YYYY", "to_km")
+        locale = en.LocaleFormat("de", "to_km")
         out = en.unmask("etwa ⟦DIST_0⟧ von der Stadt", pmap, locale)
         assert "16,1 km" in out
+
+    @pytest.mark.parametrize("policy, expected", [
+        ("keep", "The airport lies 12.5 miles away, 3 km from town."),
+        ("to_km", "The airport lies 20.1 km away, 3 km from town."),
+        ("to_mi", "The airport lies 12.5 miles away, 1.9 mi from town."),
+    ])
+    def test_unit_policy_applies_in_the_source_locale(self, policy, expected):
+        pmap = en.mask("The airport lies 12.5 miles away, 3 km from town.", EN_TPL)
+        assert en.unmask(pmap.masked_sentence, pmap, en.LocaleFormat("en", policy)) == expected
+
+    @pytest.mark.parametrize("args", [("fr",), ("en", "to_xx")], ids=["language", "policy"])
+    def test_locale_rejects_unknown_values(self, args):
+        with pytest.raises(en.EntityError, match="must be en or de"):
+            en.LocaleFormat(*args)
 
     def test_dangling_placeholder(self):
         pmap = en.mask("5 km away", EN_TPL)
@@ -396,6 +412,17 @@ def test_no_starter_matches_digit_free_text(text):
         assert template._scan(text) == ()
 
 
+def test_starter_patterns_stay_byte_identical():
+    # the digit gate is keyed by these exact strings, and `ner scan`'s pinned digest reads them
+    assert en._EN_MONTH_ALT == ("January|February|March|April|May|June|July|August|"
+                                "September|October|November|December")
+    assert en._DE_MONTH_ALT == ("Januar|Februar|März|April|Mai|Juni|Juli|August|"
+                                "September|Oktober|November|Dezember")
+    dumped = json.dumps(en._STARTER_PATTERNS, sort_keys=True, ensure_ascii=False)
+    assert hashlib.sha256(dumped.encode()).hexdigest() == (
+        "a8a73d5d2a29ba7a6c702ac09fbe54b56953a3c479197bd859938827c56eefc8")
+
+
 def test_loaded_starter_line_is_gated_and_other_lines_are_not(tmp_path):
     starter = next(t for t in EN_TPL if t.entity_type == "distance")
     path = tmp_path / "templates.tsv"
@@ -482,3 +509,24 @@ def test_german_locale_round_trip_on_generated():
     for s in entity_sentences(100, seed=9, language="de"):
         pmap = en.mask(s, DE_TPL)
         assert en.unmask(pmap.masked_sentence, pmap, en.DE_LOCALE) == s
+
+
+_MAGNITUDES = st.builds(lambda n, places: Decimal(n).scaleb(-places),
+                        st.integers(0, 10**6), st.integers(0, 2))
+_VALUES = st.one_of(
+    st.builds(en.Distance, _MAGNITUDES, st.sampled_from(["m", "km", "mi"])),
+    st.builds(en.Duration, st.integers(0, 10**4)),
+    st.builds(en.TimeOfDay, st.integers(0, 24 * 60 - 1)),
+    st.builds(en.DateValue, st.integers(1000, 9999), st.integers(1, 12), st.integers(1, 31)),
+)
+
+
+@given(_VALUES, st.sampled_from([(en.EN_LOCALE, EN_TPL), (en.DE_LOCALE, DE_TPL)]))
+@settings(max_examples=400, deadline=None)
+def test_written_value_is_found_whole_by_its_language_templates(value, target):
+    # what unmask writes must be what the target language's starters find and parse back
+    locale, templates = target
+    pmap = en.PlaceholderMap("", (en.PlaceholderEntry(0, "", "", value),), "")
+    text = en.unmask(tk.format_placeholder("X", 0), pmap, locale)
+    assert [(m.start, m.end, m.value) for m in en.find_entities(text, templates)] == [
+        (0, len(text), value)]
