@@ -141,6 +141,9 @@ class EntityTemplate:
     def __post_init__(self):
         self._spans = Memo(SCAN_MEMO_LIMIT)
         self._values = Memo(SCAN_MEMO_LIMIT)
+        # bound once (CPython does not specialize `.get` on a dict subclass); a Memo rotates in place
+        self._spans_get = self._spans.get
+        self._values_get = self._values.get
         self.code = TYPE_CODES.get(self.entity_type, self.entity_type.upper())
         # unmask finds placeholders by PLACEHOLDER_RE, so a code it cannot match would be lost
         if not PLACEHOLDER_RE.fullmatch(format_placeholder(self.code, 0)):
@@ -159,7 +162,7 @@ class EntityTemplate:
 
     def spans(self, sentence: str) -> tuple[tuple[int, int], ...]:
         """(start, end) of each non-empty match in the sentence (memoized)."""
-        spans = self._spans.get(sentence)
+        spans = self._spans_get(sentence)
         return self._spans.fill(sentence, self._scan) if spans is None else spans
 
     def _scan(self, sentence: str) -> tuple[tuple[int, int], ...]:
@@ -171,7 +174,7 @@ class EntityTemplate:
 
     def value(self, text: str):
         """`parse(text)`, memoized; a parse error is raised again on every call."""
-        value = self._values.get(text)
+        value = self._values_get(text)
         return self._values.fill(text, self.parse) if value is None else value
 
 
@@ -421,13 +424,14 @@ def _converted(value, unit_policy: str):
 
 
 def _render_value(value, language: str) -> str:
-    """`value` written in `language`, by the rule the parsers read: German `1,9 km`,
+    """`value` written in `language`, by the rule the parsers read: German `1,9 km`, `1 Meile`,
     `12,5 Meilen`, `14:30`, `05.03.2018`; English `1.9 km`, `12.5 mi`, `2:30 pm`, `03/05/2018`."""
     de = language == "de"
     if isinstance(value, Distance):
         number = str(value.magnitude)
         if de:
-            return f"{number.replace('.', ',')} {'Meilen' if value.unit == 'mi' else value.unit}"
+            unit = ("Meile" if number == "1" else "Meilen") if value.unit == "mi" else value.unit
+            return f"{number.replace('.', ',')} {unit}"
         return f"{number} {value.unit}"
     if isinstance(value, Duration):
         return f"{value.minutes} min"

@@ -324,20 +324,25 @@ def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str
     between `prev` and `next` moves the counts of (prev, left) and
     (right, next) to (prev, merged) and (merged, next), and takes one off
     the best pair; no other pair of the word changes.  The pair -> words
-    index only grows (bar the merged pair's entry): a listed word that no
-    longer holds the pair has no site and is left alone, and a merge
-    indexes only the pairs holding the new symbol.
+    index keeps a list per pair that only grows (bar the merged pair's
+    entry), and a merge indexes only the pairs holding the new symbol.  An
+    id is skipped only when it equals the list's last entry, so a word adds
+    itself once per pass but may recur after other words.  A repeat is
+    harmless: a listed word that no longer holds the pair has no site and
+    is left alone, and no count or heap key depends on the visiting order.
     """
     words = [list(w) for w in unit_freqs]
     freqs = list(unit_freqs.values())
     alphabet = {c for w in words for c in w}
 
     pair_counts: Counter = Counter()
-    pair_where: defaultdict = defaultdict(set)
+    pair_where: defaultdict = defaultdict(list)
     for wi, word in enumerate(words):
         for pair in zip(word, word[1:]):
             pair_counts[pair] += freqs[wi]
-            pair_where[pair].add(wi)
+            where = pair_where[pair]
+            if not where or where[-1] != wi:
+                where.append(wi)
     heap = [(-count, pair) for pair, count in pair_counts.items() if count >= 2]
     heapq.heapify(heap)
 
@@ -366,14 +371,18 @@ def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str
                         pair_counts[prev, left] -= freq
                         pair = (prev, merged)
                         pair_counts[pair] += freq
-                        pair_where[pair].add(wi)
+                        where = pair_where[pair]
+                        if not where or where[-1] != wi:
+                            where.append(wi)
                         grown.add(pair)
                     if i < last - 1:
                         nxt = word[i + 2]
                         pair_counts[right, nxt] -= freq
                         pair = (merged, nxt)
                         pair_counts[pair] += freq
-                        pair_where[pair].add(wi)
+                        where = pair_where[pair]
+                        if not where or where[-1] != wi:
+                            where.append(wi)
                         grown.add(pair)
                     word[i : i + 2] = [merged]
                     last -= 1

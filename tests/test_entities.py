@@ -511,6 +511,14 @@ def test_german_locale_round_trip_on_generated():
         assert en.unmask(pmap.masked_sentence, pmap, en.DE_LOCALE) == s
 
 
+@pytest.mark.parametrize("magnitude, written", [
+    ("1", "1 Meile"), ("1.0", "1,0 Meilen"), ("1.5", "1,5 Meilen"), ("2", "2 Meilen")])
+def test_german_mile_is_singular_only_for_a_written_one(magnitude, written):
+    value = en.Distance(Decimal(magnitude), "mi")
+    assert en._render_value(value, "de") == written
+    assert [m.value for m in en.find_entities(written, DE_TPL)] == [value]
+
+
 _MAGNITUDES = st.builds(lambda n, places: Decimal(n).scaleb(-places),
                         st.integers(0, 10**6), st.integers(0, 2))
 _VALUES = st.one_of(
