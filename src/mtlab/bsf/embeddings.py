@@ -55,9 +55,6 @@ class Embeddings:
     def __getitem__(self, word: str) -> np.ndarray:
         return self.vectors[word]
 
-    def words(self) -> list[str]:
-        return list(self.vectors)
-
     def cosine(self, a: str, b: str) -> float:
         va, vb = self.vectors[a], self.vectors[b]
         na, nb = np.linalg.norm(va), np.linalg.norm(vb)

@@ -194,8 +194,11 @@ def cmd_ner_mask(args) -> None:
     lines = corpus.read_lines(args.input)
     masked_lines = []
     maps = []
-    for line in lines:
-        pmap = entities.mask(line, templates)
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            pmap = entities.mask(line, templates)
+        except entities.EntityError as exc:
+            raise entities.EntityError(f"{args.input}: line {lineno}: {exc}") from None
         masked_lines.append(pmap.masked_sentence)
         maps.append({
             "source_language": pmap.source_language,

@@ -68,9 +68,6 @@ class ParallelCorpus:
     def __iter__(self):
         return iter(self.pairs)
 
-    def ids(self) -> set[int]:
-        return {p.id for p in self.pairs}
-
     def sources(self) -> list[str]:
         return [p.source for p in self.pairs]
 

@@ -21,14 +21,6 @@ def file_digest(path: str) -> str:
     return digest.hexdigest()
 
 
-def _plain(value):
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return str(value)
-
-
 def write_manifest(
     out_dir: str,
     subcommand: str,
@@ -40,8 +32,7 @@ def write_manifest(
     """Write manifest.json next to the run's outputs; returns its path."""
     payload = {
         "subcommand": subcommand,
-        "config": {k: _plain(v) for k, v in sorted(config.items())
-                   if not k.startswith("_") and not callable(v)},
+        "config": {k: v for k, v in config.items() if not k.startswith("_") and not callable(v)},
         "inputs": {os.path.basename(p): file_digest(p) for p in inputs if p and os.path.exists(p)},
         "outputs": [os.path.basename(p) for p in outputs],
         "seed": seed,

@@ -47,19 +47,10 @@ class NumericError(ValueError):
 @dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "sgd_decay"
-    initial_lr: float | None = None     # None resolves to the per-kind default
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}, expected one of {KINDS}")
-        if self.initial_lr is None:
-            object.__setattr__(self, "initial_lr", DEFAULT_LR[self.kind])
-        if self.initial_lr < 0:
-            raise ValueError("learning rate must be non-negative")
-
-    @property
-    def lr(self) -> float:
-        return float(self.initial_lr)
 
 
 class Optimizer:
@@ -71,7 +62,7 @@ class Optimizer:
 
     def __init__(self, config: OptimizerConfig):
         self.config = config
-        self.current_lr = config.lr
+        self.current_lr = DEFAULT_LR[config.kind]
         self.step_count = 0
         self.previous_ppl: float | None = None
         self._slots: list[np.ndarray] = []

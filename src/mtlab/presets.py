@@ -1,8 +1,8 @@
 """Canonical desk-scale experiment configurations.
 
 The convergence experiment is tuned so the qualitative optimizer story is
-reproducible on fixed seeds: Adam leads early, decayed SGD wins at the
-end, Adagrad trails everything.  Each of the paper's experiments is
+reproducible on fixed seeds: Adam leads early, decayed SGD ends below
+Adam; Adagrad ends worst.  Each of the paper's experiments is
 defined here once and fixes every seed: `mtlab experiment` runs it, and
 the acceptance suite checks it.
 """

@@ -13,7 +13,6 @@ from .rng import stream
 
 __all__ = [
     "toy_lm_stream",
-    "two_symbol_stream",
     "toy_parallel_corpus",
     "entity_sentences",
     "parking_sentences",
@@ -49,11 +48,6 @@ def toy_lm_stream(
         else:
             state = int(rng.integers(vocab_size))
     return ids
-
-
-def two_symbol_stream(n_tokens: int) -> np.ndarray:
-    """Deterministic alternating language; entropy zero, so perplexity -> 1."""
-    return np.arange(n_tokens, dtype=np.int64) % 2
 
 
 _PLACES = ["Winterfell", "Dragonstone", "Oldtown", "Highgarden", "Sunspear", "Riverrun"]

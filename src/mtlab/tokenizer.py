@@ -65,7 +65,6 @@ __all__ = [
     "train_bpe_texts",
     "tokenize",
     "detokenize",
-    "vocabulary",
     "save_model",
     "load_model",
     "render_tokens",
@@ -116,9 +115,6 @@ class TokenizedSentence:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def pieces(self) -> list[str]:
-        return [t.piece for t in self.tokens]
 
 
 @dataclass
@@ -417,11 +413,6 @@ def train_bpe(corpus: ParallelCorpus, merge_count: int, mode: str = "joint"):
     raise TokenizerError(f"unknown mode {mode!r}")
 
 
-def vocabulary(model: BpeModel) -> set[str]:
-    """Alphabet plus every merge result."""
-    return set(model.alphabet) | {left + right for left, right in model.merges}
-
-
 # ---------------------------------------------------------------------------
 # application
 
@@ -678,7 +669,5 @@ def load_model(path: str) -> BpeModel:
             raise TokenizerError(f"{path}: line {lineno}: expected two symbols, got {line!r}") from None
         merges.append((left, right))
     if len(merges) != count:
-        raise TokenizerError(f"{path}: header claims {count} merges, found {len(merges)}")
-    if not alphabet:
-        alphabet = {c for pair in merges for sym in pair for c in sym}
+        raise TokenizerError(f"{path}: line 1: header claims {count} merges, found {len(merges)}")
     return BpeModel(tuple(merges), frozenset(alphabet), mode)

@@ -62,7 +62,7 @@ def test_criterion_02_convergence_pattern():
     cond_b = finals["sgd_decay"] <= finals["adam"]
     cond_c = finals["adagrad"] > max(finals[k] for k in ("sgd_decay", "adam", "adadelta"))
     elapsed = time.monotonic() - started
-    report(2, "Adam leads at 25% of budget, decayed SGD wins at the end, Adagrad worst",
+    report(2, "Adam leads at 25% of budget, decayed SGD ends below Adam; Adagrad ends worst",
            cond_a and cond_b and cond_c and elapsed < 300.0,
            f"quarter adam {adam_quarter:.2f} vs sgd {sgd_quarter:.2f}; finals "
            f"sgd {finals['sgd_decay']:.2f} adam {finals['adam']:.2f} "

@@ -222,7 +222,7 @@ class TestModelFile:
     def test_repeated_slot_line_loads_last_wins(self, tmp_path):
         path = tmp_path / "clf.txt"
         path.write_text("bsfclf-v1 4 2 1\na\tb\nbias 0.5 -0.5\n"
-                        "7 1.0 2.0\n3 0.25 0.0\n7 -1.0 4.0\n", encoding="utf-8")
+                        "7 1.0 2.0\n3 0.25 0.0\n\n7 -1.0 4.0\n", encoding="utf-8")
         clf = load_classifier(path)
         assert clf.slots.tolist() == [3, 7]
         assert clf.weights.tolist() == [[0.25, -1.0, 0.0], [0.0, 4.0, 0.0]]

@@ -531,6 +531,7 @@ def test_readme_commands_parse(line):
     ["simulate", "--workers", 2, "--cluster-mode", "sync", "--calibrate-single", "6h",
      "--iterations-per-epoch", 0],
     ["simulate", "--workers", 3, "--cluster-mode", "async", "--warmup-iters", -5],
+    ["simulate", "--workers", 0, "--cluster-mode", "sync"],
 ])
 def test_optlab_counts_below_one_exit_1(tmp_path, capsys, argv):
     small = ["--vocab", 32, "--embed-dim", 8, "--hidden-dim", 16]
@@ -660,11 +661,15 @@ FAULTY = "<faulty file>"
      b"sentence_id,rater_id,system,adequacy,fluency\n1,a,x,3,4\n2,a,\xff,3,4\n", 3),
     (["eval", "ingest", "--scores", FAULTY],
      b"sentence_id,rater_id,system,adequacy,fluency\n1,a,x,3,4\r2,a,x,3,4\n", 2),
+    (["bpe", "apply", "--model", FAULTY, "--input", FAULTY], b"bpe-v1 joint 2\na b\n", 1),
+    (["bsf", "eval", "--model", FAULTY, "--labeled", FAULTY],
+     b"bsfclf-v1 4 3 1\na\tb\nbias 0.0 0.0\n", 2),
 ], ids=["validate-no-tab", "validate-three-columns", "report-no-tab", "train-no-tab",
         "detok-utf8", "bleu-utf8", "bpe-model-merge", "bpe-model-header",
         "classifier-slot-out-of-range", "classifier-value-count", "classifier-header",
         "vectors-non-float", "vectors-header", "vectors-utf8", "bpe-model-utf8",
-        "classifier-bits-too-large", "scores-utf8", "scores-lone-cr"])
+        "classifier-bits-too-large", "scores-utf8", "scores-lone-cr", "bpe-model-merge-count",
+        "classifier-label-count"])
 def test_file_faults_exit_1_naming_the_line(tmp_path, capsys, argv, content, line):
     path = tmp_path / "faulty.txt"
     path.write_bytes(content)
@@ -751,6 +756,36 @@ def test_bpe_detok_body_render_never_writes_exits_1(tmp_path, capsys, line, mess
     error = _one_error_line(capsys)
     assert f"{text}: line 2: " in error and message in error
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["corpus", "split", "--validation-size", -1], "validation size must be non-negative"),
+    (["bpe", "train", "--merges", -1], "merge_count must be non-negative"),
+], ids=["validation-size", "merges"])
+def test_negative_corpus_counts_exit_1(tmp_path, capsys, corpus_files, argv, message):
+    src, tgt = corpus_files
+    assert run(["--out-dir", tmp_path / "out", *argv, "--src", src, "--tgt", tgt]) == 1
+    assert message in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_bsf_eval_on_an_empty_labeled_file_exits_1(tmp_path, capsys):
+    model, labeled = tmp_path / "clf.txt", tmp_path / "labeled.tsv"
+    model.write_text("bsfclf-v1 4 2 1\na\tb\nbias 0.0 0.0\n", encoding="utf-8")
+    labeled.write_bytes(b"")
+    assert run(["--out-dir", tmp_path / "out", "bsf", "eval", "--model", model,
+                "--labeled", labeled]) == 1
+    assert "held-out set is empty" in _one_error_line(capsys)
+
+
+def test_ner_mask_unparseable_value_names_the_line(tmp_path, capsys):
+    templates, text = tmp_path / "templates.tsv", tmp_path / "in.txt"
+    templates.write_text("time\ten\tnoon\n", encoding="utf-8")
+    text.write_text("We open at 9.\nLunch is at noon.\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "ner", "mask", "--input", text,
+                "--templates", templates]) == 1
+    assert _one_error_line(capsys) == f"error: {text}: line 2: unparseable time 'noon'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_bpe_detok_error_names_the_line(tmp_path, capsys):

@@ -18,6 +18,10 @@ from mtlab.corpus import (
 from conftest import make_corpus
 
 
+def pair_ids(corpus):
+    return {p.id for p in corpus}
+
+
 def write(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -107,26 +111,26 @@ class TestSplit:
     def test_same_seed_identical(self, corpus100):
         a = split(corpus100, 10, seed=7)
         b = split(corpus100, 10, seed=7)
-        assert a.validation.ids() == b.validation.ids()
-        assert a.train.ids() == b.train.ids()
+        assert pair_ids(a.validation) == pair_ids(b.validation)
+        assert pair_ids(a.train) == pair_ids(b.train)
 
     def test_partition(self, corpus100):
         result = split(corpus100, 10, seed=7)
         assert len(result.validation) == 10
-        assert result.train.ids() | result.validation.ids() == corpus100.ids()
-        assert result.train.ids() & result.validation.ids() == set()
+        assert pair_ids(result.train) | pair_ids(result.validation) == pair_ids(corpus100)
+        assert pair_ids(result.train) & pair_ids(result.validation) == set()
 
     def test_zero_validation(self, corpus100):
         result = split(corpus100, 0, seed=3)
         assert len(result.validation) == 0
-        assert result.train.ids() == corpus100.ids()
+        assert pair_ids(result.train) == pair_ids(corpus100)
 
     def test_different_seeds_disjoint_from_train(self, corpus100):
         for seed in (7, 8):
             result = split(corpus100, 10, seed=seed)
-            assert result.train.ids() & result.validation.ids() == set()
-        assert (split(corpus100, 10, 7).validation.ids()
-                != split(corpus100, 10, 8).validation.ids())
+            assert pair_ids(result.train) & pair_ids(result.validation) == set()
+        assert (pair_ids(split(corpus100, 10, 7).validation)
+                != pair_ids(split(corpus100, 10, 8).validation))
 
     def test_too_large_validation(self, corpus100):
         with pytest.raises(CorpusSizeError):
@@ -136,19 +140,26 @@ class TestSplit:
 class TestSubsample:
     def test_nesting_pairwise(self, corpus100):
         subs = subsample(corpus100, [10, 20, 40], seed=5)
-        ids = [c.ids() for c in subs]
+        ids = [pair_ids(c) for c in subs]
         assert ids[0] <= ids[1] <= ids[2]
         assert [len(c) for c in subs] == [10, 20, 40]
 
     def test_full_size_is_identity(self, corpus100):
         (sub,) = subsample(corpus100, [100], seed=5)
-        assert sub.ids() == corpus100.ids()
+        assert pair_ids(sub) == pair_ids(corpus100)
+
+    def test_no_sizes_give_no_subsets(self, corpus100):
+        assert subsample(corpus100, [], seed=5) == []
 
     def test_exceeding_size_rejected(self, corpus100):
         with pytest.raises(CorpusSizeError):
             subsample(corpus100, [101], seed=5)
 
+    def test_negative_size_rejected(self, corpus100):
+        with pytest.raises(CorpusSizeError, match="non-negative"):
+            subsample(corpus100, [10, -1], seed=5)
+
     def test_same_seed_same_subsets(self, corpus100):
         a = subsample(corpus100, [10], seed=9)[0]
         b = subsample(corpus100, [10], seed=9)[0]
-        assert a.ids() == b.ids()
+        assert pair_ids(a) == pair_ids(b)

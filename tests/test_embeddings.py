@@ -28,9 +28,10 @@ def test_shared_context_words_are_neighbors(trained):
 
 def test_determinism():
     corpus = embedding_corpus(seed=1, n_sentences=120)
-    a = train_embeddings(corpus, dim=8, epochs=2, seed=9)
-    b = train_embeddings(corpus, dim=8, epochs=2, seed=9)
-    for word in a.words():
+    with pytest.warns(UserWarning, match="only 508 tokens"):
+        a = train_embeddings(corpus, dim=8, epochs=2, seed=9)
+        b = train_embeddings(corpus, dim=8, epochs=2, seed=9)
+    for word in a.vectors:
         assert np.array_equal(a[word], b[word])
 
 
@@ -122,14 +123,19 @@ def test_empty_corpus_rejected():
 
 
 def test_cosine_self_is_one(trained):
-    for word in list(trained.words())[:5]:
+    for word in list(trained.vectors)[:5]:
         assert trained.cosine(word, word) == pytest.approx(1.0)
+
+
+def test_cosine_with_a_zero_vector_is_zero():
+    emb = Embeddings({"zero": np.zeros(2), "x": np.array([1.0, 0.0])}, 2)
+    assert emb.cosine("zero", "x") == emb.cosine("x", "zero") == 0.0
 
 
 class TestVectorFile:
     def test_small_file_parses(self, tmp_path):
         path = tmp_path / "vec.txt"
-        path.write_text("2 3\nfoo 1.0 2.0 3.0\nbar 0.5 -1.5 0.25\n", encoding="utf-8")
+        path.write_text("2 3\nfoo 1.0 2.0 3.0\n\nbar 0.5 -1.5 0.25\n", encoding="utf-8")
         emb = load_embeddings(path)
         assert list(emb["foo"]) == [1.0, 2.0, 3.0]
         assert list(emb["bar"]) == [0.5, -1.5, 0.25]
@@ -151,7 +157,7 @@ class TestVectorFile:
         path = tmp_path / "vec.txt"
         save_embeddings(trained, path)
         again = load_embeddings(path)
-        for word in trained.words():
+        for word in trained.vectors:
             assert np.array_equal(trained[word], again[word])
 
 
@@ -194,8 +200,11 @@ class TestExpandSeeds:
         assert all(sim >= 0.9 for _, sim in out)
 
     def test_all_oov_warns_empty(self):
-        with pytest.warns(UserWarning, match="out of vocabulary"):
+        with pytest.warns(UserWarning) as caught:
             assert expand_seeds(self.hand_built(), ["zebra"], k=3) == []
+        assert [str(w.message) for w in caught] == [
+            "seeds missing from embedding vocabulary: ['zebra']",
+            "all seeds are out of vocabulary; no candidates"]
 
     def test_missing_seed_reported_not_fatal(self):
         with pytest.warns(UserWarning, match="missing"):

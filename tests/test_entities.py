@@ -39,6 +39,7 @@ class TestMask:
         pmap = en.mask("No entities here.", EN_TPL)
         assert pmap.masked_sentence == "No entities here."
         assert pmap.entries == ()
+        assert en.unmask(pmap.masked_sentence, pmap, en.DE_LOCALE) == "No entities here."
 
     def test_two_distances_in_order(self):
         pmap = en.mask("1.9 km from A, 300 m from B", EN_TPL)
@@ -141,6 +142,14 @@ class TestUnmask:
             en.unmask(translated, pmap, en.DE_LOCALE)
         assert [str(w.message) for w in caught] == [f"placeholders {m}" for m in messages]
         assert all(w.category is en.EntityWarning for w in caught)
+
+    @pytest.mark.parametrize("templates, other, written", [
+        (EN_TPL, en.DE_LOCALE, "04.05.2024"), (DE_TPL, en.EN_LOCALE, "05/04/2024"),
+    ], ids=["en", "de"])
+    def test_iso_date_renders_in_the_other_locale(self, templates, other, written):
+        pmap = en.mask("ab 2024-05-04", templates)
+        assert pmap.entries[0].value == en.DateValue(2024, 5, 4)
+        assert en.unmask(pmap.masked_sentence, pmap, other) == f"ab {written}"
 
     def test_time_and_date_rendering(self):
         pmap = en.mask("open from 2:30 pm on March 5, 2018", EN_TPL)
@@ -249,6 +258,10 @@ class TestValidate:
             [("a 55-minute ride", "einer 5-minütigen Fahrt")], EN_TPL, DE_TPL)
         assert result.scores == (0,)
 
+    def test_distance_against_a_duration(self):
+        result = en.validate_entity_translation([("5 km", "5 Minuten")], EN_TPL, DE_TPL)
+        assert result.scores == (0,)
+
     def test_source_without_entity_rejected(self):
         with pytest.raises(en.EntityError):
             en.validate_entity_translation([("nothing here", "nichts")], EN_TPL, DE_TPL)
@@ -293,12 +306,16 @@ class TestTemplates:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "templates.tsv"
-        path.write_text("".join(f"{t.entity_type}\t{t.language}\t{t.pattern}\n" for t in EN_TPL),
-                        encoding="utf-8")
+        path.write_text("# starters\n\n" + "".join(f"{t.entity_type}\t{t.language}\t{t.pattern}\n"
+                                                   for t in EN_TPL), encoding="utf-8")
         loaded = en.load_templates(path)
         assert [(t.entity_type, t.language, t.pattern) for t in loaded] == [
             (t.entity_type, t.language, t.pattern) for t in EN_TPL
         ]
+
+    def test_no_starters_for_another_language(self):
+        with pytest.raises(en.TemplateError, match="no starter templates for language 'fr'"):
+            en.starter_templates("fr")
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -228,6 +228,10 @@ class TestSummarize:
         assert forward.mean_adequacy == backward.mean_adequacy
         assert forward.kappa_adequacy == backward.kappa_adequacy
 
+    def test_kappa_undefined_without_pairs_or_range(self):
+        assert weighted_kappa([]) is None
+        assert weighted_kappa([(3, 3)], (3, 3)) is None
+
     def test_kappa_symmetric_in_raters(self):
         pairs = [(1, 2), (2, 2), (3, 4), (4, 3), (1, 1), (2, 4)]
         assert weighted_kappa(pairs) == pytest.approx(weighted_kappa([(b, a) for a, b in pairs]))
@@ -284,5 +288,6 @@ class TestCorrelate:
 
 def test_rank_helpers():
     assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
+    assert math.isnan(pearson([1, 2, 3], [5, 5, 5]))
     assert spearman([1, 2, 3], [1, 8, 9]) == pytest.approx(1.0)
     assert spearman([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)

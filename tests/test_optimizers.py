@@ -10,6 +10,7 @@ from mtlab.optlab import (
     OptimizerConfig,
     accumulate_gradients,
 )
+from mtlab.optlab.optimizers import DEFAULT_LR
 
 
 def scalar_params(value=1.0):
@@ -17,10 +18,10 @@ def scalar_params(value=1.0):
 
 
 def test_default_learning_rates():
-    assert OptimizerConfig("sgd_decay").lr == 1.0
-    assert OptimizerConfig("adam").lr == 0.0002
-    assert OptimizerConfig("adagrad").lr == 0.1
-    assert OptimizerConfig("adadelta").lr == 1.0
+    assert Optimizer(OptimizerConfig("sgd_decay")).current_lr == 1.0
+    assert Optimizer(OptimizerConfig("adam")).current_lr == 0.0002
+    assert Optimizer(OptimizerConfig("adagrad")).current_lr == 0.1
+    assert Optimizer(OptimizerConfig("adadelta")).current_lr == 1.0
 
 
 def test_unknown_kind_rejected():
@@ -125,7 +126,7 @@ class TestDecaySchedule:
 
 def _textbook_steps(kind, theta, grads):
     """Each rule written as its formula, one temporary per operation."""
-    lr = OptimizerConfig(kind).lr
+    lr = DEFAULT_LR[kind]
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     for t, g in enumerate(grads, start=1):
         if kind == "sgd_decay":

@@ -21,6 +21,7 @@ from mtlab.optlab import (
     SurrogateModel,
     calibrated_cluster_config,
     corpus_size_sweep,
+    optimizers,
     simulate_cluster,
     train,
 )
@@ -38,8 +39,14 @@ def _data():
 
 def _train(kind, **kwargs):
     train_ids, val_ids = _data()
-    opt = OptimizerConfig(kind, **kwargs.pop("opt", {}))
-    return train(SurrogateModel(CFG, seed=9), train_ids, val_ids, opt, **COMMON, **kwargs)
+    return train(SurrogateModel(CFG, seed=9), train_ids, val_ids, OptimizerConfig(kind),
+                 **COMMON, **kwargs)
+
+
+def _divergent():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setitem(optimizers.DEFAULT_LR, "sgd_decay", 50.0)
+        return _train("sgd_decay")
 
 
 def _simulate(cluster):
@@ -54,7 +61,7 @@ def _runs():
             for kind in ("sgd_decay", "adam", "adagrad", "adadelta")}
     runs["train.sgd_decay_accum4"] = lambda: _train("sgd_decay", accum_steps=4)
     runs["train.adam_accum3"] = lambda: _train("adam", accum_steps=3)
-    runs["train.divergent"] = lambda: _train("sgd_decay", opt={"initial_lr": 50.0})
+    runs["train.divergent"] = _divergent
     runs["sync.k4"] = lambda: _simulate(calibrated_cluster_config("sync", 4, 1000.0, 50))
     runs["async.k4_warmup"] = lambda: _simulate(
         calibrated_cluster_config("async", 4, 1000.0, 50, warmup_iterations=20))

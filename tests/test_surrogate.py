@@ -11,10 +11,11 @@ from mtlab.optlab import (
     SurrogateConfig,
     SurrogateModel,
     check_gradients,
+    optimizers,
     train,
 )
 from mtlab.optlab.model import PERPLEXITY_CHUNK
-from mtlab.synth import toy_lm_stream, two_symbol_stream
+from mtlab.synth import toy_lm_stream
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,12 @@ def test_perplexity_at_least_one():
     assert model.perplexity(ids) >= 1.0
 
 
+def test_perplexity_needs_two_tokens():
+    model = SurrogateModel(SurrogateConfig(4, 2, 3), seed=0)
+    with pytest.raises(ValueError, match="at least two tokens"):
+        model.perplexity(np.array([1]))
+
+
 def test_loss_matches_uniform_at_init():
     # biases start at zero and weights are small, so the initial perplexity
     # is close to the vocabulary size
@@ -180,11 +187,12 @@ def test_loss_matches_uniform_at_init():
 
 
 class TestTrain:
-    def test_zero_lr_keeps_parameters_and_ppl(self):
+    def test_zero_lr_keeps_parameters_and_ppl(self, monkeypatch):
+        monkeypatch.setitem(optimizers.DEFAULT_LR, "sgd_decay", 0.0)
         ids = toy_lm_stream(300, 20, seed=4)
         model = SurrogateModel(SurrogateConfig(20, 4, 8), seed=0)
         before = {k: v.copy() for k, v in model.params.items()}
-        trace = train(model, ids, ids, OptimizerConfig("sgd_decay", initial_lr=0.0),
+        trace = train(model, ids, ids, OptimizerConfig("sgd_decay"),
                       epochs=3, batch_size=16, seed=0)
         for name in before:
             assert np.array_equal(model.params[name], before[name])
@@ -192,7 +200,7 @@ class TestTrain:
         assert ppls[0] == ppls[1] == ppls[2]
 
     def test_two_symbol_language_reaches_ppl_one(self):
-        ids = two_symbol_stream(400)
+        ids = np.arange(400, dtype=np.int64) % 2   # entropy zero, so perplexity -> 1
         model = SurrogateModel(SurrogateConfig(2, 4, 8), seed=0)
         trace = train(model, ids, ids, OptimizerConfig("sgd_decay"),
                       epochs=50, batch_size=16, seed=0)
@@ -206,6 +214,14 @@ class TestTrain:
             traces.append(train(model, ids, ids, OptimizerConfig("adam"),
                                 epochs=3, batch_size=16, seed=5))
         assert traces[0].rows == traces[1].rows
+
+    def test_ppl_at_epoch_reads_its_row(self):
+        ids = toy_lm_stream(300, 16, seed=8)
+        model = SurrogateModel(SurrogateConfig(16, 4, 8), seed=5)
+        trace = train(model, ids, ids, OptimizerConfig("sgd_decay"), epochs=2, batch_size=16, seed=5)
+        assert trace.ppl_at_epoch(2) == trace.final_ppl()
+        with pytest.raises(KeyError, match="no trace row for epoch 3"):
+            trace.ppl_at_epoch(3)
 
     def test_iterations_strictly_increase_and_clock_monotone(self):
         ids = toy_lm_stream(400, 16, seed=8)

@@ -6,6 +6,10 @@ from mtlab import tokenizer as tk
 from mtlab.corpus import ParallelCorpus, SentencePair
 
 
+def pieces(ts):
+    return [t.piece for t in ts.tokens]
+
+
 def oracle_bpe(texts, merge_count):
     """Brute-force trainer: recounts every adjacent pair after each merge."""
     units = Counter()
@@ -72,7 +76,7 @@ def test_first_merge_of_low_corpus():
 def test_zero_merges_gives_characters():
     model = tk.train_bpe_texts(["abc de"], 0)
     ts = tk.tokenize(model, "abc de")
-    assert ts.pieces() == ["a", "b", "c", "d", "e"]
+    assert pieces(ts) == ["a", "b", "c", "d", "e"]
     assert [t.joined_right for t in ts.tokens] == [True, True, False, True, False]
 
 
@@ -92,26 +96,36 @@ def test_empty_corpus_rejected():
         tk.train_bpe(ParallelCorpus(()), 5)
 
 
+def test_unknown_mode_rejected(small_corpus):
+    with pytest.raises(tk.TokenizerError, match="unknown mode 'mixed'"):
+        tk.train_bpe(small_corpus, 5, "mixed")
+
+
 def test_early_stop_when_no_repeated_pairs():
     model = tk.train_bpe_texts(["ab cd ef"], 50)
     assert model.merge_count == 0
 
 
 class TestVocabulary:
+    @staticmethod
+    def vocabulary(model):
+        """Alphabet plus every merge result."""
+        return set(model.alphabet) | {left + right for left, right in model.merges}
+
     def test_zero_merges(self):
         model = tk.train_bpe_texts(["abc"], 0)
-        assert tk.vocabulary(model) == set("abc")
+        assert self.vocabulary(model) == set("abc")
 
     def test_three_merges_add_three_symbols(self):
         texts = ["lo lo lo lov lov lovi lovi"]
         model = tk.train_bpe_texts(texts, 3)
-        vocab = tk.vocabulary(model)
+        vocab = self.vocabulary(model)
         assert len(vocab) == len(model.alphabet) + 3
 
     def test_early_stop_vocabulary_smaller_than_requested(self):
         requested = 50
         model = tk.train_bpe_texts(["ab ab cd"], requested)
-        assert len(tk.vocabulary(model)) < len(model.alphabet) + requested
+        assert len(self.vocabulary(model)) < len(model.alphabet) + requested
 
 
 TRAIN_TEXTS = [
@@ -149,7 +163,7 @@ class TestTokenize:
 
     def test_case_variants_share_pieces(self, trained):
         variants = [tk.tokenize(trained, w) for w in ("book", "Book", "BOOK")]
-        assert variants[0].pieces() == variants[1].pieces() == variants[2].pieces()
+        assert pieces(variants[0]) == pieces(variants[1]) == pieces(variants[2])
         assert {t.case for t in variants[2].tokens} <= {"U"}
 
     def test_all_upper_word_restores(self, trained):
@@ -158,12 +172,12 @@ class TestTokenize:
 
     def test_oov_word_decomposes(self, trained):
         ts = tk.tokenize(trained, "zebra")  # never in training
-        assert ts.pieces()
+        assert pieces(ts)
         assert tk.detokenize(ts) == "zebra"
 
     def test_placeholder_is_atomic(self, trained):
         ts = tk.tokenize(trained, "about ⟦DIST_0⟧ away")
-        assert "⟦DIST_0⟧" in ts.pieces()
+        assert "⟦DIST_0⟧" in pieces(ts)
         token = next(t for t in ts.tokens if t.piece == "⟦DIST_0⟧")
         assert token.case == "N"
 
@@ -226,6 +240,14 @@ class TestModelFile:
         with pytest.raises(tk.TokenizerError):
             tk.load_model(path)
 
+    def test_blank_lines_skipped_and_no_trailer_gives_an_empty_alphabet(self, tmp_path):
+        path = tmp_path / "hand.model"
+        path.write_text("bpe-v1 joint 2\na b\n\nab c\n", encoding="utf-8")
+        loaded = tk.load_model(path)
+        assert loaded.merges == (("a", "b"), ("ab", "c"))
+        assert loaded.alphabet == frozenset()
+        assert pieces(tk.tokenize(loaded, "abc abd")) == ["abc", "ab", "d"]
+
     def test_bad_alphabet_escape_names_the_line(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("bpe-v1 joint 0\n#alphabet a \\q\n", encoding="utf-8")
@@ -274,5 +296,5 @@ class TestRenderedFormat:
 
     def test_escapes_still_parse(self):
         ts = tk.parse_tokens("a\\s\\t\\n\\r\\p\\\\\\m|L")
-        assert ts.pieces() == ["a \t\n\r|\\■"]
+        assert pieces(ts) == ["a \t\n\r|\\■"]
         assert tk.render_tokens(ts) == "a\\s\\t\\n\\r\\p\\\\\\m|L"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mtlab import tokenizer as tk
 from mtlab.memo import Memo
-from test_tokenizer import oracle_bpe
+from test_tokenizer import oracle_bpe, pieces
 
 MODEL = tk.train_bpe_texts(
     ["the winter hotel offers a restaurant with wifi and garden views",
@@ -85,8 +85,8 @@ def test_every_accepted_marker_round_trips(sentence):
 @given(st.text(alphabet=string.ascii_letters, min_size=1, max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_piece_sequences_case_invariant(word):
-    lower = tk.tokenize(MODEL, word.lower()).pieces()
-    upper = tk.tokenize(MODEL, word.upper()).pieces()
+    lower = pieces(tk.tokenize(MODEL, word.lower()))
+    upper = pieces(tk.tokenize(MODEL, word.upper()))
     assert lower == upper
 
 
@@ -412,7 +412,7 @@ def test_encode_unit_on_repeated_symbols(merges, text, pieces):
     model = tk.BpeModel(tuple(merges), frozenset("ab"))
     assert _reference_encode_unit(model, text) == pieces
     assert tk._encode_unit(text, model) == pieces
-    assert tk.tokenize(model, text).pieces() == list(pieces)
+    assert [t.piece for t in tk.tokenize(model, text).tokens] == list(pieces)
     assert model._cache == {text: pieces}
 
 
@@ -502,7 +502,7 @@ def test_parse_matches_reference_on_arbitrary_items(text):
         expected = _reference_parse(text)
     except tk.TokenizerError:
         expected = None
-    if expected is None or not all(expected.pieces()) or tk.render_tokens(expected) != text:
+    if expected is None or not all(pieces(expected)) or tk.render_tokens(expected) != text:
         with pytest.raises(tk.TokenizerError):
             _parse_cold_then_warm(text)
     else:
