@@ -81,6 +81,7 @@ class BleuReport:
     config: ScoringConfig = field(default_factory=ScoringConfig)
 
     def to_json(self) -> str:
+        # hand-written, not `asdict`: the keys ("bp", "p1".."p4") are not the field names
         return json.dumps(
             {
                 "score": self.score,

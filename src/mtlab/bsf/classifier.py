@@ -105,7 +105,6 @@ def _feature_arrays(text: str, bits: int, use_bigrams: bool,
 @dataclass
 class HashedLinearClassifier:
     labels: tuple[str, ...]
-    bits: int
     slots: np.ndarray            # (n_slots,) sorted slot ids that carry weights
     weights: np.ndarray          # (n_labels, n_slots + 1); the last column is zero
     bias: np.ndarray             # (n_labels,)
@@ -115,7 +114,7 @@ class HashedLinearClassifier:
         self._columns = dict(zip(self.slots.tolist(), range(len(self.slots))))   # slot -> column
 
     def scores(self, text: str) -> np.ndarray:
-        cols, cnt = _feature_arrays(text, self.bits, self.spec.use_bigrams, self._columns)
+        cols, cnt = _feature_arrays(text, self.spec.bits, self.spec.use_bigrams, self._columns)
         # a fancy-index gather, like training's: `take` would change its layout,
         # and with it the gemv kernel and the bits
         return self.weights[:, cols] @ cnt + self.bias
@@ -163,7 +162,7 @@ def train_classifier(
             w -= lr * (prob[:, None] * cnt + l2 * w)
             weights[:, idx] = w
             bias -= lr * prob
-    return HashedLinearClassifier(labels, spec.bits, slots, weights, bias, spec)
+    return HashedLinearClassifier(labels, slots, weights, bias, spec)
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,7 @@ _CLF_HEADER = "bsfclf-v1"
 def save_classifier(clf: HashedLinearClassifier, path: str) -> None:
     """Auditability-first text dump: labels, bias, then nonzero weight columns."""
     nonzero = np.nonzero(np.any(clf.weights != 0.0, axis=0))[0]
-    write_lines([f"{_CLF_HEADER} {clf.bits} {len(clf.labels)} {int(clf.spec.use_bigrams)}",
+    write_lines([f"{_CLF_HEADER} {clf.spec.bits} {len(clf.labels)} {int(clf.spec.use_bigrams)}",
                  "\t".join(clf.labels),
                  "bias " + " ".join(repr(float(x)) for x in clf.bias),
                  *(f"{clf.slots[col]} " + " ".join(repr(float(x)) for x in clf.weights[:, col])
@@ -272,4 +271,4 @@ def load_classifier(path: str) -> HashedLinearClassifier:
     for col, slot in enumerate(slots.tolist()):
         weights[:, col] = by_slot[slot]
     spec = ClassifierSpec(bits=bits, use_bigrams=bool(use_bigrams))
-    return HashedLinearClassifier(labels, bits, slots, weights, bias, spec)
+    return HashedLinearClassifier(labels, slots, weights, bias, spec)

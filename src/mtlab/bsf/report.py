@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .classifier import ClassifierError, HashedLinearClassifier
 from .lexicon import AspectLexicon, match_sentences
@@ -20,16 +20,7 @@ class BsfReport:
     matched_count: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "labels": list(self.labels),
-                "matrix": self.matrix,
-                "volumes": self.volumes,
-                "flagged_ids": list(self.flagged_ids),
-                "matched_count": self.matched_count,
-            },
-            ensure_ascii=False,
-        )
+        return json.dumps(asdict(self), ensure_ascii=False)
 
     def to_text(self) -> str:
         width = max(18, max(len(l) for l in self.labels) + 2)

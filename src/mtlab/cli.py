@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 
 from . import bleu as bleu_mod
 from . import bsf, corpus, entities, humaneval, presets, synth, tokenizer
@@ -35,7 +36,7 @@ from .optlab import (
     simulate_cluster,
     train,
 )
-from .optlab.cluster import ITERATIONS_PER_EPOCH, SINGLE_EPOCH_SECONDS
+from .optlab.cluster import SINGLE_EPOCH_SECONDS
 
 __all__ = ["main", "parse_duration", "format_duration", "parse_sizes"]
 
@@ -106,12 +107,26 @@ def _read_json(path: str, error: type):
         raise error(f"{path}: {exc}") from None
 
 
-def _out(args, name: str) -> str:
-    """The path of output `name` in --out-dir, recorded for the manifest."""
+def _out(args, name: str, lines: list[str] | None = None) -> str:
+    """The path of output `name` in --out-dir, recorded for the manifest;
+    `lines`, when given, are written there."""
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, name)
     args._outputs.append(path)
+    if lines is not None:
+        corpus.write_lines(lines, path)
     return path
+
+
+def _by_line(path: str, fn, error: type) -> list:
+    """`fn` of each line of `path`; an `error` it raises names the file and line."""
+    results = []
+    for lineno, line in enumerate(corpus.read_lines(path), start=1):
+        try:
+            results.append(fn(line))
+        except error as exc:
+            raise error(f"{path}: line {lineno}: {exc}") from None
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +171,16 @@ def cmd_bpe_train(args) -> None:
 def cmd_bpe_apply(args) -> None:
     model = tokenizer.load_model(args.model)
     lines = corpus.read_lines(args.input)
-    rendered = [tokenizer.render_tokens(tokenizer.tokenize(model, line)) for line in lines]
-    path = _out(args, args.output)
-    corpus.write_lines(rendered, path)
+    path = _out(args, args.output,
+                [tokenizer.render_tokens(tokenizer.tokenize(model, line)) for line in lines])
     print(f"tokenized {len(lines)} sentences -> {path}")
 
 
 def cmd_bpe_detok(args) -> None:
-    lines = corpus.read_lines(args.input)
-    restored = []
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            restored.append(tokenizer.detokenize(tokenizer.parse_tokens(line)))
-        except tokenizer.TokenizerError as exc:
-            raise tokenizer.TokenizerError(f"{args.input}: line {lineno}: {exc}") from None
-    path = _out(args, args.output)
-    corpus.write_lines(restored, path)
-    print(f"detokenized {len(lines)} sentences -> {path}")
+    restored = _by_line(args.input, lambda line: tokenizer.detokenize(tokenizer.parse_tokens(line)),
+                        tokenizer.TokenizerError)
+    path = _out(args, args.output, restored)
+    print(f"detokenized {len(restored)} sentences -> {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,35 +191,22 @@ def cmd_ner_scan(args) -> None:
     loaded = _load_corpus(args)
     report = entities.scan_mismatches(loaded, _templates(args.templates_src),
                                       _templates(args.templates_tgt))
-    json_path, text_path = _out(args, "mismatches.json"), _out(args, "mismatches.txt")
-    corpus.write_lines([report.to_json()], json_path)
-    corpus.write_lines([report.to_text()], text_path)
+    _out(args, "mismatches.json", [report.to_json()])
+    _out(args, "mismatches.txt", [report.to_text()])
     print(report.to_text())
 
 
 def cmd_ner_mask(args) -> None:
     templates = _templates(args.templates)
-    lines = corpus.read_lines(args.input)
-    masked_lines = []
-    maps = []
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            pmap = entities.mask(line, templates)
-        except entities.EntityError as exc:
-            raise entities.EntityError(f"{args.input}: line {lineno}: {exc}") from None
-        masked_lines.append(pmap.masked_sentence)
-        maps.append({
-            "source_language": pmap.source_language,
-            "entries": [
-                {"index": e.index, "type": e.entity_type, "text": e.original_text}
-                for e in pmap.entries
-            ],
-        })
-    masked_path, map_path = _out(args, "masked.txt"), _out(args, "maps.json")
-    corpus.write_lines(masked_lines, masked_path)
-    corpus.write_lines([json.dumps(maps, ensure_ascii=False, indent=2)], map_path)
-    total = sum(len(m["entries"]) for m in maps)
-    print(f"masked {total} entities in {len(lines)} sentences -> {masked_path}")
+    pmaps = _by_line(args.input, lambda line: entities.mask(line, templates), entities.EntityError)
+    maps = [{"source_language": pmap.source_language,
+             "entries": [{"index": e.index, "type": e.entity_type, "text": e.original_text}
+                         for e in pmap.entries]}
+            for pmap in pmaps]
+    masked_path = _out(args, "masked.txt", [pmap.masked_sentence for pmap in pmaps])
+    _out(args, "maps.json", [json.dumps(maps, ensure_ascii=False, indent=2)])
+    total = sum(len(pmap.entries) for pmap in pmaps)
+    print(f"masked {total} entities in {len(pmaps)} sentences -> {masked_path}")
 
 
 def _is_map(stored) -> bool:
@@ -247,8 +242,7 @@ def cmd_ner_unmask(args) -> None:
             out_lines.append(entities.unmask(line, pmap, locale))
         except entities.EntityError as exc:
             raise entities.EntityError(f"{args.map}: map {n}: {exc}") from None
-    path = _out(args, args.output)
-    corpus.write_lines(out_lines, path)
+    path = _out(args, args.output, out_lines)
     print(f"unmasked {len(lines)} sentences -> {path}")
 
 
@@ -257,9 +251,7 @@ def cmd_ner_validate(args) -> None:
     result = entities.validate_entity_translation(
         pairs, _templates(args.templates_src), _templates(args.templates_tgt),
         rel_tolerance=args.tolerance)
-    payload = {"scores": list(result.scores), "accuracy": result.accuracy}
-    path = _out(args, "entity-validation.json")
-    corpus.write_lines([json.dumps(payload)], path)
+    _out(args, "entity-validation.json", [json.dumps(asdict(result))])
     print(f"entity accuracy: {result.accuracy:.3f} over {len(pairs)} pairs")
 
 
@@ -271,8 +263,7 @@ def cmd_bleu_corpus(args) -> None:
     config = bleu_mod.ScoringConfig(case_sensitive=not args.lowercase)
     report = bleu_mod.corpus_bleu(corpus.read_lines(args.candidates),
                                   corpus.read_lines(args.references), config)
-    path = _out(args, "bleu.json")
-    corpus.write_lines([report.to_json()], path)
+    _out(args, "bleu.json", [report.to_json()])
     print(f"BLEU = {report.score:.2f} (BP {report.brevity_penalty:.3f}, "
           + "/".join(f"{p:.3f}" for p in report.precisions) + ")")
 
@@ -314,13 +305,13 @@ def cmd_optlab_simulate(args) -> None:
     train_ids, val_ids = _toy_data(args, args.tokens)
     warmup = ClusterConfig.async_warmup_iterations if args.warmup_iters is None else args.warmup_iters
     if args.calibrate_single is not None:
-        iterations = (ITERATIONS_PER_EPOCH if args.iterations_per_epoch is None
-                      else args.iterations_per_epoch)
+        if args.batch_size < 1:
+            raise ValueError(f"--batch-size must be at least 1, got {args.batch_size}")
+        # calibrated to the batches each epoch of this stream runs
         cluster = calibrated_cluster_config(
             args.cluster_mode, args.workers, args.calibrate_single,
-            iterations_per_epoch=iterations, warmup_iterations=warmup)
-        # the calibration fixes the batch count per epoch; size the stream to it
-        train_ids = _toy_data(args, iterations * args.batch_size + 1)[0]
+            iterations_per_epoch=-(-(len(train_ids) - 1) // args.batch_size),
+            warmup_iterations=warmup)
     else:
         cluster = ClusterConfig(args.workers, args.cluster_mode,
                                 per_batch_compute_time=(1.0 if args.batch_seconds is None
@@ -345,8 +336,7 @@ def cmd_optlab_simulate(args) -> None:
         "final_ppl": trace.final_ppl(),
         "max_staleness": trace.max_staleness,
     }
-    json_path = _out(args, f"sim-{args.cluster_mode}-{args.workers}.json")
-    corpus.write_lines([json.dumps(payload)], json_path)
+    _out(args, f"sim-{args.cluster_mode}-{args.workers}.json", [json.dumps(payload)])
     print(f"{args.cluster_mode} x{args.workers}: epoch {epoch_time}, "
           f"final ppl {trace.final_ppl():.3f}, max staleness {trace.max_staleness}")
 
@@ -402,8 +392,7 @@ def cmd_bsf_match(args) -> None:
     lexicon = bsf.AspectLexicon(approved_terms=bsf.load_terms(args.terms))
     sentences = corpus.read_lines(args.input)
     matched = bsf.match_sentences(sentences, lexicon)
-    path = _out(args, "matched-ids.txt")
-    corpus.write_lines([str(i) for i in matched], path)
+    _out(args, "matched-ids.txt", [str(i) for i in matched])
     print(f"matched {len(matched)} of {len(sentences)} sentences")
 
 
@@ -423,9 +412,9 @@ def cmd_bsf_train(args) -> None:
 def cmd_bsf_eval(args) -> None:
     clf = bsf.load_classifier(args.model)
     metrics = bsf.evaluate_classifier(clf, _read_labeled(args.labeled))
-    json_path = _out(args, "bsf-eval.json")
-    corpus.write_lines([json.dumps({"per_label": metrics.per_label, "accuracy": metrics.accuracy,
-                                    "macro_f1": metrics.macro_f1, "n": metrics.n})], json_path)
+    _out(args, "bsf-eval.json", [json.dumps({"per_label": metrics.per_label,
+                                              "accuracy": metrics.accuracy,
+                                              "macro_f1": metrics.macro_f1, "n": metrics.n})])
     print(metrics.to_text())
 
 
@@ -435,9 +424,8 @@ def cmd_bsf_report(args) -> None:
     report = bsf.cross_language_report(pairs, lexicon, None,
                                        bsf.load_classifier(args.clf_src),
                                        bsf.load_classifier(args.clf_tgt))
-    json_path, text_path = _out(args, "bsf-report.json"), _out(args, "bsf-report.txt")
-    corpus.write_lines([report.to_json()], json_path)
-    corpus.write_lines([report.to_text()], text_path)
+    _out(args, "bsf-report.json", [report.to_json()])
+    _out(args, "bsf-report.txt", [report.to_text()])
     print(report.to_text())
 
 
@@ -453,13 +441,10 @@ def cmd_eval_ingest(args) -> None:
 def cmd_eval_summarize(args) -> None:
     records = humaneval.ingest_scores(args.scores, (args.score_min, args.score_max))
     summary = humaneval.summarize(records, (args.score_min, args.score_max))
-    json_path = _out(args, "summary.json")
-    corpus.write_lines([summary.to_json()], json_path)
-    csv_path = _out(args, "summary.csv")
-    lines = ["system,adequacy,fluency,n"]
-    for name, s in summary.systems.items():
-        lines.append(f"{name},{s.mean_adequacy:.4f},{s.mean_fluency:.4f},{s.n}")
-    corpus.write_lines(lines, csv_path)
+    _out(args, "summary.json", [summary.to_json()])
+    _out(args, "summary.csv", ["system,adequacy,fluency,n"] + [
+        f"{name},{s.mean_adequacy:.4f},{s.mean_fluency:.4f},{s.n}"
+        for name, s in summary.systems.items()])
     for name, s in summary.systems.items():
         kappa = "n/a" if s.kappa_adequacy is None else f"{s.kappa_adequacy:.3f}"
         print(f"{name}: adequacy {s.mean_adequacy:.3f}, fluency {s.mean_fluency:.3f}, "
@@ -478,13 +463,11 @@ def cmd_eval_correlate(args) -> None:
     for name, s in summary.systems.items():
         if name in bleu_by_system:
             table.append(f"{name},{bleu_by_system[name]},{s.mean_adequacy:.4f},{s.mean_fluency:.4f}")
-    table_path = _out(args, "bleu-vs-human.csv")
-    corpus.write_lines(table, table_path)
+    _out(args, "bleu-vs-human.csv", table)
     for metric in ("adequacy", "fluency"):
         human = {name: getattr(s, f"mean_{metric}") for name, s in summary.systems.items()}
         report = humaneval.correlate(bleu_by_system, human)
-        path = _out(args, f"correlation-{metric}.json")
-        corpus.write_lines([report.to_json()], path)
+        _out(args, f"correlation-{metric}.json", [report.to_json()])
         print(f"{metric}: pearson {report.pearson_r:.3f}, spearman {report.spearman_rho:.3f}, "
               f"BLEU best={report.bleu_argmax}, human best={report.human_argmax}"
               + (" [argmax disagreement]" if report.argmax_disagreement else ""))
@@ -668,8 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     timing = p.add_mutually_exclusive_group()
     timing.add_argument("--calibrate-single", type=parse_duration, default=None,
                         help="single-worker epoch duration, e.g. 22260s or 6h11m")
-    p.add_argument("--iterations-per-epoch", type=int, default=None,
-                   help=f"with --calibrate-single only (default {ITERATIONS_PER_EPOCH})")
     timing.add_argument("--batch-seconds", type=float, default=None, help="default 1.0")
     p.add_argument("--epochs", type=int, default=1)
     p = command(sub, "sweep", cmd_optlab_sweep, seeded=True)
@@ -746,8 +727,6 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(args, "_corpus_parser") and given not in ((True, False, False), (False, True, True)):
         args._corpus_parser.error("give --tsv, or both --src and --tgt")
     if hasattr(args, "_simulate_parser"):
-        if args.calibrate_single is None and args.iterations_per_epoch is not None:
-            args._simulate_parser.error("--iterations-per-epoch needs --calibrate-single")
         if args.cluster_mode != "async" and args.warmup_iters is not None:
             args._simulate_parser.error("--warmup-iters needs --cluster-mode async")
     try:

@@ -25,7 +25,7 @@ import json
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
@@ -141,9 +141,6 @@ class EntityTemplate:
     def __post_init__(self):
         self._spans = Memo(SCAN_MEMO_LIMIT)
         self._values = Memo(SCAN_MEMO_LIMIT)
-        # bound once (CPython does not specialize `.get` on a dict subclass); a Memo rotates in place
-        self._spans_get = self._spans.get
-        self._values_get = self._values.get
         self.code = TYPE_CODES.get(self.entity_type, self.entity_type.upper())
         # unmask finds placeholders by PLACEHOLDER_RE, so a code it cannot match would be lost
         if not PLACEHOLDER_RE.fullmatch(format_placeholder(self.code, 0)):
@@ -162,7 +159,7 @@ class EntityTemplate:
 
     def spans(self, sentence: str) -> tuple[tuple[int, int], ...]:
         """(start, end) of each non-empty match in the sentence (memoized)."""
-        spans = self._spans_get(sentence)
+        spans = self._spans.get(sentence)
         return self._spans.fill(sentence, self._scan) if spans is None else spans
 
     def _scan(self, sentence: str) -> tuple[tuple[int, int], ...]:
@@ -174,7 +171,7 @@ class EntityTemplate:
 
     def value(self, text: str):
         """`parse(text)`, memoized; a parse error is raised again on every call."""
-        value = self._values_get(text)
+        value = self._values.get(text)
         return self._values.fill(text, self.parse) if value is None else value
 
 
@@ -494,23 +491,14 @@ def unmask(translated: str, pmap: PlaceholderMap, locale: LocaleFormat) -> str:
 
 @dataclass(frozen=True)
 class MismatchReport:
+    pair_count: int
     mismatch_counts: dict
     sample_ids: dict
     unmatched: dict           # language -> {surface: count}
     total_unmatched: int
-    pair_count: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "pair_count": self.pair_count,
-                "mismatch_counts": self.mismatch_counts,
-                "sample_ids": self.sample_ids,
-                "unmatched": {lang: dict(table) for lang, table in self.unmatched.items()},
-                "total_unmatched": self.total_unmatched,
-            },
-            ensure_ascii=False,
-        )
+        return json.dumps(asdict(self), ensure_ascii=False)
 
     def to_text(self) -> str:
         lines = [f"pairs scanned: {self.pair_count}"]
@@ -579,8 +567,8 @@ def scan_mismatches(
             unmatched[src_lang].update(m.text for m in unpaired_src)
             unmatched[tgt_lang].update(m.text for m in unpaired_tgt)
             total += len(unpaired_src) + len(unpaired_tgt)
-    return MismatchReport(mismatch_counts, sample_ids,
-                          {k: dict(v) for k, v in unmatched.items()}, total, len(corpus))
+    return MismatchReport(len(corpus), mismatch_counts, sample_ids,
+                          {k: dict(v) for k, v in unmatched.items()}, total)
 
 
 @dataclass(frozen=True)

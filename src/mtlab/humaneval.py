@@ -11,7 +11,7 @@ import csv
 import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .corpus import read_lines
@@ -106,7 +106,6 @@ def ingest_scores(path: str, score_range: tuple[int, int] = DEFAULT_RANGE) -> li
 
 @dataclass(frozen=True)
 class SystemSummary:
-    system: str
     mean_adequacy: float
     mean_fluency: float
     rater_means: dict            # rater -> (adequacy mean, fluency mean)
@@ -120,6 +119,7 @@ class EvaluationSummary:
     systems: dict  # system -> SystemSummary
 
     def to_json(self) -> str:
+        # hand-written, not `asdict`: the keys are not the field names, which perfbench reads
         payload = {}
         for name, s in self.systems.items():
             payload[name] = {
@@ -189,7 +189,6 @@ def summarize(records: list[AdequacyFluencyRecord],
             kappa_f = weighted_kappa(
                 [(a_scores[i].fluency, b_scores[i].fluency) for i in common], score_range)
         summaries[system] = SystemSummary(
-            system,
             sum(adequacy) / len(adequacy),
             sum(fluency) / len(fluency),
             rater_means,
@@ -247,18 +246,7 @@ class CorrelationReport:
     argmax_disagreement: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "systems": list(self.systems),
-                "bleu": list(self.bleu),
-                "human": list(self.human),
-                "pearson_r": self.pearson_r,
-                "spearman_rho": self.spearman_rho,
-                "bleu_argmax": self.bleu_argmax,
-                "human_argmax": self.human_argmax,
-                "argmax_disagreement": self.argmax_disagreement,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def correlate(bleu_by_system: dict, human_by_system: dict) -> CorrelationReport:

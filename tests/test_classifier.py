@@ -103,7 +103,7 @@ class TestTraining:
 
 def dense_weights(clf):
     """The full (n_labels, 2**bits) table that a compact classifier stands for."""
-    dense = np.zeros((len(clf.labels), 1 << clf.bits))
+    dense = np.zeros((len(clf.labels), 1 << clf.spec.bits))
     dense[:, clf.slots] = clf.weights[:, :-1]
     return dense
 

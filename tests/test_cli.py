@@ -236,7 +236,6 @@ def test_optlab_simulate_default_async_run_uses_every_trainer(tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (["--calibrate-single", "6h", "--batch-seconds", 99],
      "argument --batch-seconds: not allowed with argument --calibrate-single"),
-    (["--iterations-per-epoch", 20], "--iterations-per-epoch needs --calibrate-single"),
     (["--warmup-iters", 0], "--warmup-iters needs --cluster-mode async"),
 ])
 def test_optlab_simulate_other_mode_flag_is_usage_error(tmp_path, capsys, flags, message):
@@ -529,7 +528,7 @@ def test_readme_commands_parse(line):
     ["gradcheck", "--batch-size", 0],
     ["gradcheck", "--samples", 0],
     ["simulate", "--workers", 2, "--cluster-mode", "sync", "--calibrate-single", "6h",
-     "--iterations-per-epoch", 0],
+     "--batch-size", 0],
     ["simulate", "--workers", 3, "--cluster-mode", "async", "--warmup-iters", -5],
     ["simulate", "--workers", 0, "--cluster-mode", "sync"],
 ])

@@ -68,7 +68,7 @@ RUNS = [
                          *TINY_LM]),
     ("optlab-simulate-calibrated", ["optlab", "simulate", "--workers", "2",
                                     "--cluster-mode", "sync", "--calibrate-single", "6h11m",
-                                    "--iterations-per-epoch", "30", *TINY_LM]),
+                                    *TINY_LM]),
     ("optlab-sweep", ["optlab", "sweep", "--sizes", "300,600", "--budget", "40",
                       "--checkpoint-every", "15", *TINY_MODEL]),
     ("optlab-gradcheck", ["optlab", "gradcheck", "--samples", "20", *TINY_MODEL]),
@@ -196,6 +196,13 @@ def test_every_run_matches_golden(baseline, golden):
         assert got[name] == want, name
 
 
+def test_every_manifest_lists_the_files_its_run_wrote(baseline):
+    """Each output a run writes goes through `_out`, which records it: the
+    manifest's outputs are exactly the files in the run's out-dir."""
+    for name, run in baseline[1].items():
+        assert sorted(run["manifest"]["outputs"]) == sorted(run["files"]), name
+
+
 # Values for flags whose generic move (int +1, float x2, text + "x", the next
 # choice, the other starter code, a size list less its last size, a flag
 # toggled) shows no effect on these inputs, keyed by flag or "subcommand flag"
@@ -204,8 +211,6 @@ MOVES = {
     "--score-max": "3",
     "ner validate --tolerance": "0.5",  # 0.01 and 0.02 pass and fail the same pairs
     "optlab gradcheck --tolerance": "1e-9",  # below the measured error, so the check fails
-    "--tokens": "3000",  # under --calibrate-single it sizes only the validation stream,
-                         # to max(500, tokens // 5)
     "--calibrate-single": "3h",
     "--candidate": "the hotel has a garden",  # "poolx" would miss the reference as "pool" does
     "--reference": "the hotel has a pool",

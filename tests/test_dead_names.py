@@ -6,7 +6,8 @@ property and annotated field of its classes, is referenced somewhere in
 A reference is a name read (`Name`), an attribute read (`Attribute`), an
 import alias, a keyword-argument name, or a string that is exactly one
 identifier (such as a name that `getattr` or a patch table looks up).
-Strings in `__all__` and docstrings do not count, and neither does the
+A call `asdict(self)` in a class body reads each annotated field of that
+class.  Strings in `__all__` and docstrings do not count, and neither does the
 target of an assignment.  A module-level name counts any reference; a
 class member counts only the forms that can reach a member (attributes,
 keywords and strings), so a local variable of the same name does not
@@ -55,11 +56,18 @@ def _all_strings(tree: ast.Module) -> set[int]:
     return found
 
 
+def _asdict_self(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "asdict" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Name) and node.args[0].id == "self")
+
+
 def references(source: str) -> tuple[set[str], set[str]]:
     """(every name the source reads, the names it reads as a member).
 
-    The second set holds attribute reads, keyword-argument names and
-    identifier strings, the forms that reach a class member."""
+    The second set holds attribute reads, keyword-argument names,
+    identifier strings and the fields of a class that calls `asdict(self)`,
+    the forms that reach a class member."""
     tree = ast.parse(source)
     skipped = _docstrings(tree) | _all_strings(tree)
     names: set[str] = set()
@@ -76,6 +84,9 @@ def references(source: str) -> tuple[set[str], set[str]]:
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier() and id(node) not in skipped):
             members.add(node.value)
+        elif isinstance(node, ast.ClassDef) and any(map(_asdict_self, ast.walk(node))):
+            members.update(f.target.id for f in node.body
+                           if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name))
     return names | members, members
 
 
@@ -142,6 +153,8 @@ def dead_names(defined: dict[str, str], readers: list[str]) -> list[str]:
     ("class C:\n    def ids(self): pass\nC()\nids = [1]\nprint(ids)", ["m.C.ids"]),
     ("import m\nm.f()\ndef f(): pass\ndef g(): pass", ["m.g"]),
     ("from m import f as h\nh()\ndef f(): pass", []),
+    ("class C:\n    x: int\n    def j(self): return asdict(self)\nC().j()", []),
+    ("class C:\n    x: int\n    def j(self, o): return asdict(o)\nC().j(C())", ["m.C.x"]),
 ])
 def test_dead_names_finds_each_form(source, dead):
     assert dead_names({"m": source}, [source]) == dead

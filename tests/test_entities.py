@@ -239,8 +239,10 @@ def _reference_scan_mismatches(corpus, templates_src, templates_tgt):
             unmatched[src_lang].update(m.text for m in unpaired_src)
             unmatched[tgt_lang].update(m.text for m in unpaired_tgt)
             total += len(unpaired_src) + len(unpaired_tgt)
-    return en.MismatchReport(mismatch_counts, sample_ids,
-                             {k: dict(v) for k, v in unmatched.items()}, total, len(corpus))
+    return en.MismatchReport(pair_count=len(corpus), mismatch_counts=mismatch_counts,
+                             sample_ids=sample_ids,
+                             unmatched={k: dict(v) for k, v in unmatched.items()},
+                             total_unmatched=total)
 
 
 class TestValidate:

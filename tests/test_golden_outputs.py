@@ -127,7 +127,7 @@ def _embedding_vectors():
 
 def _classifier_digest():
     clf = train_classifier(parking_sentences("en", 240, seed=3))
-    dense = np.zeros((len(clf.labels), 1 << clf.bits))   # the full table the digest was pinned on
+    dense = np.zeros((len(clf.labels), 1 << clf.spec.bits))   # the full table the digest was pinned on
     dense[:, clf.slots] = clf.weights[:, :-1]
     digest = hashlib.sha256(dense.tobytes() + clf.bias.tobytes()).hexdigest()
     return {"labels": list(clf.labels), "sha256": digest}
