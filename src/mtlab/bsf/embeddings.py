@@ -49,12 +49,6 @@ class Embeddings:
     vectors: dict[str, np.ndarray]
     dim: int
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
-
-    def __getitem__(self, word: str) -> np.ndarray:
-        return self.vectors[word]
-
     def cosine(self, a: str, b: str) -> float:
         va, vb = self.vectors[a], self.vectors[b]
         na, nb = np.linalg.norm(va), np.linalg.norm(vb)

@@ -41,8 +41,8 @@ def expand_seeds(
         raise ValueError(f"k must be at least 1, got {k}")
     if math.isnan(min_sim):
         raise ValueError("min_sim must be a number, got nan")
-    present = [s for s in seeds if s in emb]
-    missing = [s for s in seeds if s not in emb]
+    present = [s for s in seeds if s in emb.vectors]
+    missing = [s for s in seeds if s not in emb.vectors]
     if missing:
         warnings.warn(f"seeds missing from embedding vocabulary: {missing}", UserWarning)
     if not present:

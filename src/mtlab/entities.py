@@ -313,7 +313,10 @@ def load_templates(path: str) -> list[EntityTemplate]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise TemplateError(f"{path}: line {i}: expected 3 tab-separated fields")
-        templates.append(EntityTemplate(parts[0], parts[1], parts[2]))
+        try:
+            templates.append(EntityTemplate(*parts))
+        except TemplateError as exc:
+            raise TemplateError(f"{path}: line {i}: {exc}") from None
     return templates
 
 

@@ -33,8 +33,8 @@ only bodies holding a backslash and accepts exactly the lines
 (`memo.Memo`) maps an item to its token.
 
 The per-item records, `_Unit` (a pre-split unit) and `AnnotatedToken`, are
-NamedTuples, cheap to build and compare; `TokenizedSentence` and
-`BpeModel` stay dataclasses.
+NamedTuples, cheap to build and compare; a tokenized sentence is a tuple of
+`AnnotatedToken`s, as in subword-nmt a segmented sentence is a sequence.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "PLACEHOLDER_RE",
     "format_placeholder",
     "AnnotatedToken",
-    "TokenizedSentence",
     "BpeModel",
     "TokenizerError",
     "train_bpe",
@@ -109,14 +108,6 @@ class AnnotatedToken(NamedTuple):
     joined_right: bool = False  # no space between this piece and the next
 
 
-@dataclass(frozen=True)
-class TokenizedSentence:
-    tokens: tuple[AnnotatedToken, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
 @dataclass
 class BpeModel:
     """Ordered merge list plus the base alphabet; immutable after training.
@@ -153,7 +144,6 @@ class _Unit(NamedTuple):
     text: str          # lowercased for cased words, verbatim otherwise
     case: str
     atomic: bool       # placeholders / whitespace: never BPE-split
-    joined_right: bool
 
 
 def _classify(fragment: str, cased: bool = False) -> tuple[str, str]:
@@ -196,8 +186,8 @@ def _case_fragments(run: str) -> list[str]:
 
 
 def _plain_units(text: str) -> list[_Unit]:
-    """Units of placeholder-free, whitespace-free text, all joined right:
-    letter runs split at case boundaries, digit runs and other runs.
+    """Units of placeholder-free, whitespace-free text: letter runs split
+    at case boundaries, digit runs and other runs.
 
     For ASCII, `[A-Za-z]`, `[0-9]` and the rest are exactly `str.isalpha`,
     `str.isdigit` and the rest, so one regex finds the runs, and every
@@ -212,31 +202,31 @@ def _plain_units(text: str) -> list[_Unit]:
     units = []
     for run in runs:
         if not run[0].isalpha():
-            units.append(_Unit(run, CASE_N, False, True))
+            units.append(_Unit(run, CASE_N, False))
         elif len(run) == 1 or run[1:].islower():   # no capital after the first letter
-            units.append(_Unit(*_classify(run, is_ascii), False, True))
+            units.append(_Unit(*_classify(run, is_ascii), False))
         else:
-            units.extend(_Unit(*_classify(frag, is_ascii), False, True) for frag in _case_fragments(run))
+            units.extend(_Unit(*_classify(frag, is_ascii), False) for frag in _case_fragments(run))
     return units
 
 
 def _chunk_units(chunk: str) -> list[_Unit]:
-    """Split one chunk into units, all joined right.
+    """Split one chunk into units.
 
     A whitespace run is one atomic unit; a whitespace-free chunk splits into
     placeholders (atomic; an ASCII chunk holds none) and `_plain_units`.
     """
     if chunk[0].isspace():
-        return [_Unit(chunk, CASE_N, True, True)]
+        return [_Unit(chunk, CASE_N, True)]
     # a plain word, optionally with one non-alphanumeric ("O" class) tail
     # character: nothing after its first letter is upper case, so no case
     # boundary falls inside it, and no placeholder fits in the tail; past
     # one letter, `islower` has proved a cased character
     word = chunk if len(chunk) == 1 or chunk[-1].isalnum() else chunk[:-1]
     if word.isalpha() and (len(word) == 1 or word[1:].islower()):
-        units = [_Unit(*_classify(word, len(word) > 1), False, True)]
+        units = [_Unit(*_classify(word, len(word) > 1), False)]
         if len(word) < len(chunk):
-            units.append(_Unit(chunk[-1], CASE_N, False, True))
+            units.append(_Unit(chunk[-1], CASE_N, False))
         return units
     if chunk.isascii():
         return _plain_units(chunk)
@@ -244,7 +234,7 @@ def _chunk_units(chunk: str) -> list[_Unit]:
     pos = 0
     for m in PLACEHOLDER_RE.finditer(chunk):
         units += _plain_units(chunk[pos : m.start()])
-        units.append(_Unit(m.group(), CASE_N, True, True))
+        units.append(_Unit(m.group(), CASE_N, True))
         pos = m.end()
     units += _plain_units(chunk[pos:])
     return units
@@ -275,12 +265,7 @@ def _split_chunks(sentence: str) -> list[tuple[str, bool]]:
 
 
 def _presplit(sentence: str) -> list[_Unit]:
-    units: list[_Unit] = []
-    for chunk, joined in _split_chunks(sentence):
-        units.extend(_chunk_units(chunk))
-        if not joined:
-            units[-1] = _Unit(units[-1].text, units[-1].case, units[-1].atomic, False)
-    return units
+    return [unit for chunk, _ in _split_chunks(sentence) for unit in _chunk_units(chunk)]
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +447,7 @@ def _encode_chunk(chunk: str, model: BpeModel) -> tuple[AnnotatedToken, ...]:
     return tuple(tokens)
 
 
-def tokenize(model: BpeModel, sentence: str) -> TokenizedSentence:
+def tokenize(model: BpeModel, sentence: str) -> tuple[AnnotatedToken, ...]:
     """Segment a sentence into annotated subword pieces.
 
     Total: characters outside the alphabet simply pass through as
@@ -476,15 +461,15 @@ def tokenize(model: BpeModel, sentence: str) -> TokenizedSentence:
         if joined:
             last = tokens[-1]
             tokens[-1] = AnnotatedToken(last.piece, last.case, True)
-    return TokenizedSentence(tuple(tokens))
+    return tuple(tokens)
 
 
-def detokenize(ts: TokenizedSentence) -> str:
+def detokenize(tokens: tuple[AnnotatedToken, ...]) -> str:
     """Exact inverse of tokenize: joiners collapse spaces, case features
     restore the original casing."""
     out: list[str] = []
     gap = ""
-    for piece, case, joined in ts.tokens:
+    for piece, case, joined in tokens:
         if case == CASE_C:
             piece = piece[:1].upper() + piece[1:]
         elif case == CASE_U:
@@ -525,14 +510,13 @@ def _unescape(piece: str) -> str:
     return _ESCAPE_SEQ_RE.sub(decode, piece)
 
 
-def render_tokens(ts: TokenizedSentence) -> str:
+def render_tokens(tokens: tuple[AnnotatedToken, ...]) -> str:
     """One-line text form: `piece|CASE` items separated by single spaces.
 
     A spaceless gap puts the marker on the left piece's right edge, except
     that a gap before a non-alphabetic token marks that token's left edge
     instead (matching the conventional look: `wi■ fi ■,`).
     """
-    tokens = ts.tokens
     last = len(tokens) - 1
     items = []
     after_joined = False
@@ -592,7 +576,7 @@ def _parse_item(item: str, first: bool = False) -> tuple[AnnotatedToken, bool]:
 _parsed = Memo(MEMO_LIMIT)
 
 
-def parse_tokens(text: str) -> TokenizedSentence:
+def parse_tokens(text: str) -> tuple[AnnotatedToken, ...]:
     """Inverse of render_tokens, accepting exactly the lines it writes.
 
     A malformed item, an unescaped `|`, a bad escape, an empty piece (which
@@ -608,7 +592,7 @@ def parse_tokens(text: str) -> TokenizedSentence:
     the memo; they are immutable.
     """
     if not text:
-        return TokenizedSentence()
+        return ()
     tokens: list[AnnotatedToken] = []
     trailed = False   # the previous item ends with a right mark
     get = _parsed.get   # bound once, as `memo.Memo` advises for a loop
@@ -625,7 +609,7 @@ def parse_tokens(text: str) -> TokenizedSentence:
         trailed = token.joined_right
     if trailed:
         raise TokenizerError(f"the last token item {item!r} has a right mark")
-    return TokenizedSentence(tuple(tokens))
+    return tuple(tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -576,6 +576,7 @@ def test_optlab_model_sizes_below_one_exit_1(tmp_path, capsys, recwarn, flag, fi
 @pytest.mark.parametrize("argv", [
     ["corpus", "subsample", "--sizes", "5x"],
     ["optlab", "sweep", "--sizes", "5x", "--budget", "10"],
+    ["experiment", "corpus-size", "--sizes", "5x"],
 ])
 def test_malformed_sizes_is_usage_error(capsys, argv):
     for sizes, message in [("5x", "cannot parse size list '5x'"),
@@ -663,12 +664,14 @@ FAULTY = "<faulty file>"
     (["bpe", "apply", "--model", FAULTY, "--input", FAULTY], b"bpe-v1 joint 2\na b\n", 1),
     (["bsf", "eval", "--model", FAULTY, "--labeled", FAULTY],
      b"bsfclf-v1 4 3 1\na\tb\nbias 0.0 0.0\n", 2),
+    (["ner", "mask", "--templates", FAULTY, "--input", FAULTY], b"# c\ndistance\ten\t(\n", 2),
+    (["ner", "mask", "--templates", FAULTY, "--input", FAULTY], b"dist-ance\ten\t\\d+ km\n", 1),
 ], ids=["validate-no-tab", "validate-three-columns", "report-no-tab", "train-no-tab",
         "detok-utf8", "bleu-utf8", "bpe-model-merge", "bpe-model-header",
         "classifier-slot-out-of-range", "classifier-value-count", "classifier-header",
         "vectors-non-float", "vectors-header", "vectors-utf8", "bpe-model-utf8",
         "classifier-bits-too-large", "scores-utf8", "scores-lone-cr", "bpe-model-merge-count",
-        "classifier-label-count"])
+        "classifier-label-count", "templates-bad-pattern", "templates-bad-code"])
 def test_file_faults_exit_1_naming_the_line(tmp_path, capsys, argv, content, line):
     path = tmp_path / "faulty.txt"
     path.write_bytes(content)

@@ -46,6 +46,12 @@ def test_timings_must_be_finite_and_in_range(setting, value):
         ClusterConfig(2, "sync", **{setting: value})
 
 
+def test_calibration_needs_an_iteration_per_epoch():
+    # `optlab simulate --calibrate-single` on a one-token stream reaches this
+    with pytest.raises(ClusterError, match="iterations_per_epoch"):
+        calibrated_cluster_config("sync", 2, iterations_per_epoch=0)
+
+
 def test_zero_overheads_are_allowed():
     ClusterConfig(2, "async", sync_overhead_per_batch=0.0, async_comm_time=0.0)
 

@@ -32,7 +32,7 @@ def test_determinism():
         a = train_embeddings(corpus, dim=8, epochs=2, seed=9)
         b = train_embeddings(corpus, dim=8, epochs=2, seed=9)
     for word in a.vectors:
-        assert np.array_equal(a[word], b[word])
+        assert np.array_equal(a.vectors[word], b.vectors[word])
 
 
 def test_one_sentence_corpus_warns_but_runs():
@@ -107,7 +107,7 @@ def test_training_is_bit_identical_to_the_reference_loop(sentences, dim, window,
     want = reference_train(sentences, dim, window, negatives, epochs, seed=11)
     assert list(emb.vectors) == list(want)
     for word, vec in want.items():
-        assert emb[word].tobytes() == vec.tobytes(), word
+        assert emb.vectors[word].tobytes() == vec.tobytes(), word
 
 
 @pytest.mark.parametrize("setting", [{"dim": 0}, {"window": 0}, {"negatives": 0},
@@ -137,8 +137,8 @@ class TestVectorFile:
         path = tmp_path / "vec.txt"
         path.write_text("2 3\nfoo 1.0 2.0 3.0\n\nbar 0.5 -1.5 0.25\n", encoding="utf-8")
         emb = load_embeddings(path)
-        assert list(emb["foo"]) == [1.0, 2.0, 3.0]
-        assert list(emb["bar"]) == [0.5, -1.5, 0.25]
+        assert list(emb.vectors["foo"]) == [1.0, 2.0, 3.0]
+        assert list(emb.vectors["bar"]) == [0.5, -1.5, 0.25]
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -151,14 +151,14 @@ class TestVectorFile:
         path.write_text("2 2\nfoo 1.0 2.0\nfoo 3.0 4.0\n", encoding="utf-8")
         with pytest.warns(UserWarning, match="duplicate"):
             emb = load_embeddings(path)
-        assert list(emb["foo"]) == [3.0, 4.0]
+        assert list(emb.vectors["foo"]) == [3.0, 4.0]
 
     def test_save_load_bit_exact(self, trained, tmp_path):
         path = tmp_path / "vec.txt"
         save_embeddings(trained, path)
         again = load_embeddings(path)
         for word in trained.vectors:
-            assert np.array_equal(trained[word], again[word])
+            assert np.array_equal(trained.vectors[word], again.vectors[word])
 
 
 class TestExpandSeeds:

@@ -500,7 +500,7 @@ def test_zero_length_matches_are_dropped():
 
 
 @pytest.mark.parametrize("record, fields, defaults", [
-    (tk._Unit, ("text", "case", "atomic", "joined_right"), {}),
+    (tk._Unit, ("text", "case", "atomic"), {}),
     (tk.AnnotatedToken, ("piece", "case", "joined_right"), {"joined_right": False}),
     (en.EntityMatch, ("start", "end", "text", "entity_type", "code", "value"), {}),
     (en.PlaceholderEntry, ("index", "entity_type", "original_text", "value"), {}),

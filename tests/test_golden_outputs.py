@@ -122,7 +122,7 @@ def _validation_scores():
 
 def _embedding_vectors():
     emb = train_embeddings(embedding_corpus(seed=1), dim=8, window=2, epochs=2, seed=4)
-    return {word: [float(x) for x in emb[word]] for word in emb.vectors}
+    return {word: [float(x) for x in emb.vectors[word]] for word in emb.vectors}
 
 
 def _classifier_digest():

@@ -7,7 +7,7 @@ from mtlab.corpus import ParallelCorpus, SentencePair
 
 
 def pieces(ts):
-    return [t.piece for t in ts.tokens]
+    return [t.piece for t in ts]
 
 
 def oracle_bpe(texts, merge_count):
@@ -77,7 +77,7 @@ def test_zero_merges_gives_characters():
     model = tk.train_bpe_texts(["abc de"], 0)
     ts = tk.tokenize(model, "abc de")
     assert pieces(ts) == ["a", "b", "c", "d", "e"]
-    assert [t.joined_right for t in ts.tokens] == [True, True, False, True, False]
+    assert [t.joined_right for t in ts] == [True, True, False, True, False]
 
 
 def test_joint_alphabet_is_union(small_corpus):
@@ -146,25 +146,25 @@ def trained():
 class TestTokenize:
     def test_paper_sentence_pattern(self, trained):
         ts = tk.tokenize(trained, "Offering a restaurant with WiFi, Hodor Ecolodge is located in Winterfell.")
-        piece_case = [(t.piece, t.case) for t in ts.tokens]
+        piece_case = [(t.piece, t.case) for t in ts]
         # case-split of WiFi and the BPE split of the unseen Winterfell
         wi = piece_case.index(("wi", "C"))
         assert piece_case[wi + 1] == ("fi", "C")
-        assert ts.tokens[wi].joined_right
+        assert ts[wi].joined_right
         winter = piece_case.index(("winter", "C"))
         assert piece_case[winter + 1] == ("fell", "L")
-        assert ts.tokens[winter].joined_right
-        comma = next(t for t in ts.tokens if t.piece == ",")
+        assert ts[winter].joined_right
+        comma = next(t for t in ts if t.piece == ",")
         assert comma.case == "N"
         assert tk.detokenize(ts) == "Offering a restaurant with WiFi, Hodor Ecolodge is located in Winterfell."
 
     def test_empty_sentence(self, trained):
-        assert tk.tokenize(trained, "") == tk.TokenizedSentence()
+        assert tk.tokenize(trained, "") == ()
 
     def test_case_variants_share_pieces(self, trained):
         variants = [tk.tokenize(trained, w) for w in ("book", "Book", "BOOK")]
         assert pieces(variants[0]) == pieces(variants[1]) == pieces(variants[2])
-        assert {t.case for t in variants[2].tokens} <= {"U"}
+        assert {t.case for t in variants[2]} <= {"U"}
 
     def test_all_upper_word_restores(self, trained):
         ts = tk.tokenize(trained, "BOOK")
@@ -178,7 +178,7 @@ class TestTokenize:
     def test_placeholder_is_atomic(self, trained):
         ts = tk.tokenize(trained, "about ⟦DIST_0⟧ away")
         assert "⟦DIST_0⟧" in pieces(ts)
-        token = next(t for t in ts.tokens if t.piece == "⟦DIST_0⟧")
+        token = next(t for t in ts if t.piece == "⟦DIST_0⟧")
         assert token.case == "N"
 
 
@@ -188,7 +188,7 @@ class TestDetokenize:
         assert tk.detokenize(tk.tokenize(trained, sentence)) == sentence
 
     def test_empty_tokens(self):
-        assert tk.detokenize(tk.TokenizedSentence()) == ""
+        assert tk.detokenize(()) == ""
 
     @pytest.mark.parametrize("sentence", [
         "plain words here",

@@ -118,7 +118,7 @@ def _reference_chunk_units(chunk):
     """Pre-splitting of one chunk as a character-class `groupby`, split at
     case boundaries: the loop every chunk took before the plain-word guard."""
     if chunk[0].isspace():
-        return [tk._Unit(chunk, tk.CASE_N, True, True)]
+        return [tk._Unit(chunk, tk.CASE_N, True)]
     units = []
 
     def emit_plain(text):
@@ -128,15 +128,15 @@ def _reference_chunk_units(chunk):
             if kind == "L":
                 for frag in tk._case_fragments(run):
                     piece, case = tk._classify(frag)
-                    units.append(tk._Unit(piece, case, False, True))
+                    units.append(tk._Unit(piece, case, False))
             else:
-                units.append(tk._Unit(run, tk.CASE_N, False, True))
+                units.append(tk._Unit(run, tk.CASE_N, False))
 
     pos = 0
     for m in tk.PLACEHOLDER_RE.finditer(chunk):
         if m.start() > pos:
             emit_plain(chunk[pos : m.start()])
-        units.append(tk._Unit(m.group(), tk.CASE_N, True, True))
+        units.append(tk._Unit(m.group(), tk.CASE_N, True))
         pos = m.end()
     if pos < len(chunk):
         emit_plain(chunk[pos:])
@@ -174,36 +174,37 @@ def _reference_encode_unit(model, text):
 
 
 def _reference_presplit(sentence):
-    """Pre-splitting as runs of `str.isspace`: a single interior space is the
-    separator, any other whitespace run is an atomic unit."""
+    """Pre-splitting as runs of `str.isspace`, as (unit, joined_right) pairs:
+    a single interior space is the separator, any other whitespace run is an
+    atomic unit."""
     units = []
     runs = ["".join(grp) for _, grp in groupby(sentence, key=str.isspace)]
     for i, run in enumerate(runs):
         if run[0].isspace():
             if 0 < i < len(runs) - 1 and run == " ":
-                units[-1] = tk._Unit(units[-1].text, units[-1].case, units[-1].atomic, False)
+                units[-1] = (units[-1][0], False)
                 continue
-            units.append(tk._Unit(run, tk.CASE_N, True, True))
+            units.append((tk._Unit(run, tk.CASE_N, True), True))
         else:
-            units.extend(_reference_chunk_units(run))
+            units.extend((unit, True) for unit in _reference_chunk_units(run))
     if units:
-        units[-1] = tk._Unit(units[-1].text, units[-1].case, units[-1].atomic, False)
+        units[-1] = (units[-1][0], False)
     return units
 
 
 def _reference_tokenize(model, sentence):
     """Tokenization unit by unit: pre-split, then encode each unit."""
     tokens = []
-    for unit in _reference_presplit(sentence):
+    for unit, joined_right in _reference_presplit(sentence):
         if unit.atomic:
-            tokens.append(tk.AnnotatedToken(unit.text, unit.case, unit.joined_right))
+            tokens.append(tk.AnnotatedToken(unit.text, unit.case, joined_right))
             continue
         pieces = _reference_encode_unit(model, unit.text)
         for j, piece in enumerate(pieces):
             case = tk.CASE_L if unit.case == tk.CASE_C and j > 0 else unit.case
-            joined = j < len(pieces) - 1 or unit.joined_right
+            joined = j < len(pieces) - 1 or joined_right
             tokens.append(tk.AnnotatedToken(piece, case, joined))
-    return tk.TokenizedSentence(tuple(tokens))
+    return tuple(tokens)
 
 
 # whitespace that is not a plain space: U+0085 and U+001C are `str.isspace`
@@ -232,7 +233,7 @@ def test_tokenize_matches_unit_by_unit_reference(limit, text):
     first = tk.tokenize(model, text)
     second = tk.tokenize(model, text)  # every chunk is memoized now, unless bounded out
     assert first == second == reference
-    assert tk._presplit(text) == _reference_presplit(text)
+    assert tk._presplit(text) == [unit for unit, _ in _reference_presplit(text)]
     assert max(map(len, _generations(model))) <= limit
 
 
@@ -412,7 +413,7 @@ def test_encode_unit_on_repeated_symbols(merges, text, pieces):
     model = tk.BpeModel(tuple(merges), frozenset("ab"))
     assert _reference_encode_unit(model, text) == pieces
     assert tk._encode_unit(text, model) == pieces
-    assert [t.piece for t in tk.tokenize(model, text).tokens] == list(pieces)
+    assert [t.piece for t in tk.tokenize(model, text)] == list(pieces)
     assert model._cache == {text: pieces}
 
 
@@ -420,10 +421,10 @@ def _reference_render(ts):
     """`render_tokens` before the one-pass rewrite: index look-ups around every token."""
     marker = tk.MARKER
     items = []
-    for i, token in enumerate(ts.tokens):
-        lead = i > 0 and ts.tokens[i - 1].joined_right and token.case == tk.CASE_N
-        trail = (token.joined_right and i + 1 < len(ts.tokens)
-                 and ts.tokens[i + 1].case != tk.CASE_N)
+    for i, token in enumerate(ts):
+        lead = i > 0 and ts[i - 1].joined_right and token.case == tk.CASE_N
+        trail = (token.joined_right and i + 1 < len(ts)
+                 and ts[i + 1].case != tk.CASE_N)
         body = tk._escape(token.piece)
         items.append((marker if lead else "") + body + (marker if trail else "") + "|" + token.case)
     return " ".join(items)
@@ -434,7 +435,7 @@ def _reference_parse(text):
     bars through)."""
     marker = tk.MARKER
     if not text:
-        return tk.TokenizedSentence()
+        return ()
     parsed = []
     for item in text.split(" "):
         body, sep, case = item.rpartition("|")
@@ -448,7 +449,7 @@ def _reference_parse(text):
         if trail:
             body = body[: -len(marker)]
         parsed.append([tk._unescape(body), case, trail])
-    return tk.TokenizedSentence(tuple([tk.AnnotatedToken(*p) for p in parsed]))
+    return tuple([tk.AnnotatedToken(*p) for p in parsed])
 
 
 odd_piece = st.text(alphabet="ab\\| \t\n\rx@Ω■ezL", min_size=1, max_size=5)
@@ -482,7 +483,7 @@ def _parse_cold_then_warm(text):
 def test_render_and_parse_match_reference(tokens):
     if tokens:
         tokens[-1] = tokens[-1]._replace(joined_right=False)
-    ts = tk.TokenizedSentence(tuple(tokens))
+    ts = tuple(tokens)
     rendered = tk.render_tokens(ts)
     assert rendered == _reference_render(ts)
     assert _parse_cold_then_warm(rendered) == _reference_parse(rendered) == ts
@@ -536,7 +537,7 @@ def test_full_item_memo_starts_over():
 def near_rendered_lines(draw):
     """A rendered line with one character deleted, inserted or replaced."""
     tokens = draw(odd_tokens.filter(bool))
-    line = tk.render_tokens(tk.TokenizedSentence(tuple(tokens)))
+    line = tk.render_tokens(tuple(tokens))
     at = draw(st.integers(min_value=0, max_value=len(line)))
     char = draw(st.sampled_from("ab\\|■@xΩemsLN \t"))
     edit = draw(st.sampled_from(["delete", "insert", "replace"]))
