@@ -92,8 +92,6 @@ def load_terms(path: str) -> list[str]:
     return terms
 
 
-def save_terms(terms: list, path: str, header: str = "") -> None:
-    """Writes plain terms or (term, similarity) candidate pairs."""
-    lines = [f"# {header}"] if header else []
-    lines += [f"{t[0]}  # cosine {t[1]:.4f}" if isinstance(t, tuple) else t for t in terms]
-    write_lines(lines, path)
+def save_terms(terms: list[tuple[str, float]], path: str, header: str) -> None:
+    """Writes (term, similarity) candidate pairs under a `# header` line."""
+    write_lines([f"# {header}", *(f"{term}  # cosine {sim:.4f}" for term, sim in terms)], path)

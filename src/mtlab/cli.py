@@ -32,6 +32,7 @@ from .optlab import (
     calibrated_cluster_config,
     check_gradients,
     corpus_size_sweep,
+    epoch_batches,
     optimizers,
     simulate_cluster,
     train,
@@ -305,12 +306,10 @@ def cmd_optlab_simulate(args) -> None:
     train_ids, val_ids = _toy_data(args, args.tokens)
     warmup = ClusterConfig.async_warmup_iterations if args.warmup_iters is None else args.warmup_iters
     if args.calibrate_single is not None:
-        if args.batch_size < 1:
-            raise ValueError(f"--batch-size must be at least 1, got {args.batch_size}")
         # calibrated to the batches each epoch of this stream runs
         cluster = calibrated_cluster_config(
             args.cluster_mode, args.workers, args.calibrate_single,
-            iterations_per_epoch=-(-(len(train_ids) - 1) // args.batch_size),
+            iterations_per_epoch=len(epoch_batches(train_ids, args.batch_size, args.seed, 1)),
             warmup_iterations=warmup)
     else:
         cluster = ClusterConfig(args.workers, args.cluster_mode,

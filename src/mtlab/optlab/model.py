@@ -131,8 +131,8 @@ def check_gradients(
     pure round-off noise on near-zero coordinates from registering (a
     planted wrong gradient still shows up as ~1.0).
     A NaN error is returned as soon as it occurs, so it fails any tolerance.
-    Returns 0.0 on an empty sample set; raises ValueError on an empty batch
-    or a `step` that is not finite and positive.
+    Returns 0.0 on an empty sample set; raises ValueError on a negative
+    `n_samples`, an empty batch or a `step` that is not finite and positive.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
@@ -140,8 +140,6 @@ def check_gradients(
         raise ValueError("gradient check needs a non-empty batch")
     _, grad = model.loss_and_grads(inputs, targets)
     theta = model.theta
-    if n_samples <= 0:
-        return 0.0
     rng = stream(seed, "gradcheck")
     worst = 0.0
     for index in rng.integers(0, theta.size, size=n_samples):

@@ -64,6 +64,7 @@ def epoch_batches(ids: np.ndarray, batch_size: int, seed: int, epoch: int) -> li
     Every schedule of the training loop consumes this same batch sequence
     for a given (seed, epoch).
     """
+    _require_positive(batch_size=batch_size)
     ids = np.asarray(ids)
     if len(ids) < 2:
         raise TrainingError("token stream must contain at least one bigram")
@@ -112,7 +113,7 @@ def _train_loop(model: SurrogateModel, train_ids: np.ndarray, val_ids: np.ndarra
     apply the end-of-epoch rule.
     """
     _require_positive(epochs=epochs, iteration_budget=budget,
-                      checkpoint_every=checkpoint_every, batch_size=batch_size)
+                      checkpoint_every=checkpoint_every)
     optimizer = Optimizer(opt_config)
     trace = TrainingTrace()
     iterations, clock = 0, 0.0

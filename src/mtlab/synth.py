@@ -14,7 +14,6 @@ from .rng import stream
 __all__ = [
     "toy_lm_stream",
     "toy_parallel_corpus",
-    "entity_sentences",
     "parking_sentences",
     "parking_parallel",
     "embedding_corpus",
@@ -86,42 +85,6 @@ def toy_parallel_corpus(n_pairs: int = 50, seed: int = 0) -> ParallelCorpus:
         tgt = _DE_TEMPLATES[t].format(d=f"{whole},{frac}", **values)
         pairs.append(SentencePair(src, tgt, i))
     return ParallelCorpus(tuple(pairs))
-
-
-def entity_sentences(n: int, seed: int = 0, language: str = "en") -> list[str]:
-    """Sentences guaranteed to contain at least one recognizable entity."""
-    rng = stream(seed, f"entity-sentences-{language}")
-    en_shapes = [
-        "The station is {d} km away.",
-        "It is a {n}-minute walk to the beach.",
-        "Check-in starts at {h}:{m:02d} pm on March {day}, {year}.",
-        "The airport lies {d} miles from {place} and opens at {h}:{m:02d} am.",
-        "Free shuttle at {h}:{m:02d} pm, about {d} km, booked for {mon}/{day}/{year}.",
-    ]
-    de_shapes = [
-        "Der Bahnhof ist {dc} km entfernt.",
-        "Der Strand ist nach einem {n}-minütigen Spaziergang erreichbar.",
-        "Check-in ab {h}:{m:02d} Uhr am {day}.{mon}.{year}.",
-        "Der Flughafen liegt {dc} km von {place} entfernt und öffnet um {h}:{m:02d} Uhr.",
-    ]
-    shapes = de_shapes if language == "de" else en_shapes
-    out = []
-    for _ in range(n):
-        shape = shapes[int(rng.integers(len(shapes)))]
-        out.append(
-            shape.format(
-                d=f"{rng.integers(1, 30)}.{rng.integers(0, 10)}",
-                dc=f"{rng.integers(1, 30)},{rng.integers(0, 10)}",
-                n=int(rng.integers(5, 90)),
-                h=int(rng.integers(1, 12)),
-                m=int(rng.integers(0, 60)),
-                day=int(rng.integers(1, 28)),
-                mon=int(rng.integers(1, 12)),
-                year=int(rng.integers(2015, 2026)),
-                place=_PLACES[rng.integers(len(_PLACES))],
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -387,8 +387,6 @@ def train_bpe_texts(texts: list[str], merge_count: int, mode: str = "joint") -> 
 
 def train_bpe(corpus: ParallelCorpus, merge_count: int, mode: str = "joint"):
     """Train on a parallel corpus: one joint model, or a (source, target) pair."""
-    if len(corpus) == 0:
-        raise TokenizerError("cannot train on an empty corpus")
     if mode == "joint":
         return train_bpe_texts(corpus.sources() + corpus.targets(), merge_count, "joint")
     if mode == "separate":
@@ -529,9 +527,6 @@ def render_tokens(tokens: tuple[AnnotatedToken, ...]) -> str:
     return " ".join(items)
 
 
-_LEFT_MARK = "token item {!r} has a left mark, which only an N piece after another token takes"
-
-
 def _parse_item(item: str, first: bool = False) -> tuple[AnnotatedToken, bool]:
     """One rendered item as (token, left-marked); the token is joined right
     when the item has a right mark.  Raises TokenizerError on every fault
@@ -541,38 +536,32 @@ def _parse_item(item: str, first: bool = False) -> tuple[AnnotatedToken, bool]:
     body, sep, case = item.rpartition("|")
     if not sep or case not in _CASES:
         raise TokenizerError(f"malformed token item {item!r}")
-    lead = trail = False
-    if MARKER in body:
-        lead = body.startswith(MARKER)
-        if lead:
-            body = body[1:]
-        if body.endswith(MARKER):
-            body = body[:-1]
-            trail = True
-        if not body:
-            raise TokenizerError(f"token item {item!r} has an empty piece")
-        if MARKER in body and "|" not in body:
-            raise TokenizerError(f"token item {item!r} holds a raw marker inside its piece")
-        if lead and (first or case != CASE_N):
-            raise TokenizerError(_LEFT_MARK.format(item))
+    lead = body.startswith(MARKER)
+    if lead:
+        body = body[1:]
+    trail = body.endswith(MARKER)
+    if trail:
+        body = body[:-1]
+    if not body:
+        raise TokenizerError(f"token item {item!r} has an empty piece")
+    if MARKER in body and "|" not in body:
+        raise TokenizerError(f"token item {item!r} holds a raw marker inside its piece")
+    if lead and (first or case != CASE_N):
+        raise TokenizerError(f"token item {item!r} has a left mark, which only an N piece "
+                             "after another token takes")
     if not body.isalnum():
         if "|" in body:
             raise TokenizerError(f"token item {item!r} holds an unescaped '|'")
-        if "\\" in body:
+        # only a backslash or a raw tab, LF or CR (not printable) calls for an escape
+        if "\\" in body or not body.isprintable():
             piece = _unescape(body)
             if _escape(piece) != body:
                 raise TokenizerError(f"token item {item!r} is not escaped as render_tokens escapes it")
             body = piece
-        # without a backslash, only a raw tab, LF or CR (not printable) needs escaping
-        elif not body.isprintable() and _escape(body) != body:
-            raise TokenizerError(f"token item {item!r} is not escaped as render_tokens escapes it")
-        if not body:
-            raise TokenizerError(f"token item {item!r} has an empty piece")
     return AnnotatedToken(body, case, trail), lead
 
 
-# item -> _parse_item(item, first); a raising item is never stored, and
-# `first` changes only whether an item raises
+# item -> _parse_item(item); a raising item is never stored
 _parsed = Memo(MEMO_LIMIT)
 
 
@@ -593,14 +582,14 @@ def parse_tokens(text: str) -> tuple[AnnotatedToken, ...]:
     """
     if not text:
         return ()
+    if text.startswith(MARKER):   # a left-marked first item, which always raises
+        _parse_item(text.partition(" ")[0], first=True)
     tokens: list[AnnotatedToken] = []
     trailed = False   # the previous item ends with a right mark
     get = _parsed.get   # bound once, as `memo.Memo` advises for a loop
     for item in text.split(" "):
-        token, lead = get(item) or _parsed.fill(item, _parse_item, not tokens)
+        token, lead = get(item) or _parsed.fill(item, _parse_item)
         if lead:   # a left mark joins the previous token
-            if not tokens:   # the item was memoized from a later place in a line
-                raise TokenizerError(_LEFT_MARK.format(item))
             prev = tokens[-1]
             tokens[-1] = AnnotatedToken(prev.piece, prev.case, True)
         if trailed and token.case == CASE_N:

@@ -28,8 +28,9 @@ from mtlab.optlab import (
 )
 from mtlab.presets import (CONVERGENCE, bsf_classifiers, bsf_flip_report, convergence_traces,
                            timing_table)
-from mtlab.synth import entity_sentences, toy_lm_stream
+from mtlab.synth import toy_lm_stream
 
+from conftest import entity_sentences
 from test_bleu import oracle_bleu
 from test_tokenizer import FIXTURE_CORPORA, oracle_bpe
 

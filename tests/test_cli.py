@@ -13,8 +13,9 @@ from mtlab import entities
 from mtlab.cli import build_parser, main, parse_duration, parse_sizes
 from mtlab.entities import starter_templates
 from mtlab.manifest import file_digest
-from mtlab.synth import entity_sentences, parking_sentences, toy_parallel_corpus
+from mtlab.synth import parking_sentences, toy_parallel_corpus
 from mtlab.corpus import write_parallel
+from conftest import entity_sentences
 
 
 @pytest.fixture
@@ -539,6 +540,18 @@ def test_optlab_counts_below_one_exit_1(tmp_path, capsys, argv):
     assert run(["--out-dir", tmp_path, "optlab", *argv, *small]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tokens", 1], "token stream must contain at least one bigram"),
+    (["--batch-size", 0], "batch_size must be at least 1, got 0"),
+], ids=["one-token", "zero-batch"])
+def test_optlab_simulate_calibrated_names_the_stream_or_batch_fault(tmp_path, capsys, flags,
+                                                                    message):
+    # the calibrated run counts its batches as training batches them
+    assert run(["--out-dir", tmp_path, "optlab", "simulate", "--workers", 2,
+                "--cluster-mode", "sync", "--calibrate-single", "6h", *flags]) == 1
+    assert message in _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("argv, message", [

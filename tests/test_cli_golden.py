@@ -27,10 +27,10 @@ from mtlab.corpus import write_lines, write_parallel
 from mtlab.entities import find_entities, starter_templates
 from mtlab.synth import (
     embedding_corpus,
-    entity_sentences,
     parking_parallel,
     toy_parallel_corpus,
 )
+from conftest import entity_sentences
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "cli_manifests.json")
 TINY_MODEL = ["--vocab", "24", "--embed-dim", "6", "--hidden-dim", "10", "--batch-size", "8"]

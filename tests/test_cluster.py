@@ -47,7 +47,6 @@ def test_timings_must_be_finite_and_in_range(setting, value):
 
 
 def test_calibration_needs_an_iteration_per_epoch():
-    # `optlab simulate --calibrate-single` on a one-token stream reaches this
     with pytest.raises(ClusterError, match="iterations_per_epoch"):
         calibrated_cluster_config("sync", 2, iterations_per_epoch=0)
 

@@ -13,7 +13,7 @@ from mtlab import entities as en
 from mtlab import tokenizer as tk
 from mtlab.corpus import ParallelCorpus, SentencePair
 from mtlab.humaneval import AdequacyFluencyRecord
-from mtlab.synth import entity_sentences
+from conftest import entity_sentences
 
 EN_TPL = en.starter_templates("en")
 DE_TPL = en.starter_templates("de")

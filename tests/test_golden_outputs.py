@@ -26,9 +26,10 @@ from mtlab.bleu import ScoringConfig, corpus_bleu, sentence_bleu
 from mtlab.bsf import train_classifier, train_embeddings
 from mtlab.optlab import (OptimizerConfig, SurrogateConfig, SurrogateModel,
                           calibrated_cluster_config, check_gradients, simulate_cluster, train)
-from mtlab.synth import (embedding_corpus, entity_sentences, parking_sentences, toy_lm_stream,
+from mtlab.synth import (embedding_corpus, parking_sentences, toy_lm_stream,
                          toy_parallel_corpus)
 from mtlab.tokenizer import format_placeholder, render_tokens, tokenize, train_bpe_texts
+from conftest import entity_sentences
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_outputs.json")
 REL_TOL = 1e-9

@@ -42,6 +42,13 @@ def test_gradcheck_empty_sample_set(batch):
     assert check_gradients(model, *batch, n_samples=0) == 0.0
 
 
+def test_gradcheck_rejects_a_negative_sample_count(batch):
+    # a check that samples nothing must not pass as an error of 0.0
+    model = SurrogateModel(SurrogateConfig(30, 6, 10), seed=3)
+    with pytest.raises(ValueError, match="negative"):
+        check_gradients(model, *batch, n_samples=-3)
+
+
 @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
 def test_gradcheck_rejects_step_that_is_not_finite_and_positive(batch, step):
     model = SurrogateModel(SurrogateConfig(30, 6, 10), seed=3)
