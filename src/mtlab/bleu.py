@@ -13,14 +13,16 @@ match also starts an n + 1-gram match when `m[i + n] == m[i] + n`.  Each
 order counts the distinct positions its starts name.  When both sides repeat
 a token, every order clips one Counter per side.
 
-Sentence BLEU keeps each pair's counts in the module memo `_pairs`
+A pair's statistics are one flat record, in sacreBLEU's order: candidate
+length, reference length, the clipped matches per order, then the candidate
+n-grams per order.  `_count_pair` is the one function that counts it, and
+`_score` turns any record, a pair's or a sum over pairs, into a report.
+Sentence BLEU memoizes each pair's record in the module memo `_pairs`
 (`memo.Memo`), keyed by (candidate, reference, case_sensitive); smoothing
 does not change the counts.  So a pair is counted once however often it
-is scored.  Corpus BLEU sums the memoized counts of the pairs sentence
-BLEU has scored, in either generation, and counts any other pair straight
-into its sums without storing it, so a corpus of new pairs costs at most
-two memo lookups a pair (none when the memo is empty) and keeps none of
-them alive.
+is scored.  Corpus BLEU sums the records: one it finds in either generation
+of the memo, or one it counts and does not store, so its memory does not
+grow with the corpus.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ class BleuReport:
         )
 
 
-def _score(matches: Sequence[int], totals: Sequence[int], cand_len: int, ref_len: int,
-           config: ScoringConfig) -> BleuReport:
+def _score(stats: Sequence[int], config: ScoringConfig) -> BleuReport:
+    cand_len, ref_len, *counts = stats
+    matches, totals = counts[:MAX_N], counts[MAX_N:]
     if config.smoothing == "add_one":
         precisions = tuple([m / t if m else 1.0 / (t + 1) for m, t in zip(matches, totals)])
     else:
@@ -131,51 +134,42 @@ _MISS = -MAX_N
 _PAD = (_MISS,) * (MAX_N - 1)
 
 
-def _add_pair(cand_toks: list[str], ref_toks: list[str], matches: list[int],
-              totals: list[int]) -> None:
-    """Add one pair's clipped matches and candidate n-gram counts, per order."""
+# (candidate, reference, case_sensitive) -> that pair's statistics record
+_pairs = Memo(PAIR_MEMO_LIMIT)
+
+
+def _count_pair(key: tuple[str, str, bool], config: ScoringConfig) -> tuple[int, ...]:
+    """One pair's statistics record: candidate and reference length, then
+    clipped matches and candidate n-grams per order."""
+    cand_toks = config.split(key[0])
+    ref_toks = config.split(key[1])
     length = len(cand_toks)
-    for n in range(min(length, MAX_N)):
-        totals[n] += length - n
+    matches = [0] * MAX_N
+    totals = [length - n if n < length else 0 for n in range(MAX_N)]
     if len(set(ref_toks)) == len(ref_toks):
         keyed, probe = ref_toks, cand_toks
     elif len(set(cand_toks)) == length:
         keyed, probe = cand_toks, ref_toks
     else:
         _clip(cand_toks, ref_toks, matches)
-        return
+        return (length, len(ref_toks), *matches, *totals)
     where = {tok: i for i, tok in enumerate(keyed)}
     m = list(map(where.get, probe, repeat(_MISS)))
     hits = set(m)
     hits.discard(_MISS)
-    if not hits:
-        return
-    matches[0] += len(hits)
-    # when no position of the distinct side is hit twice, every start left
-    # in an order names a different n-gram
-    distinct = len(hits) + m.count(_MISS) == len(m)
-    m += _PAD
-    starts = range(len(probe))
-    for n in range(1, MAX_N):
-        starts = [i for i in starts if m[i + n] == m[i] + n]
-        if not starts:
-            return
-        matches[n] += len(starts) if distinct else len({m[i] for i in starts})
-
-
-# (candidate, reference, case_sensitive) -> (clipped matches per order,
-# candidate n-grams per order, candidate length, reference length)
-_pairs = Memo(PAIR_MEMO_LIMIT)
-
-
-def _count_pair(key: tuple[str, str, bool],
-                config: ScoringConfig) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    cand_toks = config.split(key[0])
-    ref_toks = config.split(key[1])
-    matches = [0] * MAX_N
-    totals = [0] * MAX_N
-    _add_pair(cand_toks, ref_toks, matches, totals)
-    return tuple(matches), tuple(totals), len(cand_toks), len(ref_toks)
+    if hits:
+        matches[0] = len(hits)
+        # when no position of the distinct side is hit twice, every start left
+        # in an order names a different n-gram
+        distinct = len(hits) + m.count(_MISS) == len(m)
+        m += _PAD
+        starts = range(len(probe))
+        for n in range(1, MAX_N):
+            starts = [i for i in starts if m[i + n] == m[i] + n]
+            if not starts:
+                break
+            matches[n] = len(starts) if distinct else len({m[i] for i in starts})
+    return (length, len(ref_toks), *matches, *totals)
 
 
 def corpus_bleu(candidates: list[str], references: list[str],
@@ -187,35 +181,21 @@ def corpus_bleu(candidates: list[str], references: list[str],
         )
     if not candidates:
         raise BleuError("cannot score an empty corpus")
-    matches = [0] * MAX_N
-    totals = [0] * MAX_N
-    cand_len = ref_len = 0
-    # read both generations and store nothing; skip hashing when the memo is empty
-    get, get_previous, case = _pairs.get, _pairs.previous.get, config.case_sensitive
-    for cand, ref in zip(candidates, references):
-        stats = (get(key := (cand, ref, case)) or get_previous(key)) if _pairs else None
-        if stats is None:
-            cand_toks = config.split(cand)
-            ref_toks = config.split(ref)
-            cand_len += len(cand_toks)
-            ref_len += len(ref_toks)
-            _add_pair(cand_toks, ref_toks, matches, totals)
-        else:
-            pair_matches, pair_totals, pair_cand_len, pair_ref_len = stats
-            matches = list(map(add, matches, pair_matches))
-            totals = list(map(add, totals, pair_totals))
-            cand_len += pair_cand_len
-            ref_len += pair_ref_len
-    if not ref_len:
+    # read both generations of the memo and store nothing in it
+    get, get_previous = _pairs.get, _pairs.previous.get
+    stats = (0,) * (2 + 2 * MAX_N)
+    for key in zip(candidates, references, repeat(config.case_sensitive)):
+        stats = tuple(map(add, stats, get(key) or get_previous(key) or _count_pair(key, config)))
+    if not stats[1]:
         raise BleuError("the references hold no token")
-    return _score(matches, totals, cand_len, ref_len, config)
+    return _score(stats, config)
 
 
 def sentence_bleu(candidate: str, reference: str,
                   config: ScoringConfig = ScoringConfig()) -> BleuReport:
     """Single-pair BLEU; configure smoothing to avoid hard zeros."""
     key = (candidate, reference, config.case_sensitive)
-    matches, totals, cand_len, ref_len = _pairs.get(key) or _pairs.fill(key, _count_pair, config)
-    if not cand_len or not ref_len:
+    stats = _pairs.get(key) or _pairs.fill(key, _count_pair, config)
+    if not stats[0] or not stats[1]:
         raise BleuError("candidate and reference must each hold a token")
-    return _score(matches, totals, cand_len, ref_len, config)
+    return _score(stats, config)

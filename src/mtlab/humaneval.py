@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -52,6 +53,8 @@ def _check_range(score_range: tuple[int, int]) -> tuple[int, int]:
     low, high = score_range
     if low > high:
         raise ScoreError(f"score range {low}-{high} is empty: its minimum exceeds its maximum")
+    if not -sys.float_info.max <= low <= high <= sys.float_info.max:
+        raise ScoreError("a score range bound does not fit a float")
     return low, high
 
 
@@ -255,6 +258,9 @@ def correlate(bleu_by_system: dict, human_by_system: dict) -> CorrelationReport:
     common = sorted(set(bleu_by_system) & set(human_by_system))
     if len(common) < 2:
         raise ScoreError(f"need at least 2 common systems, got {len(common)}")
+    for system in common:
+        if not -sys.float_info.max <= bleu_by_system[system] <= sys.float_info.max:   # NaN fails too
+            raise ScoreError(f"BLEU score of system {system!r} is not a finite float")
     bleu = [float(bleu_by_system[s]) for s in common]
     human = [float(human_by_system[s]) for s in common]
     bleu_best = common[max(range(len(common)), key=lambda i: bleu[i])]

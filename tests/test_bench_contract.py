@@ -90,3 +90,15 @@ def test_presets_the_lm_train_workload_reads():
     assert isinstance(train_ids, np.ndarray) and isinstance(val_ids, np.ndarray)
     model = presets.convergence_model()
     assert isinstance(model, SurrogateModel) and model.params
+
+
+def test_sentence_bleu_never_calls_corpus_bleu(monkeypatch):
+    """The benchmark times `sentence_bleu` and `corpus_bleu` as separate spans."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sentence_bleu called corpus_bleu")
+
+    monkeypatch.setattr(mtlab.bleu, "corpus_bleu", refuse)
+    pair = ("the cat sat on the mat", "the cat sat on a mat")
+    cold = mtlab.bleu.sentence_bleu(*pair)
+    assert len(mtlab.bleu._pairs) == 1
+    assert mtlab.bleu.sentence_bleu(*pair) == cold

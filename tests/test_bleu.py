@@ -137,7 +137,7 @@ def counter_corpus_bleu(candidates, references, config):
             matches[len(gram) - 1] += min(count, ref_counts.get(gram, 0))
         for n in range(4):
             totals[n] += max(len(cand_toks) - n, 0)
-    return _score(matches, totals, cand_len, ref_len, config)
+    return _score((cand_len, ref_len, *matches, *totals), config)
 
 
 # no token repeats, so no n-gram repeats unless lowercasing merges "a" and "A"
@@ -184,7 +184,7 @@ def test_corpus_bleu_counts_no_pair_again_across_a_rotation():
         for cand, ref in zip(cands, refs):
             sentence_bleu(cand, ref)
         assert len(bleu._pairs.previous) == 2
-        with patch.object(bleu, "_add_pair", wraps=bleu._add_pair) as add_pair:
+        with patch.object(bleu, "_count_pair", wraps=bleu._count_pair) as add_pair:
             report = corpus_bleu(cands, refs)
     assert add_pair.call_count == 0
     assert report == counter_corpus_bleu(cands, refs, ScoringConfig())

@@ -853,6 +853,31 @@ def test_malformed_bleu_scores_exit_1_naming_the_file(tmp_path, capsys, bleu, me
     assert "bleu.json" in err and message in err
 
 
+@pytest.mark.parametrize("score", ["NaN", "Infinity", "1e400", "1" + "0" * 400],
+                         ids=["nan", "infinity", "overflowing-float", "400-digit-int"])
+def test_bleu_score_without_a_finite_float_exits_1_naming_the_system(tmp_path, capsys, score):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("sentence_id,rater_id,system,adequacy,fluency\n1,r1,a,2,2\n"
+                      "1,r1,b,3,3\n1,r1,c,4,1\n", encoding="utf-8")
+    (tmp_path / "bleu.json").write_text(f'{{"a": {score}, "b": 20.0, "c": 30.0}}',
+                                        encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "eval", "correlate", "--scores", scores,
+                "--bleu", tmp_path / "bleu.json"]) == 1
+    assert "BLEU score of system 'a' is not a finite float" in _one_error_line(capsys)
+    assert not (tmp_path / "out" / "correlation-adequacy.json").exists()
+
+
+def test_score_range_bound_beyond_a_float_exits_1(tmp_path, capsys):
+    huge = 10 ** 400
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"sentence_id,rater_id,system,adequacy,fluency\n1,r1,a,{huge},2\n"
+                      "2,r1,a,3,3\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "eval", "summarize", "--scores", scores,
+                "--score-max", huge]) == 1
+    assert "a score range bound does not fit a float" in _one_error_line(capsys)
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("bits", [0, -1, 40])
 def test_bsf_train_bits_out_of_range_exits_1(tmp_path, capsys, bits):
     labeled = tmp_path / "labeled.tsv"
