@@ -462,10 +462,12 @@ def cmd_eval_correlate(args) -> None:
     for name, s in summary.systems.items():
         if name in bleu_by_system:
             table.append(f"{name},{bleu_by_system[name]},{s.mean_adequacy:.4f},{s.mean_fluency:.4f}")
-    _out(args, "bleu-vs-human.csv", table)
+    reports = {}   # both before the first write, so that a rejected run writes nothing
     for metric in ("adequacy", "fluency"):
         human = {name: getattr(s, f"mean_{metric}") for name, s in summary.systems.items()}
-        report = humaneval.correlate(bleu_by_system, human)
+        reports[metric] = humaneval.correlate(bleu_by_system, human)
+    _out(args, "bleu-vs-human.csv", table)
+    for metric, report in reports.items():
         _out(args, f"correlation-{metric}.json", [report.to_json()])
         print(f"{metric}: pearson {report.pearson_r:.3f}, spearman {report.spearman_rho:.3f}, "
               f"BLEU best={report.bleu_argmax}, human best={report.human_argmax}"

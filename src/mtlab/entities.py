@@ -2,7 +2,12 @@
 
 Entities (distances, durations, clock times, dates) are recognized by
 per-language regex templates, replaced by indexed placeholders before
-translation, and substituted back afterwards.  A target locale is a
+translation, and substituted back afterwards.  One grammar table per
+language lists the forms each type is written in, as patterns with named
+groups, and builds both the shipped starter patterns (the forms joined,
+groups dropped) and the value parser (`parse_value` reads the groups of the
+first form a text fullmatches; a distance, duration, time or date text that
+no form fullmatches is an `EntityError`).  A target locale is a
 language, which decides how values are written, plus a unit policy that
 converts km and miles in every locale.  A corpus scan reports
 source/target count mismatches to drive the template refinement loop.
@@ -175,120 +180,110 @@ class EntityTemplate:
         return self._values.fill(text, self.parse) if value is None else value
 
 
-_EN_MONTHS = {m.lower(): i + 1 for i, m in enumerate(
-    ["January", "February", "March", "April", "May", "June", "July",
-     "August", "September", "October", "November", "December"])}
-_DE_MONTHS = {m.lower(): i + 1 for i, m in enumerate(
-    ["Januar", "Februar", "März", "April", "Mai", "Juni", "Juli",
-     "August", "September", "Oktober", "November", "Dezember"])}
-
-_NUM_RE = re.compile(r"\d+(?:[.,]\d+)?")
-_CLOCK_RE = re.compile(r"(\d{1,2})(?::(\d{2}))?")
-_PM_RE = re.compile(r"\dp|p\.?\s?m\.?")
-_AM_RE = re.compile(r"\da|a\.?\s?m\.?")
-_ISO_DATE_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
+_EN_MONTHS = ("January", "February", "March", "April", "May", "June", "July",
+              "August", "September", "October", "November", "December")
+_DE_MONTHS = ("Januar", "Februar", "März", "April", "Mai", "Juni", "Juli",
+              "August", "September", "Oktober", "November", "Dezember")
+_EN_MONTH_ALT = "|".join(_EN_MONTHS)
+_DE_MONTH_ALT = "|".join(_DE_MONTHS)
 _DIGITS_RE = re.compile(r"\d+")
-_NUMERIC_DATE_RE = re.compile(r"(\d{1,2})[./](\d{1,2})[./](\d{4})")
+# a starter drops its forms' group markers, each around one atom; a parse copy drops the
+# form's outer assertions, since a match may end in `.` before a letter, and an outer `\b`
+# cannot be checked on the matched text alone
+_GROUP_RE = re.compile(r"\(\?P<\w+>((?:[^()]|\(\?:[^()]*\))*)\)")
+_BOUNDS_RE = re.compile(r"^\\b|(?:\\b|\(\?=\\W\|\$\))$")
 
 
-def _parse_number(text: str, language: str) -> Decimal:
-    m = _NUM_RE.search(text)
-    if not m:
-        raise EntityError(f"no number in entity text {text!r}")
-    num = m.group()
-    if language == "de":
-        num = num.replace(",", ".")
-    else:
-        num = num.replace(",", "")  # thousands separator
-    return Decimal(num)
+class _Grammar(NamedTuple):
+    starter: str                    # the forms' alternation, groups dropped
+    forms: tuple[re.Pattern, ...]   # each form bare, for `fullmatch`
+    words: re.Pattern               # the unit/month words in try order, one group each
+    values: tuple                   # each word's value
 
 
-def _parse_distance(text: str, language: str) -> Distance:
-    low = text.lower()
-    if "km" in low or "kilomet" in low:
-        unit = "km"
-    elif "mi" in low and "min" not in low or "meile" in low:
-        unit = "mi"
-    else:
-        unit = "m"
-    return Distance(_parse_number(text, language), unit)
+def _grammar(forms: list[str], words=()) -> _Grammar:
+    """A type's grammar from its forms and the words of their `unit` or `month` group, with
+    each word's value; `{w}` in a form stands for the words' alternation."""
+    alternation = "(?:" + "|".join(w for w, _ in words) + ")"
+    forms = [f.replace("{w}", alternation) for f in forms]
+    return _Grammar("|".join(_GROUP_RE.sub(r"\1", f) for f in forms),
+                    tuple(re.compile(_BOUNDS_RE.sub("", f), re.IGNORECASE) for f in forms),
+                    re.compile("|".join(f"({w})" for w, _ in words), re.IGNORECASE),
+                    tuple(value for _, value in words))
 
 
-def _parse_duration(text: str, language: str) -> Duration:
-    low = text.lower()
-    hours = any(k in low for k in ("hour", "stunde", "stündig"))
-    n = _parse_number(text, language)
-    return Duration(int(n * 60) if hours else int(n))
-
-
-def _parse_time(text: str, language: str) -> TimeOfDay:
-    low = text.lower().strip()
-    m = _CLOCK_RE.search(low)
-    if not m:
-        raise EntityError(f"unparseable time {text!r}")
-    hour, minute = int(m.group(1)), int(m.group(2) or 0)
-    if _PM_RE.search(low) and hour != 12:
-        hour += 12
-    elif _AM_RE.search(low) and hour == 12:
-        hour = 0
-    return TimeOfDay((hour % 24) * 60 + minute)
-
-
-def _parse_date(text: str, language: str) -> DateValue:
-    months = _DE_MONTHS if language == "de" else _EN_MONTHS
-    low = text.lower().strip()
-    iso = _ISO_DATE_RE.fullmatch(low)
-    if iso:
-        return DateValue(int(iso.group(1)), int(iso.group(2)), int(iso.group(3)))
-    for name, number in months.items():
-        if name in low:
-            nums = _DIGITS_RE.findall(low)
-            if len(nums) >= 2:
-                day, year = int(nums[0]), int(nums[-1])
-                return DateValue(year, number, day)
-    numeric = _NUMERIC_DATE_RE.fullmatch(low)
-    if numeric:
-        a, b, year = int(numeric.group(1)), int(numeric.group(2)), int(numeric.group(3))
-        if language == "de":
-            return DateValue(year, b, a)   # DD.MM.YYYY
-        return DateValue(year, a, b)       # MM/DD/YYYY
-    raise EntityError(f"unparseable date {text!r}")
-
-
-_PARSERS = {
-    "distance": _parse_distance,
-    "duration": _parse_duration,
-    "time": _parse_time,
-    "date": _parse_date,
+# One table per language: each type's forms, with named groups `num`, `unit`, `hour`,
+# `minute`, `half`, `day`, `month`, `year`, and the words of its `unit` or `month` group
+# with their canonical unit, minute factor or month number.  The starter patterns and
+# `parse_value` are both built from it.
+_GRAMMARS = {
+    "en": {
+        "distance": _grammar([r"\b(?P<num>\d+(?:\.\d+)?)\s*(?P<unit>{w})\b"], [
+            ("kilometers?", "km"), ("kilometres?", "km"), ("km", "km"), ("meters?", "m"),
+            ("metres?", "m"), ("miles?", "mi"), ("mi", "mi"), ("m", "m")]),
+        "duration": _grammar([r"\b(?P<num>\d+)[-\s]?(?P<unit>{w})\b"], [
+            ("minutes?", 1), ("min", 1), ("hours?", 60)]),
+        "time": _grammar([
+            r"\b(?P<hour>\d{1,2}):(?P<minute>\d{2})\s?(?:(?P<half>[ap])\.?m\.?)?\b",
+            r"\b(?P<hour>\d{1,2})\s?(?P<half>[ap])\.?m\.?(?=\W|$)"]),
+        "date": _grammar([
+            r"\b(?P<month>(?:" + _EN_MONTH_ALT + r"))\s+(?P<day>\d{1,2}),?\s+(?P<year>\d{4})\b",
+            r"\b(?P<day>\d{1,2})\s+(?P<month>(?:" + _EN_MONTH_ALT + r"))\s+(?P<year>\d{4})\b",
+            r"\b(?P<year>\d{4})-(?P<month>\d{2})-(?P<day>\d{2})\b",
+            r"\b(?P<month>\d{1,2})/(?P<day>\d{1,2})/(?P<year>\d{4})\b",
+        ], [(m, i) for i, m in enumerate(_EN_MONTHS, start=1)]),
+    },
+    "de": {
+        "distance": _grammar([r"\b(?P<num>\d+(?:,\d+)?)\s*(?P<unit>{w})\b"], [
+            ("Kilometern?", "km"), ("km", "km"), ("Metern?", "m"), ("Meilen?", "mi"), ("m", "m")]),
+        "duration": _grammar([r"\b(?P<num>\d+)[-\s]?(?P<unit>{w})\b"], [
+            ("Minuten?", 1), ("minütige[nrms]?", 1), (r"Min\.?", 1), ("Stunden?", 60),
+            ("stündige[nrms]?", 60)]),
+        "time": _grammar([r"\b(?P<hour>\d{1,2}):(?P<minute>\d{2})(?:\s?Uhr)?\b",
+                          r"\b(?P<hour>\d{1,2})\s?Uhr\b"]),
+        "date": _grammar([
+            r"\b(?P<day>\d{1,2})\.\s?(?P<month>(?:" + _DE_MONTH_ALT + r"))\s+(?P<year>\d{4})\b",
+            r"\b(?P<day>\d{1,2})\.(?P<month>\d{1,2})\.(?P<year>\d{4})\b",
+            r"\b(?P<year>\d{4})-(?P<month>\d{2})-(?P<day>\d{2})\b",
+        ], [(m, i) for i, m in enumerate(_DE_MONTHS, start=1)]),
+    },
 }
+_STARTER_PATTERNS = {language: {etype: g.starter for etype, g in grammars.items()}
+                     for language, grammars in _GRAMMARS.items()}
+
+
+def _word_value(grammar: _Grammar, word: str):
+    return grammar.values[grammar.words.fullmatch(word).lastindex - 1]
 
 
 def parse_value(entity_type: str, text: str, language: str):
-    """The normalized value of `text`, written in `language`; a type with no parser keeps `text`."""
-    parser = _PARSERS.get(entity_type)
-    return text if parser is None else parser(text, language)
-
-
-_EN_MONTH_ALT = "|".join(m.capitalize() for m in _EN_MONTHS)
-_DE_MONTH_ALT = "|".join(m.capitalize() for m in _DE_MONTHS)
-
-_STARTER_PATTERNS = {
-    "en": {
-        "distance": r"\b\d+(?:\.\d+)?\s*(?:kilometers?|kilometres?|km|meters?|metres?|miles?|mi|m)\b",
-        "duration": r"\b\d+[-\s]?(?:minutes?|min|hours?)\b",
-        "time": r"\b\d{1,2}:\d{2}\s?(?:[ap]\.?m\.?)?\b|\b\d{1,2}\s?[ap]\.?m\.?(?=\W|$)",
-        "date": (r"\b(?:" + _EN_MONTH_ALT + r")\s+\d{1,2},?\s+\d{4}\b"
-                 r"|\b\d{1,2}\s+(?:" + _EN_MONTH_ALT + r")\s+\d{4}\b"
-                 r"|\b\d{4}-\d{2}-\d{2}\b|\b\d{1,2}/\d{1,2}/\d{4}\b"),
-    },
-    "de": {
-        "distance": r"\b\d+(?:,\d+)?\s*(?:Kilometern?|km|Metern?|Meilen?|m)\b",
-        "duration": r"\b\d+[-\s]?(?:Minuten?|minütige[nrms]?|Min\.?|Stunden?|stündige[nrms]?)\b",
-        "time": r"\b\d{1,2}:\d{2}(?:\s?Uhr)?\b|\b\d{1,2}\s?Uhr\b",
-        "date": (r"\b\d{1,2}\.\s?(?:" + _DE_MONTH_ALT + r")\s+\d{4}\b"
-                 r"|\b\d{1,2}\.\d{1,2}\.\d{4}\b|\b\d{4}-\d{2}-\d{2}\b"),
-    },
-}
+    """The normalized value of `text`, read by the first form of its type in `language`'s
+    grammar (English unless `de`) that it fullmatches; a type with no grammar keeps `text`."""
+    grammar = _GRAMMARS["de" if language == "de" else "en"].get(entity_type)
+    if grammar is None:
+        return text
+    for form in grammar.forms:
+        match = form.fullmatch(text)
+        if match:
+            break
+    else:
+        raise EntityError(f"unparseable {entity_type} {text!r}")
+    g = match.groupdict()
+    if entity_type == "time":
+        hour, half = int(g["hour"]), (g.get("half") or "").lower()
+        if half == "p" and hour != 12:
+            hour += 12
+        elif half == "a" and hour == 12:
+            hour = 0
+        return TimeOfDay((hour % 24) * 60 + int(g.get("minute") or 0))
+    if entity_type == "date":
+        month = g["month"]
+        month = int(month) if month.isdecimal() else _word_value(grammar, month)
+        return DateValue(int(g["year"]), month, int(g["day"]))
+    number = Decimal(g["num"].replace(",", "."))   # a German decimal comma; English has none
+    if entity_type == "distance":
+        return Distance(number, _word_value(grammar, g["unit"]))
+    return Duration(int(number * _word_value(grammar, g["unit"])))
 
 
 # each starter pattern must match only text that holds a digit (a hypothesis test checks it)

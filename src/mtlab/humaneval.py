@@ -191,9 +191,11 @@ def summarize(records: list[AdequacyFluencyRecord],
                 [(a_scores[i].adequacy, b_scores[i].adequacy) for i in common], score_range)
             kappa_f = weighted_kappa(
                 [(a_scores[i].fluency, b_scores[i].fluency) for i in common], score_range)
+        means = (sum(adequacy) / len(adequacy), sum(fluency) / len(fluency))
+        if not all(map(math.isfinite, means)):
+            raise ScoreError(f"mean score of system {system!r} is not a finite float")
         summaries[system] = SystemSummary(
-            sum(adequacy) / len(adequacy),
-            sum(fluency) / len(fluency),
+            *means,
             rater_means,
             kappa_a,
             kappa_f,

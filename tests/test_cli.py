@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -821,7 +822,7 @@ def test_bpe_detok_error_names_the_line(tmp_path, capsys):
     (b'[{"source_language": "en", "entries": [{"index": 0, "type": "distance", "text": "5 km"}, '
      b'{"index": 0, "type": "distance", "text": "9 km"}]}]', "maps.json: map 1: "),
     (b'[{"source_language": "en", "entries": [{"index": 0, "type": "distance", "text": "far"}]}]',
-     "maps.json: map 1: no number in entity text 'far'"),
+     "maps.json: map 1: unparseable distance 'far'"),
     (b'[{"source_language": "en", "entries": [{"index": 1, "type": "distance", "text": "5 km"}]}]',
      "maps.json: map 1: placeholder ⟦DIST_0⟧ has no entry"),
     (b'[{"source_language": "en", "entries": []}, {"source_language": "en", "entries": []}]',
@@ -865,6 +866,30 @@ def test_bleu_score_without_a_finite_float_exits_1_naming_the_system(tmp_path, c
                 "--bleu", tmp_path / "bleu.json"]) == 1
     assert "BLEU score of system 'a' is not a finite float" in _one_error_line(capsys)
     assert not (tmp_path / "out" / "correlation-adequacy.json").exists()
+
+
+def test_rejected_correlate_run_writes_no_table(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("sentence_id,rater_id,system,adequacy,fluency\n1,r1,a,2,2\n"
+                      "1,r1,b,3,3\n1,r1,c,4,1\n", encoding="utf-8")
+    (tmp_path / "bleu.json").write_text('{"a": NaN, "b": 20.0, "c": 30.0}', encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--out-dir", out, "eval", "correlate", "--scores", scores,
+                "--bleu", tmp_path / "bleu.json"]) == 1
+    _one_error_line(capsys)
+    assert not (out / "bleu-vs-human.csv").exists()
+
+
+def test_system_mean_beyond_a_float_exits_1_naming_the_system(tmp_path, capsys):
+    top = int(sys.float_info.max)
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"sentence_id,rater_id,system,adequacy,fluency\n1,r1,a,{top},1\n"
+                      f"2,r1,a,{top},1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--out-dir", out, "eval", "summarize", "--scores", scores,
+                "--score-max", top]) == 1
+    assert "mean score of system 'a' is not a finite float" in _one_error_line(capsys)
+    assert not (out / "summary.json").exists()
 
 
 def test_score_range_bound_beyond_a_float_exits_1(tmp_path, capsys):
@@ -991,7 +1016,7 @@ def test_ner_validate_empty_pairs_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("template, masked, texts", [
     ("foo\ten\tx*", "ab 5 km", []),
-    ("distance\ten\t\\d*", "ab ⟦DIST_0⟧ km", ["5"]),
+    ("num\ten\t\\d*", "ab ⟦NUM_0⟧ km", ["5"]),
 ], ids=["only-empty-matches", "empty-and-digit-matches"])
 def test_ner_mask_ignores_zero_length_matches(tmp_path, template, masked, texts):
     (tmp_path / "tpl.tsv").write_text(template + "\n", encoding="utf-8")

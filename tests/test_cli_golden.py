@@ -203,6 +203,20 @@ def test_every_manifest_lists_the_files_its_run_wrote(baseline):
         assert sorted(run["manifest"]["outputs"]) == sorted(run["files"]), name
 
 
+def _reject_constant(constant: str):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def test_every_json_output_is_strict_json(baseline):
+    """No run writes NaN or +-Infinity, which a strict JSON reader rejects."""
+    path, record = baseline
+    outputs = [path / "out" / name / f for name, run in record.items()
+               for f in [*run["files"], "manifest.json"] if f.endswith(".json")]
+    assert len(outputs) > len(record)   # every manifest and the runs' own JSON outputs
+    for output in outputs:
+        json.loads(output.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
 # Values for flags whose generic move (int +1, float x2, text + "x", the next
 # choice, the other starter code, a size list less its last size, a flag
 # toggled) shows no effect on these inputs, keyed by flag or "subcommand flag"

@@ -360,8 +360,8 @@ def reference_find_entities(sentence, templates):
 
 _FRAGMENTS = ["5", "12", "3.5", "1,5", "2024", "10:30", "7", "٣", "-", " ", " ", ".", ",", "/",
               ":", "km", "m", "mi", "miles", "Kilometer", "Meilen", "min", "minute", "Minuten",
-              "hours", "Stunden", "Uhr", "pm", "a.m.", "March", "März", "Mai", "December",
-              "ride", "Eiffel Tower", "⟦DIST_0⟧", "⟦DIST_0", "⟧"]
+              "hours", "Stunden", "Uhr", "pm", "a.m.", "p.m.", "Min.", "March", "März", "Mai",
+              "December", "ride", "Eiffel Tower", "⟦DIST_0⟧", "⟦DIST_0", "⟧"]
 _SENTENCES = st.lists(st.sampled_from(_FRAGMENTS), max_size=14).map("".join)
 # a user template that needs no digit and has no parser: the digit gate must never skip it
 LANDMARK = en.EntityTemplate("landmark", "en", r"\bEiffel Tower\b")
@@ -461,19 +461,14 @@ def test_ungated_template_still_matches_digit_free_text():
 
 
 def test_value_memo_parses_each_picked_text_once():
-    calls = []
-
-    def parse(text, language):
-        calls.append(text)
-        return en._parse_distance(text, language)
-
     distance = en.EntityTemplate("distance", "en", r"\d+ km")
     date = en.EntityTemplate("date", "en", r"\d+")   # "5" is no date, so parsing it would raise
-    with mock.patch.dict(en._PARSERS, {"distance": parse}):
+    with mock.patch.object(en, "parse_value", wraps=en.parse_value) as parse:
         for sentence in ("5 km", "then 5 km", "5 km again"):
             assert [m.value for m in en.find_entities(sentence, [distance, date])] == [
                 en.Distance(Decimal(5), "km")]
-    assert calls == ["5 km"]   # the overlapped "5" is never parsed
+    # the overlapped "5" is never parsed
+    assert [c.args[1] for c in parse.call_args_list] == ["5 km"]
 
 
 def test_parse_error_is_not_memoized():
@@ -482,6 +477,22 @@ def test_parse_error_is_not_memoized():
         with pytest.raises(en.EntityError, match="unparseable date"):
             en.find_entities("on 3/4", [template])
     assert "3/4" not in template._values and not template._values.previous
+
+
+@pytest.mark.parametrize("sentence, templates, text, value", [
+    ("Open 10:30 a.m.Then go", EN_TPL, "10:30 a.m.", en.TimeOfDay(630)),
+    ("Es dauert 5 Min.Danach", DE_TPL, "5 Min.", en.Duration(5)),
+    ("at 7a.m.ride", EN_TPL, "7a.m", en.TimeOfDay(420)),
+    ("12 am", EN_TPL, "12 am", en.TimeOfDay(0)),
+    ("12 pm", EN_TPL, "12 pm", en.TimeOfDay(720)),
+    ("am 1. Mai 2020", DE_TPL, "1. Mai 2020", en.DateValue(2020, 5, 1)),
+    ("on MAY 1 2020", EN_TPL, "MAY 1 2020", en.DateValue(2020, 5, 1)),
+    ("um 9Uhr", DE_TPL, "9Uhr", en.TimeOfDay(540)),
+    ("5 KM", EN_TPL, "5 KM", en.Distance(Decimal(5), "km")),
+], ids=["am-dot-before-letter", "min-dot-before-letter", "am-lookahead", "midnight", "noon",
+        "de-month-name", "upper-month", "uhr-unspaced", "upper-unit"])
+def test_starter_match_edge_cases_keep_their_values(sentence, templates, text, value):
+    assert [(m.text, m.value) for m in en.find_entities(sentence, templates)] == [(text, value)]
 
 
 def test_fresh_templates_start_with_empty_memos():
@@ -493,10 +504,12 @@ def test_zero_length_matches_are_dropped():
     empty_only = [en.EntityTemplate("foo", "en", r"x*")]
     assert en.find_entities("ab 5 km", empty_only) == []
     assert en.mask("ab 5 km", empty_only).masked_sentence == "ab 5 km"
-    digits = [en.EntityTemplate("distance", "en", r"\d*")]
+    digits = [en.EntityTemplate("num", "en", r"\d*")]
     pmap = en.mask("ab 5 km", digits)
-    assert pmap.masked_sentence == "ab ⟦DIST_0⟧ km"
-    assert pmap.entries == (en.PlaceholderEntry(0, "distance", "5", en.Distance(Decimal(5), "m")),)
+    assert pmap.masked_sentence == "ab ⟦NUM_0⟧ km"
+    assert pmap.entries == (en.PlaceholderEntry(0, "num", "5", "5"),)
+    with pytest.raises(en.EntityError, match="unparseable distance '5'"):
+        en.mask("ab 5 km", [en.EntityTemplate("distance", "en", r"\d*")])
 
 
 @pytest.mark.parametrize("record, fields, defaults", [
