@@ -107,23 +107,26 @@ def train_embeddings(
 
     total_centers = max(1, total_tokens * epochs)
     processed = 0
+    # bound once, so no draw goes through `np.searchsorted`'s Python wrapper; `take` makes
+    # the same C-contiguous copy as `vec_out[targets]`, so the gemv kernel and the bits stay
+    random, integers, noise_index = rng.random, rng.integers, noise_cdf.searchsorted
     for epoch in range(epochs):
         for sent in sentences:
             ids = [index[t] for t in sent]
-            kept = [i for i, draw in zip(ids, rng.random(len(ids)).tolist()) if draw < keep[i]]
+            kept = [i for i, draw in zip(ids, random(len(ids)).tolist()) if draw < keep[i]]
             for pos, center in enumerate(kept):
                 processed += 1
                 lr = max(INITIAL_LR * (1.0 - processed / total_centers), INITIAL_LR * 1e-4)
-                span = 1 + int(rng.integers(window))
+                span = 1 + int(integers(window))
                 lo = max(0, pos - span)
                 hi = min(len(kept), pos + span + 1)
                 contexts = kept[lo:pos] + kept[pos + 1:hi]
                 # one row of negatives per context, drawn in the per-context order
-                draws = np.searchsorted(noise_cdf, rng.random(negatives * len(contexts)))
+                draws = noise_index(random(negatives * len(contexts)))
                 for context, negs in zip(contexts, draws.reshape(-1, negatives).tolist()):
                     targets = np.array([center] + [n for n in negs if n != center])
                     vin = vec_in[context]
-                    vouts = vec_out[targets]
+                    vouts = vec_out.take(targets, axis=0)
                     grad = 1.0 / (1.0 + np.exp(-vouts @ vin))
                     grad[0] -= 1.0  # label 1 for the center, 0 for each negative
                     grad *= lr

@@ -249,9 +249,10 @@ def cmd_ner_unmask(args) -> None:
 
 def cmd_ner_validate(args) -> None:
     pairs = corpus.read_pairs(args.pairs)
+    # `read_pairs` reads one pair per line, so pair n is line n
     result = entities.validate_entity_translation(
         pairs, _templates(args.templates_src), _templates(args.templates_tgt),
-        rel_tolerance=args.tolerance)
+        rel_tolerance=args.tolerance, pair_label=f"{args.pairs}: line")
     _out(args, "entity-validation.json", [json.dumps(asdict(result))])
     print(f"entity accuracy: {result.accuracy:.3f} over {len(pairs)} pairs")
 

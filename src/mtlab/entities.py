@@ -168,7 +168,7 @@ class EntityTemplate:
         return self._spans.fill(sentence, self._scan) if spans is None else spans
 
     def _scan(self, sentence: str) -> tuple[tuple[int, int], ...]:
-        return tuple(m.span() for m in self.regex.finditer(sentence) if m.end() > m.start())
+        return tuple([m.span() for m in self.regex.finditer(sentence) if m.end() > m.start()])
 
     def parse(self, text: str):
         """`parse_value` of the text in this template's type and language."""
@@ -526,6 +526,14 @@ def _pair_values(src_matches: list[EntityMatch], tgt_matches: list[EntityMatch],
     return unpaired_src, remaining
 
 
+def _side_matches(sentence: str, templates: list[EntityTemplate], side: str) -> list[EntityMatch]:
+    """`find_entities`, with an error that names the side and the sentence."""
+    try:
+        return find_entities(sentence, templates)
+    except EntityError as exc:
+        raise EntityError(f"{side} sentence {sentence!r}: {exc}") from None
+
+
 def scan_mismatches(
     corpus: ParallelCorpus,
     templates_src: list[EntityTemplate],
@@ -549,8 +557,8 @@ def scan_mismatches(
     unmatched = {src_lang: Counter(), tgt_lang: Counter()}
     total = 0
     for pair in corpus:
-        src_matches = find_entities(pair.source, templates_src)
-        tgt_matches = find_entities(pair.target, templates_tgt)
+        src_matches = _side_matches(pair.source, templates_src, "source")
+        tgt_matches = _side_matches(pair.target, templates_tgt, "target")
         if sorted(m.entity_type for m in src_matches) == sorted(m.entity_type for m in tgt_matches):
             continue  # every type's count matches
         for etype in types:
@@ -580,23 +588,28 @@ def validate_entity_translation(
     templates_src: list[EntityTemplate],
     templates_tgt: list[EntityTemplate],
     rel_tolerance: float = 0.005,
+    pair_label: str = "pair",
 ) -> EntityValidation:
     """Binary per-sentence scores: 1 iff the normalized entity values agree.
 
     Distances compare in meters (so unit conversions count as correct
     within the relative tolerance, which must lie in [0, 1)); other types
-    compare exactly.
+    compare exactly.  An error about one pair names it `{pair_label} {n}`,
+    counting from 1.
     """
     if not pairs:
         raise EntityError("no pairs to validate")
     if not 0 <= rel_tolerance < 1:
         raise EntityError(f"relative tolerance must be in [0, 1), got {rel_tolerance}")
     scores = []
-    for i, (source, output) in enumerate(pairs):
-        src_matches = find_entities(source, templates_src)
-        if not src_matches:
-            raise EntityError(f"pair {i}: source contains no audited entity")
-        unpaired_src, unpaired_tgt = _pair_values(
-            src_matches, find_entities(output, templates_tgt), rel_tolerance)
+    for n, (source, output) in enumerate(pairs, start=1):
+        try:
+            src_matches = _side_matches(source, templates_src, "source")
+            if not src_matches:
+                raise EntityError("source contains no audited entity")
+            unpaired_src, unpaired_tgt = _pair_values(
+                src_matches, _side_matches(output, templates_tgt, "output"), rel_tolerance)
+        except EntityError as exc:
+            raise EntityError(f"{pair_label} {n}: {exc}") from None
         scores.append(0 if unpaired_src or unpaired_tgt else 1)
     return EntityValidation(tuple(scores), sum(scores) / len(scores))

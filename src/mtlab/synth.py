@@ -31,21 +31,25 @@ def toy_lm_stream(
     if not 0 <= noise <= 1:
         raise ValueError(f"noise must be in [0, 1], got {noise}")
     rng = stream(seed, "toy-lm")
-    ids = np.empty(n_tokens, dtype=np.int64)
+    ids = np.empty(n_tokens, dtype=np.int64)  # an impossible size fails here, before the loop
+    # the jump thresholds as Python floats, summed in numpy's order for three elements
+    p1, p3, p7 = (np.array([0.60, 0.20, 0.15]) * ((1.0 - noise) / 0.95)).tolist()
+    to3, to7 = p1 + p3, p1 + p3 + p7
+    random, integers = rng.random, rng.integers
+    states = []
     state = 0
-    jumps = np.array([1, 3, 7])
-    probs = np.array([0.60, 0.20, 0.15]) * ((1.0 - noise) / 0.95)
-    for i in range(n_tokens):
-        ids[i] = state
-        roll = rng.random()
-        if roll < probs[0]:
-            state = (state + jumps[0]) % vocab_size
-        elif roll < probs[0] + probs[1]:
-            state = (state + jumps[1]) % vocab_size
-        elif roll < probs.sum():
-            state = (state + jumps[2]) % vocab_size
+    for _ in range(n_tokens):
+        states.append(state)
+        roll = random()
+        if roll < p1:
+            state = (state + 1) % vocab_size
+        elif roll < to3:
+            state = (state + 3) % vocab_size
+        elif roll < to7:
+            state = (state + 7) % vocab_size
         else:
-            state = int(rng.integers(vocab_size))
+            state = int(integers(vocab_size))
+    ids[:] = states
     return ids
 
 

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import heapq
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from typing import NamedTuple
 
 from .corpus import ParallelCorpus, read_lines, write_lines
@@ -272,22 +272,23 @@ def _presplit(sentence: str) -> list[_Unit]:
 # training
 
 
-def _unit_frequencies(texts) -> Counter:
+def _unit_frequencies(texts) -> dict[str, int]:
     """Frequency of every non-atomic unit, pre-splitting each distinct chunk once.
 
     Exact: `str.split()` breaks on the same characters as `str.isspace`, a
     unit never spans whitespace, and whitespace units are atomic.
     """
-    chunks = Counter(chunk for text in texts for chunk in text.split())
-    counts: Counter = Counter()
+    chunks = Counter(chain.from_iterable(map(str.split, texts)))
+    counts: dict[str, int] = {}
+    get = counts.get
     for chunk, n in chunks.items():
         for unit in _chunk_units(chunk):
             if not unit.atomic:
-                counts[unit.text] += n
+                counts[unit.text] = get(unit.text, 0) + n
     return counts
 
 
-def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str, str]], set[str]]:
+def _train_merges(unit_freqs: dict[str, int], merge_count: int) -> tuple[list[tuple[str, str]], set[str]]:
     """Greedy merge learning with incremental pair-count maintenance.
 
     Pair counts are word-frequency weighted; ties break to the
@@ -311,18 +312,26 @@ def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str
     itself once per pass but may recur after other words.  A repeat is
     harmless: a listed word that no longer holds the pair has no site and
     is left alone, and no count or heap key depends on the visiting order.
+
+    The counts and the index are plain dicts read through bound `get`s:
+    CPython specializes a subscript only on an exact `dict`, and a `Counter`
+    or `defaultdict` would also run `__missing__` for each new key.
     """
     words = [list(w) for w in unit_freqs]
     freqs = list(unit_freqs.values())
     alphabet = {c for w in words for c in w}
 
-    pair_counts: Counter = Counter()
-    pair_where: defaultdict = defaultdict(list)
+    pair_counts: dict[tuple[str, str], int] = {}
+    pair_where: dict[tuple[str, str], list[int]] = {}
+    count_of, where_of = pair_counts.get, pair_where.get
     for wi, word in enumerate(words):
+        freq = freqs[wi]
         for pair in zip(word, word[1:]):
-            pair_counts[pair] += freqs[wi]
-            where = pair_where[pair]
-            if not where or where[-1] != wi:
+            pair_counts[pair] = count_of(pair, 0) + freq
+            where = where_of(pair)
+            if where is None:
+                pair_where[pair] = [wi]
+            elif where[-1] != wi:
                 where.append(wi)
     heap = [(-count, pair) for pair, count in pair_counts.items() if count >= 2]
     heapq.heapify(heap)
@@ -330,7 +339,7 @@ def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str
     merges: list[tuple[str, str]] = []
     while heap and len(merges) < merge_count:
         neg_count, best = heapq.heappop(heap)
-        count = pair_counts.get(best, 0)
+        count = count_of(best, 0)
         if count != -neg_count:
             if count >= 2:
                 heapq.heappush(heap, (-count, best))
@@ -351,18 +360,22 @@ def _train_merges(unit_freqs: Counter, merge_count: int) -> tuple[list[tuple[str
                         prev = word[i - 1]
                         pair_counts[prev, left] -= freq
                         pair = (prev, merged)
-                        pair_counts[pair] += freq
-                        where = pair_where[pair]
-                        if not where or where[-1] != wi:
+                        pair_counts[pair] = count_of(pair, 0) + freq
+                        where = where_of(pair)
+                        if where is None:
+                            pair_where[pair] = [wi]
+                        elif where[-1] != wi:
                             where.append(wi)
                         grown.add(pair)
                     if i < last - 1:
                         nxt = word[i + 2]
                         pair_counts[right, nxt] -= freq
                         pair = (merged, nxt)
-                        pair_counts[pair] += freq
-                        where = pair_where[pair]
-                        if not where or where[-1] != wi:
+                        pair_counts[pair] = count_of(pair, 0) + freq
+                        where = where_of(pair)
+                        if where is None:
+                            pair_where[pair] = [wi]
+                        elif where[-1] != wi:
                             where.append(wi)
                         grown.add(pair)
                     word[i : i + 2] = [merged]

@@ -131,8 +131,8 @@ def test_criterion_06_bpe_oracle():
         expected = oracle_bpe(texts, 50)
         got = list(tk.train_bpe_texts(texts, 50).merges)
         all_ok = all_ok and got == expected
-    report(6, "merge lists equal the recount-after-every-merge oracle on 5 fixtures",
-           all_ok, "50 merges each, ties included")
+    report(6, "merge lists equal the recount-after-every-merge oracle on "
+           f"{len(FIXTURE_CORPORA)} fixtures", all_ok, "50 merges each, ties included")
 
 
 def _round_trip_sentences(count: int) -> list[str]:

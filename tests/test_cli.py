@@ -804,6 +804,28 @@ def test_ner_mask_unparseable_value_names_the_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_ner_scan_unparseable_value_names_the_side_and_sentence(tmp_path, capsys):
+    templates, pairs = tmp_path / "templates.tsv", tmp_path / "c.tsv"
+    templates.write_text("distance\ten\t\\d+\n", encoding="utf-8")
+    # the blank first pair is dropped, so pair ids are not lines
+    pairs.write_text("\t\nno number\tkeine Zahl\ntwo km\ta 5 b\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "ner", "scan", "--tsv", pairs,
+                "--templates-src", templates, "--templates-tgt", templates]) == 1
+    assert _one_error_line(capsys) == "error: target sentence 'a 5 b': unparseable distance '5'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_ner_validate_unparseable_value_names_the_line(tmp_path, capsys):
+    templates, pairs = tmp_path / "templates.tsv", tmp_path / "pairs.tsv"
+    templates.write_text("distance\ten\t\\d+(?: km)?\n", encoding="utf-8")
+    pairs.write_text("5 km away\t5 km entfernt\nwalk 7 min\t7 km\n", encoding="utf-8")
+    assert run(["--out-dir", tmp_path / "out", "ner", "validate", "--pairs", pairs,
+                "--templates-src", templates]) == 1
+    assert _one_error_line(capsys) == (f"error: {pairs}: line 2: source sentence 'walk 7 min': "
+                                       "unparseable distance '7'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_bpe_detok_error_names_the_line(tmp_path, capsys):
     text = tmp_path / "in.txt"
     text.write_text("ok|L\n\nfine|L\na|b|L\n", encoding="utf-8")

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from mtlab import synth
 from mtlab import tokenizer as tk
 from mtlab.corpus import ParallelCorpus, SentencePair
 
@@ -58,6 +59,11 @@ FIXTURE_CORPORA = [
     # (a, b) from aab)
     ["a aa aaa aaaa aaaaa aaaaaaa aaaaaaaaaaa", "ab abab ababab abababab aba baba bab",
      "aab aab abb abb aaab abbb aabb abab", "aaaaaaaa bbbbbb abababab aabbaabb"],
+    # abc is reached as a + bc in the first and as ab + c in the second; the
+    # merge that makes it meets (x, abc) at three sites, the second one in
+    # the same word as the first (xabcxabc) and the third in another word
+    ["xabc xabcxabc xabc", "bc bc bc bc ab"],
+    ["xabc xabcxabc xabc", "ab ab ab ab bc"],
 ]
 
 
@@ -66,6 +72,20 @@ def test_merge_list_matches_brute_force_oracle(texts):
     expected = oracle_bpe(texts, 50)
     model = tk.train_bpe_texts(texts, 50)
     assert list(model.merges) == expected
+
+
+def test_abc_is_reached_by_both_merge_orders():
+    a_bc, ab_c = FIXTURE_CORPORA[-2:]
+    assert tk.train_bpe_texts(a_bc, 3).merges == (("b", "c"), ("a", "bc"), ("x", "abc"))
+    assert tk.train_bpe_texts(ab_c, 3).merges == (("a", "b"), ("ab", "c"), ("x", "abc"))
+
+
+def test_seeded_parallel_table_matches_brute_force_oracle():
+    # both sides of a seeded toy corpus: 2502 words, 106 distinct units, kept
+    # out of FIXTURE_CORPORA because criterion 6 caps a fixture at 200 words
+    pairs = synth.toy_parallel_corpus(150)
+    texts = [p.source for p in pairs] + [p.target for p in pairs]
+    assert list(tk.train_bpe_texts(texts, 60).merges) == oracle_bpe(texts, 60)
 
 
 def test_first_merge_of_low_corpus():
